@@ -4,9 +4,10 @@ Programs sample from generators, observe constraints, and return
 variables; states are finitely-supported subdistributions with exact
 rational weights.  The package also implements the variable-free
 combinator form of terms with composition, whiskering, and tensoring,
-a line-by-line trace evaluator reproducing pen-and-paper calculations,
-a concrete ``.arrow`` file syntax, and a brute-force oracle for
-cross-checking the evaluator.
+one statement-at-a-time evaluation engine (behind line-by-line traces
+reproducing pen-and-paper calculations, denotations and channels), a
+concrete ``.arrow`` file syntax, and a brute-force world-enumeration
+oracle, independent of the engine, for cross-checking it.
 """
 
 from .errors import ArrowError
@@ -60,7 +61,6 @@ from .semantics import (
     observe_predicate,
     semantics_of_comb,
     trace,
-    trace_normalized,
 )
 from .parser import Program, elaborate, load_file, load_text, parse, pretty
 from .proptest import GenBudget, gen_interpretation, gen_term, oracle_denote
@@ -112,7 +112,6 @@ __all__ = [
     "observe_predicate",
     "semantics_of_comb",
     "trace",
-    "trace_normalized",
     "Program",
     "elaborate",
     "load_file",

@@ -51,15 +51,12 @@ def _trace_text(lines, result) -> str:
     return "\n".join(body) + "\n"
 
 
-def _evaluate(prog: Program, normalize: bool):
-    return trace(prog.typed, prog.interp, prog.texts, normalize=normalize)
-
-
 def _emit_run(prog: Program, path: str, args, out) -> int:
     structured = args.format == "structured"
     doc = {"program": path, "lines": [], "failure": False}
     try:
-        lines, result = _evaluate(prog, args.normalize_each_line)
+        lines, result = trace(prog.typed, prog.interp, prog.texts,
+                              normalize=args.normalize_each_line)
     except ZeroMassState as exc:
         if structured:
             doc.update(failure=True, failure_line=exc.line,
@@ -214,7 +211,7 @@ def cmd_corpus(args, out=None, err=None) -> int:
             source = path.read_text(encoding="utf-8")
             prog = load_file(path)
             normalize = any(line.strip() == NORMALIZE_PRAGMA for line in source.splitlines())
-            lines, result = _evaluate(prog, normalize)
+            lines, result = trace(prog.typed, prog.interp, prog.texts, normalize=normalize)
             actual = _trace_text(lines, result)
         except ZeroMassState as exc:
             actual = f"Failure: state mass is zero at line {exc.line}\n"

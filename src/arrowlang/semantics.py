@@ -1,10 +1,15 @@
 """Evaluation of terms into subdistributions.
 
 An interpretation assigns a finite carrier to each type and a
-substochastic kernel row to every generator input.  Terms then denote
-channels; closed programs evaluate line by line into a trace whose
-state is the joint subdistribution over all variables introduced so
-far, exactly as the worked puzzles compute it.
+substochastic kernel row to every generator input.  One engine
+evaluates every term, a statement at a time: each statement is one
+Kleisli step on the joint state over all variables introduced so far,
+and the return projects onto the returned variables.  `trace` records
+the state after every line, exactly as the worked puzzles compute it;
+`interpret` starts from the point mass at an input vector;
+`denote_channel` and `semantics_of_comb` tabulate `interpret` over the
+input carriers.  The world-enumeration oracle in `proptest` shares no
+code with this engine, so it can cross-check it.
 """
 
 from __future__ import annotations
@@ -12,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .combinator import CObs, CombTerm, CRet
+from .combinator import CombTerm, decode
 from .errors import CarrierMismatch, PredicateTypeError, ZeroMassState
-from .subdist import FAILURE, Outcome, Subdist, dirac, rescale, restrict, zero
+from .subdist import FAILURE, ONE, ZERO, Outcome, Subdist, rescale, restrict
 from .syntax import (
     Generator,
     Observe,
@@ -35,6 +40,7 @@ from .syntax import (
     TypedTerm,
     TypeName,
     render_statement,
+    statements,
 )
 
 KernelTable = Mapping[tuple, Subdist]
@@ -129,42 +135,73 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
     raise PredicateTypeError(f"not a predicate: {p!r}")
 
 
-def interpret(tt: TypedTerm, interp: Interpretation, v: tuple = ()) -> Subdist:
-    """Denotation of a typed term at one input vector.
+# -- the evaluation engine ----------------------------------------------------
+#
+# A state maps flat value tuples, one entry per variable of its layout,
+# to positive weights.  It becomes a validated Subdist only where it
+# leaves the engine.
 
-    Return yields the reindexed point mass; a sampling statement pushes
-    the kernel row through the continuation by Kleisli extension; an
-    observe keeps or zeroes the branch.
+
+def _step(state: dict, layout: list[str], node: Term, interp: Interpretation) -> dict:
+    """Apply one statement to a joint state.
+
+    Sampling tensors the kernel row onto every monomial and appends the
+    outputs to ``layout``; an observe keeps the monomials satisfying it.
     """
+    index = {name: i for i, name in enumerate(layout)}
+    if isinstance(node, Sample):
+        picks = [index[a] for a in node.args]
+        arity = len(node.outs)
+        out: dict = {}
+        for values, w in state.items():
+            row = interp.kernel_row(node.gen, tuple(values[i] for i in picks))
+            for out_val, wv in row.items():
+                key = values + outs_tuple(out_val, arity)
+                out[key] = out.get(key, ZERO) + w * wv
+        layout.extend(node.outs)
+        return out
+    if isinstance(node, Observe):
+        i, j = index[node.left], index[node.right]
+        return {values: w for values, w in state.items() if values[i] == values[j]}
+    return {values: w for values, w in state.items()
+            if pred_holds(node.pred, dict(zip(layout, values)))}
+
+
+def _evaluate(term: Term, layout: list[str], state: dict, interp: Interpretation,
+              record: Callable[[Term, dict], dict] | None = None) -> dict:
+    """Run every statement of a term, then project onto the returned variables.
+
+    ``record``, when given, sees each statement, the return included,
+    with the state it produced and returns the state to continue from.
+    """
+    heads, ret = statements(term)
+    for node in heads:
+        state = _step(state, layout, node, interp)
+        if record:
+            state = record(node, state)
+    index = {name: i for i, name in enumerate(layout)}
+    picks = [index[x] for x in ret.vars]
+    projected: dict = {}
+    for values, w in state.items():
+        key = tuple(values[i] for i in picks)
+        projected[key] = projected.get(key, ZERO) + w
+    return record(ret, projected) if record else projected
+
+
+def _subdist(state: dict) -> Subdist:
+    return Subdist((collapse_values(values), w) for values, w in state.items())
+
+
+def interpret(tt: TypedTerm, interp: Interpretation, v: tuple = ()) -> Subdist:
+    """Denotation of a typed term at one input vector: the engine run
+    from the point mass at ``v``."""
     if len(v) != len(tt.ctx):
         raise CarrierMismatch(f"input arity {len(v)} != context length {len(tt.ctx)}")
     for (name, tname), val in zip(tt.ctx, v):
         if val not in interp.carrier(tname):
             raise CarrierMismatch(f"{val!r} outside carrier of {tname} (variable {name})")
-
-    def walk(node: Term, env: dict[str, Outcome]) -> Subdist:
-        if isinstance(node, Return):
-            return dirac(collapse_values(tuple(env[x] for x in node.vars)))
-        if isinstance(node, Observe):
-            if env[node.left] == env[node.right]:
-                return walk(node.cont, env)
-            return zero()
-        if isinstance(node, ObservePred):
-            if pred_holds(node.pred, env):
-                return walk(node.cont, env)
-            return zero()
-        # sampling: sum the kernel row through the continuation
-        row = interp.kernel_row(node.gen, tuple(env[x] for x in node.args))
-        acc = zero()
-        for out_val, w in row.items():
-            extended = dict(env)
-            for name, val in zip(node.outs, outs_tuple(out_val, len(node.outs))):
-                extended[name] = val
-            acc = acc + w * walk(node.cont, extended)
-        return acc
-
-    env = {name: val for (name, _), val in zip(tt.ctx, v)}
-    return walk(tt.term, env)
+    layout = [name for name, _ in tt.ctx]
+    return _subdist(_evaluate(tt.term, layout, {tuple(v): ONE}, interp))
 
 
 # -- line-by-line traces -------------------------------------------------------
@@ -185,25 +222,6 @@ class EvalResult:
     posterior: object  # Subdist or FAILURE
 
 
-def _extend_state(state: Subdist, layout: list[str], node: Sample,
-                  interp: Interpretation) -> Subdist:
-    """Tensor the kernel's new columns onto every monomial of the state."""
-    index = {name: i for i, name in enumerate(layout)}
-    acc: dict = {}
-    for joint, w in state.items():
-        values = joint_values(joint, len(layout))
-        args = tuple(values[index[a]] for a in node.args)
-        row = interp.kernel_row(node.gen, args)
-        for out_val, wv in row.items():
-            new_joint = collapse_values(values + outs_tuple(out_val, len(node.outs)))
-            acc[new_joint] = acc.get(new_joint, Fraction(0)) + w * wv
-    return Subdist(acc)
-
-
-def _state_env(joint: Outcome, layout: list[str]) -> dict[str, Outcome]:
-    return dict(zip(layout, joint_values(joint, len(layout))))
-
-
 def trace(program: TypedTerm, interp: Interpretation,
           texts: tuple[str, ...] | None = None,
           normalize: bool = False) -> tuple[list[TraceLine], EvalResult]:
@@ -216,51 +234,22 @@ def trace(program: TypedTerm, interp: Interpretation,
     """
     if program.ctx:
         raise CarrierMismatch("trace needs a closed program (empty context)")
-
-    node: Term = program.term
-    layout: list[str] = []
-    state = dirac(())
     lines: list[TraceLine] = []
-    lineno = 0
 
-    def emit(node: Term, state: Subdist) -> Subdist:
-        nonlocal lineno
-        lineno += 1
+    def record(node: Term, state: dict) -> dict:
+        lineno = len(lines) + 1
         if normalize:
-            if state.is_zero():
+            if not state:
                 raise ZeroMassState(lineno)
-            _, state = rescale(state)
+            mass = sum(state.values(), ZERO)
+            state = {values: w / mass for values, w in state.items()}
         text = texts[lineno - 1] if texts else render_statement(node)
-        lines.append(TraceLine(lineno, text, state, state.mass))
+        line_state = _subdist(state)
+        lines.append(TraceLine(lineno, text, line_state, line_state.mass))
         return state
 
-    while not isinstance(node, Return):
-        if isinstance(node, Sample):
-            state = _extend_state(state, layout, node, interp)
-            layout.extend(node.outs)
-        elif isinstance(node, Observe):
-            left, right = node.left, node.right
-
-            def equal(j, left=left, right=right):
-                env = _state_env(j, layout)
-                return env[left] == env[right]
-
-            state = restrict(state, equal)
-        else:  # ObservePred
-            state = observe_predicate(state, node.pred, layout)
-        state = emit(node, state)
-        node = node.cont
-
-    # final return projects each monomial onto the returned variables
-    index = {name: i for i, name in enumerate(layout)}
-    projected: dict = {}
-    for joint, w in state.items():
-        values = joint_values(joint, len(layout))
-        key = collapse_values(tuple(values[index[x]] for x in node.vars))
-        projected[key] = projected.get(key, Fraction(0)) + w
-    final = Subdist(projected)
-    final = emit(node, final)
-
+    _evaluate(program.term, [], {(): ONE}, interp, record)
+    final = lines[-1].state
     res = rescale(final)
     if res is FAILURE:
         result = EvalResult(final, Fraction(0), FAILURE)
@@ -270,40 +259,13 @@ def trace(program: TypedTerm, interp: Interpretation,
     return lines, result
 
 
-def trace_normalized(program: TypedTerm, interp: Interpretation,
-                     texts: tuple[str, ...] | None = None) -> tuple[list[TraceLine], EvalResult]:
-    """Trace that rescales the state to mass 1 after every statement."""
-    return trace(program, interp, texts, normalize=True)
-
-
 def observe_predicate(state: Subdist, p: Pred, layout: list[str]) -> Subdist:
     """Restrict a joint state to the monomials satisfying a predicate."""
-    return restrict(state, lambda j: pred_holds(p, _state_env(j, layout)))
+    n = len(layout)
+    return restrict(state, lambda j: pred_holds(p, dict(zip(layout, joint_values(j, n)))))
 
 
-# -- semantics of combinator terms ------------------------------------------------
-
-
-def semantics_of_comb(c: CombTerm, interp: Interpretation) -> dict[tuple, Subdist]:
-    """The channel denoted by a combinator term, tabulated over its
-    whole input carrier product."""
-
-    def denote(node: CombTerm, env: tuple) -> Subdist:
-        if isinstance(node, CRet):
-            return dirac(collapse_values(tuple(env[t - 1] for t in node.sel.targets)))
-        if isinstance(node, CObs):
-            if env[node.pair(1) - 1] == env[node.pair(2) - 1]:
-                return denote(node.cont, env)
-            return zero()
-        row = interp.kernel_row(node.gen, tuple(env[t - 1] for t in node.sel.targets))
-        acc = zero()
-        arity = len(node.gen.outputs)
-        for out_val, w in row.items():
-            acc = acc + w * denote(node.cont, env + outs_tuple(out_val, arity))
-        return acc
-
-    space = product(*(interp.carrier(t) for t in c.in_types))
-    return {env: denote(c, env) for env in space}
+# -- channels -------------------------------------------------------------------
 
 
 def denote_channel(tt: TypedTerm, interp: Interpretation) -> dict[tuple, Subdist]:
@@ -312,5 +274,9 @@ def denote_channel(tt: TypedTerm, interp: Interpretation) -> dict[tuple, Subdist
     return {env: interpret(tt, interp, env) for env in space}
 
 
-def channels_equal(a: Mapping[tuple, Subdist], b: Mapping[tuple, Subdist]) -> bool:
-    return dict(a) == dict(b)
+def semantics_of_comb(c: CombTerm, interp: Interpretation) -> dict[tuple, Subdist]:
+    """The channel denoted by a combinator term: `interpret` on its
+    decoding, tabulated over its whole input carrier product."""
+    tt = decode(c)
+    space = product(*(interp.carrier(t) for _, t in tt.ctx))
+    return {env: interpret(tt, interp, env) for env in space}

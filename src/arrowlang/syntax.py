@@ -186,12 +186,6 @@ def render_statement(node: Term) -> str:
     return f"{', '.join(node.outs)} <- {node.gen.name}({', '.join(node.args)})"
 
 
-def is_core(t: Term) -> bool:
-    """True when the term uses only equality observes."""
-    heads, _ = statements(t)
-    return not any(isinstance(h, ObservePred) for h in heads)
-
-
 # -- typechecking ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -492,12 +486,3 @@ def applicable_steps(t: Term) -> Iterator[tuple[str, int, str]]:
                 except NotApplicable:
                     continue
                 yield which, pos, direction
-
-
-def fresh_name(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    i = 2
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"

@@ -35,12 +35,10 @@ from arrowlang.proptest import (
     oracle_denote,
 )
 from arrowlang.semantics import (
-    channels_equal,
     denote_channel,
     interpret,
     semantics_of_comb,
     trace,
-    trace_normalized,
 )
 from arrowlang.subdist import Dollar, Subdist, dirac, expected_value, ket, uniform
 from arrowlang.syntax import applicable_steps, axiom_step, alpha_eq, typecheck
@@ -56,8 +54,7 @@ def _report(number: int, ok: bool, detail: str):
 
 def _run(name: str, normalize=False):
     prog = load_file(PUZZLES / f"{name}.arrow")
-    runner = trace_normalized if normalize else trace
-    return runner(prog.typed, prog.interp, prog.texts)
+    return trace(prog.typed, prog.interp, prog.texts, normalize=normalize)
 
 
 def test_criterion_1_monty_hall():
@@ -146,7 +143,7 @@ def test_criterion_7_normalize_each_line():
         _, plain = trace(tt, interp)
         if plain.validity == 0:
             continue
-        _, normal = trace_normalized(tt, interp)
+        _, normal = trace(tt, interp, normalize=True)
         if normal.posterior != plain.posterior:
             ok = False
             break
@@ -170,7 +167,7 @@ def test_criterion_8_axiom_soundness():
         tt = typecheck(sig, ctx, term)
         tt2 = typecheck(sig, ctx, rewritten)
         interp = gen_interpretation(BUDGET, sig, rng)
-        if not channels_equal(denote_channel(tt, interp), denote_channel(tt2, interp)):
+        if denote_channel(tt, interp) != denote_channel(tt2, interp):
             ok = False
             break
         checked += 1
@@ -243,8 +240,7 @@ def test_criterion_9_appendix_algebra():
                              comb_whisker_left(t1.out_types, t2))
         second = comb_compose(comb_whisker_left(t1.in_types, t2),
                               comb_whisker_right(t1, t2.out_types))
-        if not channels_equal(semantics_of_comb(first, interp),
-                              semantics_of_comb(second, interp)):
+        if semantics_of_comb(first, interp) != semantics_of_comb(second, interp):
             ok = False
     detail.append("interchange")
 

@@ -22,16 +22,15 @@ from arrowlang.proptest import (
     gen_closed_program,
     gen_interpretation,
     gen_term,
+    oracle_denote,
 )
 from arrowlang.semantics import (
     Interpretation,
-    channels_equal,
     denote_channel,
     interpret,
     observe_predicate,
     semantics_of_comb,
     trace,
-    trace_normalized,
 )
 from arrowlang.subdist import FAILURE, Dollar, Subdist, dirac, expected_value, ket, uniform
 from arrowlang.syntax import (
@@ -42,8 +41,10 @@ from arrowlang.syntax import (
     Return,
     Sample,
     Signature,
+    TypedTerm,
     applicable_steps,
     axiom_step,
+    from_statements,
     statements,
     typecheck,
 )
@@ -69,6 +70,24 @@ def test_interpret_monty_hall():
 def test_interpret_monty_fall():
     tt, interp = monty_fall()
     assert interpret(tt, interp) == Subdist({"M": Q(1, 3), "R": Q(1, 3)})
+
+
+def test_interpret_long_chain_is_iterative():
+    # 2,000 statements: deeper than the default recursion limit
+    start = Generator("start", (), ("Bit",))
+    flip = Generator("flip", ("Bit",), ("Bit",))
+    sig = Signature(frozenset({"Bit"}), {"start": start, "flip": flip})
+    n = 2000
+    heads = [Sample(start, (), ("x0",), None)]
+    heads += [Sample(flip, (f"x{j - 1}",), (f"x{j}",), None) for j in range(1, n)]
+    tt = TypedTerm(sig, (), from_statements(heads, Return((f"x{n - 1}",))), ("Bit",))
+    interp = Interpretation(
+        {"Bit": (0, 1)},
+        {"start": {(): Subdist({0: Q(1, 3), 1: Q(2, 3)})},
+         "flip": {(0,): dirac(1), (1,): dirac(0)}},
+    )
+    # n - 1 = 1999 flips, an odd number, swap the two weights
+    assert interpret(tt, interp) == Subdist({0: Q(2, 3), 1: Q(1, 3)})
 
 
 def test_interpret_carrier_mismatch():
@@ -165,7 +184,7 @@ def test_trace_zero_mass_gives_failure_posterior():
     assert result.validity == 0
     assert result.posterior is FAILURE
     with pytest.raises(ZeroMassState) as exc:
-        trace_normalized(tt, interp)
+        trace(tt, interp, normalize=True)
     assert exc.value.line == 3
 
 
@@ -174,7 +193,7 @@ def test_trace_zero_mass_gives_failure_posterior():
 
 def test_trace_normalized_full_monty_hall():
     tt, interp = monty_hall_full()
-    lines, result = trace_normalized(tt, interp)
+    lines, result = trace(tt, interp, normalize=True)
     assert ket(lines[3].state) == (
         "1/3|L,M,R> + 1/6|M,M,L> + 1/6|M,M,R> + 1/3|R,M,L>"
     )
@@ -189,7 +208,7 @@ def test_normalized_posterior_matches_plain_trace():
                   monty_hall_full):
         tt, interp = build()
         _, plain = trace(tt, interp)
-        _, normal = trace_normalized(tt, interp)
+        _, normal = trace(tt, interp, normalize=True)
         assert plain.posterior == normal.posterior
 
 
@@ -202,7 +221,7 @@ def test_normalized_posterior_matches_on_random_programs():
         _, plain = trace(tt, interp)
         if plain.validity == 0:
             continue
-        _, normal = trace_normalized(tt, interp)
+        _, normal = trace(tt, interp, normalize=True)
         assert normal.posterior == plain.posterior
         checked += 1
 
@@ -301,7 +320,9 @@ def test_comb_semantics_matches_interpret():
         tt = typecheck(sig, ctx, term)
         interp = gen_interpretation(BUDGET, sig, rng)
         c = encode(tt)
-        assert channels_equal(semantics_of_comb(c, interp), denote_channel(tt, interp))
+        assert semantics_of_comb(c, interp) == denote_channel(tt, interp)
+        if not tt.ctx:
+            assert semantics_of_comb(c, interp)[()] == oracle_denote(tt, interp)
 
 
 def test_comb_semantics_equals_decode_then_interpret():
@@ -312,7 +333,7 @@ def test_comb_semantics_equals_decode_then_interpret():
         interp = gen_interpretation(BUDGET, sig, rng)
         c = encode(tt)
         decoded = decode(c, sig)
-        assert channels_equal(semantics_of_comb(c, interp), denote_channel(decoded, interp))
+        assert semantics_of_comb(c, interp) == denote_channel(decoded, interp)
 
 
 # -- axiom soundness ------------------------------------------------------------------
@@ -331,7 +352,7 @@ def test_axiom_steps_preserve_denotation():
         rewritten = axiom_step(term, which, pos, direction)
         tt2 = typecheck(sig, ctx, rewritten)
         interp = gen_interpretation(BUDGET, sig, rng)
-        assert channels_equal(denote_channel(tt, interp), denote_channel(tt2, interp)), (
+        assert denote_channel(tt, interp) == denote_channel(tt2, interp), (
             f"axiom {which} at {pos} ({direction}) changed the denotation"
         )
         checked += 1
