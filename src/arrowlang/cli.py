@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ArrowError, NonNumericOutcome, ZeroMassState
 from .parser import Program, load_file
 from .proptest import gen_kernels
-from .semantics import Interpretation, interpret, trace
+from .semantics import EvalResult, Interpretation, interpret, trace
 from .subdist import FAILURE, Subdist, expected_value, ket, render_outcome
 from .syntax import Generator
 
@@ -55,8 +55,12 @@ def _emit_run(prog: Program, path: str, args, out) -> int:
     structured = args.format == "structured"
     doc = {"program": path, "lines": [], "failure": False}
     try:
-        lines, result = trace(prog.typed, prog.interp, prog.texts,
-                              normalize=args.normalize_each_line)
+        if structured or args.trace_mode or args.normalize_each_line:
+            lines, result = trace(prog.typed, prog.interp, prog.texts,
+                                  normalize=args.normalize_each_line)
+        else:
+            # only the final state is printed: no line is recorded
+            lines, result = [], EvalResult.of(interpret(prog.typed, prog.interp))
     except ZeroMassState as exc:
         if structured:
             doc.update(failure=True, failure_line=exc.line,
@@ -115,13 +119,13 @@ def cmd_run(args, out=None, err=None) -> int:
 
 
 def _compatible(a: Program, b: Program, err) -> bool:
-    for tname in set(a.interp.carriers) & set(b.interp.carriers):
+    for tname in sorted(set(a.interp.carriers) & set(b.interp.carriers)):
         if tuple(a.interp.carriers[tname]) != tuple(b.interp.carriers[tname]):
             print(f"error: type {tname} has different carriers", file=err)
             return False
     gens_a = a.typed.sig.generators
     gens_b = b.typed.sig.generators
-    for name in set(gens_a) & set(gens_b):
+    for name in sorted(set(gens_a) & set(gens_b)):
         if gens_a[name] != gens_b[name]:
             print(f"error: generator {name} declared with different types", file=err)
             return False

@@ -3,13 +3,18 @@
 An interpretation assigns a finite carrier to each type and a
 substochastic kernel row to every generator input.  One engine
 evaluates every term, a statement at a time: each statement is one
-Kleisli step on the joint state over all variables introduced so far,
-and the return projects onto the returned variables.  `trace` records
-the state after every line, exactly as the worked puzzles compute it;
-`interpret` starts from the point mass at an input vector;
-`denote_channel` and `semantics_of_comb` tabulate `interpret` over the
-input carriers.  The world-enumeration oracle in `proptest` shares no
-code with this engine, so it can cross-check it.
+Kleisli step on the joint state over the variables in play, and the
+return projects onto the returned variables.  `trace` runs the
+statements as written and records the full joint state after every
+line, exactly as the worked puzzles compute it.  `interpret` records
+nothing, so it plans the term once first: each observe moves to just
+after the sample that binds its last variable, and after each step
+every variable that no later statement and no return reads is summed
+out (variable elimination).  Both moves leave the result unchanged and
+keep the state small.  `interpret` starts from the point mass at an
+input vector; `denote_channel` and `semantics_of_comb` tabulate it over
+the input carriers.  The world-enumeration oracle in `proptest` shares
+no code with this engine, so it can cross-check it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .syntax import (
     Term,
     TypedTerm,
     TypeName,
+    pred_vars,
     render_statement,
     statements,
 )
@@ -167,24 +173,85 @@ def _step(state: dict, layout: list[str], node: Term, interp: Interpretation) ->
             if pred_holds(node.pred, dict(zip(layout, values)))}
 
 
-def _evaluate(term: Term, layout: list[str], state: dict, interp: Interpretation,
+def _project(state: dict, picks: list[int]) -> dict:
+    """Marginalise a state onto the columns at ``picks``, in that order."""
+    out: dict = {}
+    for values, w in state.items():
+        key = tuple([values[i] for i in picks])
+        out[key] = out.get(key, ZERO) + w
+    return out
+
+
+def _reads(node: Term) -> set[str]:
+    if isinstance(node, Sample):
+        return set(node.args)
+    if isinstance(node, Observe):
+        return {node.left, node.right}
+    return pred_vars(node.pred)
+
+
+# A schedule pairs each statement with the variables summed out after it.
+Schedule = list[tuple[Term, set[str]]]
+
+
+def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
+    """Schedule a term for evaluation that records no intermediate state.
+
+    Each observe moves to just after the sample that binds the last
+    variable it reads; samples keep their order.  Each statement is paired
+    with the variables that it reads or binds and that no later statement
+    and no return reads; the engine sums them out after the step.  Inputs
+    that nothing reads go after the first step.  Neither move changes the
+    result: an observe commutes with a sample whose outputs it does not
+    read, and summing out a column preserves mass.
+    """
+    heads, ret = statements(term)
+    # slots[k], k >= 1: the k-th sample, then the observes placed after it
+    slots: list[list[tuple[Term, set[str]]]] = [[]]
+    bound = dict.fromkeys(inputs, 0)
+    for node in heads:
+        reads = _reads(node)
+        if isinstance(node, Sample):
+            bound.update(dict.fromkeys(node.outs, len(slots)))
+            slots.append([(node, reads)])
+        else:
+            # a variable not bound yet is out of scope: the observe stays
+            # where it is and raises there
+            slots[max((bound.get(x, len(slots) - 1) for x in reads), default=0)].append(
+                (node, reads))
+    live = set(ret.vars)
+    steps: Schedule = []
+    for node, reads in reversed([entry for slot in slots for entry in slot]):
+        outs = node.outs if isinstance(node, Sample) else ()
+        steps.append((node, reads.union(outs) - live))
+        live.difference_update(outs)
+        live |= reads
+    steps.reverse()
+    if steps:
+        steps[0][1].update(set(inputs) - live)
+    return steps, ret
+
+
+def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
+              interp: Interpretation,
               record: Callable[[Term, dict], dict] | None = None) -> dict:
-    """Run every statement of a term, then project onto the returned variables.
+    """Run every scheduled statement, summing out the variables paired with
+    it, then project onto the returned variables.
 
     ``record``, when given, sees each statement, the return included,
     with the state it produced and returns the state to continue from.
     """
-    heads, ret = statements(term)
-    for node in heads:
+    steps, ret = schedule
+    for node, dead in steps:
         state = _step(state, layout, node, interp)
+        if dead:
+            keep = [i for i, name in enumerate(layout) if name not in dead]
+            state = _project(state, keep)
+            layout[:] = [layout[i] for i in keep]
         if record:
             state = record(node, state)
     index = {name: i for i, name in enumerate(layout)}
-    picks = [index[x] for x in ret.vars]
-    projected: dict = {}
-    for values, w in state.items():
-        key = tuple(values[i] for i in picks)
-        projected[key] = projected.get(key, ZERO) + w
+    projected = _project(state, [index[x] for x in ret.vars])
     return record(ret, projected) if record else projected
 
 
@@ -192,16 +259,23 @@ def _subdist(state: dict) -> Subdist:
     return Subdist((collapse_values(values), w) for values, w in state.items())
 
 
+def _denoter(tt: TypedTerm, interp: Interpretation) -> Callable[[tuple], Subdist]:
+    """Plan a typed term once; the result evaluates it at an input vector."""
+    inputs = [name for name, _ in tt.ctx]
+    schedule = _plan(tt.term, inputs)
+    return lambda v: _subdist(_evaluate(schedule, list(inputs), {tuple(v): ONE}, interp))
+
+
 def interpret(tt: TypedTerm, interp: Interpretation, v: tuple = ()) -> Subdist:
     """Denotation of a typed term at one input vector: the engine run
-    from the point mass at ``v``."""
+    from the point mass at ``v``, observing early and summing out dead
+    variables."""
     if len(v) != len(tt.ctx):
         raise CarrierMismatch(f"input arity {len(v)} != context length {len(tt.ctx)}")
     for (name, tname), val in zip(tt.ctx, v):
         if val not in interp.carrier(tname):
             raise CarrierMismatch(f"{val!r} outside carrier of {tname} (variable {name})")
-    layout = [name for name, _ in tt.ctx]
-    return _subdist(_evaluate(tt.term, layout, {tuple(v): ONE}, interp))
+    return _denoter(tt, interp)(v)
 
 
 # -- line-by-line traces -------------------------------------------------------
@@ -220,6 +294,15 @@ class EvalResult:
     final: Subdist
     validity: Fraction
     posterior: object  # Subdist or FAILURE
+
+    @classmethod
+    def of(cls, final: Subdist) -> EvalResult:
+        """Split a final subdistribution into its validity and posterior."""
+        res = rescale(final)
+        if res is FAILURE:
+            return cls(final, Fraction(0), FAILURE)
+        validity, posterior = res
+        return cls(final, validity, posterior)
 
 
 def trace(program: TypedTerm, interp: Interpretation,
@@ -248,15 +331,9 @@ def trace(program: TypedTerm, interp: Interpretation,
         lines.append(TraceLine(lineno, text, line_state, line_state.mass))
         return state
 
-    _evaluate(program.term, [], {(): ONE}, interp, record)
-    final = lines[-1].state
-    res = rescale(final)
-    if res is FAILURE:
-        result = EvalResult(final, Fraction(0), FAILURE)
-    else:
-        validity, posterior = res
-        result = EvalResult(final, validity, posterior)
-    return lines, result
+    heads, ret = statements(program.term)
+    _evaluate(([(node, set()) for node in heads], ret), [], {(): ONE}, interp, record)
+    return lines, EvalResult.of(lines[-1].state)
 
 
 def observe_predicate(state: Subdist, p: Pred, layout: list[str]) -> Subdist:
@@ -269,14 +346,12 @@ def observe_predicate(state: Subdist, p: Pred, layout: list[str]) -> Subdist:
 
 
 def denote_channel(tt: TypedTerm, interp: Interpretation) -> dict[tuple, Subdist]:
-    """Tabulate `interpret` over the whole input carrier product."""
-    space = product(*(interp.carrier(t) for _, t in tt.ctx))
-    return {env: interpret(tt, interp, env) for env in space}
+    """`interpret` tabulated over the whole input carrier product, the
+    term planned once."""
+    denote = _denoter(tt, interp)
+    return {env: denote(env) for env in product(*(interp.carrier(t) for _, t in tt.ctx))}
 
 
 def semantics_of_comb(c: CombTerm, interp: Interpretation) -> dict[tuple, Subdist]:
-    """The channel denoted by a combinator term: `interpret` on its
-    decoding, tabulated over its whole input carrier product."""
-    tt = decode(c)
-    space = product(*(interp.carrier(t) for _, t in tt.ctx))
-    return {env: interpret(tt, interp, env) for env in space}
+    """The channel denoted by a combinator term: the channel of its decoding."""
+    return denote_channel(decode(c), interp)

@@ -1,13 +1,23 @@
 """Command line behaviour: output contracts and exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
 
 from arrowlang.cli import main
+from arrowlang.errors import NonNumericOutcome
+from arrowlang.parser import load_file
+from arrowlang.semantics import interpret, trace
+from arrowlang.subdist import FAILURE, Subdist, expected_value, ket
 
-PUZZLES = Path(__file__).resolve().parent.parent / "puzzles"
+ROOT = Path(__file__).resolve().parent.parent
+PUZZLES = ROOT / "puzzles"
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +130,34 @@ def test_zero_mass_run_exits_two(tmp_path, capsys):
     assert "Posterior: Failure" in out
 
 
+def _run_text(result, with_ev: bool) -> str:
+    """What `run` prints for a trace result."""
+    lines = [f"Final: {ket(result.final)}", f"Validity: {result.validity}"]
+    if result.posterior is FAILURE:
+        lines.append("Posterior: Failure")
+    else:
+        lines.append(f"Posterior: {ket(result.posterior)}")
+        if with_ev:
+            lines.append(f"Expected value: {expected_value(result.posterior)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(PUZZLES.glob("*.arrow")), ids=lambda p: p.stem)
+def test_run_prints_what_the_trace_gives(path, capsys):
+    # plain `run` evaluates without recording lines; its output must still
+    # follow from the full trace
+    prog = load_file(path)
+    _, result = trace(prog.typed, prog.interp, prog.texts)
+    for flags in ([], ["--expected-value"]):
+        code, out, err = run_cli(capsys, "run", *flags, str(path))
+        try:
+            expected = _run_text(result, bool(flags))
+        except NonNumericOutcome:
+            assert (code, out) == (1, "") and err.startswith("error:")
+            continue
+        assert (code, out) == (2 if result.posterior is FAILURE else 0, expected)
+
+
 def test_zero_mass_normalized_exits_two(tmp_path, capsys):
     f = tmp_path / "fail.arrow"
     f.write_text(FAILING)
@@ -167,6 +205,21 @@ def test_eq_monty_hall_vs_fall(capsys):
     assert "1/3|M> + 1/3|R>" in out
 
 
+def test_eq_clash_message_independent_of_hash_seed():
+    # several generators clash; the first in name order is reported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    errs = set()
+    for seed in ("2", "5"):
+        done = subprocess.run(
+            [sys.executable, "-m", "arrowlang.cli", "eq",
+             str(PUZZLES / "monty_hall_full.arrow"), str(PUZZLES / "newcomb_a.arrow")],
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        errs.add(done.stderr)
+    assert errs == {"error: generator __u1 declared with different types\n"}
+
+
 def test_eq_reproducible_with_seed(capsys):
     args = ("eq", str(PUZZLES / "monty_hall.arrow"), str(PUZZLES / "monty_fall.arrow"),
             "--trials", "3", "--seed", "11")
@@ -197,3 +250,63 @@ def test_corpus_empty_dir_warns(tmp_path, capsys):
     code, out, err = run_cli(capsys, "corpus", str(tmp_path))
     assert code == 0
     assert "warning" in err
+
+
+# -- programs whose joint state would not fit in memory -----------------------------
+#
+# Plain `run` and `interpret` sum out dead variables and observe early, so
+# these run with a handful of monomials; keeping every column, as a trace
+# does, would take 3 * 2**60 and 4 * 3**30.
+
+
+def _check_run_and_interpret(tmp_path, capsys, source: str, final: dict):
+    path = tmp_path / "scale.arrow"
+    path.write_text(source)
+    expected = Subdist(final)
+    prog = load_file(path)
+    assert interpret(prog.typed, prog.interp) == expected
+    mass = sum(final.values())
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0
+    assert out == (f"Final: {ket(expected)}\nValidity: {mass}\n"
+                   f"Posterior: {ket(Subdist({x: w / mass for x, w in final.items()}))}\n")
+
+
+def test_run_chain_of_sixty(tmp_path, capsys):
+    k = 60
+    step = {"a": {"a": Q(1, 3), "b": Q(2, 3)},
+            "b": {"b": Q(1, 3), "c": Q(2, 3)},
+            "c": {"c": Q(1, 3), "a": Q(2, 3)}}
+    rows = "; ".join(f"{s} -> " + " + ".join(f"{w}|{t}>" for t, w in out.items())
+                     for s, out in step.items())
+    lines = ["TYPE S = {a, b, c}", "x0 <- UNIFORM {a, b, c}"]
+    lines += [f"x{j} <- CASE x{j - 1} OF {rows}" for j in range(1, k + 1)]
+    lines += [f"OBSERVE(x{k} = a)", "RETURN(x0)"]
+    # reach[s0][s]: probability of being in s after j steps from s0
+    reach = {s0: {s: Q(int(s == s0)) for s in step} for s0 in step}
+    for _ in range(k):
+        reach = {s0: {t: sum((p * step[s].get(t, 0) for s, p in row.items()), Q(0))
+                      for t in step}
+                 for s0, row in reach.items()}
+    final = {s0: Q(1, 3) * reach[s0]["a"] for s0 in step}
+    _check_run_and_interpret(tmp_path, capsys, "\n".join(lines) + "\n", final)
+
+
+def test_run_evidence_of_thirty_observed_last(tmp_path, capsys):
+    k = 30
+    hidden = ("h0", "h1", "h2", "h3")
+    weights = (Q(1, 2), Q(1, 3), Q(1, 6))
+    lines = ["TYPE H = {h0, h1, h2, h3}", "TYPE R = {r0, r1, r2}",
+             "h <- UNIFORM {h0, h1, h2, h3}"]
+    final = {h: Q(1, 4) for h in hidden}
+    for i in range(1, k + 1):
+        # reading r_j of h_m has weight weights[(j + m + i) % 3]
+        table = {h: {f"r{j}": weights[(j + m + i) % 3] for j in range(3)}
+                 for m, h in enumerate(hidden)}
+        rows = "; ".join(f"{h} -> " + " + ".join(f"{w}|{r}>" for r, w in out.items())
+                         for h, out in table.items())
+        lines.append(f"e{i} <- CASE h OF {rows}")
+        final = {h: w * table[h][f"r{i % 3}"] for h, w in final.items()}
+    lines += [f"OBSERVE(e{i} = r{i % 3})" for i in range(1, k + 1)]
+    lines.append("RETURN(h)")
+    _check_run_and_interpret(tmp_path, capsys, "\n".join(lines) + "\n", final)

@@ -16,7 +16,7 @@ from arrowlang.proptest import (
     gen_term,
     oracle_denote,
 )
-from arrowlang.semantics import interpret
+from arrowlang.semantics import interpret, trace
 from arrowlang.subdist import Dollar, Subdist
 from arrowlang.syntax import (
     Observe,
@@ -98,6 +98,17 @@ def test_oracle_matches_interpreter_on_random_programs():
         tt = gen_closed_program(BUDGET, rng)
         interp = gen_interpretation(BUDGET, tt.sig, rng)
         assert oracle_denote(tt, interp) == interpret(tt, interp)
+
+
+def test_planned_interpret_matches_trace_and_oracle():
+    # `interpret` observes early and sums out dead columns; `trace` runs
+    # the statements as written and keeps every column
+    rng = random.Random(3)
+    for _ in range(1000):
+        tt = gen_closed_program(BUDGET, rng)
+        interp = gen_interpretation(BUDGET, tt.sig, rng)
+        _, result = trace(tt, interp)
+        assert interpret(tt, interp) == result.final == oracle_denote(tt, interp)
 
 
 # -- substitution respects the axioms (bounded search) ------------------------------
