@@ -5,8 +5,9 @@ states), ``trace`` is run in trace mode, ``eq`` compares two programs
 under the declared and random interpretations, ``corpus`` replays a
 directory of programs against golden traces.
 
-Exit codes: 0 success, 1 parse or type errors, 2 a failed run (zero
-mass), 3 programs differ under ``eq``, 4 a corpus mismatch.
+Exit codes: 0 success, 1 parse, type or internal errors (one stderr
+line, never a traceback), 2 a failed run (zero mass), 3 programs differ
+under ``eq``, 4 a corpus mismatch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from .errors import ArrowError, NonNumericOutcome, ZeroMassState
 from .parser import Program, load_file
 from .proptest import gen_kernels
-from .semantics import EvalResult, Interpretation, interpret, trace
+from .semantics import EvalResult, Interpretation, denoter, interpret, trace
 from .subdist import FAILURE, Subdist, expected_value, ket, render_outcome
 from .syntax import Generator
 
@@ -132,13 +133,13 @@ def _compatible(a: Program, b: Program, err) -> bool:
     return True
 
 
-def _final(prog: Program, kernels=None) -> Subdist:
+def _final(prog: Program, denote, kernels=None) -> Subdist:
     interp = prog.interp
     if kernels is not None:
         merged = dict(interp.kernels)
         merged.update({n: kernels[n] for n in kernels if n in prog.typed.sig.generators})
         interp = Interpretation(interp.carriers, merged)
-    return interpret(prog.typed, interp, ())
+    return denote(interp, ())
 
 
 def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, out):
@@ -164,12 +165,13 @@ def cmd_eq(args, out=None, err=None) -> int:
         return 1
     if not _compatible(a, b, err):
         return 1
+    denote_a, denote_b = denoter(a.typed), denoter(b.typed)
 
     have_declared = all(
         g.name in p.interp.kernels for p in (a, b) for g in p.typed.sig.generators.values()
     )
     if have_declared:
-        fa, fb = _final(a), _final(b)
+        fa, fb = _final(a, denote_a), _final(b, denote_b)
         if fa != fb:
             _describe_counterexample("the declared interpretation", fa, fb, out)
             return 3
@@ -181,7 +183,7 @@ def cmd_eq(args, out=None, err=None) -> int:
     carriers.update({t: c for t, c in b.interp.carriers.items() if t not in carriers})
     for trial in range(args.trials):
         kernels = gen_kernels(union_gens.values(), carriers, rng)
-        fa, fb = _final(a, kernels), _final(b, kernels)
+        fa, fb = _final(a, denote_a, kernels), _final(b, denote_b, kernels)
         if fa != fb:
             _describe_counterexample(f"random interpretation (seed {args.seed}, trial {trial})",
                                      fa, fb, out)
@@ -281,11 +283,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.command in ("run", "trace"):
-        return cmd_run(args)
-    if args.command == "eq":
-        return cmd_eq(args)
-    return cmd_corpus(args)
+    command = {"run": cmd_run, "trace": cmd_run, "eq": cmd_eq, "corpus": cmd_corpus}
+    try:
+        return command[args.command](args)
+    except Exception as exc:  # the commands report the errors they expect
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

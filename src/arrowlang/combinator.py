@@ -10,11 +10,16 @@ Composition note: ``ff_compose(alpha, beta)`` selects through beta
 first (``result[i] = alpha[beta[i]]``), matching the defining list
 formula.  The method ``FiniteFunction.then`` is the same operation in
 diagrammatic order, which is how the rewriting equations below read.
+
+Along a chain, every statement's context is a prefix of the context of
+the chain's final return.  Observe and generator nodes keep that return
+(``ret``) and their own context length (``arity``), so building a node
+indexes one shared context, and ``encode``/``decode`` are linear loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import ArityMismatch, NonCoreTerm, TypeMismatch
@@ -119,22 +124,47 @@ class CRet:
 
     sel: FiniteFunction
     ctx: TypeList
+    out_types: TypeList = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.sel.cod != len(self.ctx):
             raise ArityMismatch(f"selector codomain {self.sel.cod} != context length {len(self.ctx)}")
+        object.__setattr__(self, "out_types", tuple(self.ctx[t - 1] for t in self.sel.targets))
+
+    @property
+    def ret(self) -> CRet:
+        return self
+
+    @property
+    def arity(self) -> int:
+        return len(self.ctx)
 
     @property
     def in_types(self) -> TypeList:
         return self.ctx
 
+
+@dataclass(frozen=True)
+class _Chained:
+    """A statement before the chain's return: its context is the prefix of
+    length ``arity`` of the return's context, kept in ``ret`` once."""
+
+    ret: CRet = field(init=False, compare=False, repr=False)
+    arity: int = field(init=False, compare=False, repr=False)
+
+    @property
+    def ctx(self) -> TypeList:
+        return self.ret.ctx[: self.arity]
+
+    in_types = ctx
+
     @property
     def out_types(self) -> TypeList:
-        return tuple(self.ctx[t - 1] for t in self.sel.targets)
+        return self.ret.out_types
 
 
 @dataclass(frozen=True)
-class CObs:
+class CObs(_Chained):
     """Observe statement comparing two context positions."""
 
     pair: FiniteFunction
@@ -143,27 +173,17 @@ class CObs:
     def __post_init__(self):
         if self.pair.dom != 2:
             raise ArityMismatch("observe needs a selector with domain 2")
-        ctx = self.cont.in_types
-        if self.pair.cod != len(ctx):
+        ret, n = self.cont.ret, self.cont.arity
+        if self.pair.cod != n:
             raise ArityMismatch("observe selector does not match the context")
-        if ctx[self.pair(1) - 1] != ctx[self.pair(2) - 1]:
+        if ret.ctx[self.pair(1) - 1] != ret.ctx[self.pair(2) - 1]:
             raise TypeMismatch("observe compares positions of different types")
-
-    @property
-    def ctx(self) -> TypeList:
-        return self.cont.in_types
-
-    @property
-    def in_types(self) -> TypeList:
-        return self.cont.in_types
-
-    @property
-    def out_types(self) -> TypeList:
-        return self.cont.out_types
+        object.__setattr__(self, "ret", ret)
+        object.__setattr__(self, "arity", n)
 
 
 @dataclass(frozen=True)
-class CGen:
+class CGen(_Chained):
     """Generator statement; the continuation sees the outputs appended."""
 
     gen: Generator
@@ -171,31 +191,19 @@ class CGen:
     cont: "CombTerm"
 
     def __post_init__(self):
-        m = len(self.gen.outputs)
-        inner = self.cont.in_types
-        if len(inner) < m or inner[len(inner) - m :] != self.gen.outputs:
+        ret, inner = self.cont.ret, self.cont.arity
+        n = inner - len(self.gen.outputs)
+        if n < 0 or ret.ctx[n:inner] != self.gen.outputs:
             raise TypeMismatch(f"continuation context does not end with {self.gen.name}'s outputs")
-        ctx = inner[: len(inner) - m]
-        if self.sel.cod != len(ctx):
+        if self.sel.cod != n:
             raise ArityMismatch("argument selector does not match the context")
         if self.sel.dom != len(self.gen.inputs):
             raise ArityMismatch(f"{self.gen.name} expects {len(self.gen.inputs)} arguments")
-        picked = tuple(ctx[t - 1] for t in self.sel.targets)
+        picked = tuple(ret.ctx[t - 1] for t in self.sel.targets)
         if picked != self.gen.inputs:
             raise TypeMismatch(f"arguments {picked} do not match {self.gen.inputs}")
-
-    @property
-    def ctx(self) -> TypeList:
-        inner = self.cont.in_types
-        return inner[: len(inner) - len(self.gen.outputs)]
-
-    @property
-    def in_types(self) -> TypeList:
-        return self.ctx
-
-    @property
-    def out_types(self) -> TypeList:
-        return self.cont.out_types
+        object.__setattr__(self, "ret", ret)
+        object.__setattr__(self, "arity", n)
 
 
 CombTerm = Union[CRet, CObs, CGen]
@@ -267,8 +275,7 @@ def comb_whisker_left(z: TypeList, t: CombTerm) -> CombTerm:
         return t
     if isinstance(t, CRet):
         return CRet(ff_whisker_left(k, t.sel), z + t.ctx)
-    n = len(t.in_types)
-    shift = ff_incl_right(n, k)
+    shift = ff_incl_right(t.arity, k)
     if isinstance(t, CObs):
         return CObs(t.pair.then(shift), comb_whisker_left(z, t.cont))
     return CGen(t.gen, t.sel.then(shift), comb_whisker_left(z, t.cont))
@@ -282,7 +289,7 @@ def comb_whisker_right(t: CombTerm, z: TypeList) -> CombTerm:
         return t
     if isinstance(t, CRet):
         return CRet(ff_whisker_right(t.sel, k), t.ctx + z)
-    n = len(t.in_types)
+    n = t.arity
     widen = ff_incl_left(n, k)
     if isinstance(t, CObs):
         return CObs(t.pair.then(widen), comb_whisker_right(t.cont, z))
@@ -323,31 +330,39 @@ def structure_maps(x: TypeList) -> tuple[CombTerm, CombTerm, CombTerm]:
 
 
 def encode(tt: TypedTerm) -> CombTerm:
-    """Mechanical translation of a typed term into combinator form."""
+    """Mechanical translation of a typed term into combinator form.
 
-    def walk(node: Term, names: tuple[str, ...], types: TypeList) -> CombTerm:
-        n = len(names)
+    One forward pass finds each statement's selector (a variable's position
+    is that of its latest binding), one backward pass builds the nodes.
+    """
+    types = [tname for _, tname in tt.ctx]
+    pos = {name: i for i, (name, _) in enumerate(tt.ctx, start=1)}
 
-        def pos(v: str) -> int:
-            try:
-                return n - names[::-1].index(v)
-            except ValueError:
-                raise TypeMismatch(f"variable {v} not in context") from None
+    def at(v: str) -> int:
+        try:
+            return pos[v]
+        except KeyError:
+            raise TypeMismatch(f"variable {v} not in context") from None
 
-        if isinstance(node, Return):
-            return CRet(ff([pos(v) for v in node.vars], n), types)
+    heads = []  # (generator or None for an observe, selector)
+    node = tt.term
+    while not isinstance(node, Return):
         if isinstance(node, Observe):
-            return CObs(ff([pos(node.left), pos(node.right)], n), walk(node.cont, names, types))
-        if isinstance(node, ObservePred):
+            heads.append((None, ff([at(node.left), at(node.right)], len(types))))
+        elif isinstance(node, ObservePred):
             raise NonCoreTerm("predicate observes have no combinator form")
-        if isinstance(node, Sample):
-            inner = walk(node.cont, names + node.outs, types + node.gen.outputs)
-            return CGen(node.gen, ff([pos(v) for v in node.args], n), inner)
-        raise TypeMismatch(f"not a term node: {node!r}")
-
-    names = tuple(v for v, _ in tt.ctx)
-    types = tuple(t for _, t in tt.ctx)
-    return walk(tt.term, names, types)
+        elif isinstance(node, Sample):
+            heads.append((node.gen, ff([at(v) for v in node.args], len(types))))
+            for v, tname in zip(node.outs, node.gen.outputs):
+                types.append(tname)
+                pos[v] = len(types)
+        else:
+            raise TypeMismatch(f"not a term node: {node!r}")
+        node = node.cont
+    c: CombTerm = CRet(ff([at(v) for v in node.vars], len(types)), tuple(types))
+    for gen, sel in reversed(heads):
+        c = CObs(sel, c) if gen is None else CGen(gen, sel, c)
+    return c
 
 
 def decode(c: CombTerm, sig: Signature | None = None) -> TypedTerm:
@@ -356,40 +371,26 @@ def decode(c: CombTerm, sig: Signature | None = None) -> TypedTerm:
     A signature is synthesised from the generators in the term when none
     is supplied.
     """
-    counter = [len(c.in_types)]
-    names = tuple(f"v{i}" for i in range(1, counter[0] + 1))
-
-    def walk(node: CombTerm, names: tuple[str, ...]) -> Term:
-        if isinstance(node, CRet):
-            return Return(tuple(names[t - 1] for t in node.sel.targets))
+    names = [f"v{i}" for i in range(1, c.arity + 1)]
+    heads = []  # (statement class, fields before the continuation)
+    gens: dict[str, Generator] = {}
+    types: set[TypeName] = set()
+    node = c
+    while not isinstance(node, CRet):
         if isinstance(node, CObs):
-            return Observe(names[node.pair(1) - 1], names[node.pair(2) - 1], walk(node.cont, names))
-        outs = []
-        for _ in node.gen.outputs:
-            counter[0] += 1
-            outs.append(f"v{counter[0]}")
-        args = tuple(names[t - 1] for t in node.sel.targets)
-        return Sample(node.gen, args, tuple(outs), walk(node.cont, names + tuple(outs)))
-
-    term = walk(c, names)
-
-    if sig is None:
-        gens: dict[str, Generator] = {}
-        types = set(c.in_types)
-
-        def collect(node: CombTerm):
-            nonlocal types
-            if isinstance(node, CGen):
+            heads.append((Observe, (names[node.pair(1) - 1], names[node.pair(2) - 1])))
+        else:
+            args = tuple(names[t - 1] for t in node.sel.targets)
+            outs = tuple(f"v{len(names) + i}" for i in range(1, len(node.gen.outputs) + 1))
+            names.extend(outs)
+            heads.append((Sample, (node.gen, args, outs)))
+            if sig is None:
                 gens[node.gen.name] = node.gen
-                types |= set(node.gen.inputs) | set(node.gen.outputs)
-                collect(node.cont)
-            elif isinstance(node, CObs):
-                collect(node.cont)
-            else:
-                types |= set(node.ctx)
-
-        collect(c)
-        sig = Signature(frozenset(types), gens)
-
-    ctx = tuple(zip(names, c.in_types))
-    return TypedTerm(sig, ctx, term, c.out_types)
+                types.update(node.gen.inputs, node.gen.outputs)
+        node = node.cont
+    term: Term = Return(tuple(names[t - 1] for t in node.sel.targets))
+    for make, fields in reversed(heads):
+        term = make(*fields, term)
+    if sig is None:
+        sig = Signature(frozenset(types | set(node.ctx)), gens)
+    return TypedTerm(sig, tuple(zip(names, c.in_types)), term, node.out_types)

@@ -259,11 +259,12 @@ def _subdist(state: dict) -> Subdist:
     return Subdist((collapse_values(values), w) for values, w in state.items())
 
 
-def _denoter(tt: TypedTerm, interp: Interpretation) -> Callable[[tuple], Subdist]:
-    """Plan a typed term once; the result evaluates it at an input vector."""
+def denoter(tt: TypedTerm) -> Callable[[Interpretation, tuple], Subdist]:
+    """Plan a typed term once; the result evaluates it under an
+    interpretation at an input vector, unchecked."""
     inputs = [name for name, _ in tt.ctx]
     schedule = _plan(tt.term, inputs)
-    return lambda v: _subdist(_evaluate(schedule, list(inputs), {tuple(v): ONE}, interp))
+    return lambda interp, v: _subdist(_evaluate(schedule, list(inputs), {tuple(v): ONE}, interp))
 
 
 def interpret(tt: TypedTerm, interp: Interpretation, v: tuple = ()) -> Subdist:
@@ -275,7 +276,7 @@ def interpret(tt: TypedTerm, interp: Interpretation, v: tuple = ()) -> Subdist:
     for (name, tname), val in zip(tt.ctx, v):
         if val not in interp.carrier(tname):
             raise CarrierMismatch(f"{val!r} outside carrier of {tname} (variable {name})")
-    return _denoter(tt, interp)(v)
+    return denoter(tt)(interp, v)
 
 
 # -- line-by-line traces -------------------------------------------------------
@@ -348,8 +349,8 @@ def observe_predicate(state: Subdist, p: Pred, layout: list[str]) -> Subdist:
 def denote_channel(tt: TypedTerm, interp: Interpretation) -> dict[tuple, Subdist]:
     """`interpret` tabulated over the whole input carrier product, the
     term planned once."""
-    denote = _denoter(tt, interp)
-    return {env: denote(env) for env in product(*(interp.carrier(t) for _, t in tt.ctx))}
+    denote = denoter(tt)
+    return {env: denote(interp, env) for env in product(*(interp.carrier(t) for _, t in tt.ctx))}
 
 
 def semantics_of_comb(c: CombTerm, interp: Interpretation) -> dict[tuple, Subdist]:

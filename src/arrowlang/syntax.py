@@ -234,50 +234,48 @@ def typecheck(sig: Signature, ctx: Context, t: Term) -> TypedTerm:
             raise UnknownGenerator(f"context uses undeclared type {tname}")
         scope[name] = tname
 
-    def check(node: Term, scope: dict[Var, TypeName]) -> tuple[TypeName, ...]:
-        where = render_statement(node)
-        if isinstance(node, Return):
-            out = []
-            for v in node.vars:
-                if v not in scope:
-                    raise UnboundVariable(f"variable {v} not in scope in {where}")
-                out.append(scope[v])
-            return tuple(out)
+    def where() -> str:
+        return render_statement(node)
+
+    node = t
+    while not isinstance(node, Return):
         if isinstance(node, Observe):
             for v in (node.left, node.right):
                 if v not in scope:
-                    raise UnboundVariable(f"variable {v} not in scope in {where}")
+                    raise UnboundVariable(f"variable {v} not in scope in {where()}")
             if scope[node.left] != scope[node.right]:
                 raise TypeMismatch(
                     f"OBSERVE needs equal types, got {scope[node.left]} and "
-                    f"{scope[node.right]} in {where}"
+                    f"{scope[node.right]} in {where()}"
                 )
-            return check(node.cont, scope)
-        if isinstance(node, ObservePred):
+        elif isinstance(node, ObservePred):
             _check_pred(node.pred, scope)
-            return check(node.cont, scope)
-        if isinstance(node, Sample):
+        elif isinstance(node, Sample):
             declared = sig.generators.get(node.gen.name)
             if declared is None or declared != node.gen:
-                raise UnknownGenerator(f"generator {node.gen.name} not in signature in {where}")
+                raise UnknownGenerator(f"generator {node.gen.name} not in signature in {where()}")
             if len(node.args) != len(node.gen.inputs):
-                raise TypeMismatch(f"arity mismatch in {where}")
+                raise TypeMismatch(f"arity mismatch in {where()}")
             for v, expected in zip(node.args, node.gen.inputs):
                 if v not in scope:
-                    raise UnboundVariable(f"variable {v} not in scope in {where}")
+                    raise UnboundVariable(f"variable {v} not in scope in {where()}")
                 if scope[v] != expected:
-                    raise TypeMismatch(f"argument {v}: {scope[v]} is not {expected} in {where}")
+                    raise TypeMismatch(f"argument {v}: {scope[v]} is not {expected} in {where()}")
             if len(node.outs) != len(node.gen.outputs):
-                raise TypeMismatch(f"output arity mismatch in {where}")
-            extended = dict(scope)
+                raise TypeMismatch(f"output arity mismatch in {where()}")
             for v, tname in zip(node.outs, node.gen.outputs):
-                if v in extended:
-                    raise NonFreshOutput(f"output {v} shadows an existing variable in {where}")
-                extended[v] = tname
-            return check(node.cont, extended)
-        raise TypeMismatch(f"not a term node: {node!r}")
-
-    return TypedTerm(sig, ctx, t, check(t, scope))
+                if v in scope:
+                    raise NonFreshOutput(f"output {v} shadows an existing variable in {where()}")
+                scope[v] = tname
+        else:
+            raise TypeMismatch(f"not a term node: {node!r}")
+        node = node.cont
+    out = []
+    for v in node.vars:
+        if v not in scope:
+            raise UnboundVariable(f"variable {v} not in scope in {where()}")
+        out.append(scope[v])
+    return TypedTerm(sig, ctx, t, tuple(out))
 
 
 # -- alpha equivalence ---------------------------------------------------------
@@ -304,44 +302,37 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
             return ("PAnd", pred_resolved(p.left, bound), pred_resolved(p.right, bound))
         return ("PTrue",)
 
-    def walk(a: Term, b: Term, ba: dict[Var, int], bb: dict[Var, int], depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Return):
-            return [resolve(v, ba) for v in a.vars] == [resolve(v, bb) for v in b.vars]
-        if isinstance(a, Observe):
-            return (
-                resolve(a.left, ba) == resolve(b.left, bb)
-                and resolve(a.right, ba) == resolve(b.right, bb)
-                and walk(a.cont, b.cont, ba, bb, depth)
-            )
-        if isinstance(a, ObservePred):
-            return pred_resolved(a.pred, ba) == pred_resolved(b.pred, bb) and walk(
-                a.cont, b.cont, ba, bb, depth
-            )
-        if isinstance(a, Sample):
-            if a.gen != b.gen or len(a.outs) != len(b.outs):
-                return False
-            if [resolve(v, ba) for v in a.args] != [resolve(v, bb) for v in b.args]:
-                return False
-            na = dict(ba)
-            nb = dict(bb)
-            for i, (va, vb) in enumerate(zip(a.outs, b.outs)):
-                na[va] = depth + i
-                nb[vb] = depth + i
-            return walk(a.cont, b.cont, na, nb, depth + len(a.outs))
-        return False
-
-    seed1: dict[Var, int] = {}
-    seed2: dict[Var, int] = {}
-    depth = 0
+    ba: dict[Var, int] = {}
+    bb: dict[Var, int] = {}
     if ctx1 is not None and ctx2 is not None:
         if tuple(t for _, t in ctx1) != tuple(t for _, t in ctx2):
             return False
         for i, ((v1, _), (v2, _)) in enumerate(zip(ctx1, ctx2)):
-            seed1[v1] = -(i + 1)
-            seed2[v2] = -(i + 1)
-    return walk(t1, t2, seed1, seed2, depth)
+            ba[v1] = -(i + 1)
+            bb[v2] = -(i + 1)
+    a, b, depth = t1, t2, 0
+    while type(a) is type(b):
+        if isinstance(a, Return):
+            return [resolve(v, ba) for v in a.vars] == [resolve(v, bb) for v in b.vars]
+        if isinstance(a, Observe):
+            if resolve(a.left, ba) != resolve(b.left, bb) or resolve(a.right, ba) != resolve(b.right, bb):
+                return False
+        elif isinstance(a, ObservePred):
+            if pred_resolved(a.pred, ba) != pred_resolved(b.pred, bb):
+                return False
+        elif isinstance(a, Sample):
+            if a.gen != b.gen or len(a.outs) != len(b.outs):
+                return False
+            if [resolve(v, ba) for v in a.args] != [resolve(v, bb) for v in b.args]:
+                return False
+            for i, (va, vb) in enumerate(zip(a.outs, b.outs)):
+                ba[va] = depth + i
+                bb[vb] = depth + i
+            depth += len(a.outs)
+        else:
+            return False
+        a, b = a.cont, b.cont
+    return False
 
 
 # -- substitution -----------------------------------------------------------------

@@ -10,11 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from arrowlang import cli, semantics
 from arrowlang.cli import main
+from arrowlang.combinator import decode, encode
 from arrowlang.errors import NonNumericOutcome
 from arrowlang.parser import load_file
 from arrowlang.semantics import interpret, trace
 from arrowlang.subdist import FAILURE, Subdist, expected_value, ket
+from arrowlang.syntax import alpha_eq
 
 ROOT = Path(__file__).resolve().parent.parent
 PUZZLES = ROOT / "puzzles"
@@ -220,6 +223,34 @@ def test_eq_clash_message_independent_of_hash_seed():
     assert errs == {"error: generator __u1 declared with different types\n"}
 
 
+def test_eq_plans_each_program_once(capsys, monkeypatch):
+    plans = []
+    original = semantics._plan
+
+    def counting(*args):
+        plans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(semantics, "_plan", counting)
+    path = str(PUZZLES / "monty_hall.arrow")
+    code, out, _ = run_cli(capsys, "eq", path, path)
+    assert code == 0
+    assert "declared interpretation and 20 random interpretations" in out
+    assert len(plans) == 2
+
+
+def test_internal_error_is_one_line(capsys, monkeypatch):
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "load_file", broken)
+    code, out, err = run_cli(capsys, "run", str(PUZZLES / "monty_hall.arrow"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
 def test_eq_reproducible_with_seed(capsys):
     args = ("eq", str(PUZZLES / "monty_hall.arrow"), str(PUZZLES / "monty_fall.arrow"),
             "--trials", "3", "--seed", "11")
@@ -310,3 +341,64 @@ def test_run_evidence_of_thirty_observed_last(tmp_path, capsys):
     lines += [f"OBSERVE(e{i} = r{i % 3})" for i in range(1, k + 1)]
     lines.append("RETURN(h)")
     _check_run_and_interpret(tmp_path, capsys, "\n".join(lines) + "\n", final)
+
+
+# -- long programs at the default recursion limit ----------------------------------
+
+ROTATE = {"a": "b", "b": "c", "c": "a"}
+
+
+def _straight_line(n: int) -> tuple[str, dict]:
+    """A program of n statements and its final state in closed form.
+
+    x1 is uniform and every later statement rotates the current state,
+    except that every tenth statement starts a noisy reading of the state
+    observed equal to it, which halves the mass.
+    """
+    lines = ["TYPE S = {a, b, c}",
+             "GEN rot : S -> S = a -> 1|b>; b -> 1|c>; c -> 1|a>",
+             "GEN noisy : S -> S = a -> 1/2|a> + 1/2|b>; b -> 1/2|b> + 1/2|c>; "
+             "c -> 1/2|c> + 1/2|a>",
+             "x1 <- UNIFORM {a, b, c}"]
+    stmts, cur, turns, halvings = 1, "x1", 0, 0
+    while stmts < n - 1:
+        if stmts % 10 == 0 and stmts + 2 < n:
+            lines += [f"y{stmts} <- noisy({cur})", f"OBSERVE(y{stmts} = {cur})"]
+            stmts += 2
+            halvings += 1
+        else:
+            stmts += 1
+            lines.append(f"x{stmts} <- rot({cur})")
+            cur = f"x{stmts}"
+            turns += 1
+    lines.append(f"RETURN(x1, {cur})")
+    final = {}
+    for s in ROTATE:
+        t = s
+        for _ in range(turns % 3):
+            t = ROTATE[t]
+        final[(s, t)] = Q(1, 3) / 2**halvings
+    return "\n".join(lines) + "\n", final
+
+
+def test_ten_thousand_statements_at_default_recursion_limit(tmp_path, capsys):
+    assert sys.getrecursionlimit() == 1000
+    source, final = _straight_line(10_000)
+    assert len(source.splitlines()) == 3 + 10_000
+    _check_run_and_interpret(tmp_path, capsys, source, final)
+    tt = load_file(tmp_path / "scale.arrow").typed
+    back = decode(encode(tt), tt.sig)
+    assert alpha_eq(back.term, tt.term, back.ctx, tt.ctx) is True
+
+
+def test_trace_of_twelve_hundred_statements(tmp_path, capsys):
+    source, final = _straight_line(1_200)
+    path = tmp_path / "long.arrow"
+    path.write_text(source)
+    code, out, _ = run_cli(capsys, "trace", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines[:-2]] == [f"({i})" for i in range(1, 1_201)]
+    mass = sum(final.values())
+    assert lines[-2:] == [f"Validity: {mass}",
+                          f"Posterior: {ket(Subdist({x: w / mass for x, w in final.items()}))}"]

@@ -442,3 +442,48 @@ def test_frobenius_composite_of_copy_and_compare():
                      act(ff_collapse(ff([1, 2], 2)), penultimate.cont, ("X", "X")))
     assert collapsed == CObs(ff([1, 2], 2), CRet(ff([1, 1], 2), ("X", "X")))
     assert _chan(composite) == _chan(collapsed)
+
+
+# -- the types each node stores ------------------------------------------------------
+
+
+def _reference_in_types(node):
+    """A node's context by the recursive definition, from its continuation."""
+    if isinstance(node, CRet):
+        return node.ctx
+    inner = _reference_in_types(node.cont)
+    if isinstance(node, CObs):
+        return inner
+    return inner[: len(inner) - len(node.gen.outputs)]
+
+
+def _reference_out_types(node):
+    if isinstance(node, CRet):
+        return tuple(node.ctx[t - 1] for t in node.sel.targets)
+    return _reference_out_types(node.cont)
+
+
+def test_stored_types_match_the_recursive_definition():
+    from arrowlang.combinator import structure_maps
+
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        s, t, interp = comb_pair(rng)
+        types = sorted(interp.carriers)
+        z = tuple(rng.choice(types) for _ in range(rng.randint(0, 3)))
+        phi, new_ctx = gen_reindexing(rng, s.in_types)
+        terms = [s, t, act(phi, s, new_ctx), comb_compose(s, t),
+                 comb_whisker_left(z, s), comb_whisker_right(s, z), comb_tensor(s, t),
+                 *structure_maps(z)]
+        for term in terms:
+            node = term
+            while True:
+                assert node.in_types == _reference_in_types(node)
+                assert node.ctx == _reference_in_types(node)
+                assert node.out_types == _reference_out_types(node)
+                checked += 1
+                if isinstance(node, CRet):
+                    break
+                node = node.cont
+    assert checked > 1000
