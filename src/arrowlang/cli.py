@@ -13,6 +13,7 @@ under ``eq``, 4 a corpus mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -249,7 +250,10 @@ def cmd_corpus(args, out=None, err=None) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: ``main`` runs many
+    times in one process under the tests and the benchmark."""
     ap = argparse.ArgumentParser(prog="arrowlang",
                                  description="evaluate probabilistic decision programs exactly")
     sub = ap.add_subparsers(dest="command", required=True)

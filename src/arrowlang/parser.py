@@ -27,13 +27,17 @@ over the carrier.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
+from math import lcm
+from typing import NamedTuple
 
 from .errors import ElaborationError, ParseError
 from .semantics import Interpretation, collapse_values
-from .subdist import Dollar, Outcome, Subdist, outcome_key, render_weight
+from .subdist import ONE, Dollar, Outcome, Subdist, outcome_key, render_weight
 from .syntax import (
     Generator,
     Observe,
@@ -58,77 +62,60 @@ KEYWORDS = {"TYPE", "GEN", "UNIFORM", "CASE", "OF", "OBSERVE", "RETURN", "IF", "
 
 # -- tokens ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NEWLINE IDENT INT DOLLAR PUNCT EOF
     text: str
     line: int
     col: int
 
 
-PUNCT_TWO = ("<-", "->", "!=")
-PUNCT_ONE = "{}(),;:|>+/=_"
+# One alternative per token kind, tried in this order at each position,
+# then the blanks after the token.  Names start with a letter or ``_`` and
+# go on with letters, digits and ``_`` (``\w`` is exactly ``str.isalnum()``
+# or ``_``).  Numbers are runs of Unicode decimal digits (``\d``, exactly
+# what ``int`` accepts), so ``²`` is no number.  A comment runs to the end
+# of its line and gives its column to the NEWLINE (or EOF) that ends it.
+_TOKEN_RE = re.compile(
+    r"(?:(<-|->|!=|[{}(),;:|>+/=])"  # 1 PUNCT
+    r"|([A-Za-z_]\w*)"  # 2 IDENT
+    r"|(\d+)"  # 3 INT
+    r"|((?:#[^\n]*)?\n)"  # 4 NEWLINE
+    r"|(#.*)"  # 5 a comment at the end of the text
+    r"|(\$\d*)"  # 6 DOLLAR
+    r"|(\w+)"  # 7 a name that starts with a non-ASCII letter, or a ``²`` or ``½``
+    r"|(.)"  # 8 an unexpected character
+    r")[ \t\r]*"
+)
+_BLANKS = re.compile(r"[ \t\r]*")
+_KINDS = (None, "PUNCT", "IDENT", "INT")
+_new_token = partial(tuple.__new__, Token)  # skips the Python-level Token.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            i += 1
+    append = tokens.append
+    line, line_start = 1, 0
+    eof_col = None
+    for m in _TOKEN_RE.finditer(text, _BLANKS.match(text).end()):
+        group = m.lastindex
+        col = m.start() - line_start + 1
+        if group <= 3:
+            append(_new_token((_KINDS[group], m.group(group), line, col)))
+        elif group == 4:
+            append(_new_token(("NEWLINE", "\n", line, col)))
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text[i : i + 2] in PUNCT_TWO:
-            tokens.append(Token("PUNCT", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if c == "$":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected digits after $", line, col)
-            tokens.append(Token("DOLLAR", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in PUNCT_ONE:
-            tokens.append(Token("PUNCT", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            line_start = m.end(group)
+        elif group == 5:
+            eof_col = col
+        elif group == 6 and len(m.group(6)) > 1:
+            append(_new_token(("DOLLAR", m.group(6), line, col)))
+        elif group == 6:
+            raise ParseError("expected digits after $", line, col)
+        elif group == 7 and m.group(7)[0].isalpha():
+            append(_new_token(("IDENT", m.group(7), line, col)))
+        else:
+            raise ParseError(f"unexpected character {m.group(group)[0]!r}", line, col)
+    append(_new_token(("EOF", "", line, eof_col or len(text) - line_start + 1)))
     return tokens
 
 
@@ -207,47 +194,64 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
-
-    def peek(self, offset: int = 0) -> Token:
-        return self.toks[min(self.pos + offset, len(self.toks) - 1)]
+        self.tok = tokens[0]  # the current token; the list ends with EOF
 
     def next(self) -> Token:
-        tok = self.toks[self.pos]
+        tok = self.tok
         if tok.kind != "EOF":
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return tok
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tok
         return ParseError(message + (f", got {tok.text!r}" if tok.text else ", got end of file"),
                           tok.line, tok.col)
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "EOF":
+        tok = self.tok
+        if tok.text != text:
             raise self.error(f"expected {text!r}")
-        return self.next()
+        self.pos += 1  # EOF has no text, so it never matches
+        self.tok = self.toks[self.pos]
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "IDENT" or tok.text in KEYWORDS:
             raise self.error(f"expected {what}")
-        return self.next().text
+        self.pos += 1
+        self.tok = self.toks[self.pos]
+        return tok.text
+
+    def comma_list(self, item) -> list:
+        """``item (, item)*``: one or more items separated by commas."""
+        items = [item()]
+        while self.tok.text == ",":
+            self.next()
+            items.append(item())
+        return items
+
+    def names(self, what: str) -> tuple[str, ...]:
+        names = [self.expect_ident(what)]
+        while self.tok.text == ",":
+            self.next()
+            names.append(self.expect_ident(what))
+        return tuple(names)
 
     def skip_newlines(self):
-        while self.peek().kind == "NEWLINE":
+        while self.tok.kind == "NEWLINE":
             self.next()
 
     def end_statement(self):
-        tok = self.peek()
-        if tok.kind not in ("NEWLINE", "EOF"):
+        if self.tok.kind not in ("NEWLINE", "EOF"):
             raise self.error("expected end of line")
         self.skip_newlines()
 
     # -- values ------------------------------------------------------
 
     def parse_value(self) -> Outcome:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "INT":
             self.next()
             return int(tok.text)
@@ -256,12 +260,7 @@ class _Parser:
             return Dollar(int(tok.text[1:]))
         if tok.text == "{":
             self.next()
-            elems = []
-            if self.peek().text != "}":
-                elems.append(self.parse_value())
-                while self.peek().text == ",":
-                    self.next()
-                    elems.append(self.parse_value())
+            elems = self.comma_list(self.parse_value) if self.tok.text != "}" else []
             self.expect("}")
             return frozenset(elems)
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
@@ -271,35 +270,32 @@ class _Parser:
 
     def parse_value_set(self) -> tuple:
         self.expect("{")
-        values = [self.parse_value()]
-        while self.peek().text == ",":
-            self.next()
-            values.append(self.parse_value())
+        values = self.comma_list(self.parse_value)
         self.expect("}")
         return tuple(values)
 
     # -- kets and rows ---------------------------------------------------
 
     def parse_rational(self) -> Fraction:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "INT":
             raise self.error("expected a rational literal")
         self.next()
         num = int(tok.text)
-        if self.peek().text == "/":
-            self.next()
-            den_tok = self.peek()
-            if den_tok.kind != "INT":
-                raise self.error("expected a denominator")
-            self.next()
-            den = int(den_tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
-            return Fraction(num, den)
-        return Fraction(num)
+        if self.tok.text != "/":
+            return Fraction(num)
+        self.next()
+        den_tok = self.tok
+        if den_tok.kind != "INT":
+            raise self.error("expected a denominator")
+        self.next()
+        den = int(den_tok.text)
+        if den == 0:
+            raise ParseError("zero denominator", den_tok.line, den_tok.col)
+        return Fraction(num, den)
 
     def parse_ket_value(self) -> tuple:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
             self.next()
             return ("name", tok.text)
@@ -308,80 +304,66 @@ class _Parser:
     def parse_ket(self) -> tuple:
         monomials = []
         while True:
-            weight = Fraction(1)
-            if self.peek().kind == "INT":
-                weight = self.parse_rational()
+            weight = self.parse_rational() if self.tok.kind == "INT" else ONE
             self.expect("|")
-            values = [self.parse_ket_value()]
-            while self.peek().text == ",":
-                self.next()
-                values.append(self.parse_ket_value())
+            values = self.comma_list(self.parse_ket_value)
             self.expect(">")
             monomials.append((weight, tuple(values)))
-            if self.peek().text == "+":
-                self.next()
-                continue
-            return tuple(monomials)
-
-    def parse_pattern(self, arity_hint: int | None = None) -> tuple:
-        def atom() -> tuple:
-            tok = self.peek()
-            if tok.text == "_":
-                self.next()
-                return ("wild",)
-            if tok.kind == "IDENT" and tok.text not in KEYWORDS:
-                self.next()
-                return ("name", tok.text)
-            return ("lit", self.parse_value())
-
-        if self.peek().text == "(":
+            if self.tok.text != "+":
+                return tuple(monomials)
             self.next()
-            entries = []
-            if self.peek().text != ")":
-                entries.append(atom())
-                while self.peek().text == ",":
-                    self.next()
-                    entries.append(atom())
-            self.expect(")")
-            return tuple(entries)
-        return (atom(),)
+
+    def parse_pattern_atom(self) -> tuple:
+        tok = self.tok
+        if tok.text == "_":
+            self.next()
+            return ("wild",)
+        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+            self.next()
+            return ("name", tok.text)
+        return ("lit", self.parse_value())
+
+    def parse_pattern(self) -> tuple:
+        if self.tok.text != "(":
+            return (self.parse_pattern_atom(),)
+        self.next()
+        entries = self.comma_list(self.parse_pattern_atom) if self.tok.text != ")" else []
+        self.expect(")")
+        return tuple(entries)
 
     def parse_row(self) -> CaseRow:
         pattern = self.parse_pattern()
         self.expect("->")
         ket = self.parse_ket()
         conditions = []
-        if self.peek().text == "IF":
+        if self.tok.text == "IF":
             self.next()
             while True:
                 left = self.expect_ident("a pattern variable")
                 self.expect("!=")
-                right = self.expect_ident("a pattern variable")
-                conditions.append((left, right))
-                if self.peek().text == "AND":
-                    self.next()
-                    continue
-                break
+                conditions.append((left, self.expect_ident("a pattern variable")))
+                if self.tok.text != "AND":
+                    break
+                self.next()
         return CaseRow(pattern, ket, tuple(conditions))
 
     def at_new_statement(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "EOF":
-            return True
-        if tok.text in ("TYPE", "GEN", "OBSERVE", "RETURN"):
+        tok = self.tok
+        if tok.kind == "EOF" or tok.text in ("TYPE", "GEN", "OBSERVE", "RETURN"):
             return True
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
-            # scan an identifier list for a following arrow
-            k = 1
-            while self.peek(k).text == "," and self.peek(k + 1).kind == "IDENT":
+            # scan an identifier list for a following arrow; it stops at
+            # a token that is not a comma, at the latest at EOF
+            toks, k = self.toks, self.pos + 1
+            while toks[k].text == "," and toks[k + 1].kind == "IDENT":
                 k += 2
-            return self.peek(k).text == "<-"
+            return toks[k].text == "<-"
         return False
 
     def parse_rows(self) -> tuple[CaseRow, ...]:
         rows = []
         while True:
-            while self.peek().kind == "NEWLINE" or self.peek().text == ";":
+            while self.tok.kind == "NEWLINE" or self.tok.text == ";":
                 self.next()
             if self.at_new_statement():
                 break
@@ -393,8 +375,7 @@ class _Parser:
     # -- declarations and statements -----------------------------------------
 
     def parse_type_decl(self) -> TypeDecl:
-        line = self.peek().line
-        self.expect("TYPE")
+        line = self.expect("TYPE").line
         name = self.expect_ident("a type name")
         self.expect("=")
         values = self.parse_value_set()
@@ -402,127 +383,103 @@ class _Parser:
         return TypeDecl(name, values, line)
 
     def parse_type_list(self) -> tuple[str, ...]:
-        if self.peek().text == "(":
+        if self.tok.text == "(":
             self.next()
             self.expect(")")
             return ()
-        names = [self.expect_ident("a type name")]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self.expect_ident("a type name"))
-        return tuple(names)
+        return self.names("a type name")
 
     def parse_gen_decl(self) -> GenDecl:
-        line = self.peek().line
-        self.expect("GEN")
+        line = self.expect("GEN").line
         name = self.expect_ident("a generator name")
         self.expect(":")
         inputs = self.parse_type_list()
         self.expect("->")
         outputs = self.parse_type_list()
         rows = None
-        if self.peek().text == "=":
+        if self.tok.text == "=":
             self.next()
             rows = self.parse_rows()
         else:
             self.end_statement()
         return GenDecl(name, inputs, outputs, rows, line)
 
+    def parse_operand(self) -> SOperand:
+        tok = self.tok
+        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+            self.next()
+            return SOperand(name=tok.text)
+        return SOperand(value=self.parse_value())
+
     def parse_observe(self) -> ObserveStmt:
-        line = self.peek().line
-        self.expect("OBSERVE")
+        line = self.expect("OBSERVE").line
         self.expect("(")
-
-        def operand() -> SOperand:
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.text not in KEYWORDS:
-                self.next()
-                return SOperand(name=tok.text)
-            return SOperand(value=self.parse_value())
-
         atoms = []
         while True:
-            left = operand()
-            tok = self.peek()
+            left = self.parse_operand()
+            tok = self.tok
             if tok.text in ("=", "!="):
                 self.next()
-                atoms.append(SAtom(tok.text, left, operand()))
+                atoms.append(SAtom(tok.text, left, self.parse_operand()))
             elif tok.text == "IN":
                 self.next()
                 var = self.expect_ident("a set-valued variable")
                 atoms.append(SAtom("IN", left, SOperand(name=var)))
             else:
                 raise self.error("expected =, != or IN")
-            if self.peek().text == "AND":
-                self.next()
-                continue
-            break
+            if self.tok.text != "AND":
+                break
+            self.next()
         self.expect(")")
         self.end_statement()
         return ObserveStmt(tuple(atoms), line)
 
-    def parse_return(self) -> ReturnStmt:
-        line = self.peek().line
-        self.expect("RETURN")
+    def parse_args(self) -> tuple[str, ...]:
+        """``( variable, ... )``, possibly empty."""
         self.expect("(")
-        names: list[str] = []
-        if self.peek().text != ")":
-            names.append(self.expect_ident("a variable"))
-            while self.peek().text == ",":
-                self.next()
-                names.append(self.expect_ident("a variable"))
+        names = self.names("a variable") if self.tok.text != ")" else ()
         self.expect(")")
+        return names
+
+    def parse_return(self) -> ReturnStmt:
+        line = self.expect("RETURN").line
+        names = self.parse_args()
         self.end_statement()
-        return ReturnStmt(tuple(names), line)
+        return ReturnStmt(names, line)
 
     def parse_sample(self) -> SampleStmt:
-        line = self.peek().line
-        names = [self.expect_ident("a variable")]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self.expect_ident("a variable"))
+        line = self.tok.line
+        names = self.names("a variable")
         self.expect("<-")
-        tok = self.peek()
+        tok = self.tok
         if tok.text == "UNIFORM":
             self.next()
             values = self.parse_value_set()
             self.end_statement()
-            return SampleStmt(tuple(names), "uniform", uniform_values=values, line=line)
+            return SampleStmt(names, "uniform", uniform_values=values, line=line)
         if tok.text == "CASE":
             self.next()
-            scrutinee = []
-            if self.peek().text == "(":
+            if self.tok.text == "(":
                 self.next()
-                scrutinee.append(self.expect_ident("a variable"))
-                while self.peek().text == ",":
-                    self.next()
-                    scrutinee.append(self.expect_ident("a variable"))
+                scrutinee = self.names("a variable")
                 self.expect(")")
             else:
-                scrutinee.append(self.expect_ident("a variable"))
+                scrutinee = (self.expect_ident("a variable"),)
             self.expect("OF")
             rows = self.parse_rows()
-            return SampleStmt(tuple(names), "case", scrutinee=tuple(scrutinee),
-                              rows=rows, line=line)
+            return SampleStmt(names, "case", scrutinee=scrutinee, rows=rows, line=line)
         callee = self.expect_ident("a generator name")
-        self.expect("(")
-        args: list[str] = []
-        if self.peek().text != ")":
-            args.append(self.expect_ident("a variable"))
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.expect_ident("a variable"))
-        self.expect(")")
+        args = self.parse_args()
         self.end_statement()
-        return SampleStmt(tuple(names), "call", callee=callee, args=tuple(args), line=line)
+        return SampleStmt(names, "call", callee=callee, args=args, line=line)
 
     def parse_program(self) -> SourceProgram:
         types: list[TypeDecl] = []
         gens: list[GenDecl] = []
         stmts: list = []
         self.skip_newlines()
-        while self.peek().kind != "EOF":
-            tok = self.peek()
+        while self.tok.kind != "EOF":
+            tok = self.tok
             if tok.text == "TYPE":
                 types.append(self.parse_type_decl())
             elif tok.text == "GEN":
@@ -532,7 +489,7 @@ class _Parser:
             elif tok.text == "RETURN":
                 stmts.append(self.parse_return())
                 self.skip_newlines()
-                if self.peek().kind != "EOF":
+                if self.tok.kind != "EOF":
                     raise self.error("statements after RETURN")
                 break
             elif tok.kind == "IDENT" and tok.text not in KEYWORDS:
@@ -541,7 +498,7 @@ class _Parser:
                 raise self.error("expected a declaration or statement")
             self.skip_newlines()
         if not stmts or not isinstance(stmts[-1], ReturnStmt):
-            tok = self.peek()
+            tok = self.tok
             raise ParseError("program must end with RETURN", tok.line, tok.col)
         return SourceProgram(tuple(types), tuple(gens), tuple(stmts))
 
@@ -676,7 +633,6 @@ class _RowMatcher:
     def __init__(self, row: CaseRow, input_types: tuple[str, ...],
                  carriers: dict, where: str):
         self.row = row
-        self.input_types = input_types
         self.carriers = carriers
         self.where = where
         if len(row.pattern) != len(input_types):
@@ -684,22 +640,21 @@ class _RowMatcher:
                 f"{where}: pattern arity {len(row.pattern)} does not match {len(input_types)} inputs"
             )
         # classify pattern entries; names that denote carrier values are literals
-        self.entries = []
+        self.literals: list[tuple[int, Outcome]] = []
+        self.variables: list[tuple[int, str]] = []
         self.var_types: dict[str, str] = {}
-        for entry, tname in zip(row.pattern, input_types):
+        for i, (entry, tname) in enumerate(zip(row.pattern, input_types)):
             if entry[0] == "lit" or (entry[0] == "name" and entry[1] in carriers[tname]):
                 value = entry[1]
                 if value not in carriers[tname]:
                     raise ElaborationError(f"{where}: literal {_src_value(value)} not in {tname}")
-                self.entries.append(("lit", value))
+                self.literals.append((i, value))
             elif entry[0] == "name":
                 name = entry[1]
                 if name in self.var_types and self.var_types[name] != tname:
                     raise ElaborationError(f"{where}: pattern variable {name} used at two types")
                 self.var_types[name] = tname
-                self.entries.append(("var", name))
-            else:
-                self.entries.append(("wild", None))
+                self.variables.append((i, name))
         # extra variables are condition names not bound by the pattern;
         # their types come from inequation links, propagated to a fixpoint
         self.extras: dict[str, str | None] = {}
@@ -727,14 +682,13 @@ class _RowMatcher:
 
     def bind(self, combo: tuple):
         """Match the pattern against concrete values; None when it fails."""
-        bound: dict[str, Outcome] = {}
-        for (kind, payload), value in zip(self.entries, combo):
-            if kind == "lit" and payload != value:
+        for i, value in self.literals:
+            if combo[i] != value:
                 return None
-            if kind == "var":
-                if payload in bound and bound[payload] != value:
-                    return None
-                bound[payload] = value
+        bound: dict[str, Outcome] = {}
+        for i, name in self.variables:
+            if bound.setdefault(name, combo[i]) != combo[i]:
+                return None
         return bound
 
     def _conditions_hold(self, env: dict[str, Outcome]) -> bool:
@@ -778,8 +732,13 @@ class _RowMatcher:
                             )
                         resolved.append(v)
                 key = collapse_values(tuple(resolved))
-                acc[key] = acc.get(key, Fraction(0)) + weight
-            if sum(acc.values(), Fraction(0)) > 1:
+                if key in acc:
+                    acc[key] += weight
+                else:
+                    acc[key] = weight
+            # the row mass, summed exactly over the common denominator
+            den = lcm(*(w.denominator for w in acc.values()))
+            if sum(w.numerator * (den // w.denominator) for w in acc.values()) > den:
                 raise ElaborationError(f"{self.where}: row mass exceeds 1")
             results.append(Subdist(acc))
         if not results:
@@ -793,24 +752,21 @@ class _RowMatcher:
         return first
 
 
-def build_table(rows, input_types: tuple[str, ...], out_types: tuple[str, ...],
+def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ...],
                 carriers: dict, where: str) -> dict:
-    """Expand pattern rows into a total kernel table over the carriers."""
-    matchers = [_RowMatcher(row, input_types, carriers, where) for row in rows]
+    """Expand classified pattern rows into a total kernel table over the carriers."""
     table: dict = {}
     for combo in product(*(carriers[t] for t in input_types)):
-        row_value = None
         for matcher in matchers:
             bound = matcher.bind(combo)
-            if bound is None:
-                continue
-            row_value = matcher.instantiate(bound, out_types)
-            if row_value is not None:
-                break
-        if row_value is None:
+            if bound is not None:
+                row_value = matcher.instantiate(bound, out_types)
+                if row_value is not None:
+                    table[combo] = row_value
+                    break
+        else:
             shown = ", ".join(_src_value(v) for v in combo)
             raise ElaborationError(f"{where}: no row matches ({shown})")
-        table[combo] = row_value
     return table
 
 
@@ -870,12 +826,12 @@ def elaborate(sp: SourceProgram) -> Program:
                 raise ElaborationError(f"generator {gd.name} uses undeclared type {t}")
         gens[gd.name] = Generator(gd.name, gd.inputs, gd.outputs)
         if gd.rows is not None:
-            kernels[gd.name] = build_table(
-                gd.rows, gd.inputs, gd.outputs, carriers, f"generator {gd.name}"
-            )
+            where = f"generator {gd.name}"
+            matchers = [_RowMatcher(row, gd.inputs, carriers, where) for row in gd.rows]
+            kernels[gd.name] = build_table(matchers, gd.inputs, gd.outputs, carriers, where)
 
     scope: dict[str, str] = {}
-    heads: list = []
+    heads: list = []  # (node class, fields before ``cont``), one per statement
     texts: list[str] = []
     ret: Return | None = None
 
@@ -941,7 +897,7 @@ def elaborate(sp: SourceProgram) -> Program:
                 gen = Generator(gname, (), (tname,))
                 gens[gname] = gen
                 kernels[gname] = {(): Subdist({v: Fraction(1, len(values)) for v in values})}
-                heads.append(Sample(gen, (), stmt.vars, None))
+                heads.append((Sample, gen, (), stmt.vars))
                 declare(stmt.vars, (tname,), stmt.line)
             elif stmt.kind == "case":
                 for v in stmt.scrutinee:
@@ -950,18 +906,14 @@ def elaborate(sp: SourceProgram) -> Program:
                 if len(stmt.vars) != 1:
                     raise ElaborationError(f"line {stmt.line}: CASE binds exactly one variable")
                 in_types = tuple(scope[v] for v in stmt.scrutinee)
-                matchers = [
-                    _RowMatcher(row, in_types, carriers, f"line {stmt.line}")
-                    for row in stmt.rows
-                ]
+                where = f"line {stmt.line}"
+                matchers = [_RowMatcher(row, in_types, carriers, where) for row in stmt.rows]
                 out_type = _infer_case_output_type(stmt, matchers, carriers)
                 gname = fresh_gen_name("case", stmt_index)
                 gen = Generator(gname, in_types, (out_type,))
                 gens[gname] = gen
-                kernels[gname] = build_table(
-                    stmt.rows, in_types, (out_type,), carriers, f"line {stmt.line}"
-                )
-                heads.append(Sample(gen, stmt.scrutinee, stmt.vars, None))
+                kernels[gname] = build_table(matchers, in_types, (out_type,), carriers, where)
+                heads.append((Sample, gen, stmt.scrutinee, stmt.vars))
                 declare(stmt.vars, (out_type,), stmt.line)
             else:  # call
                 gen = gens.get(stmt.callee)
@@ -974,7 +926,7 @@ def elaborate(sp: SourceProgram) -> Program:
                     raise ElaborationError(
                         f"line {stmt.line}: {stmt.callee} produces {len(gen.outputs)} outputs"
                     )
-                heads.append(Sample(gen, stmt.args, stmt.vars, None))
+                heads.append((Sample, gen, stmt.args, stmt.vars))
                 declare(stmt.vars, gen.outputs, stmt.line)
             texts.append(render_stmt(stmt))
         elif isinstance(stmt, ObserveStmt):
@@ -986,7 +938,7 @@ def elaborate(sp: SourceProgram) -> Program:
                 and atom.right.name in scope
             )
             if both_vars:
-                heads.append(Observe(atom.left.name, atom.right.name, None))
+                heads.append((Observe, atom.left.name, atom.right.name))
                 texts.append(render_stmt(stmt))
                 continue
             nullary = None
@@ -1002,29 +954,24 @@ def elaborate(sp: SourceProgram) -> Program:
                 out = f"__o{stmt_index}"
                 while out in scope:
                     out += "_"
-                heads.append(Sample(gen, (), (out,), None))
+                heads.append((Sample, gen, (), (out,)))
                 declare((out,), gen.outputs, stmt.line)
-                heads.append(Observe(var, out, None))
+                heads.append((Observe, var, out))
                 texts.append(f"{out} <- {gen.name}()")
                 texts.append(f"OBSERVE({var} = {out})")
                 continue
             pred: Pred = resolve_atom(stmt.atoms[0], stmt.line)
             for extra in stmt.atoms[1:]:
                 pred = PAnd(pred, resolve_atom(extra, stmt.line))
-            heads.append(ObservePred(pred, None))
+            heads.append((ObservePred, pred))
             texts.append(render_stmt(stmt))
         else:  # ReturnStmt
             ret = Return(stmt.vars)
             texts.append(render_stmt(stmt))
 
     term: Term = ret
-    for h in reversed(heads):
-        if isinstance(h, Observe):
-            term = Observe(h.left, h.right, term)
-        elif isinstance(h, ObservePred):
-            term = ObservePred(h.pred, term)
-        else:
-            term = Sample(h.gen, h.args, h.outs, term)
+    for make, *fields in reversed(heads):
+        term = make(*fields, term)
 
     sig = Signature(frozenset(carriers), gens)
     typed = typecheck(sig, (), term)

@@ -57,6 +57,8 @@ FAILURE = Failure()
 
 def as_weight(value) -> Fraction:
     """Coerce an exact number to Fraction; floats are a hard error."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise InvalidSubdistribution(f"float weight {value!r}; weights must be exact rationals")
     if isinstance(value, bool):

@@ -109,6 +109,17 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
+def test_superscript_digit_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.arrow"
+    bad.write_text("TYPE A = {²}\nx <- UNIFORM {²}\nRETURN(x)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert (code, out, err) == (1, "", "error: 1:11: unexpected character '²'\n")
+
+
+def test_arg_parser_is_built_once():
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "no_such_file.arrow")
     assert code == 1

@@ -106,6 +106,36 @@ def test_unexpected_character():
         parse("TYPE Coin = {H, T}\nx <- UNIFORM {H, T} @\nRETURN(x)\n")
 
 
+# Tabs and carriage returns count one column; a comment gives its column
+# to the NEWLINE or end of file after it.
+@pytest.mark.parametrize("src, line, col, message", [
+    ("TYPE A = {a}\n\tx <- UNIFORM {a} @\nRETURN(x)\n",
+     2, 19, "unexpected character '@'"),
+    ("TYPE A = {a, b}\n# a comment\nOBSERVE(x = $)\nRETURN(x)\n",
+     3, 13, "expected digits after $"),
+    ("TYPE A = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(x = a # c\nRETURN(x)\n",
+     3, 15, "expected ')', got '\\n'"),
+    ("TYPE A = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(x = a  # c",
+     3, 16, "expected ')', got end of file"),
+    ("TYPE A = {a, b}\nx <- UNIFORM {a, b}\nRETURN(x) junk # done",
+     3, 11, "expected end of line, got 'junk'"),
+])
+def test_parse_error_positions(src, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.col, str(exc.value)) == (line, col, f"{line}:{col}: {message}")
+
+
+def test_digit_that_int_rejects_is_an_unexpected_character():
+    # "²" is a digit to str.isdigit but not a decimal digit
+    with pytest.raises(ParseError) as exc:
+        parse("TYPE A = {²}\nx <- UNIFORM {²}\nRETURN(x)\n")
+    assert str(exc.value) == "1:11: unexpected character '²'"
+    # decimal digits of any script are numbers
+    prog = load_text("TYPE A = {٣, 7}\nx <- UNIFORM {٣, 7}\nRETURN(x)\n")
+    assert interpret(prog.typed, prog.interp) == uniform((3, 7))
+
+
 def test_statements_after_return_rejected():
     src = "TYPE Coin = {H, T}\nx <- UNIFORM {H, T}\nRETURN(x)\ny <- UNIFORM {H, T}\n"
     with pytest.raises(ParseError):
@@ -142,6 +172,41 @@ RETURN(x)
     with pytest.raises(ElaborationError) as exc:
         load_text(src)
     assert "mass" in str(exc.value)
+
+
+@pytest.mark.parametrize("ket, ok", [
+    ("1/3|H> + 1/6|T> + 1/2|H>", True),  # mass exactly 1 over mixed denominators
+    ("1/3|H> + 2/3|T> + 1/1000000000000|H>", False),
+    ("0|H> + 1|T>", True),
+    ("2/2|H> + 0/5|T>", True),
+    ("7/6|H>", False),
+])
+def test_row_mass_is_compared_with_one_exactly(ket, ok):
+    src = f"TYPE Coin = {{H, T}}\ny <- UNIFORM {{H, T}}\nx <- CASE y OF _ -> {ket}\nRETURN(x)\n"
+    if ok:
+        assert load_text(src).interp.kernels["__case2"][("H",)].mass == 1
+    else:
+        with pytest.raises(ElaborationError, match="line 3: row mass exceeds 1"):
+            load_text(src)
+
+
+def test_each_case_row_is_classified_once(monkeypatch):
+    from arrowlang import parser
+
+    made = []
+    init = parser._RowMatcher.__init__
+
+    def counting_init(self, row, *args):
+        made.append(row)
+        init(self, row, *args)
+
+    monkeypatch.setattr(parser._RowMatcher, "__init__", counting_init)
+    rows = []
+    for name in CORPUS:
+        prog = load_file(PUZZLES / f"{name}.arrow")
+        rows += [row for stmt in prog.source.stmts for row in getattr(stmt, "rows", ())]
+        rows += [row for gd in prog.source.gens for row in gd.rows or ()]
+    assert len(rows) > 9 and sorted(map(id, made)) == sorted(map(id, rows))
 
 
 def test_substochastic_rows_allowed():
