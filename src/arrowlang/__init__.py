@@ -58,7 +58,6 @@ from .semantics import (
     Interpretation,
     TraceLine,
     interpret,
-    observe_predicate,
     semantics_of_comb,
     trace,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "Interpretation",
     "TraceLine",
     "interpret",
-    "observe_predicate",
     "semantics_of_comb",
     "trace",
     "Program",

@@ -57,6 +57,10 @@ from .syntax import (
     typecheck,
 )
 
+# Set values nest at most this deep.  Parsing, ordering and printing a set
+# recurse once per level, so a deeper value would exhaust the stack.
+MAX_SET_DEPTH = 100
+
 KEYWORDS = {"TYPE", "GEN", "UNIFORM", "CASE", "OF", "OBSERVE", "RETURN", "IF", "AND", "IN"}
 
 
@@ -117,6 +121,14 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {m.group(group)[0]!r}", line, col)
     append(_new_token(("EOF", "", line, eof_col or len(text) - line_start + 1)))
     return tokens
+
+
+def _int_literal(digits: str, tok: Token) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-conversion digit limit
+        raise ParseError(f"integer literal of {len(digits)} digits is too long",
+                         tok.line, tok.col) from None
 
 
 # -- surface syntax ------------------------------------------------------------
@@ -250,17 +262,22 @@ class _Parser:
 
     # -- values ------------------------------------------------------
 
-    def parse_value(self) -> Outcome:
+    def parse_value(self, depth: int = 0) -> Outcome:
+        """A value inside ``depth`` enclosing set braces."""
         tok = self.tok
         if tok.kind == "INT":
             self.next()
-            return int(tok.text)
+            return _int_literal(tok.text, tok)
         if tok.kind == "DOLLAR":
             self.next()
-            return Dollar(int(tok.text[1:]))
+            return Dollar(_int_literal(tok.text[1:], tok))
         if tok.text == "{":
+            if depth == MAX_SET_DEPTH:
+                raise ParseError(f"set values nested more than {MAX_SET_DEPTH} deep",
+                                 tok.line, tok.col)
             self.next()
-            elems = self.comma_list(self.parse_value) if self.tok.text != "}" else []
+            elems = (self.comma_list(lambda: self.parse_value(depth + 1))
+                     if self.tok.text != "}" else [])
             self.expect("}")
             return frozenset(elems)
         if tok.kind == "IDENT" and tok.text not in KEYWORDS:
@@ -281,7 +298,7 @@ class _Parser:
         if tok.kind != "INT":
             raise self.error("expected a rational literal")
         self.next()
-        num = int(tok.text)
+        num = _int_literal(tok.text, tok)
         if self.tok.text != "/":
             return Fraction(num)
         self.next()
@@ -289,7 +306,7 @@ class _Parser:
         if den_tok.kind != "INT":
             raise self.error("expected a denominator")
         self.next()
-        den = int(den_tok.text)
+        den = _int_literal(den_tok.text, den_tok)
         if den == 0:
             raise ParseError("zero denominator", den_tok.line, den_tok.col)
         return Fraction(num, den)

@@ -15,10 +15,17 @@ keep the state small.  `interpret` starts from the point mass at an
 input vector; `denote_channel` and `semantics_of_comb` tabulate it over
 the input carriers.  The world-enumeration oracle in `proptest` shares
 no code with this engine, so it can cross-check it.
+
+Inside the engine every weight is an integer numerator over one
+denominator shared by the whole state, so a step multiplies, filters or
+adds integers and reduces by a gcd only once the denominator grows
+large.  Outside it weights are `Fraction`s: a state becomes a `Subdist`
+only where it leaves the engine, as a trace line or a result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -26,11 +33,10 @@ from typing import Callable, Mapping
 
 from .combinator import CombTerm, decode
 from .errors import CarrierMismatch, PredicateTypeError, ZeroMassState
-from .subdist import FAILURE, ONE, ZERO, Outcome, Subdist, rescale, restrict
+from .subdist import FAILURE, Outcome, Subdist, rescale
 from .syntax import (
     Generator,
     Observe,
-    ObservePred,
     PAnd,
     PEq,
     PIn,
@@ -99,13 +105,6 @@ def collapse_values(values: tuple) -> Outcome:
     return values[0] if len(values) == 1 else values
 
 
-def joint_values(joint: Outcome, n: int) -> tuple:
-    """Inverse of collapse_values for a joint outcome over n variables."""
-    if n == 1:
-        return (joint,)
-    return joint if isinstance(joint, tuple) else (joint,)
-
-
 def outs_tuple(out_val: Outcome, arity: int) -> tuple:
     if arity == 1:
         return (out_val,)
@@ -144,33 +143,76 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
 # -- the evaluation engine ----------------------------------------------------
 #
 # A state maps flat value tuples, one entry per variable of its layout,
-# to positive weights.  It becomes a validated Subdist only where it
-# leaves the engine.
+# to positive integer numerators over one denominator shared by the whole
+# state.  It becomes a validated Subdist of Fractions only where it leaves
+# the engine, in `_subdist`.
+
+# The gcd of a state's numerators and denominator is divided out only
+# once the denominator passes this bound (delayed normalisation, as in
+# Knuth, TAOCP vol. 2, 4.5.1): most states never need it, and a
+# reduction costs one gcd per monomial.
+_REDUCE_ABOVE = 1 << 62
+
+# Kernel rows in integer form, per generator name and input tuple:
+# (denominator, [(output tuple, numerator), ...]).  Each evaluation
+# converts the rows it uses, on first use.
+RowCache = dict[str, dict[tuple, tuple[int, list[tuple[tuple, int]]]]]
 
 
-def _step(state: dict, layout: list[str], node: Term, interp: Interpretation) -> dict:
-    """Apply one statement to a joint state.
+def _kernel_row(interp: Interpretation, gen: Generator,
+                args: tuple) -> tuple[int, list[tuple[tuple, int]]]:
+    """One kernel row as integer numerators over the lcm of its weights'
+    denominators."""
+    row = interp.kernel_row(gen, args).items()
+    denom = math.lcm(*[w.denominator for _, w in row])
+    arity = len(gen.outputs)
+    return denom, [(outs_tuple(x, arity), w.numerator * (denom // w.denominator))
+                   for x, w in row]
 
-    Sampling tensors the kernel row onto every monomial and appends the
+
+def _step(state: dict, denom: int, layout: list[str], node: Term,
+          interp: Interpretation, rows: RowCache) -> tuple[dict, int]:
+    """Apply one statement to a joint state over ``denom``.
+
+    Sampling tensors the kernel row onto every monomial, puts the state
+    over ``denom`` times the lcm of the rows it used, and appends the
     outputs to ``layout``; an observe keeps the monomials satisfying it.
     """
-    index = {name: i for i, name in enumerate(layout)}
     if isinstance(node, Sample):
-        picks = [index[a] for a in node.args]
-        arity = len(node.outs)
+        picks = [layout.index(a) for a in node.args]
+        groups: dict = {}
+        for item in state.items():
+            values = item[0]
+            args = tuple([values[i] for i in picks])
+            group = groups.get(args)
+            if group is None:
+                groups[args] = [item]
+            else:
+                group.append(item)
+        converted = rows.setdefault(node.gen.name, {})
+        used = []
+        for args, members in groups.items():
+            entry = converted.get(args)
+            if entry is None:
+                entry = converted[args] = _kernel_row(interp, node.gen, args)
+            used.append((entry, members))
+        scale = math.lcm(*[row_denom for (row_denom, _), _ in used])
         out: dict = {}
-        for values, w in state.items():
-            row = interp.kernel_row(node.gen, tuple(values[i] for i in picks))
-            for out_val, wv in row.items():
-                key = values + outs_tuple(out_val, arity)
-                out[key] = out.get(key, ZERO) + w * wv
+        for (row_denom, row), members in used:
+            if row_denom != scale:
+                factor = scale // row_denom
+                row = [(outs, n * factor) for outs, n in row]
+            # keys are distinct: the monomials are, and so are a row's outputs
+            for values, w in members:
+                for outs, n in row:
+                    out[values + outs] = w * n
         layout.extend(node.outs)
-        return out
+        return out, denom * scale
     if isinstance(node, Observe):
-        i, j = index[node.left], index[node.right]
-        return {values: w for values, w in state.items() if values[i] == values[j]}
+        i, j = layout.index(node.left), layout.index(node.right)
+        return {values: w for values, w in state.items() if values[i] == values[j]}, denom
     return {values: w for values, w in state.items()
-            if pred_holds(node.pred, dict(zip(layout, values)))}
+            if pred_holds(node.pred, dict(zip(layout, values)))}, denom
 
 
 def _project(state: dict, picks: list[int]) -> dict:
@@ -178,8 +220,16 @@ def _project(state: dict, picks: list[int]) -> dict:
     out: dict = {}
     for values, w in state.items():
         key = tuple([values[i] for i in picks])
-        out[key] = out.get(key, ZERO) + w
+        out[key] = out.get(key, 0) + w
     return out
+
+
+def _reduce(state: dict, denom: int) -> tuple[dict, int]:
+    """Divide the numerators and the denominator by their gcd."""
+    g = math.gcd(denom, *state.values())
+    if g == 1:
+        return state, denom
+    return {values: w // g for values, w in state.items()}, denom // g
 
 
 def _reads(node: Term) -> set[str]:
@@ -232,31 +282,42 @@ def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
     return steps, ret
 
 
-def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
-              interp: Interpretation,
-              record: Callable[[Term, dict], dict] | None = None) -> dict:
-    """Run every scheduled statement, summing out the variables paired with
-    it, then project onto the returned variables.
+# A record callback sees a statement and the state it produced, and
+# returns the state to continue from.
+Record = Callable[[Term, dict, int], tuple[dict, int]]
 
-    ``record``, when given, sees each statement, the return included,
-    with the state it produced and returns the state to continue from.
+
+def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], v: tuple,
+              interp: Interpretation, record: Record | None = None) -> tuple[dict, int]:
+    """Run every scheduled statement from the point mass at ``v``, summing
+    out the variables paired with it, then project onto the returned
+    variables.  The result is a state and its denominator.
+
+    ``record``, when given, sees each statement, the return included.
     """
     steps, ret = schedule
+    state, denom = {tuple(v): 1}, 1
+    rows: RowCache = {}
     for node, dead in steps:
-        state = _step(state, layout, node, interp)
+        state, denom = _step(state, denom, layout, node, interp, rows)
         if dead:
             keep = [i for i, name in enumerate(layout) if name not in dead]
             state = _project(state, keep)
             layout[:] = [layout[i] for i in keep]
+        if denom > _REDUCE_ABOVE:
+            state, denom = _reduce(state, denom)
         if record:
-            state = record(node, state)
-    index = {name: i for i, name in enumerate(layout)}
-    projected = _project(state, [index[x] for x in ret.vars])
-    return record(ret, projected) if record else projected
+            state, denom = record(node, state, denom)
+    picks = [layout.index(x) for x in ret.vars]
+    if picks != list(range(len(layout))):
+        state = _project(state, picks)
+    return record(ret, state, denom) if record else (state, denom)
 
 
-def _subdist(state: dict) -> Subdist:
-    return Subdist((collapse_values(values), w) for values, w in state.items())
+def _subdist(state: dict, denom: int) -> Subdist:
+    """The one exit from the engine: a state as a Subdist of Fractions."""
+    return Subdist._of_numerators([(collapse_values(values), w) for values, w in state.items()],
+                                  denom)
 
 
 def denoter(tt: TypedTerm) -> Callable[[Interpretation, tuple], Subdist]:
@@ -264,7 +325,7 @@ def denoter(tt: TypedTerm) -> Callable[[Interpretation, tuple], Subdist]:
     interpretation at an input vector, unchecked."""
     inputs = [name for name, _ in tt.ctx]
     schedule = _plan(tt.term, inputs)
-    return lambda interp, v: _subdist(_evaluate(schedule, list(inputs), {tuple(v): ONE}, interp))
+    return lambda interp, v: _subdist(*_evaluate(schedule, list(inputs), v, interp))
 
 
 def interpret(tt: TypedTerm, interp: Interpretation, v: tuple = ()) -> Subdist:
@@ -320,27 +381,20 @@ def trace(program: TypedTerm, interp: Interpretation,
         raise CarrierMismatch("trace needs a closed program (empty context)")
     lines: list[TraceLine] = []
 
-    def record(node: Term, state: dict) -> dict:
+    def record(node: Term, state: dict, denom: int) -> tuple[dict, int]:
         lineno = len(lines) + 1
         if normalize:
             if not state:
                 raise ZeroMassState(lineno)
-            mass = sum(state.values(), ZERO)
-            state = {values: w / mass for values, w in state.items()}
+            denom = sum(state.values())
         text = texts[lineno - 1] if texts else render_statement(node)
-        line_state = _subdist(state)
+        line_state = _subdist(state, denom)
         lines.append(TraceLine(lineno, text, line_state, line_state.mass))
-        return state
+        return state, denom
 
     heads, ret = statements(program.term)
-    _evaluate(([(node, set()) for node in heads], ret), [], {(): ONE}, interp, record)
+    _evaluate(([(node, set()) for node in heads], ret), [], (), interp, record)
     return lines, EvalResult.of(lines[-1].state)
-
-
-def observe_predicate(state: Subdist, p: Pred, layout: list[str]) -> Subdist:
-    """Restrict a joint state to the monomials satisfying a predicate."""
-    n = len(layout)
-    return restrict(state, lambda j: pred_holds(p, dict(zip(layout, joint_values(j, n)))))
 
 
 # -- channels -------------------------------------------------------------------

@@ -3,7 +3,10 @@
 A subdistribution assigns a positive rational weight to finitely many
 outcomes, with total mass at most 1.  Missing mass records the failure
 probability of earlier observations.  All arithmetic is exact: weights
-are `fractions.Fraction` values and floats are rejected outright.
+are `fractions.Fraction` values and floats are rejected outright.  The
+evaluation engine in `semantics` keeps its states as integer numerators
+over one denominator instead, and turns them into `Fraction`s here, once,
+as they leave it.
 
 Outcomes are symbols (plain strings), integers (including `Dollar`,
 an integer that prints with a ``$`` prefix), flat tuples of outcomes,
@@ -137,6 +140,31 @@ class Subdist:
         self._entries = store
         self._mass = mass
         self._key = tuple(sorted(store.items(), key=lambda kv: outcome_key(kv[0])))
+
+    @classmethod
+    def _of_numerators(cls, entries: list[tuple[Outcome, int]], denom: int) -> "Subdist":
+        """Build from distinct outcomes with positive integer numerators
+        over one positive denominator, as the evaluation engine holds them.
+
+        The integers already rule out floats, signs, weights above 1 and
+        duplicates, so only the outcomes (through the sort key) and the
+        total mass are checked.
+        """
+        total = sum(n for _, n in entries)
+        if total > denom:
+            raise InvalidSubdistribution(f"total mass {Fraction(total, denom)} exceeds 1")
+        weights: dict[int, Fraction] = {}
+        store = {}
+        for x, n in entries:
+            w = weights.get(n)
+            if w is None:
+                w = weights[n] = Fraction(n, denom)
+            store[x] = w
+        self = cls.__new__(cls)
+        self._entries = store
+        self._mass = Fraction(total, denom)
+        self._key = tuple(sorted(store.items(), key=lambda kv: outcome_key(kv[0])))
+        return self
 
     @property
     def mass(self) -> Fraction:

@@ -413,3 +413,102 @@ def test_trace_of_twelve_hundred_statements(tmp_path, capsys):
     mass = sum(final.values())
     assert lines[-2:] == [f"Validity: {mass}",
                           f"Posterior: {ket(Subdist({x: w / mass for x, w in final.items()}))}"]
+
+
+def _coprime_program(n: int) -> tuple[str, dict]:
+    """A program of n statements whose kernels have pairwise coprime
+    denominators, and its final state in closed form.
+
+    x1 is uniform; then, in turn, a reading y of the current state from
+    k7_11, k11_13 or k13_7 is observed equal to it, and the state rotates.
+    Kernel kP_Q reads state number i (0, 1, 2) correctly with weight
+    (i+1)/P, so each observe multiplies the weight by that.  The reading
+    one step ahead has weight 1/Q: the row's common denominator is P*Q,
+    but every kept weight is over P alone.
+    """
+    states = ("a", "b", "c")
+    kernels = {"k7_11": (7, 11), "k11_13": (11, 13), "k13_7": (13, 7)}
+    lines = ["TYPE S = {a, b, c}",
+             "GEN rot : S -> S = a -> 1|b>; b -> 1|c>; c -> 1|a>"]
+    for name, (p, q) in kernels.items():
+        rows = "; ".join(
+            f"{s} -> {i + 1}/{p}|{s}> + 1/{q}|{states[(i + 1) % 3]}> + "
+            f"{1 - Q(i + 1, p) - Q(1, q)}|{states[(i + 2) % 3]}>"
+            for i, s in enumerate(states))
+        lines.append(f"GEN {name} : S -> S = {rows}")
+    lines.append("x1 <- UNIFORM {a, b, c}")
+    weight = {s: Q(1, 3) for s in states}
+    cur = {s: s for s in states}  # x1 -> current state
+    stmts, var = 1, "x1"
+    while stmts + 3 < n:
+        j = stmts // 3 + 1
+        name = list(kernels)[j % 3]
+        lines += [f"y{j} <- {name}({var})", f"OBSERVE(y{j} = {var})", f"x{j + 1} <- rot({var})"]
+        for s in states:
+            weight[s] *= Q(states.index(cur[s]) + 1, kernels[name][0])
+            cur[s] = states[(states.index(cur[s]) + 1) % 3]
+        stmts += 3
+        var = f"x{j + 1}"
+    lines.append(f"RETURN(x1, {var})")
+    assert stmts + 1 == n
+    return "\n".join(lines) + "\n", {(s, cur[s]): weight[s] for s in states}
+
+
+def test_coprime_denominators_over_five_hundred_statements(tmp_path, capsys, monkeypatch):
+    reductions = []
+    reduce = semantics._reduce
+
+    def counting_reduce(state, denom):
+        state, reduced = reduce(state, denom)
+        reductions.append(reduced < denom)
+        return state, reduced
+
+    monkeypatch.setattr(semantics, "_reduce", counting_reduce)
+    source, final = _coprime_program(500)
+    path = tmp_path / "coprime.arrow"
+    path.write_text(source)
+    prog = load_file(path)
+    assert len(source.splitlines()) == 5 + 500
+    expected = Subdist(final)
+    mass = sum(final.values())
+    assert mass.denominator.bit_length() > 500  # far past the reduction bound
+    posterior = Subdist({x: w / mass for x, w in final.items()})
+
+    assert interpret(prog.typed, prog.interp) == expected
+    assert reductions.count(True) >= 2
+    reductions.clear()
+    lines, result = trace(prog.typed, prog.interp, prog.texts)
+    assert lines[-1].state == expected and result.validity == mass
+    assert reductions.count(True) >= 2
+    reductions.clear()
+    code, out, _ = run_cli(capsys, "run", "--normalize-each-line", str(path))
+    assert reductions.count(True) >= 2
+    assert code == 0
+    assert out == f"Final: {ket(posterior)}\nValidity: 1\nPosterior: {ket(posterior)}\n"
+
+
+@pytest.mark.parametrize("literal", ["7" * 5000, "$" + "7" * 5000], ids=["int", "dollar"])
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, literal):
+    bad = tmp_path / "bad.arrow"
+    bad.write_text(f"TYPE A = {{{literal}}}\nx <- UNIFORM {{{literal}}}\nRETURN(x)\n")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert (code, out, err) == (1, "", "error: 1:11: integer literal of 5000 digits is too long\n")
+
+
+@pytest.mark.parametrize("ket_text", ["1" * 5000 + "/2|a>", "1/" + "1" * 5000 + "|a>"],
+                         ids=["numerator", "denominator"])
+def test_weight_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, ket_text):
+    bad = tmp_path / "bad.arrow"
+    bad.write_text(f"TYPE A = {{a}}\nx <- UNIFORM {{a}}\ny <- CASE x OF a -> {ket_text}\nRETURN(y)\n")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: 3:") and "internal" not in err
+    assert err.endswith(": integer literal of 5000 digits is too long\n")
+
+
+def test_deeply_nested_set_is_a_parse_error(tmp_path, capsys):
+    value = "{" * 1_200 + "a" + "}" * 1_200
+    bad = tmp_path / "bad.arrow"
+    bad.write_text(f"TYPE A = {{{value}}}\nx <- UNIFORM {{{value}}}\nRETURN(x)\n")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert (code, out, err) == (1, "", "error: 1:111: set values nested more than 100 deep\n")

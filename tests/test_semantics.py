@@ -28,11 +28,19 @@ from arrowlang.semantics import (
     Interpretation,
     denote_channel,
     interpret,
-    observe_predicate,
     semantics_of_comb,
     trace,
 )
-from arrowlang.subdist import FAILURE, Dollar, Subdist, dirac, expected_value, ket, uniform
+from arrowlang.subdist import (
+    FAILURE,
+    Dollar,
+    Subdist,
+    dirac,
+    expected_value,
+    ket,
+    kleisli_extend,
+    uniform,
+)
 from arrowlang.syntax import (
     Generator,
     Observe,
@@ -263,11 +271,31 @@ def test_stochastic_kernels_preserve_mass():
 # -- predicate observes ------------------------------------------------------------
 
 
+def _observe_pred(state, pred, layout, types):
+    """Restrict a joint state over ``layout`` by ``pred`` through the engine.
+
+    The one-statement term ``OBSERVE(pred); RETURN(layout)`` runs under
+    `interpret` at each outcome of ``state``, and under `trace` after a
+    nullary generator whose one kernel row is ``state``; both must agree.
+    """
+    init = Generator("init", (), types)
+    sig = Signature(frozenset(types), {"init": init})
+    flat = (lambda x: x) if len(layout) > 1 else (lambda x: (x,))
+    carriers = {t: tuple({flat(x)[i] for x in state.support()}) for i, t in enumerate(types)}
+    interp = Interpretation(carriers, {"init": {(): state}})
+    body = ObservePred(pred, Return(tuple(layout)))
+    tt = typecheck(sig, tuple(zip(layout, types)), body)
+    by_interpret = kleisli_extend(lambda x: interpret(tt, interp, flat(x)), state)
+    lines, _ = trace(typecheck(sig, (), Sample(init, (), tuple(layout), body)), interp)
+    assert lines[1].state == lines[2].state == by_interpret
+    return by_interpret
+
+
 def test_observe_predicate_monty_fall():
     from arrowlang.syntax import PLit, PNe, PVar
 
     state = uniform(("L", "M", "R"))
-    out = observe_predicate(state, PNe(PVar("car"), PLit("L", "Door")), ["car"])
+    out = _observe_pred(state, PNe(PVar("car"), PLit("L", "Door")), ["car"], ("Door",))
     assert out == Subdist({"M": Q(1, 3), "R": Q(1, 3)})
 
 
@@ -281,15 +309,15 @@ def test_observe_predicate_membership():
         ("T", "A", sAB): Q(1, 4),
         ("T", "B", sAB): Q(1, 4),
     })
-    out = observe_predicate(state, PIn(PLit("A", "Port"), PVar("ports")),
-                            ["coin", "guide", "ports"])
+    out = _observe_pred(state, PIn(PLit("A", "Port"), PVar("ports")),
+                        ["coin", "guide", "ports"], ("Coin", "Port", "Ports"))
     assert ("H", "B", sB) not in out
     assert out.mass == Q(3, 4)
 
 
 def test_observe_predicate_true_is_identity():
     state = uniform(("u", "v"))
-    assert observe_predicate(state, PTrue(), ["x"]) == state
+    assert _observe_pred(state, PTrue(), ["x"], ("X",)) == state
 
 
 # -- combinator semantics agreement ---------------------------------------------------

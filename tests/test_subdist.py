@@ -103,6 +103,19 @@ def test_float_weights_rejected():
         Subdist({"x": 0.5})
 
 
+def test_engine_exit_checks_mass_and_outcomes():
+    # the evaluation engine hands over integer numerators over one denominator
+    built = Subdist._of_numerators([("y", 2), ("x", 2), ("z", 3)], 21)
+    assert built == Subdist({"x": Q(2, 21), "y": Q(2, 21), "z": Q(1, 7)})
+    assert built.items() == Subdist({"x": Q(2, 21), "y": Q(2, 21), "z": Q(1, 7)}).items()
+    assert built.mass == Q(1, 3)
+    assert Subdist._of_numerators([("x", 5), ("y", 2)], 7).is_distribution()
+    with pytest.raises(InvalidSubdistribution, match="total mass 8/7 exceeds 1"):
+        Subdist._of_numerators([("x", 6), ("y", 2)], 7)
+    with pytest.raises(InvalidSubdistribution):
+        Subdist._of_numerators([(1.5, 1)], 2)
+
+
 def test_negative_weight_rejected():
     with pytest.raises(InvalidSubdistribution):
         Subdist({"x": Q(-1, 2)})

@@ -152,10 +152,19 @@ def _apply(text: str, edits: list) -> str:
     return text
 
 
+# Set values nested past the parser's depth bound, and integer literals
+# past the interpreter's int-conversion digit limit (4,300 by default).
+OVERSIZED = (st.builds(lambda k: "{" * k + "a" + "}" * k, st.integers(90, 1_200))
+             | st.builds(lambda k: "{" * k, st.integers(90, 1_200))
+             | st.builds(lambda d, k: d * k, st.sampled_from(("7", "$7", "1/7")),
+                         st.integers(4_000, 5_000)))
+
+
 @settings(derandomize=True, deadline=None)
 @given(st.sampled_from(TEXTS),
        st.lists(st.tuples(st.integers(0, 600),
-                          st.sampled_from(FRAGMENTS) | st.sampled_from(NUMERIC_NOT_DECIMAL)),
+                          st.sampled_from(FRAGMENTS) | st.sampled_from(NUMERIC_NOT_DECIMAL)
+                          | OVERSIZED),
                 max_size=6))
 def test_every_text_loads_or_raises_an_arrow_error(text, edits):
     try:
