@@ -20,18 +20,27 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ArrowError, NonNumericOutcome, ZeroMassState
+from .errors import ArrowError, NonNumericOutcome, WeightTooLong, ZeroMassState
 from .parser import Program, load_file
 from .proptest import gen_kernels
 from .semantics import EvalResult, Interpretation, denoter, interpret, trace
-from .subdist import FAILURE, Subdist, expected_value, ket, render_outcome
+from .subdist import (
+    FAILURE,
+    Subdist,
+    expected_value,
+    ket,
+    render_outcome,
+    render_weight,
+    weight_parts,
+)
 from .syntax import Generator
 
 NORMALIZE_PRAGMA = "# mode: normalize-each-line"
 
 
 def _fraction_json(q) -> dict:
-    return {"num": q.numerator, "den": q.denominator}
+    num, den = weight_parts(q)
+    return {"num": num, "den": den}
 
 
 def _subdist_json(s: Subdist) -> list:
@@ -45,7 +54,7 @@ def _subdist_json(s: Subdist) -> list:
 
 def _trace_text(lines, result) -> str:
     body = [f"({ln.line}) {ln.text} | {ket(ln.state)}" for ln in lines]
-    body.append(f"Validity: {result.validity}")
+    body.append(f"Validity: {render_weight(result.validity)}")
     if result.posterior is FAILURE:
         body.append("Failure")
     else:
@@ -91,17 +100,16 @@ def _emit_run(prog: Program, path: str, args, out) -> int:
         print(json.dumps(doc, sort_keys=True), file=out)
         return 2 if failed else 0
 
+    # rendered whole before writing: a weight too long to print leaves no partial output
     if args.trace_mode:
-        out.write(_trace_text(lines, result))
+        text = _trace_text(lines, result)
     else:
-        print(f"Final: {ket(result.final)}", file=out)
-        print(f"Validity: {result.validity}", file=out)
-        if failed:
-            print("Posterior: Failure", file=out)
-        else:
-            print(f"Posterior: {ket(result.posterior)}", file=out)
+        posterior = "Failure" if failed else ket(result.posterior)
+        text = (f"Final: {ket(result.final)}\nValidity: {render_weight(result.validity)}\n"
+                f"Posterior: {posterior}\n")
     if ev is not None:
-        print(f"Expected value: {ev}", file=out)
+        text += f"Expected value: {render_weight(ev)}\n"
+    out.write(text)
     return 2 if failed else 0
 
 
@@ -143,16 +151,27 @@ def _final(prog: Program, denote, kernels=None) -> Subdist:
     return denote(interp, ())
 
 
-def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, out):
+def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, out, err,
+                             kernels=None) -> int:
+    """Print how the programs differ, and the random kernels if given."""
     from .subdist import rescale
 
-    print(f"programs differ under {which}", file=out)
-    print(f"  left final:  {ket(fa)}", file=out)
-    print(f"  right final: {ket(fb)}", file=out)
-    for side, final in (("left", fa), ("right", fb)):
-        res = rescale(final)
-        text = "Failure" if res is FAILURE else ket(res[1])
-        print(f"  {side} posterior: {text}", file=out)
+    try:
+        lines = [f"programs differ under {which}",
+                 f"  left final:  {ket(fa)}", f"  right final: {ket(fb)}"]
+        for side, final in (("left", fa), ("right", fb)):
+            res = rescale(final)
+            text = "Failure" if res is FAILURE else ket(res[1])
+            lines.append(f"  {side} posterior: {text}")
+        for name, table in sorted((kernels or {}).items()):
+            for inputs, row in sorted(table.items(), key=str):
+                shown = ", ".join(render_outcome(v) for v in inputs)
+                lines.append(f"    {name}({shown}) = {ket(row)}")
+    except WeightTooLong as exc:
+        print(f"error: {exc}", file=err)
+        return 1
+    out.write("\n".join(lines) + "\n")
+    return 3
 
 
 def cmd_eq(args, out=None, err=None) -> int:
@@ -174,8 +193,7 @@ def cmd_eq(args, out=None, err=None) -> int:
     if have_declared:
         fa, fb = _final(a, denote_a), _final(b, denote_b)
         if fa != fb:
-            _describe_counterexample("the declared interpretation", fa, fb, out)
-            return 3
+            return _describe_counterexample("the declared interpretation", fa, fb, out, err)
 
     rng = random.Random(args.seed)
     union_gens: dict[str, Generator] = dict(a.typed.sig.generators)
@@ -186,13 +204,8 @@ def cmd_eq(args, out=None, err=None) -> int:
         kernels = gen_kernels(union_gens.values(), carriers, rng)
         fa, fb = _final(a, denote_a, kernels), _final(b, denote_b, kernels)
         if fa != fb:
-            _describe_counterexample(f"random interpretation (seed {args.seed}, trial {trial})",
-                                     fa, fb, out)
-            for name, table in sorted(kernels.items()):
-                for inputs, row in sorted(table.items(), key=str):
-                    shown = ", ".join(render_outcome(v) for v in inputs)
-                    print(f"    {name}({shown}) = {ket(row)}", file=out)
-            return 3
+            return _describe_counterexample(
+                f"random interpretation (seed {args.seed}, trial {trial})", fa, fb, out, err, kernels)
     checked = "declared interpretation and " if have_declared else ""
     print(f"programs agree under the {checked}{args.trials} random interpretations", file=out)
     return 0

@@ -1,20 +1,20 @@
 """Variable-free term encoding driven by finite functions.
 
 Finite functions are lists of 1-based integers with an explicit
-codomain; they reindex contexts.  Terms in this form are return,
-observe, or generator statements whose variable references are finite
-functions into the ambient context, making composition, whiskering,
-and tensoring purely mechanical.
+codomain; they reindex contexts.  A term in this form is a tuple of
+observe and generator statements followed by a return, and every
+variable reference is a finite function into the context its statement
+sees, making composition, whiskering, and tensoring purely mechanical.
 
 Composition note: ``ff_compose(alpha, beta)`` selects through beta
 first (``result[i] = alpha[beta[i]]``), matching the defining list
 formula.  The method ``FiniteFunction.then`` is the same operation in
 diagrammatic order, which is how the rewriting equations below read.
 
-Along a chain, every statement's context is a prefix of the context of
-the chain's final return.  Observe and generator nodes keep that return
-(``ret``) and their own context length (``arity``), so building a node
-indexes one shared context, and ``encode``/``decode`` are linear loops.
+Every statement's context is a prefix of the return's context, so a
+term stores that one context and each statement's context is the part
+bound before it.  Every pass over a term is one loop over its
+statements.
 """
 
 from __future__ import annotations
@@ -119,98 +119,94 @@ TypeList = tuple[TypeName, ...]
 
 
 @dataclass(frozen=True)
-class CRet:
-    """Return statement: outputs reindex the context through ``sel``."""
-
-    sel: FiniteFunction
-    ctx: TypeList
-    out_types: TypeList = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.sel.cod != len(self.ctx):
-            raise ArityMismatch(f"selector codomain {self.sel.cod} != context length {len(self.ctx)}")
-        object.__setattr__(self, "out_types", tuple(self.ctx[t - 1] for t in self.sel.targets))
-
-    @property
-    def ret(self) -> CRet:
-        return self
-
-    @property
-    def arity(self) -> int:
-        return len(self.ctx)
-
-    @property
-    def in_types(self) -> TypeList:
-        return self.ctx
-
-
-@dataclass(frozen=True)
-class _Chained:
-    """A statement before the chain's return: its context is the prefix of
-    length ``arity`` of the return's context, kept in ``ret`` once."""
-
-    ret: CRet = field(init=False, compare=False, repr=False)
-    arity: int = field(init=False, compare=False, repr=False)
-
-    @property
-    def ctx(self) -> TypeList:
-        return self.ret.ctx[: self.arity]
-
-    in_types = ctx
-
-    @property
-    def out_types(self) -> TypeList:
-        return self.ret.out_types
-
-
-@dataclass(frozen=True)
-class CObs(_Chained):
+class CObs:
     """Observe statement comparing two context positions."""
 
     pair: FiniteFunction
-    cont: "CombTerm"
-
-    def __post_init__(self):
-        if self.pair.dom != 2:
-            raise ArityMismatch("observe needs a selector with domain 2")
-        ret, n = self.cont.ret, self.cont.arity
-        if self.pair.cod != n:
-            raise ArityMismatch("observe selector does not match the context")
-        if ret.ctx[self.pair(1) - 1] != ret.ctx[self.pair(2) - 1]:
-            raise TypeMismatch("observe compares positions of different types")
-        object.__setattr__(self, "ret", ret)
-        object.__setattr__(self, "arity", n)
 
 
 @dataclass(frozen=True)
-class CGen(_Chained):
-    """Generator statement; the continuation sees the outputs appended."""
+class CGen:
+    """Generator statement; later statements see its outputs appended."""
 
     gen: Generator
     sel: FiniteFunction
-    cont: "CombTerm"
+
+
+@dataclass(frozen=True)
+class CombTerm:
+    """Statements ``heads``, then a return reindexing ``ctx`` through ``sel``.
+
+    ``ctx`` is the return's context: the input context (its first
+    ``arity`` positions) followed by each generator's outputs in order.
+    A statement's context is the prefix of ``ctx`` bound before it.
+    """
+
+    heads: tuple[Union[CObs, CGen], ...]
+    sel: FiniteFunction
+    ctx: TypeList
+    arity: int = field(init=False, compare=False, repr=False)
+    in_types: TypeList = field(init=False, compare=False, repr=False)
+    out_types: TypeList = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ret, inner = self.cont.ret, self.cont.arity
-        n = inner - len(self.gen.outputs)
-        if n < 0 or ret.ctx[n:inner] != self.gen.outputs:
-            raise TypeMismatch(f"continuation context does not end with {self.gen.name}'s outputs")
-        if self.sel.cod != n:
-            raise ArityMismatch("argument selector does not match the context")
-        if self.sel.dom != len(self.gen.inputs):
-            raise ArityMismatch(f"{self.gen.name} expects {len(self.gen.inputs)} arguments")
-        picked = tuple(ret.ctx[t - 1] for t in self.sel.targets)
-        if picked != self.gen.inputs:
-            raise TypeMismatch(f"arguments {picked} do not match {self.gen.inputs}")
-        object.__setattr__(self, "ret", ret)
+        ctx = self.ctx
+        if self.sel.cod != len(ctx):
+            raise ArityMismatch(f"selector codomain {self.sel.cod} != context length {len(ctx)}")
+        n = len(ctx) - sum(len(h.gen.outputs) for h in self.heads if type(h) is CGen)
+        if n < 0:
+            raise TypeMismatch("context is shorter than the generators' outputs")
         object.__setattr__(self, "arity", n)
+        object.__setattr__(self, "in_types", ctx[:n])
+        object.__setattr__(self, "out_types", tuple(ctx[t - 1] for t in self.sel.targets))
+        for h in self.heads:
+            if type(h) is CObs:
+                if h.pair.dom != 2:
+                    raise ArityMismatch("observe needs a selector with domain 2")
+                if h.pair.cod != n:
+                    raise ArityMismatch("observe selector does not match the context")
+                if ctx[h.pair(1) - 1] != ctx[h.pair(2) - 1]:
+                    raise TypeMismatch("observe compares positions of different types")
+            elif type(h) is CGen:
+                gen = h.gen
+                if h.sel.cod != n:
+                    raise ArityMismatch("argument selector does not match the context")
+                if h.sel.dom != len(gen.inputs):
+                    raise ArityMismatch(f"{gen.name} expects {len(gen.inputs)} arguments")
+                picked = tuple(ctx[t - 1] for t in h.sel.targets)
+                if picked != gen.inputs:
+                    raise TypeMismatch(f"arguments {picked} do not match {gen.inputs}")
+                if ctx[n:n + len(gen.outputs)] != gen.outputs:
+                    raise TypeMismatch(f"context does not continue with {gen.name}'s outputs")
+                n += len(gen.outputs)
+            else:
+                raise TypeMismatch(f"not a statement: {h!r}")
 
 
-CombTerm = Union[CRet, CObs, CGen]
+def comb_identity(x: TypeList) -> CombTerm:
+    return CombTerm((), ff_identity(len(x)), x)
 
 
-def comb_identity(x: TypeList) -> CRet:
-    return CRet(ff_identity(len(x)), x)
+def _through(pos: tuple[int, ...], f: FiniteFunction) -> tuple[int, ...]:
+    return tuple([pos[t] for t in f.targets])
+
+
+def _reindexed(t: CombTerm, pos: tuple[int, ...], ctx: TypeList, ret: tuple[int, ...]) -> CombTerm:
+    """``t`` over the context ``ctx``, returning the positions ``ret``.
+
+    Position p of ``t.ctx`` becomes ``pos[p]`` (``pos[0]`` is unused) in
+    every statement.  Every statement's context grows by as much as the
+    whole context does.
+    """
+    n = t.arity + len(ctx) - len(t.ctx)
+    heads = []
+    for h in t.heads:
+        if type(h) is CObs:
+            heads.append(CObs(FiniteFunction(_through(pos, h.pair), n)))
+        else:
+            heads.append(CGen(h.gen, FiniteFunction(_through(pos, h.sel), n)))
+            n += len(h.gen.outputs)
+    return CombTerm(tuple(heads), FiniteFunction(ret, len(ctx)), ctx)
 
 
 # -- the module action -----------------------------------------------------------
@@ -228,11 +224,10 @@ def act(phi: FiniteFunction, t: CombTerm, ctx: TypeList | None = None) -> CombTe
         raise ArityMismatch(f"action domain {phi.dom} != context length {len(old)}")
     if ctx is None:
         slots: list[TypeName | None] = [None] * phi.cod
-        for i, tname in enumerate(old, start=1):
-            j = phi(i) - 1
-            if slots[j] is not None and slots[j] != tname:
-                raise TypeMismatch(f"position {j + 1} would need both {slots[j]} and {tname}")
-            slots[j] = tname
+        for j, tname in zip(phi.targets, old):
+            if slots[j - 1] is not None and slots[j - 1] != tname:
+                raise TypeMismatch(f"position {j} would need both {slots[j - 1]} and {tname}")
+            slots[j - 1] = tname
         if any(s is None for s in slots):
             raise TypeMismatch("target context not inferable; pass it explicitly")
         ctx = tuple(slots)  # type: ignore[arg-type]
@@ -240,17 +235,12 @@ def act(phi: FiniteFunction, t: CombTerm, ctx: TypeList | None = None) -> CombTe
         ctx = tuple(ctx)
         if len(ctx) != phi.cod:
             raise ArityMismatch(f"target context length {len(ctx)} != codomain {phi.cod}")
-        for i, tname in enumerate(old, start=1):
-            if ctx[phi(i) - 1] != tname:
-                raise TypeMismatch(f"position {phi(i)} is {ctx[phi(i) - 1]}, expected {tname}")
-
-    if isinstance(t, CRet):
-        return CRet(t.sel.then(phi), ctx)
-    if isinstance(t, CObs):
-        return CObs(t.pair.then(phi), act(phi, t.cont, ctx))
-    m = len(t.gen.outputs)
-    extended = ff_whisker_right(phi, m)
-    return CGen(t.gen, t.sel.then(phi), act(extended, t.cont, ctx + t.gen.outputs))
+        for j, tname in zip(phi.targets, old):
+            if ctx[j - 1] != tname:
+                raise TypeMismatch(f"position {j} is {ctx[j - 1]}, expected {tname}")
+    # generator outputs follow the new context in their order
+    pos = (0, *phi.targets, *range(phi.cod + 1, phi.cod + len(t.ctx) - len(old) + 1))
+    return _reindexed(t, pos, ctx + t.ctx[len(old):], _through(pos, t.sel))
 
 
 # -- composition, whiskering, tensoring ----------------------------------------------
@@ -260,11 +250,8 @@ def comb_compose(s: CombTerm, t: CombTerm) -> CombTerm:
     """Sequential composition; the output list of s must equal t's context."""
     if s.out_types != t.in_types:
         raise TypeMismatch(f"cannot compose {s.out_types} into {t.in_types}")
-    if isinstance(s, CRet):
-        return act(s.sel, t, s.ctx)
-    if isinstance(s, CObs):
-        return CObs(s.pair, comb_compose(s.cont, t))
-    return CGen(s.gen, s.sel, comb_compose(s.cont, t))
+    tail = act(s.sel, t, s.ctx)
+    return CombTerm(s.heads + tail.heads, tail.sel, tail.ctx)
 
 
 def comb_whisker_left(z: TypeList, t: CombTerm) -> CombTerm:
@@ -273,12 +260,8 @@ def comb_whisker_left(z: TypeList, t: CombTerm) -> CombTerm:
     k = len(z)
     if k == 0:
         return t
-    if isinstance(t, CRet):
-        return CRet(ff_whisker_left(k, t.sel), z + t.ctx)
-    shift = ff_incl_right(t.arity, k)
-    if isinstance(t, CObs):
-        return CObs(t.pair.then(shift), comb_whisker_left(z, t.cont))
-    return CGen(t.gen, t.sel.then(shift), comb_whisker_left(z, t.cont))
+    pos = (0, *range(k + 1, k + len(t.ctx) + 1))
+    return _reindexed(t, pos, z + t.ctx, (*range(1, k + 1), *_through(pos, t.sel)))
 
 
 def comb_whisker_right(t: CombTerm, z: TypeList) -> CombTerm:
@@ -287,18 +270,11 @@ def comb_whisker_right(t: CombTerm, z: TypeList) -> CombTerm:
     k = len(z)
     if k == 0:
         return t
-    if isinstance(t, CRet):
-        return CRet(ff_whisker_right(t.sel, k), t.ctx + z)
+    # the padding goes between the input context and the generator outputs
     n = t.arity
-    widen = ff_incl_left(n, k)
-    if isinstance(t, CObs):
-        return CObs(t.pair.then(widen), comb_whisker_right(t.cont, z))
-    # generator outputs land after the padding; reposition them in front
-    # of it for the padded continuation
-    m = len(t.gen.outputs)
-    reorder = ff_whisker_left(n, ff_symmetry(k, m))
-    inner = act(reorder, comb_whisker_right(t.cont, z), t.ctx + z + t.gen.outputs)
-    return CGen(t.gen, t.sel.then(widen), inner)
+    pos = (0, *range(1, n + 1), *range(n + k + 1, k + len(t.ctx) + 1))
+    ret = (*_through(pos, t.sel), *range(n + 1, n + k + 1))
+    return _reindexed(t, pos, t.in_types + z + t.ctx[n:], ret)
 
 
 def comb_tensor(t1: CombTerm, t2: CombTerm) -> CombTerm:
@@ -318,11 +294,10 @@ def structure_maps(x: TypeList) -> tuple[CombTerm, CombTerm, CombTerm]:
     """
     x = tuple(x)
     k = len(x)
-    copy = CRet(ff(list(range(1, k + 1)) * 2, k), x)
-    discard = CRet(ff([], k), x)
-    compare: CombTerm = CRet(ff(range(1, k + 1), 2 * k), x + x)
-    for i in range(k, 0, -1):
-        compare = CObs(ff([i, k + i], 2 * k), compare)
+    copy = CombTerm((), ff(list(range(1, k + 1)) * 2, k), x)
+    discard = CombTerm((), ff([], k), x)
+    compares = tuple(CObs(ff([i, k + i], 2 * k)) for i in range(1, k + 1))
+    compare = CombTerm(compares, ff(range(1, k + 1), 2 * k), x + x)
     return copy, discard, compare
 
 
@@ -332,8 +307,8 @@ def structure_maps(x: TypeList) -> tuple[CombTerm, CombTerm, CombTerm]:
 def encode(tt: TypedTerm) -> CombTerm:
     """Mechanical translation of a typed term into combinator form.
 
-    One forward pass finds each statement's selector (a variable's position
-    is that of its latest binding), one backward pass builds the nodes.
+    One pass finds each statement's selector: a variable's position is
+    that of its latest binding.
     """
     types = [tname for _, tname in tt.ctx]
     pos = {name: i for i, (name, _) in enumerate(tt.ctx, start=1)}
@@ -344,53 +319,42 @@ def encode(tt: TypedTerm) -> CombTerm:
         except KeyError:
             raise TypeMismatch(f"variable {v} not in context") from None
 
-    heads = []  # (generator or None for an observe, selector)
+    heads = []
     node = tt.term
     while not isinstance(node, Return):
         if isinstance(node, Observe):
-            heads.append((None, ff([at(node.left), at(node.right)], len(types))))
+            heads.append(CObs(ff([at(node.left), at(node.right)], len(types))))
         elif isinstance(node, ObservePred):
             raise NonCoreTerm("predicate observes have no combinator form")
         elif isinstance(node, Sample):
-            heads.append((node.gen, ff([at(v) for v in node.args], len(types))))
+            heads.append(CGen(node.gen, ff([at(v) for v in node.args], len(types))))
             for v, tname in zip(node.outs, node.gen.outputs):
                 types.append(tname)
                 pos[v] = len(types)
         else:
             raise TypeMismatch(f"not a term node: {node!r}")
         node = node.cont
-    c: CombTerm = CRet(ff([at(v) for v in node.vars], len(types)), tuple(types))
-    for gen, sel in reversed(heads):
-        c = CObs(sel, c) if gen is None else CGen(gen, sel, c)
-    return c
+    return CombTerm(tuple(heads), ff([at(v) for v in node.vars], len(types)), tuple(types))
 
 
 def decode(c: CombTerm, sig: Signature | None = None) -> TypedTerm:
-    """Rebuild a variable-based term; positions become v1, v2, ...
+    """Rebuild a variable-based term; position p becomes variable vp.
 
     A signature is synthesised from the generators in the term when none
     is supplied.
     """
-    names = [f"v{i}" for i in range(1, c.arity + 1)]
-    heads = []  # (statement class, fields before the continuation)
-    gens: dict[str, Generator] = {}
-    types: set[TypeName] = set()
-    node = c
-    while not isinstance(node, CRet):
-        if isinstance(node, CObs):
-            heads.append((Observe, (names[node.pair(1) - 1], names[node.pair(2) - 1])))
+    names = [f"v{i}" for i in range(1, len(c.ctx) + 1)]
+    term: Term = Return(tuple(names[t - 1] for t in c.sel.targets))
+    n = len(c.ctx)  # the context length after the statement at hand
+    for h in reversed(c.heads):
+        if type(h) is CObs:
+            term = Observe(names[h.pair(1) - 1], names[h.pair(2) - 1], term)
         else:
-            args = tuple(names[t - 1] for t in node.sel.targets)
-            outs = tuple(f"v{len(names) + i}" for i in range(1, len(node.gen.outputs) + 1))
-            names.extend(outs)
-            heads.append((Sample, (node.gen, args, outs)))
-            if sig is None:
-                gens[node.gen.name] = node.gen
-                types.update(node.gen.inputs, node.gen.outputs)
-        node = node.cont
-    term: Term = Return(tuple(names[t - 1] for t in node.sel.targets))
-    for make, fields in reversed(heads):
-        term = make(*fields, term)
+            m = n - len(h.gen.outputs)
+            term = Sample(h.gen, tuple(names[t - 1] for t in h.sel.targets), tuple(names[m:n]), term)
+            n = m
     if sig is None:
-        sig = Signature(frozenset(types | set(node.ctx)), gens)
-    return TypedTerm(sig, tuple(zip(names, c.in_types)), term, node.out_types)
+        samples = [h.gen for h in c.heads if type(h) is CGen]
+        types = set().union(*(g.inputs + g.outputs for g in samples)) | set(c.ctx)
+        sig = Signature(frozenset(types), {g.name: g for g in samples})
+    return TypedTerm(sig, tuple(zip(names, c.in_types)), term, c.out_types)

@@ -27,6 +27,10 @@ class NonNumericOutcome(ArrowError):
     """Expected value requested over non-integer outcomes."""
 
 
+class WeightTooLong(ArrowError):
+    """An exact weight has more digits than Python converts to text."""
+
+
 # -- terms and typing ---------------------------------------------------
 
 class UnboundVariable(ArrowError):

@@ -35,6 +35,7 @@ from .syntax import (
     Signature,
     Term,
     TypedTerm,
+    from_statements,
     statements,
     typecheck,
 )
@@ -99,7 +100,7 @@ def _gen_statements(sig: Signature, rng: random.Random, budget: GenBudget,
             candidates = [vs for vs in by_type.values() if vs]
             vs = rng.choice(candidates)
             left, right = rng.choice(vs), rng.choice(vs)
-            heads.append(Observe(left, right, None))  # cont patched later
+            heads.append(Observe(left, right, None))  # cont set by from_statements
             continue
         usable = [
             g for g in sig.generators.values()
@@ -122,16 +123,6 @@ def _gen_statements(sig: Signature, rng: random.Random, budget: GenBudget,
     return heads, ret
 
 
-def _assemble(heads: list[Term], ret: Return) -> Term:
-    term: Term = ret
-    for h in reversed(heads):
-        if isinstance(h, Observe):
-            term = Observe(h.left, h.right, term)
-        else:
-            term = Sample(h.gen, h.args, h.outs, term)
-    return term
-
-
 def gen_term(budget: GenBudget, rng: random.Random | None = None
              ) -> tuple[Signature, Context, Term]:
     """Random well-typed open term; the context may be empty."""
@@ -143,7 +134,7 @@ def gen_term(budget: GenBudget, rng: random.Random | None = None
     )
     scope = dict(ctx)
     heads, ret = _gen_statements(sig, rng, budget, scope)
-    term = _assemble(heads, ret)
+    term = from_statements(heads, ret)
     typecheck(sig, ctx, term)
     return sig, ctx, term
 
@@ -154,7 +145,7 @@ def gen_closed_program(budget: GenBudget, rng: random.Random | None = None) -> T
     sig = gen_signature(budget, rng)
     scope: dict[str, str] = {}
     heads, ret = _gen_statements(sig, rng, budget, scope)
-    term = _assemble(heads, ret)
+    term = from_statements(heads, ret)
     return typecheck(sig, (), term)
 
 
@@ -164,7 +155,7 @@ def gen_term_for_ctx(budget: GenBudget, rng: random.Random, sig: Signature,
     ctx = tuple((f"x{i}", t) for i, t in enumerate(ctx_types, 1))
     scope = dict(ctx)
     heads, ret = _gen_statements(sig, rng, budget, scope)
-    term = _assemble(heads, ret)
+    term = from_statements(heads, ret)
     return typecheck(sig, ctx, term)
 
 

@@ -15,6 +15,7 @@ or frozensets of outcomes.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -24,6 +25,7 @@ from .errors import (
     InvalidSubdistribution,
     NonNumericOutcome,
     PredicateTypeError,
+    WeightTooLong,
 )
 
 Outcome = Union[str, int, tuple, frozenset]
@@ -100,8 +102,32 @@ def render_outcome(x: Outcome) -> str:
     raise InvalidSubdistribution(f"not an outcome: {x!r}")
 
 
+_max_str_digits = getattr(sys, "get_int_max_str_digits", int)  # no limit before 3.10.7
+# the limit is 0 (none) or at least this many digits, so a number below
+# _SHORT needs no further check
+_SHORT = 10 ** getattr(sys.int_info, "str_digits_check_threshold", 0)
+
+
+def weight_parts(w: Fraction) -> tuple[int, int]:
+    """Numerator and denominator of a weight that is about to be printed.
+
+    Python turns an integer of more than ``sys.get_int_max_str_digits()``
+    digits into text only with a ValueError; every path that prints a
+    weight comes through here and gets a WeightTooLong instead.
+    """
+    num, den = w.numerator, w.denominator
+    if not (-_SHORT < num < _SHORT and den < _SHORT):
+        limit = _max_str_digits()
+        if limit and (abs(num) >= 10**limit or den >= 10**limit):
+            raise WeightTooLong(f"an exact weight has more than {limit} digits, "
+                                "more than Python converts to text")
+    return num, den
+
+
 def render_weight(w: Fraction) -> str:
-    return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
+    """``p/q``, or ``p`` when q is 1."""
+    num, den = weight_parts(w)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _flat(x: Outcome) -> tuple:

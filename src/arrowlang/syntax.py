@@ -369,16 +369,16 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
             return PAnd(sub_pred(p.left), sub_pred(p.right))
         return p
 
-    def walk(node: Term) -> Term:
-        if isinstance(node, Return):
-            return Return(tuple(sub(v) for v in node.vars))
+    heads, ret = statements(t)
+    moved: list[Term] = []
+    for node in heads:
         if isinstance(node, Observe):
-            return Observe(sub(node.left), sub(node.right), walk(node.cont))
-        if isinstance(node, ObservePred):
-            return ObservePred(sub_pred(node.pred), walk(node.cont))
-        return Sample(node.gen, tuple(sub(v) for v in node.args), node.outs, walk(node.cont))
-
-    return walk(t)
+            moved.append(Observe(sub(node.left), sub(node.right), None))
+        elif isinstance(node, ObservePred):
+            moved.append(ObservePred(sub_pred(node.pred), None))
+        else:
+            moved.append(Sample(node.gen, tuple(sub(v) for v in node.args), node.outs, None))
+    return from_statements(moved, Return(tuple(sub(v) for v in ret.vars)))
 
 
 # -- axiom rewrites ------------------------------------------------------------------

@@ -506,6 +506,48 @@ def test_weight_past_the_digit_limit_is_a_parse_error(tmp_path, capsys, ket_text
     assert err.endswith(": integer literal of 5000 digits is too long\n")
 
 
+def _long_weight_program(printed: str) -> str:
+    """A program whose first weight past 4,300 digits is where ``printed`` says."""
+    if printed == "ket":
+        # every observe keeps (10^90 - 1)/10^90 of the mass: 59 of them
+        # leave weights of 5,310 digits
+        big = 10**90
+        lines = ["TYPE B = {0, 1}", f"GEN tick : () -> B = () -> 1/{big}|0> + {big - 1}/{big}|1>"]
+        for i in range(1, 60):
+            lines += [f"x{i} <- tick()", f"OBSERVE(x{i} = 1)"]
+        return "\n".join(lines + ["RETURN(x1)"]) + "\n"
+    if printed == "validity":
+        # two weights of 2,201-digit coprime denominators: the mass has 4,401
+        p, q = 10**2200 + 1, 10**2200 + 3
+        return f"TYPE B = {{0, 1}}\nGEN g : () -> B = () -> 1/{p}|0> + 1/{q}|1>\nx <- g()\nRETURN(x)\n"
+    # 4,001- and 601-digit factors with no common divisor: 4,601 digits
+    top, big = 10**4000 + 1, 10**600
+    return (f"TYPE N = {{0, {top}}}\nGEN g : () -> N = () -> 1/{big}|0> + {big - 1}/{big}|{top}>\n"
+            "x <- g()\nRETURN(x)\n")
+
+
+@pytest.mark.parametrize("printed, argv", [
+    ("ket", ["run"]), ("ket", ["trace"]), ("ket", ["run", "--format", "structured"]),
+    ("validity", ["run"]), ("validity", ["run", "--format", "structured"]),
+    ("expected value", ["run", "--expected-value"]),
+], ids=["run", "trace", "structured", "validity", "structured-validity", "expected-value"])
+def test_weight_past_the_digit_limit_is_an_error_line(tmp_path, capsys, printed, argv):
+    path = tmp_path / "long_weights.arrow"
+    path.write_text(_long_weight_program(printed))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: an exact weight has more than 4300 digits, more than Python converts to text\n"
+
+
+def test_eq_counterexample_past_the_digit_limit_is_an_error_line(tmp_path, capsys):
+    left, right = tmp_path / "left.arrow", tmp_path / "right.arrow"
+    left.write_text(_long_weight_program("ket"))
+    right.write_text(_long_weight_program("ket").replace("OBSERVE(x59 = 1)\n", ""))
+    code, out, err = run_cli(capsys, "eq", str(left), str(right))
+    assert (code, out) == (1, "")
+    assert err == "error: an exact weight has more than 4300 digits, more than Python converts to text\n"
+
+
 def test_deeply_nested_set_is_a_parse_error(tmp_path, capsys):
     value = "{" * 1_200 + "a" + "}" * 1_200
     bad = tmp_path / "bad.arrow"

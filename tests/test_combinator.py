@@ -1,13 +1,15 @@
 """Finite functions, the module action, composition, whiskering, tensoring."""
 
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from arrowlang.combinator import (
+    CGen,
     CObs,
-    CRet,
+    CombTerm,
     act,
     comb_compose,
     comb_identity,
@@ -16,6 +18,7 @@ from arrowlang.combinator import (
     comb_whisker_right,
     decode,
     encode,
+    FiniteFunction,
     ff,
     ff_collapse,
     ff_compose,
@@ -27,6 +30,7 @@ from arrowlang.combinator import (
     ff_whisker_right,
 )
 from arrowlang.errors import ArityMismatch, NonCoreTerm, TypeMismatch
+from arrowlang.parser import load_text
 from arrowlang.proptest import (
     GenBudget,
     gen_ff,
@@ -44,6 +48,7 @@ from arrowlang.syntax import (
     alpha_eq,
     typecheck,
 )
+from test_cli import _straight_line
 
 BUDGET = GenBudget(max_statements=4)
 
@@ -183,8 +188,8 @@ def test_compose_ret_is_action():
     rng = random.Random(6)
     for _ in range(25):
         s, t, _ = comb_pair(rng)
-        if isinstance(s, CRet):
-            assert comb_compose(s, t) == act(s.sel, t, s.ctx)
+        ret = CombTerm((), s.sel, s.ctx)
+        assert comb_compose(ret, t) == act(ret.sel, t, ret.ctx)
 
 
 def test_compose_unital():
@@ -242,8 +247,8 @@ def test_whisker_by_empty_list_is_identity():
 
 
 def test_whisker_left_of_ret():
-    t = CRet(ff([2, 1], 2), ("A", "B"))
-    assert comb_whisker_left(("C",), t) == CRet(ff([1, 3, 2], 3), ("C", "A", "B"))
+    t = CombTerm((), ff([2, 1], 2), ("A", "B"))
+    assert comb_whisker_left(("C",), t) == CombTerm((), ff([1, 3, 2], 3), ("C", "A", "B"))
 
 
 def test_whisker_left_functorial():
@@ -279,9 +284,9 @@ def test_tensor_unit():
 def test_tensor_of_returns_is_block_return():
     alpha = ff([2, 1], 2)
     beta = ff([1, 1], 1)
-    t1 = CRet(alpha, ("A", "B"))
-    t2 = CRet(beta, ("C",))
-    expected = CRet(ff([2, 1, 3, 3], 3), ("A", "B", "C"))
+    t1 = CombTerm((), alpha, ("A", "B"))
+    t2 = CombTerm((), beta, ("C",))
+    expected = CombTerm((), ff([2, 1, 3, 3], 3), ("A", "B", "C"))
     assert comb_tensor(t1, t2) == expected
 
 
@@ -324,7 +329,7 @@ def test_tensor_preserves_semantics():
 
 def test_encode_identity_projection():
     tt = typecheck(Signature(frozenset({"X"})), (("x1", "X"),), Return(("x1",)))
-    assert encode(tt) == CRet(ff([1], 1), ("X",))
+    assert encode(tt) == CombTerm((), ff([1], 1), ("X",))
 
 
 def test_decode_compare_map():
@@ -368,9 +373,9 @@ def test_structure_maps_atomic_forms():
     from arrowlang.combinator import structure_maps
 
     copy, discard, compare = structure_maps(("X",))
-    assert copy == CRet(ff([1, 1], 1), ("X",))
-    assert discard == CRet(ff([], 1), ("X",))
-    assert compare == CObs(ff([1, 2], 2), CRet(ff([1], 2), ("X", "X")))
+    assert copy == CombTerm((), ff([1, 1], 1), ("X",))
+    assert discard == CombTerm((), ff([], 1), ("X",))
+    assert compare == CombTerm((CObs(ff([1, 2], 2)),), ff([1], 2), ("X", "X"))
 
 
 def test_structure_maps_empty_list():
@@ -411,15 +416,15 @@ def test_structure_maps_extend_by_uniformity():
     copy_y, discard_y, compare_y = structure_maps(("Y",))
     copy_xy, discard_xy, compare_xy = structure_maps(("X", "Y"))
     # copy_{X,Y} = (copy_X tensor copy_Y) ; (id x swap x id)
-    swap_mid = CRet(
-        ff([1, 3, 2, 4], 4), ("X", "X", "Y", "Y")
+    swap_mid = CombTerm(
+        (), ff([1, 3, 2, 4], 4), ("X", "X", "Y", "Y")
     )
     built_copy = comb_compose(comb_tensor(copy_x, copy_y), swap_mid)
     assert _chan(built_copy) == _chan(copy_xy)
     # discard_{X,Y} = discard_X tensor discard_Y
     assert _chan(comb_tensor(discard_x, discard_y)) == _chan(discard_xy)
     # compare_{X,Y} = (id x swap x id) ; (compare_X tensor compare_Y)
-    swap_in = CRet(ff([1, 3, 2, 4], 4), ("X", "Y", "X", "Y"))
+    swap_in = CombTerm((), ff([1, 3, 2, 4], 4), ("X", "Y", "X", "Y"))
     built_compare = comb_compose(swap_in, comb_tensor(compare_x, compare_y))
     assert _chan(built_compare) == _chan(compare_xy)
 
@@ -431,33 +436,40 @@ def test_frobenius_composite_of_copy_and_compare():
     composite = comb_compose(comb_whisker_left(("X",), copy),
                              comb_whisker_right(compare, ("X",)))
     # definitional steps land on obs([1,2]); ret([1,2]) ...
-    penultimate = CObs(ff([1, 2], 2), CRet(ff([1, 2], 2), ("X", "X")))
+    penultimate = CombTerm((CObs(ff([1, 2], 2)),), ff([1, 2], 2), ("X", "X"))
     assert composite == penultimate
-    # ... and one rewrite along the collapse map reaches ret([1,1]),
-    # with the same semantics
-    collapsed = CObs(ff([1, 2], 2),
-                     act(ff_collapse(ff([1, 2], 2)), penultimate.cont, ("X", "X")))
-    assert collapsed == CObs(ff([1, 2], 2), CRet(ff([1, 1], 2), ("X", "X")))
+    # ... and one rewrite of the return along the collapse map reaches
+    # ret([1,1]), with the same semantics
+    ret = CombTerm((), penultimate.sel, penultimate.ctx)
+    moved = act(ff_collapse(ff([1, 2], 2)), ret, ("X", "X"))
+    collapsed = CombTerm(penultimate.heads + moved.heads, moved.sel, moved.ctx)
+    assert collapsed == CombTerm((CObs(ff([1, 2], 2)),), ff([1, 1], 2), ("X", "X"))
     assert _chan(composite) == _chan(collapsed)
 
 
-# -- the types each node stores ------------------------------------------------------
+# -- the types each term stores ------------------------------------------------------
 
 
-def _reference_in_types(node):
-    """A node's context by the recursive definition, from its continuation."""
-    if isinstance(node, CRet):
-        return node.ctx
-    inner = _reference_in_types(node.cont)
-    if isinstance(node, CObs):
+def _rest(term):
+    """The term after its first statement."""
+    return CombTerm(term.heads[1:], term.sel, term.ctx)
+
+
+def _reference_in_types(term):
+    """A term's context by the recursive definition, from the term after
+    its first statement."""
+    if not term.heads:
+        return term.ctx
+    inner = _reference_in_types(_rest(term))
+    if isinstance(term.heads[0], CObs):
         return inner
-    return inner[: len(inner) - len(node.gen.outputs)]
+    return inner[: len(inner) - len(term.heads[0].gen.outputs)]
 
 
-def _reference_out_types(node):
-    if isinstance(node, CRet):
-        return tuple(node.ctx[t - 1] for t in node.sel.targets)
-    return _reference_out_types(node.cont)
+def _reference_out_types(term):
+    if not term.heads:
+        return tuple(term.ctx[t - 1] for t in term.sel.targets)
+    return _reference_out_types(_rest(term))
 
 
 def test_stored_types_match_the_recursive_definition():
@@ -474,13 +486,68 @@ def test_stored_types_match_the_recursive_definition():
                  comb_whisker_left(z, s), comb_whisker_right(s, z), comb_tensor(s, t),
                  *structure_maps(z)]
         for term in terms:
-            node = term
-            while True:
+            # every suffix: the statements from the i-th on, then the return
+            for i in range(len(term.heads) + 1):
+                node = CombTerm(term.heads[i:], term.sel, term.ctx)
                 assert node.in_types == _reference_in_types(node)
-                assert node.ctx == _reference_in_types(node)
+                # the i-th statement's context is a prefix of the one stored
+                assert term.ctx[: node.arity] == _reference_in_types(node)
                 assert node.out_types == _reference_out_types(node)
                 checked += 1
-                if isinstance(node, CRet):
-                    break
-                node = node.cont
     assert checked > 1000
+
+
+# -- long terms: every pass is one loop over the statements ---------------------------
+
+
+def _every_pass(tt):
+    """Encode, then act, compose, whisker, tensor and decode the result."""
+    c = encode(tt)
+    wide = act(ff([], 2), c, ("S", "S"))  # two unused inputs shift every position
+    same = comb_compose(comb_identity(wide.in_types), wide)
+    left = comb_whisker_left(("S",), same)
+    right = comb_whisker_right(same, ("S",))
+    both = comb_tensor(left, right)
+    return c, wide, same, left, right, both, decode(both)
+
+
+def test_ten_thousand_statements_through_every_combinator_pass():
+    assert sys.getrecursionlimit() == 1000
+    tt = load_text(_straight_line(10_000)[0]).typed
+    c, wide, same, left, right, both, back = _every_pass(tt)
+    assert len(c.heads) == 9_999
+    assert [type(h) for h in c.heads[9:13]] == [CGen, CGen, CObs, CGen]
+    assert wide.in_types == ("S", "S") and wide.ctx == ("S", "S") + c.ctx
+    assert same == wide and hash(same) == hash(wide)
+    assert act(ff_identity(0), c, ()) == c
+    assert left.in_types == ("S",) * 3 and left.out_types == ("S",) * 3
+    assert right.in_types == ("S",) * 3 and right.out_types == ("S",) * 3
+    assert len(both.heads) == 2 * 9_999 and both.in_types == ("S",) * 6
+    assert encode(back) == both
+    roundtrip = decode(c, tt.sig)
+    assert alpha_eq(roundtrip.term, tt.term, roundtrip.ctx, tt.ctx)
+    text = repr(both)
+    assert text.startswith("CombTerm(heads=(CGen(") and text.count("CObs(") == 2 * 999
+
+
+def _selector_entries(n, monkeypatch):
+    """Selector entries built by `_every_pass` on an n-statement program."""
+    tt = load_text(_straight_line(n)[0]).typed
+    built = [0]
+    check = FiniteFunction.__post_init__
+
+    def counting(self):
+        built[0] += len(self.targets)
+        check(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(FiniteFunction, "__post_init__", counting)
+        _every_pass(tt)
+    return built[0]
+
+
+def test_combinator_passes_build_linearly_many_selector_entries(monkeypatch):
+    small = _selector_entries(1_000, monkeypatch)
+    large = _selector_entries(4_000, monkeypatch)
+    assert small > 1_000
+    assert large <= 4.5 * small

@@ -402,7 +402,7 @@ def test_monty_hall_shaped_program_encodes_when_fully_core():
     # writing the literal observation through a declared constant
     # generator keeps the whole program in the equality-observe core,
     # so it has a combinator form and round-trips
-    from arrowlang.combinator import CGen, CObs, CRet, decode, encode
+    from arrowlang.combinator import CGen, CObs, CombTerm, decode, encode
 
     src = """TYPE Door = {L, M, R}
 GEN left : () -> Door = () -> 1|L>
@@ -417,10 +417,8 @@ RETURN(car)
     prog = load_text(src)
     c = encode(prog.typed)
     # generator, generator, generator (the constant), observe, return
-    assert isinstance(c, CGen) and isinstance(c.cont, CGen)
-    assert isinstance(c.cont.cont, CGen)
-    assert isinstance(c.cont.cont.cont, CObs)
-    assert isinstance(c.cont.cont.cont.cont, CRet)
+    assert isinstance(c, CombTerm)
+    assert [type(h) for h in c.heads] == [CGen, CGen, CGen, CObs]
     back = decode(c, prog.typed.sig)
     assert alpha_eq(back.term, prog.typed.term, back.ctx, prog.typed.ctx)
     # and it still computes the puzzle

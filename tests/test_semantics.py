@@ -324,10 +324,10 @@ def test_observe_predicate_true_is_identity():
 
 
 def test_comb_semantics_of_return_reindexes():
-    from arrowlang.combinator import CRet, ff
+    from arrowlang.combinator import CombTerm, ff
 
     interp = Interpretation({"X": ("u", "v")}, {})
-    chan = semantics_of_comb(CRet(ff([1, 1], 1), ("X",)), interp)
+    chan = semantics_of_comb(CombTerm((), ff([1, 1], 1), ("X",)), interp)
     assert chan[("u",)] == dirac(("u", "u"))
 
 

@@ -11,6 +11,7 @@ from arrowlang.errors import (
     InvalidSubdistribution,
     NonNumericOutcome,
     PredicateTypeError,
+    WeightTooLong,
 )
 from arrowlang.subdist import (
     FAILURE,
@@ -23,6 +24,7 @@ from arrowlang.subdist import (
     kleisli_extend,
     normalize_channel,
     outcome_key,
+    render_weight,
     rescale,
     restrict,
     tensor,
@@ -355,6 +357,17 @@ def test_ket_zero():
 def test_ket_dollar():
     s = Subdist({Dollar(1): Q(4, 5), Dollar(11): Q(1, 5)})
     assert ket(s) == "4/5|$1> + 1/5|$11>"
+
+
+def test_weights_past_the_digit_limit_do_not_print():
+    widest = 10**4300 - 1  # 4,300 digits, the default limit of str(int)
+    assert render_weight(Q(widest)) == str(widest)
+    assert ket(Subdist({"a": Q(1, widest)})) == f"1/{widest}|a>"
+    for w in (Q(10**4300), Q(1, 10**4300), Q(widest, widest + 1)):
+        with pytest.raises(WeightTooLong, match="more than 4300 digits"):
+            render_weight(w)
+        with pytest.raises(WeightTooLong):
+            ket(Subdist({"a": w / (w + 1)}))
 
 
 def test_dollar_is_integer():

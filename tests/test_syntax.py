@@ -1,5 +1,7 @@
 """Typing rules, alpha equivalence, substitution, and axiom rewrites."""
 
+import sys
+
 import pytest
 
 from arrowlang.errors import (
@@ -130,6 +132,20 @@ def test_substitute_leaves_bound_outputs():
 def test_substitute_type_checked_against_context():
     with pytest.raises(TypeMismatch):
         substitute(Return(("x",)), "x", "d", ctx=(("x", "Coin"), ("d", "Door")))
+
+
+def test_substitute_two_thousand_statements_at_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    heads = []
+    for i in range(1, 1_001):
+        heads += [Sample(STEP, ("x",), (f"z{i}",), None), Observe("x", f"z{i}", None)]
+    t = from_statements(heads, Return(("x", "z1000")))
+    done = substitute(t, "x", "u", ctx=(("x", "Coin"), ("u", "Coin")))
+    moved, ret = statements(done)
+    assert len(moved) == 2_000 and ret == Return(("u", "z1000"))
+    assert moved[-2:] == [Sample(STEP, ("u",), ("z1000",), moved[-1]),
+                          Observe("u", "z1000", ret)]
+    assert alpha_eq(substitute(done, "u", "x"), t)  # a loop; == on nested terms recurses
 
 
 # -- axiom rewrites ---------------------------------------------------------------
