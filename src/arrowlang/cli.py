@@ -148,7 +148,7 @@ def _final(prog: Program, denote, kernels=None) -> Subdist:
         merged = dict(interp.kernels)
         merged.update({n: kernels[n] for n in kernels if n in prog.typed.sig.generators})
         interp = Interpretation(interp.carriers, merged)
-    return denote(interp, ())
+    return denote(interp, [()])[()]
 
 
 def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, out, err,

@@ -36,8 +36,8 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import ElaborationError, ParseError
-from .semantics import Interpretation, collapse_values
-from .subdist import ONE, Dollar, Outcome, Subdist, outcome_key, render_weight
+from .semantics import Interpretation
+from .subdist import ONE, Dollar, Outcome, Subdist, collapse_values, outcome_key, render_weight
 from .syntax import (
     Generator,
     Observe,

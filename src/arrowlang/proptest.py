@@ -16,8 +16,8 @@ from itertools import product
 
 from .combinator import FiniteFunction, ff
 from .errors import InvalidSubdistribution
-from .semantics import Interpretation, collapse_values
-from .subdist import Subdist
+from .semantics import Interpretation
+from .subdist import Subdist, collapse_values
 from .syntax import (
     Context,
     Generator,

@@ -6,15 +6,20 @@ evaluates every term, a statement at a time: each statement is one
 Kleisli step on the joint state over the variables in play, and the
 return projects onto the returned variables.  `trace` runs the
 statements as written and records the full joint state after every
-line, exactly as the worked puzzles compute it.  `interpret` records
-nothing, so it plans the term once first: each observe moves to just
-after the sample that binds its last variable, and after each step
+line, exactly as the worked puzzles compute it.  Every other caller
+records nothing, so it plans the term once first: each observe moves to
+just after the sample that binds its last variable, and after each step
 every variable that no later statement and no return reads is summed
 out (variable elimination).  Both moves leave the result unchanged and
-keep the state small.  `interpret` starts from the point mass at an
-input vector; `denote_channel` and `semantics_of_comb` tabulate it over
-the input carriers.  The world-enumeration oracle in `proptest` shares
-no code with this engine, so it can cross-check it.
+keep the state small.
+
+An open term denotes a channel, one subdistribution per input
+environment, and one run tabulates it: the state starts with every
+environment, weight 1 each, in the input columns, which are never summed
+out, and splits by them at the end.  `interpret` runs it on one
+environment; a closed program has no input columns.  The
+world-enumeration oracle in `proptest` shares no code with this engine,
+so it can cross-check it.
 
 Inside the engine every weight is an integer numerator over one
 denominator shared by the whole state, so a step multiplies, filters or
@@ -33,7 +38,7 @@ from typing import Callable, Mapping
 
 from .combinator import CombTerm, decode
 from .errors import CarrierMismatch, PredicateTypeError, ZeroMassState
-from .subdist import FAILURE, Outcome, Subdist, rescale
+from .subdist import FAILURE, Outcome, Subdist, collapse_values, rescale
 from .syntax import (
     Generator,
     Observe,
@@ -101,10 +106,6 @@ class Interpretation:
                         )
 
 
-def collapse_values(values: tuple) -> Outcome:
-    return values[0] if len(values) == 1 else values
-
-
 def outs_tuple(out_val: Outcome, arity: int) -> tuple:
     if arity == 1:
         return (out_val,)
@@ -145,17 +146,18 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
 # A state maps flat value tuples, one entry per variable of its layout,
 # to positive integer numerators over one denominator shared by the whole
 # state.  It becomes a validated Subdist of Fractions only where it leaves
-# the engine, in `_subdist`.
+# the engine, in `_subdists`.
 
 # The gcd of a state's numerators and denominator is divided out only
-# once the denominator passes this bound (delayed normalisation, as in
-# Knuth, TAOCP vol. 2, 4.5.1): most states never need it, and a
-# reduction costs one gcd per monomial.
+# once the denominator passes this bound, and after that only once it has
+# grown by this factor again (delayed normalisation, as in Knuth, TAOCP
+# vol. 2, 4.5.1): most states never need it, and a reduction costs one
+# gcd per monomial.
 _REDUCE_ABOVE = 1 << 62
 
 # Kernel rows in integer form, per generator name and input tuple:
-# (denominator, [(output tuple, numerator), ...]).  Each evaluation
-# converts the rows it uses, on first use.
+# (denominator, [(output tuple, numerator), ...]).  Each run converts
+# the rows it uses on first use, once for all its input environments.
 RowCache = dict[str, dict[tuple, tuple[int, list[tuple[tuple, int]]]]]
 
 
@@ -249,11 +251,12 @@ def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
 
     Each observe moves to just after the sample that binds the last
     variable it reads; samples keep their order.  Each statement is paired
-    with the variables that it reads or binds and that no later statement
+    with the variables that it binds or reads and that no later statement
     and no return reads; the engine sums them out after the step.  Inputs
-    that nothing reads go after the first step.  Neither move changes the
-    result: an observe commutes with a sample whose outputs it does not
-    read, and summing out a column preserves mass.
+    are never summed out: they index the channel the run tabulates.
+    Neither move changes the result: an observe commutes with a sample
+    whose outputs it does not read, and summing out a column preserves
+    mass.
     """
     heads, ret = statements(term)
     # slots[k], k >= 1: the k-th sample, then the observes placed after it
@@ -269,7 +272,7 @@ def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
             # where it is and raises there
             slots[max((bound.get(x, len(slots) - 1) for x in reads), default=0)].append(
                 (node, reads))
-    live = set(ret.vars)
+    live = set(ret.vars).union(inputs)
     steps: Schedule = []
     for node, reads in reversed([entry for slot in slots for entry in slot]):
         outs = node.outs if isinstance(node, Sample) else ()
@@ -277,8 +280,6 @@ def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
         live.difference_update(outs)
         live |= reads
     steps.reverse()
-    if steps:
-        steps[0][1].update(set(inputs) - live)
     return steps, ret
 
 
@@ -287,16 +288,19 @@ def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
 Record = Callable[[Term, dict, int], tuple[dict, int]]
 
 
-def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], v: tuple,
+def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
               interp: Interpretation, record: Record | None = None) -> tuple[dict, int]:
-    """Run every scheduled statement from the point mass at ``v``, summing
-    out the variables paired with it, then project onto the returned
+    """Run every scheduled statement from ``state``, numerators over 1 on
+    the columns ``layout``, summing out the variables paired with each;
+    then project onto those starting columns followed by the returned
     variables.  The result is a state and its denominator.
 
     ``record``, when given, sees each statement, the return included.
     """
     steps, ret = schedule
-    state, denom = {tuple(v): 1}, 1
+    # the starting columns are never summed out, so they stay in front
+    picks = list(range(len(layout)))
+    denom, bound = 1, _REDUCE_ABOVE
     rows: RowCache = {}
     for node, dead in steps:
         state, denom = _step(state, denom, layout, node, interp, rows)
@@ -304,40 +308,50 @@ def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], v: tuple,
             keep = [i for i, name in enumerate(layout) if name not in dead]
             state = _project(state, keep)
             layout[:] = [layout[i] for i in keep]
-        if denom > _REDUCE_ABOVE:
+        if denom > bound:
             state, denom = _reduce(state, denom)
+            bound = denom * _REDUCE_ABOVE
         if record:
             state, denom = record(node, state, denom)
-    picks = [layout.index(x) for x in ret.vars]
+    picks += [layout.index(x) for x in ret.vars]
     if picks != list(range(len(layout))):
         state = _project(state, picks)
     return record(ret, state, denom) if record else (state, denom)
 
 
-def _subdist(state: dict, denom: int) -> Subdist:
-    """The one exit from the engine: a state as a Subdist of Fractions."""
-    return Subdist._of_numerators([(collapse_values(values), w) for values, w in state.items()],
-                                  denom)
+def _subdists(state: dict, denom: int, envs: list[tuple], width: int) -> dict[tuple, Subdist]:
+    """The one exit from the engine: a Subdist of Fractions for each input
+    environment in ``envs``, as held in the state's first ``width``
+    columns.  An environment that no monomial is left for gets zero."""
+    split: dict[tuple, list] = {env: [] for env in envs}
+    for values, w in state.items():
+        split[values[:width]].append((collapse_values(values[width:]), w))
+    return {env: Subdist._of_numerators(entries, denom) for env, entries in split.items()}
 
 
-def denoter(tt: TypedTerm) -> Callable[[Interpretation, tuple], Subdist]:
-    """Plan a typed term once; the result evaluates it under an
-    interpretation at an input vector, unchecked."""
+def denoter(tt: TypedTerm) -> Callable[[Interpretation, list[tuple]], dict[tuple, Subdist]]:
+    """Plan a typed term once; the result tabulates it under an
+    interpretation at the given input environments, unchecked, in one run
+    that starts from each environment with weight 1 in the input columns."""
     inputs = [name for name, _ in tt.ctx]
     schedule = _plan(tt.term, inputs)
-    return lambda interp, v: _subdist(*_evaluate(schedule, list(inputs), v, interp))
+
+    def tabulate(interp: Interpretation, envs: list[tuple]) -> dict[tuple, Subdist]:
+        state, denom = _evaluate(schedule, list(inputs), dict.fromkeys(envs, 1), interp)
+        return _subdists(state, denom, envs, len(inputs))
+    return tabulate
 
 
 def interpret(tt: TypedTerm, interp: Interpretation, v: tuple = ()) -> Subdist:
-    """Denotation of a typed term at one input vector: the engine run
-    from the point mass at ``v``, observing early and summing out dead
-    variables."""
+    """Denotation of a typed term at one input vector: the channel run on
+    that one environment."""
+    v = tuple(v)
     if len(v) != len(tt.ctx):
         raise CarrierMismatch(f"input arity {len(v)} != context length {len(tt.ctx)}")
     for (name, tname), val in zip(tt.ctx, v):
         if val not in interp.carrier(tname):
             raise CarrierMismatch(f"{val!r} outside carrier of {tname} (variable {name})")
-    return denoter(tt)(interp, v)
+    return denoter(tt)(interp, [v])[v]
 
 
 # -- line-by-line traces -------------------------------------------------------
@@ -388,12 +402,12 @@ def trace(program: TypedTerm, interp: Interpretation,
                 raise ZeroMassState(lineno)
             denom = sum(state.values())
         text = texts[lineno - 1] if texts else render_statement(node)
-        line_state = _subdist(state, denom)
+        line_state = _subdists(state, denom, [()], 0)[()]
         lines.append(TraceLine(lineno, text, line_state, line_state.mass))
         return state, denom
 
     heads, ret = statements(program.term)
-    _evaluate(([(node, set()) for node in heads], ret), [], (), interp, record)
+    _evaluate(([(node, set()) for node in heads], ret), [], {(): 1}, interp, record)
     return lines, EvalResult.of(lines[-1].state)
 
 
@@ -401,10 +415,9 @@ def trace(program: TypedTerm, interp: Interpretation,
 
 
 def denote_channel(tt: TypedTerm, interp: Interpretation) -> dict[tuple, Subdist]:
-    """`interpret` tabulated over the whole input carrier product, the
-    term planned once."""
-    denote = denoter(tt)
-    return {env: denote(interp, env) for env in product(*(interp.carrier(t) for _, t in tt.ctx))}
+    """`interpret` at every point of the input carrier product, in one run
+    that keeps the inputs as columns of the joint state to the end."""
+    return denoter(tt)(interp, list(product(*(interp.carrier(t) for _, t in tt.ctx))))
 
 
 def semantics_of_comb(c: CombTerm, interp: Interpretation) -> dict[tuple, Subdist]:

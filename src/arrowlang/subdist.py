@@ -134,8 +134,9 @@ def _flat(x: Outcome) -> tuple:
     return x if isinstance(x, tuple) else (x,)
 
 
-def _unflat(t: tuple) -> Outcome:
-    return t[0] if len(t) == 1 else t
+def collapse_values(values: tuple) -> Outcome:
+    """A tuple of values as one outcome: a 1-tuple is its element."""
+    return values[0] if len(values) == 1 else values
 
 
 class Subdist:
@@ -273,7 +274,7 @@ def tensor(sigma: Subdist, rho: Subdist) -> Subdist:
     out: dict = {}
     for x, w in sigma.items():
         for y, v in rho.items():
-            joint = _unflat(_flat(x) + _flat(y))
+            joint = collapse_values(_flat(x) + _flat(y))
             out[joint] = out.get(joint, ZERO) + w * v
     return Subdist(out)
 

@@ -9,7 +9,7 @@ operations reject).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -133,23 +133,45 @@ class Return:
     vars: tuple[Var, ...]
 
 
-@dataclass(frozen=True)
-class Observe:
+class _Statement:
+    """A statement whose `==`, `hash` and `repr` loop along its `cont`
+    chain: the generated ones would nest one call per statement."""
+
+    def _key(self) -> tuple:
+        nodes, end = statements(self)
+        return tuple((n.__class__, *[getattr(n, f.name) for f in fields(n)[:-1]])
+                     for n in nodes), end
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        nodes, end = statements(self)
+        return "".join(f"{n.__class__.__qualname__}("
+                       + "".join(f"{f.name}={getattr(n, f.name)!r}, " for f in fields(n)[:-1])
+                       + "cont=" for n in nodes) + repr(end) + ")" * len(nodes)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Observe(_Statement):
     left: Var
     right: Var
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class ObservePred:
+@dataclass(frozen=True, eq=False, repr=False)
+class ObservePred(_Statement):
     """Evaluator-only observe over an arbitrary predicate (non-core)."""
 
     pred: Pred
     cont: "Term"
 
 
-@dataclass(frozen=True)
-class Sample:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sample(_Statement):
     gen: Generator
     args: tuple[Var, ...]
     outs: tuple[Var, ...]
@@ -162,7 +184,7 @@ Term = Union[Return, Observe, ObservePred, Sample]
 def statements(t: Term) -> tuple[list[Term], Return]:
     """Split a term into its statement heads and the final return."""
     heads = []
-    while not isinstance(t, Return):
+    while isinstance(t, _Statement):
         heads.append(t)
         t = t.cont
     return heads, t

@@ -476,6 +476,7 @@ def test_coprime_denominators_over_five_hundred_statements(tmp_path, capsys, mon
 
     assert interpret(prog.typed, prog.interp) == expected
     assert reductions.count(True) >= 2
+    assert len(reductions) <= 32  # a gcd only once the denominator has grown again
     reductions.clear()
     lines, result = trace(prog.typed, prog.interp, prog.texts)
     assert lines[-1].state == expected and result.validity == mass

@@ -3,6 +3,7 @@
 import random
 from collections import deque
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,17 @@ from arrowlang.proptest import (
     gen_term,
     oracle_denote,
 )
-from arrowlang.semantics import interpret, trace
+from arrowlang.semantics import Interpretation, denote_channel, interpret, trace
 from arrowlang.subdist import Dollar, Subdist
 from arrowlang.syntax import (
+    Generator,
     Observe,
+    Sample,
+    Signature,
     alpha_eq,
     applicable_steps,
     axiom_step,
+    from_statements,
     statements,
     substitute,
     typecheck,
@@ -109,6 +114,38 @@ def test_planned_interpret_matches_trace_and_oracle():
         interp = gen_interpretation(BUDGET, tt.sig, rng)
         _, result = trace(tt, interp)
         assert interpret(tt, interp) == result.final == oracle_denote(tt, interp)
+
+
+def _closed_at(tt, interp, env):
+    """The term with each input bound first by a sample from a fresh
+    nullary generator whose kernel is the point mass at its value in env."""
+    gens, kernels, heads = dict(tt.sig.generators), dict(interp.kernels), []
+    for (name, tname), value in zip(tt.ctx, env):
+        gen = gens[f"in_{name}"] = Generator(f"in_{name}", (), (tname,))
+        kernels[gen.name] = {(): Subdist({value: Q(1)})}
+        heads.append(Sample(gen, (), (name,), None))
+    rest, ret = statements(tt.term)
+    closed = typecheck(Signature(tt.sig.types, gens), (), from_statements(heads + rest, ret))
+    return closed, Interpretation(interp.carriers, kernels)
+
+
+def test_open_channels_match_the_oracle_at_every_environment():
+    # the oracle enumerates worlds of one closed program per environment;
+    # the engine tabulates the open term in one run
+    rng = random.Random(7)
+    open_terms = envs = emptied = 0
+    while open_terms < 200:
+        sig, ctx, term = gen_term(BUDGET, rng)
+        tt = typecheck(sig, ctx, term)
+        interp = gen_interpretation(BUDGET, sig, rng)
+        chan = denote_channel(tt, interp)
+        assert set(chan) == set(product(*(interp.carrier(t) for _, t in ctx)))
+        for env, result in chan.items():
+            assert oracle_denote(*_closed_at(tt, interp, env)) == result
+        open_terms += len(ctx) > 0
+        envs += len(chan) if ctx else 0
+        emptied += sum(result.is_zero() for result in chan.values()) if ctx else 0
+    assert envs >= 1_000 and emptied >= 200
 
 
 # -- substitution respects the axioms (bounded search) ------------------------------

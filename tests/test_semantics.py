@@ -1,6 +1,7 @@
 """Evaluation: denotations, traces, normalisation, soundness of rewrites."""
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -362,6 +363,71 @@ def test_comb_semantics_equals_decode_then_interpret():
         c = encode(tt)
         decoded = decode(c, sig)
         assert semantics_of_comb(c, interp) == denote_channel(decoded, interp)
+
+
+# -- a channel is one run -------------------------------------------------------------
+
+
+def _gate_program():
+    """x: X; y <- pick(); OBSERVE(x = y); RETURN(y), with pick = 1/2|u> + 1/4|v>:
+    the observe empties the environment x = w and keeps part of the others."""
+    pick = Generator("pick", (), ("X",))
+    sig = Signature(frozenset({"X"}), {"pick": pick})
+    term = Sample(pick, (), ("y",), Observe("x", "y", Return(("y",))))
+    interp = Interpretation({"X": ("u", "v", "w")},
+                            {"pick": {(): Subdist({"u": Q(1, 2), "v": Q(1, 4)})}})
+    return typecheck(sig, (("x", "X"),), term), interp
+
+
+def _count_engine(monkeypatch):
+    from arrowlang import semantics
+
+    runs, rows = [], Counter()
+    evaluate, kernel_row = semantics._evaluate, semantics._kernel_row
+
+    def counting_evaluate(*args, **kwargs):
+        runs.append(1)
+        return evaluate(*args, **kwargs)
+
+    def counting_kernel_row(interp, gen, args):
+        rows[gen.name, args] += 1
+        return kernel_row(interp, gen, args)
+
+    monkeypatch.setattr(semantics, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(semantics, "_kernel_row", counting_kernel_row)
+    return runs, rows
+
+
+@pytest.mark.parametrize("channel", [
+    denote_channel, lambda tt, interp: semantics_of_comb(encode(tt), interp)],
+    ids=["denote_channel", "semantics_of_comb"])
+def test_channel_is_one_engine_run(monkeypatch, channel):
+    runs, rows = _count_engine(monkeypatch)
+    tt, interp = _gate_program()
+    channel(tt, interp)
+    assert len(runs) == 1 and rows == {("pick", ()): 1}  # not once per environment
+    rng = random.Random(106)
+    shared = 0
+    for _ in range(60):
+        sig, ctx, term = gen_term(BUDGET, rng)
+        tt = typecheck(sig, ctx, term)
+        interp = gen_interpretation(BUDGET, sig, rng)
+        runs.clear()
+        rows.clear()
+        channel(tt, interp)
+        assert len(runs) == 1 and set(rows.values()) <= {1}
+        shared += len(ctx) > 0 and bool(rows)
+    assert shared >= 20
+
+
+def test_channel_keeps_environments_an_observe_empties():
+    tt, interp = _gate_program()
+    expected = {("u",): Subdist({"u": Q(1, 2)}), ("v",): Subdist({"v": Q(1, 4)}),
+                ("w",): Subdist({})}
+    for chan in (denote_channel(tt, interp), semantics_of_comb(encode(tt), interp)):
+        assert chan == expected
+        assert chan[("w",)].is_zero() and not chan[("u",)].is_zero()
+    assert interpret(tt, interp, ("w",)).is_zero()
 
 
 # -- axiom soundness ------------------------------------------------------------------

@@ -14,6 +14,8 @@ from arrowlang.errors import (
 from arrowlang.syntax import (
     Generator,
     Observe,
+    ObservePred,
+    PTrue,
     Return,
     Sample,
     Signature,
@@ -145,7 +147,37 @@ def test_substitute_two_thousand_statements_at_default_recursion_limit():
     assert len(moved) == 2_000 and ret == Return(("u", "z1000"))
     assert moved[-2:] == [Sample(STEP, ("u",), ("z1000",), moved[-1]),
                           Observe("u", "z1000", ret)]
-    assert alpha_eq(substitute(done, "u", "x"), t)  # a loop; == on nested terms recurses
+    assert alpha_eq(substitute(done, "u", "x"), t)
+
+
+def test_long_terms_compare_hash_and_print_at_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    heads = []
+    for i in range(1, 1_001):
+        heads += [Sample(STEP, ("x",), (f"z{i}",), None), Observe("x", f"z{i}", None)]
+    t = from_statements(heads, Return(("x", "z1000")))
+    done = substitute(t, "x", "u", ctx=(("x", "Coin"), ("u", "Coin")))
+    back = substitute(done, "u", "x")
+    assert back == t and back is not t and done != t
+    assert from_statements(heads, Return(("x",))) != t  # differs only in the return
+    assert hash(back) == hash(t)
+    step = "Sample(gen=Generator(name='step', inputs=('Coin',), outputs=('Coin',)), args=('x',), "
+    text = repr(t)
+    assert text.startswith(f"{step}outs=('z1',), cont=Observe(left='x', right='z1', cont={step}")
+    assert text.endswith("cont=Return(vars=('x', 'z1000'))" + ")" * 2_000)
+
+
+def test_statement_repr_is_the_dataclass_text():
+    t = Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred(PTrue(), Return(("e",)))))
+    assert repr(t) == (
+        "Sample(gen=Generator(name='pair', inputs=('Coin',), outputs=('Coin', 'Door')), "
+        "args=('c',), outs=('d', 'e'), cont=Observe(left='d', right='d', "
+        "cont=ObservePred(pred=PTrue(), cont=Return(vars=('e',)))))")
+    assert repr(Observe("a", "b", None)) == "Observe(left='a', right='b', cont=None)"
+    assert t == Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred(PTrue(), Return(("e",)))))
+    assert t != Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", Return(("e",))))
+    assert Observe("a", "b", None) != ObservePred(PTrue(), None) and t != "t"
+    assert len({t, Observe("a", "b", None), Observe("a", "b", None)}) == 2
 
 
 # -- axiom rewrites ---------------------------------------------------------------
