@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from math import lcm
 from typing import NamedTuple
@@ -626,13 +626,18 @@ class Program:
 
     ``typed`` is the core term, ``interp`` the interpretation declared by
     the file's tables, and ``texts`` the display line for each core
-    statement of the trace.
+    statement of the trace, rendered on first read from ``lines``: per
+    core statement its source statement, or its text when it has none.
     """
 
     source: SourceProgram
     typed: TypedTerm
     interp: Interpretation
-    texts: tuple[str, ...]
+    lines: tuple
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(line if isinstance(line, str) else render_stmt(line) for line in self.lines)
 
 
 def _unique_type_for(values, carriers: dict, where: str) -> str:
@@ -696,6 +701,15 @@ class _RowMatcher:
         for name, tname in self.extras.items():
             if tname is None:
                 raise ElaborationError(f"{where}: cannot infer a type for variable {name}")
+        # the ket as integer numerators over the lcm of its weights'
+        # denominators, each name in it marked ("var", name) when it is a
+        # pattern or extra variable; the others are values
+        self.den = lcm(*(w.denominator for w, _ in row.ket))
+        self.ket = [
+            (w.numerator * (self.den // w.denominator),
+             tuple(("var", v) if kind == "name" and (v in self.var_types or v in self.extras)
+                   else (kind, v) for kind, v in values))
+            for w, values in row.ket]
 
     def bind(self, combo: tuple):
         """Match the pattern against concrete values; None when it fails."""
@@ -726,38 +740,27 @@ class _RowMatcher:
             if not self._conditions_hold(env):
                 continue
             acc: dict = {}
-            for weight, values in self.row.ket:
+            for n, values in self.ket:
                 if len(values) != len(out_types):
                     raise ElaborationError(
-                        f"{self.where}: ket arity {len(values)} does not match outputs"
-                    )
+                        f"{self.where}: ket arity {len(values)} does not match outputs")
                 resolved = []
                 for (kind, v), tname in zip(values, out_types):
-                    if kind == "name":
-                        if v in env:
-                            resolved.append(env[v])
-                        elif v in self.carriers[tname]:
-                            resolved.append(v)
-                        else:
-                            raise ElaborationError(
-                                f"{self.where}: {v} is neither a variable nor a value of {tname}"
-                            )
-                    else:
-                        if v not in self.carriers[tname]:
-                            raise ElaborationError(
-                                f"{self.where}: {_src_value(v)} not in {tname}"
-                            )
+                    if kind == "var":
+                        resolved.append(env[v])
+                    elif v in self.carriers[tname]:
                         resolved.append(v)
+                    elif kind == "name":
+                        raise ElaborationError(
+                            f"{self.where}: {v} is neither a variable nor a value of {tname}")
+                    else:
+                        raise ElaborationError(f"{self.where}: {_src_value(v)} not in {tname}")
                 key = collapse_values(tuple(resolved))
-                if key in acc:
-                    acc[key] += weight
-                else:
-                    acc[key] = weight
-            # the row mass, summed exactly over the common denominator
-            den = lcm(*(w.denominator for w in acc.values()))
-            if sum(w.numerator * (den // w.denominator) for w in acc.values()) > den:
+                acc[key] = acc.get(key, 0) + n
+            if sum(acc.values()) > self.den:
                 raise ElaborationError(f"{self.where}: row mass exceeds 1")
-            results.append(Subdist(acc))
+            results.append(Subdist._of_numerators([(x, n) for x, n in acc.items() if n],
+                                                   self.den))
         if not results:
             return None
         first = results[0]
@@ -791,19 +794,12 @@ def _infer_case_output_type(stmt: SampleStmt, matchers, carriers: dict) -> str:
     votes: set[str] = set()
     literal_values: list = []
     for matcher in matchers:
-        for _, values in matcher.row.ket:
+        for _, values in matcher.ket:
             if len(values) != 1:
-                raise ElaborationError(
-                    f"line {stmt.line}: CASE kets must have exactly one value"
-                )
+                raise ElaborationError(f"line {stmt.line}: CASE kets must have exactly one value")
             kind, v = values[0]
-            if kind == "name":
-                if v in matcher.var_types:
-                    votes.add(matcher.var_types[v])
-                elif v in matcher.extras:
-                    votes.add(matcher.extras[v])
-                else:
-                    literal_values.append(v)
+            if kind == "var":
+                votes.add(matcher.var_types.get(v) or matcher.extras[v])
             else:
                 literal_values.append(v)
     if len(votes) > 1:
@@ -822,7 +818,7 @@ def _infer_case_output_type(stmt: SampleStmt, matchers, carriers: dict) -> str:
 
 
 def elaborate(sp: SourceProgram) -> Program:
-    """Resolve sugar and build the core term, interpretation, and trace texts."""
+    """Resolve sugar and build the core term, interpretation, and trace lines."""
     carriers: dict[str, tuple] = {}
     for td in sp.types:
         if td.name in carriers:
@@ -849,7 +845,7 @@ def elaborate(sp: SourceProgram) -> Program:
 
     scope: dict[str, str] = {}
     heads: list = []  # (node class, fields before ``cont``), one per statement
-    texts: list[str] = []
+    lines: list = []  # Program.lines
     ret: Return | None = None
 
     def declare(names: tuple[str, ...], types: tuple[str, ...], line: int):
@@ -913,7 +909,7 @@ def elaborate(sp: SourceProgram) -> Program:
                 gname = fresh_gen_name("u", stmt_index)
                 gen = Generator(gname, (), (tname,))
                 gens[gname] = gen
-                kernels[gname] = {(): Subdist({v: Fraction(1, len(values)) for v in values})}
+                kernels[gname] = {(): Subdist._of_numerators([(v, 1) for v in values], len(values))}
                 heads.append((Sample, gen, (), stmt.vars))
                 declare(stmt.vars, (tname,), stmt.line)
             elif stmt.kind == "case":
@@ -945,7 +941,7 @@ def elaborate(sp: SourceProgram) -> Program:
                     )
                 heads.append((Sample, gen, stmt.args, stmt.vars))
                 declare(stmt.vars, gen.outputs, stmt.line)
-            texts.append(render_stmt(stmt))
+            lines.append(stmt)
         elif isinstance(stmt, ObserveStmt):
             atom = stmt.atoms[0]
             both_vars = (
@@ -956,7 +952,7 @@ def elaborate(sp: SourceProgram) -> Program:
             )
             if both_vars:
                 heads.append((Observe, atom.left.name, atom.right.name))
-                texts.append(render_stmt(stmt))
+                lines.append(stmt)
                 continue
             nullary = None
             if len(stmt.atoms) == 1 and atom.op == "=":
@@ -974,17 +970,17 @@ def elaborate(sp: SourceProgram) -> Program:
                 heads.append((Sample, gen, (), (out,)))
                 declare((out,), gen.outputs, stmt.line)
                 heads.append((Observe, var, out))
-                texts.append(f"{out} <- {gen.name}()")
-                texts.append(f"OBSERVE({var} = {out})")
+                lines.append(f"{out} <- {gen.name}()")
+                lines.append(f"OBSERVE({var} = {out})")
                 continue
             pred: Pred = resolve_atom(stmt.atoms[0], stmt.line)
             for extra in stmt.atoms[1:]:
                 pred = PAnd(pred, resolve_atom(extra, stmt.line))
             heads.append((ObservePred, pred))
-            texts.append(render_stmt(stmt))
+            lines.append(stmt)
         else:  # ReturnStmt
             ret = Return(stmt.vars)
-            texts.append(render_stmt(stmt))
+            lines.append(stmt)
 
     term: Term = ret
     for make, *fields in reversed(heads):
@@ -993,7 +989,7 @@ def elaborate(sp: SourceProgram) -> Program:
     sig = Signature(frozenset(carriers), gens)
     typed = typecheck(sig, (), term)
     interp = Interpretation(carriers, kernels)
-    return Program(sp, typed, interp, tuple(texts))
+    return Program(sp, typed, interp, tuple(lines))
 
 
 def load_text(text: str) -> Program:

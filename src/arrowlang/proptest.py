@@ -180,10 +180,8 @@ def gen_kernels(gens, carriers, rng: random.Random,
                 remaining -= w
             if remaining and rng.random() < 0.5 and out_space:
                 weights[rng.randrange(len(out_space))] += remaining
-            table[args] = Subdist({
-                collapse_values(o): Fraction(w, q)
-                for o, w in zip(out_space, weights) if w
-            })
+            table[args] = Subdist._of_numerators(
+                [(collapse_values(o), w) for o, w in zip(out_space, weights) if w], q)
         kernels[gen.name] = table
     return kernels
 

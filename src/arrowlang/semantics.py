@@ -99,7 +99,7 @@ class Interpretation:
                 row = table.get(args)
                 if row is None:
                     raise CarrierMismatch(f"kernel {gen.name} undefined on {args!r}")
-                for x, _ in row.items():
+                for x, _ in row.entries():
                     if outs_tuple(x, len(gen.outputs)) not in out_space:
                         raise CarrierMismatch(
                             f"kernel {gen.name} emits {x!r} outside its output carrier"
@@ -165,7 +165,7 @@ def _kernel_row(interp: Interpretation, gen: Generator,
                 args: tuple) -> tuple[int, list[tuple[tuple, int]]]:
     """One kernel row as integer numerators over the lcm of its weights'
     denominators."""
-    row = interp.kernel_row(gen, args).items()
+    row = interp.kernel_row(gen, args).entries()
     denom = math.lcm(*[w.denominator for _, w in row])
     arity = len(gen.outputs)
     return denom, [(outs_tuple(x, arity), w.numerator * (denom // w.denominator))
@@ -322,11 +322,14 @@ def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
 def _subdists(state: dict, denom: int, envs: list[tuple], width: int) -> dict[tuple, Subdist]:
     """The one exit from the engine: a Subdist of Fractions for each input
     environment in ``envs``, as held in the state's first ``width``
-    columns.  An environment that no monomial is left for gets zero."""
+    columns.  An environment that no monomial is left for gets zero.  All
+    of them share one `Fraction` per numerator."""
     split: dict[tuple, list] = {env: [] for env in envs}
     for values, w in state.items():
         split[values[:width]].append((collapse_values(values[width:]), w))
-    return {env: Subdist._of_numerators(entries, denom) for env, entries in split.items()}
+    weights: dict[int, Fraction] = {}
+    return {env: Subdist._of_numerators(entries, denom, weights)
+            for env, entries in split.items()}
 
 
 def denoter(tt: TypedTerm) -> Callable[[Interpretation, list[tuple]], dict[tuple, Subdist]]:

@@ -4,9 +4,13 @@ A subdistribution assigns a positive rational weight to finitely many
 outcomes, with total mass at most 1.  Missing mass records the failure
 probability of earlier observations.  All arithmetic is exact: weights
 are `fractions.Fraction` values and floats are rejected outright.  The
-evaluation engine in `semantics` keeps its states as integer numerators
-over one denominator instead, and turns them into `Fraction`s here, once,
-as they leave it.
+evaluation engine in `semantics` and the CASE/GEN tables of the parser
+hold weights as integer numerators over one denominator instead, and turn
+them into `Fraction`s here, once, as they leave it.
+
+A subdistribution is a map; its canonical outcome order (see
+`outcome_key`) is computed on the first ordered read (`items`, `support`,
+`ket`) and kept.  Equality, hashing, `mass` and `weight` never sort.
 
 Outcomes are symbols (plain strings), integers (including `Dollar`,
 an integer that prints with a ``$`` prefix), flat tuples of outcomes,
@@ -146,7 +150,7 @@ class Subdist:
     the set of stored keys.  Total mass must not exceed 1.
     """
 
-    __slots__ = ("_entries", "_mass", "_key")
+    __slots__ = ("_entries", "_mass", "_items")
 
     def __init__(self, entries: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -166,31 +170,37 @@ class Subdist:
             raise InvalidSubdistribution(f"total mass {mass} exceeds 1")
         self._entries = store
         self._mass = mass
-        self._key = tuple(sorted(store.items(), key=lambda kv: outcome_key(kv[0])))
+        self._items = None
 
     @classmethod
-    def _of_numerators(cls, entries: list[tuple[Outcome, int]], denom: int) -> "Subdist":
+    def _of_numerators(cls, entries: Iterable[tuple[Outcome, int]], denom: int,
+                       weights: dict[int, Fraction] | None = None) -> "Subdist":
         """Build from distinct outcomes with positive integer numerators
-        over one positive denominator, as the evaluation engine holds them.
+        over one positive denominator, as the evaluation engine and the
+        parser's tables hold them.
 
         The integers already rule out floats, signs, weights above 1 and
-        duplicates, so only the outcomes (through the sort key) and the
-        total mass are checked.
+        duplicates, so only the outcome shapes and the total mass are
+        checked.  ``weights`` caches the `Fraction` of each numerator over
+        ``denom``; calls over the same denominator may share it.
         """
-        total = sum(n for _, n in entries)
-        if total > denom:
-            raise InvalidSubdistribution(f"total mass {Fraction(total, denom)} exceeds 1")
-        weights: dict[int, Fraction] = {}
+        if weights is None:
+            weights = {}
         store = {}
+        total = 0
         for x, n in entries:
+            outcome_key(x)  # validates the outcome shape
             w = weights.get(n)
             if w is None:
                 w = weights[n] = Fraction(n, denom)
             store[x] = w
+            total += n
+        if total > denom:
+            raise InvalidSubdistribution(f"total mass {Fraction(total, denom)} exceeds 1")
         self = cls.__new__(cls)
         self._entries = store
         self._mass = Fraction(total, denom)
-        self._key = tuple(sorted(store.items(), key=lambda kv: outcome_key(kv[0])))
+        self._items = None
         return self
 
     @property
@@ -198,14 +208,22 @@ class Subdist:
         return self._mass
 
     def support(self) -> list:
-        return [x for x, _ in self._key]
+        return [x for x, _ in self.items()]
 
     def weight(self, x: Outcome) -> Fraction:
         return self._entries.get(x, ZERO)
 
+    def entries(self):
+        """(outcome, weight) pairs in no particular order, without sorting."""
+        return self._entries.items()
+
     def items(self) -> tuple:
-        """Entries in canonical outcome order."""
-        return self._key
+        """Entries in canonical outcome order, sorted on the first call."""
+        items = self._items
+        if items is None:
+            items = self._items = tuple(sorted(self._entries.items(),
+                                               key=lambda kv: outcome_key(kv[0])))
+        return items
 
     def is_zero(self) -> bool:
         return not self._entries
@@ -214,11 +232,11 @@ class Subdist:
         return self._mass == 1
 
     def scaled(self, factor: Fraction) -> "Subdist":
-        factor = as_weight(factor) if factor != 0 else ZERO
+        factor = as_weight(factor)
         return Subdist({x: w * factor for x, w in self._entries.items()})
 
     def __rmul__(self, factor) -> "Subdist":
-        return self.scaled(Fraction(factor))
+        return self.scaled(factor)
 
     def __add__(self, other: "Subdist") -> "Subdist":
         merged = dict(self._entries)
@@ -227,10 +245,10 @@ class Subdist:
         return Subdist(merged)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subdist) and self._key == other._key
+        return isinstance(other, Subdist) and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(frozenset(self._entries.items()))
 
     def __repr__(self) -> str:
         return ket(self)

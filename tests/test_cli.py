@@ -234,6 +234,64 @@ def test_eq_clash_message_independent_of_hash_seed():
     assert errs == {"error: generator __u1 declared with different types\n"}
 
 
+def _untabled_host(tmp_path, opened: str) -> str:
+    """Monty Hall with the host as a generator that has no table."""
+    source = (PUZZLES / "monty_hall.arrow").read_text()
+    table = "host <- CASE car OF\n  L -> 1|R>\n  M -> 1/2|L> + 1/2|R>\n  R -> 1|L>\n"
+    assert table in source
+    variant = source.replace(table, "host <- opens(car)\n").replace(
+        "TYPE Door = {L, M, R}\n", "TYPE Door = {L, M, R}\nGEN opens : Door -> Door\n")
+    path = tmp_path / f"opens_{opened}.arrow"
+    path.write_text(variant.replace("OBSERVE(host = L)", f"OBSERVE(host = {opened})"))
+    return str(path)
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    # subdistributions hash by their entries; nothing printed may depend on it
+    calls = [[command, str(path), *flags] for path in sorted(PUZZLES.glob("*.arrow"))
+             for command, flags in (("run", ()), ("trace", ()), ("run", ("--format", "structured")))]
+    calls.append(["eq", _untabled_host(tmp_path, "L"), _untabled_host(tmp_path, "R"),
+                  "--seed", "3"])
+    driver = ("import json, sys\nfrom arrowlang.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in ("0", "7"):
+        done = subprocess.run([sys.executable, "-c", driver, json.dumps(calls)],
+                              env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0 and done.stderr == ""
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    out = outputs.pop()
+    assert "programs differ under random interpretation (seed 3, trial 0)" in out
+    assert "    opens(M) = " in out
+
+
+def test_run_and_eq_render_no_statement(tmp_path, capsys, monkeypatch):
+    from arrowlang import parser
+
+    rendered = []
+    original = parser.render_stmt
+
+    def counting(stmt, *args, **kwargs):
+        rendered.append(stmt)
+        return original(stmt, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "render_stmt", counting)
+    for path in sorted(PUZZLES.glob("*.arrow")):
+        assert run_cli(capsys, "run", str(path))[0] == 0
+    monty_hall = str(PUZZLES / "monty_hall.arrow")
+    assert run_cli(capsys, "eq", monty_hall, monty_hall)[0] == 0
+    assert run_cli(capsys, "eq", monty_hall, str(PUZZLES / "monty_fall.arrow"))[0] == 3
+    assert run_cli(capsys, "eq", _untabled_host(tmp_path, "L"), _untabled_host(tmp_path, "R"),
+                   "--trials", "2")[0] == 3
+    assert rendered == []
+    assert run_cli(capsys, "trace", str(PUZZLES / "monty_hall.arrow"))[0] == 0
+    assert len(rendered) == 4  # the trace prints each statement's text
+
+
 def test_eq_plans_each_program_once(capsys, monkeypatch):
     plans = []
     original = semantics._plan

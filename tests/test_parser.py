@@ -209,6 +209,65 @@ def test_each_case_row_is_classified_once(monkeypatch):
     assert len(rows) > 9 and sorted(map(id, made)) == sorted(map(id, rows))
 
 
+TABLES = """TYPE Door = {L, M, R}
+GEN noisy : Door -> Door =
+  L -> 1/2|L> + 0|M> + 1/4|R> + 1/4|L>
+  x -> 1/2|y> + 1/2|z> IF x != y AND y != z AND z != x
+car <- UNIFORM {L, M, R}
+seen <- noisy(car)
+host <- CASE (car, seen) OF
+  (x, x) -> 1/3|x> + 2/3|M>
+  (L, _) -> 0/7|L> + 5/10|R>
+  (_, _) -> 1|R>
+RETURN(car, host)
+"""
+
+
+def test_load_builds_tables_from_numerators(monkeypatch):
+    public = []
+    init = Subdist.__init__
+
+    def counting_init(self, entries):
+        public.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(Subdist, "__init__", counting_init)
+    prog = load_text(TABLES)
+    assert public == []
+    expected = {
+        "noisy": {  # a 0|x> weight, a repeated outcome, an extra-variable row
+            ("L",): Subdist({"L": Q(3, 4), "R": Q(1, 4)}),
+            ("M",): Subdist({"R": Q(1, 2), "L": Q(1, 2)}),
+            ("R",): Subdist({"M": Q(1, 2), "L": Q(1, 2)}),
+        },
+        "__u1": {(): Subdist({"L": Q(1, 3), "M": Q(1, 3), "R": Q(1, 3)})},
+        "__case3": {
+            ("L", "L"): Subdist({"L": Q(1, 3), "M": Q(2, 3)}),
+            ("M", "M"): Subdist({"M": Q(1)}),  # 1/3|x> + 2/3|M> at x = M
+            ("R", "R"): Subdist({"R": Q(1, 3), "M": Q(2, 3)}),
+            ("L", "M"): Subdist({"R": Q(1, 2)}),
+            ("L", "R"): Subdist({"R": Q(1, 2)}),
+            **{(c, s): Subdist({"R": Q(1)}) for c, s in (("M", "L"), ("M", "R"), ("R", "L"),
+                                                          ("R", "M"))},
+        },
+    }
+    assert prog.interp.kernels == expected
+    for name, table in expected.items():
+        for args, row in table.items():
+            built = prog.interp.kernels[name][args]
+            assert built.items() == row.items() and hash(built) == hash(row)
+            assert ket(built) == ket(row)
+    assert ket(interpret(prog.typed, prog.interp)) == (
+        "1/12|L,L> + 1/6|L,M> + 1/24|L,R> + 1/3|M,R> + 1/3|R,R>")
+
+
+@pytest.mark.parametrize("row", ["L -> 2/3|L> + 2/3|L>", "L -> 3/4|M> + 0|L> + 1/3|R>"])
+def test_row_mass_over_one_from_numerators_is_an_elaboration_error(row):
+    src = TABLES.replace("L -> 1/2|L> + 0|M> + 1/4|R> + 1/4|L>", row)
+    with pytest.raises(ElaborationError, match="generator noisy: row mass exceeds 1"):
+        load_text(src)
+
+
 def test_substochastic_rows_allowed():
     src = """TYPE Coin = {H, T}
 y <- UNIFORM {H, T}

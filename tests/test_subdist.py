@@ -1,6 +1,7 @@
 """Subdistribution core: exact arithmetic, tensor, restriction, rescaling."""
 
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from arrowlang.errors import (
     PredicateTypeError,
     WeightTooLong,
 )
+from arrowlang import subdist
 from arrowlang.subdist import (
     FAILURE,
     Dollar,
@@ -116,6 +118,66 @@ def test_engine_exit_checks_mass_and_outcomes():
         Subdist._of_numerators([("x", 6), ("y", 2)], 7)
     with pytest.raises(InvalidSubdistribution):
         Subdist._of_numerators([(1.5, 1)], 2)
+
+
+def test_constructors_agree_in_any_insertion_order():
+    # the same map, built in every insertion order by either constructor
+    numerators = [(("M", "L"), 1), ("R", 2), (Dollar(3), 4), (frozenset({"a", "b"}), 1), (-1, 3)]
+    canonical = ((-1, Q(1, 4)), (Dollar(3), Q(1, 3)), ("R", Q(1, 6)),
+                 (("M", "L"), Q(1, 12)), (frozenset({"a", "b"}), Q(1, 12)))
+    built = []
+    for order in permutations(numerators):
+        built.append(Subdist._of_numerators(list(order), 12))
+        built.append(Subdist({x: Q(n, 12) for x, n in order}))
+    assert len(built) == 240
+    for d in built:
+        assert d == built[0] and hash(d) == hash(built[0])
+        assert d.items() == canonical
+        assert d.support() == [x for x, _ in canonical]
+        assert ket(d) == "1/4|-1> + 1/3|$3> + 1/6|R> + 1/12|M,L> + 1/12|{a,b}>"
+    assert len(set(built)) == 1
+    assert built[0] != Subdist._of_numerators([("R", 2)], 12)
+
+
+def test_only_ordered_reads_sort(monkeypatch):
+    calls = []
+    original = subdist.outcome_key
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(subdist, "outcome_key", counting)
+    entries = [(("M", "L"), 1), ("R", 2), ("L", 3), (Dollar(5), 1)]
+    a = Subdist._of_numerators(entries, 12)
+    b = Subdist({x: Q(n, 12) for x, n in reversed(entries)})
+    calls.clear()  # building checks each outcome's shape once
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a.mass == b.mass == Q(7, 12)
+    assert a.weight("R") == Q(1, 6) and a.weight("nowhere") == 0
+    assert len(a) == 4 and "L" in a and not a.is_distribution()
+    assert calls == []
+    assert a.items() == b.items()
+    assert calls  # an ordered read sorts, once
+    calls.clear()
+    assert a.support() == b.support() == [Dollar(5), "L", "R", ("M", "L")]
+    assert ket(a) == ket(b)
+    assert calls == []
+
+
+def test_scaling_takes_only_exact_weights():
+    d = Subdist({"x": Q(1, 2), "y": Q(1, 4)})
+    for factor in (0.1, 0.0, 1.0, True, False):
+        with pytest.raises(InvalidSubdistribution):
+            factor * d
+        with pytest.raises(InvalidSubdistribution):
+            d.scaled(factor)
+    with pytest.raises(InvalidSubdistribution):
+        "2" * d
+    assert 0 * d == d.scaled(0) == d.scaled(Q(0)) == zero()
+    assert 1 * d == d
+    assert Q(2, 3) * d == d.scaled(Q(2, 3)) == Subdist({"x": Q(1, 3), "y": Q(1, 6)})
 
 
 def test_negative_weight_rejected():
