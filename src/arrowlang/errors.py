@@ -87,4 +87,8 @@ class ParseError(ArrowError):
 
 
 class ElaborationError(ArrowError):
-    pass
+    """``line``: the source line of the statement or declaration it names, or None."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        super().__init__(message)

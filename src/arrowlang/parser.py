@@ -29,15 +29,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
-from math import lcm
-from typing import NamedTuple
+from math import gcd, lcm
 
 from .errors import ElaborationError, ParseError
 from .semantics import Interpretation
-from .subdist import ONE, Dollar, Outcome, Subdist, collapse_values, outcome_key, render_weight
+from .subdist import Dollar, Outcome, Subdist, collapse_values, outcome_key
 from .syntax import (
     Generator,
     Observe,
@@ -66,69 +64,64 @@ KEYWORDS = {"TYPE", "GEN", "UNIFORM", "CASE", "OF", "OBSERVE", "RETURN", "IF", "
 
 # -- tokens ------------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str  # NEWLINE IDENT INT DOLLAR PUNCT EOF
-    text: str
-    line: int
-    col: int
+# One alternative per token, tried in this order at each position, then the
+# blanks and the comment after it: PUNCT, names that start with a letter or
+# ``_`` and go on with letters, digits and ``_`` (``\w`` is exactly
+# ``str.isalnum()`` or ``_``), INT (runs of Unicode decimal digits, ``\d``,
+# exactly what ``int`` accepts), a name that starts with a non-ASCII letter
+# (or a ``²`` or ``½``, a lexical error), DOLLAR, NEWLINE, one unexpected
+# character, and the empty EOF at the end of the text.  A comment runs to
+# the end of its line and gives its column to the NEWLINE (or EOF) after it.
+_SKIP = r"[ \t\r]*(?:#[^\n]*)?"
+_TOKEN_RE = re.compile(r"(<-|->|!=|[{}(),;:|>+/=]|[A-Za-z_]\w*|\d+|\w+|\$\d*|\n|.|\Z)" + _SKIP)
+_LEAD_RE = re.compile(_SKIP)  # what comes before the first token
+_PUNCT = frozenset(("<-", "->", "!=", *"{}(),;:|>+/="))
 
 
-# One alternative per token kind, tried in this order at each position,
-# then the blanks after the token.  Names start with a letter or ``_`` and
-# go on with letters, digits and ``_`` (``\w`` is exactly ``str.isalnum()``
-# or ``_``).  Numbers are runs of Unicode decimal digits (``\d``, exactly
-# what ``int`` accepts), so ``²`` is no number.  A comment runs to the end
-# of its line and gives its column to the NEWLINE (or EOF) that ends it.
-_TOKEN_RE = re.compile(
-    r"(?:(<-|->|!=|[{}(),;:|>+/=])"  # 1 PUNCT
-    r"|([A-Za-z_]\w*)"  # 2 IDENT
-    r"|(\d+)"  # 3 INT
-    r"|((?:#[^\n]*)?\n)"  # 4 NEWLINE
-    r"|(#.*)"  # 5 a comment at the end of the text
-    r"|(\$\d*)"  # 6 DOLLAR
-    r"|(\w+)"  # 7 a name that starts with a non-ASCII letter, or a ``²`` or ``½``
-    r"|(.)"  # 8 an unexpected character
-    r")[ \t\r]*"
-)
-_BLANKS = re.compile(r"[ \t\r]*")
-_KINDS = (None, "PUNCT", "IDENT", "INT")
-_new_token = partial(tuple.__new__, Token)  # skips the Python-level Token.__new__
+def _kind(tok: str) -> str | None:
+    """IDENT, INT, DOLLAR, PUNCT, NEWLINE or EOF; None for a lexical error."""
+    if tok in _PUNCT:
+        return "PUNCT"
+    first = tok[:1]
+    if first.isdecimal():
+        return "INT"
+    if first.isalpha() or first == "_":
+        return "IDENT"
+    if first == "$":
+        return "DOLLAR" if len(tok) > 1 else None
+    return {"\n": "NEWLINE", "": "EOF"}.get(tok)
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
-    eof_col = None
-    for m in _TOKEN_RE.finditer(text, _BLANKS.match(text).end()):
-        group = m.lastindex
-        col = m.start() - line_start + 1
-        if group <= 3:
-            append(_new_token((_KINDS[group], m.group(group), line, col)))
-        elif group == 4:
-            append(_new_token(("NEWLINE", "\n", line, col)))
-            line += 1
-            line_start = m.end(group)
-        elif group == 5:
-            eof_col = col
-        elif group == 6 and len(m.group(6)) > 1:
-            append(_new_token(("DOLLAR", m.group(6), line, col)))
-        elif group == 6:
-            raise ParseError("expected digits after $", line, col)
-        elif group == 7 and m.group(7)[0].isalpha():
-            append(_new_token(("IDENT", m.group(7), line, col)))
-        else:
-            raise ParseError(f"unexpected character {m.group(group)[0]!r}", line, col)
-    append(_new_token(("EOF", "", line, eof_col or len(text) - line_start + 1)))
+def tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, ending with the empty EOF token."""
+    tokens = _TOKEN_RE.findall(text, _LEAD_RE.match(text).end())
+    if not all(map(_kind, set(tokens).difference(_PUNCT, ("\n", "")))):
+        located_tokens(text)  # raises at the first lexical error
     return tokens
 
 
-def _int_literal(digits: str, tok: Token) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # longer than the interpreter's int-conversion digit limit
-        raise ParseError(f"integer literal of {len(digits)} digits is too long",
-                         tok.line, tok.col) from None
+def located_tokens(text: str) -> list[tuple]:
+    """``(kind, text, line, col)`` per token, raising at the first lexical error.
+
+    The same scan as `tokenize`, with positions; it is only run to place
+    an error.
+    """
+    located = []
+    line, line_start = 1, 0
+    pos = _LEAD_RE.match(text).end()
+    comment = text.find("#", 0, pos)
+    for m in _TOKEN_RE.finditer(text, pos):
+        tok = m.group(1)
+        col = (comment if comment >= 0 else m.start()) - line_start + 1
+        kind = _kind(tok)
+        if kind is None:
+            raise ParseError("expected digits after $" if tok == "$"
+                             else f"unexpected character {tok[0]!r}", line, col)
+        located.append((kind, tok, line, col))
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end(1)
+        comment = text.find("#", m.end(1), m.end())
+    return located
 
 
 # -- surface syntax ------------------------------------------------------------
@@ -151,7 +144,7 @@ class SAtom:
 @dataclass(frozen=True)
 class CaseRow:
     pattern: tuple  # entries: ("wild",) | ("name", str) | ("lit", value)
-    ket: tuple  # ((Fraction, (rawvalue, ...)), ...) raw: ("name", s) | ("lit", v)
+    ket: tuple  # (((num, den), (rawvalue, ...)), ...) raw: ("name", s) | ("lit", v)
     conditions: tuple  # ((name, name), ...) inequalities
 
 
@@ -203,86 +196,97 @@ class SourceProgram:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over token texts; positions are computed only for an error."""
+
+    def __init__(self, text: str, tokens: list[str]):
+        self.text = text
         self.toks = tokens
         self.pos = 0
-        self.tok = tokens[0]  # the current token; the list ends with EOF
+        self.tok = tokens[0]  # the current token; the list ends with EOF, ""
+        self.line = 1  # the current token's line: one more than the "\n" tokens passed
+        self.kind = kind = {tok: _kind(tok) for tok in set(tokens)}
+        self.idents = {tok for tok, k in kind.items() if k == "IDENT"} - KEYWORDS
 
-    def next(self) -> Token:
-        tok = self.tok
-        if tok.kind != "EOF":
-            self.pos += 1
-            self.tok = self.toks[self.pos]
-        return tok
+    def next(self):
+        """Move past the current token, which is not EOF."""
+        self.pos += 1
+        self.tok = self.toks[self.pos]
+
+    def error_at(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at token ``index``, by default the current one."""
+        _, _, line, col = located_tokens(self.text)[self.pos if index is None else index]
+        return ParseError(message, line, col)
 
     def error(self, message: str) -> ParseError:
         tok = self.tok
-        return ParseError(message + (f", got {tok.text!r}" if tok.text else ", got end of file"),
-                          tok.line, tok.col)
+        return self.error_at(message + (f", got {tok!r}" if tok else ", got end of file"))
 
-    def expect(self, text: str) -> Token:
-        tok = self.tok
-        if tok.text != text:
+    def expect(self, text: str):
+        if self.tok != text:
             raise self.error(f"expected {text!r}")
-        self.pos += 1  # EOF has no text, so it never matches
+        self.pos += 1  # as next() does, inline: this and expect_ident pass most tokens
         self.tok = self.toks[self.pos]
-        return tok
 
     def expect_ident(self, what: str = "identifier") -> str:
         tok = self.tok
-        if tok.kind != "IDENT" or tok.text in KEYWORDS:
+        if tok not in self.idents:
             raise self.error(f"expected {what}")
         self.pos += 1
         self.tok = self.toks[self.pos]
-        return tok.text
+        return tok
 
     def comma_list(self, item) -> list:
         """``item (, item)*``: one or more items separated by commas."""
         items = [item()]
-        while self.tok.text == ",":
+        while self.tok == ",":
             self.next()
             items.append(item())
         return items
 
     def names(self, what: str) -> tuple[str, ...]:
-        names = [self.expect_ident(what)]
-        while self.tok.text == ",":
-            self.next()
-            names.append(self.expect_ident(what))
-        return tuple(names)
+        return tuple(self.comma_list(lambda: self.expect_ident(what)))
 
-    def skip_newlines(self):
-        while self.tok.kind == "NEWLINE":
+    def skip_newlines(self, also: str = "\n"):
+        """Pass "\n" tokens, and ``also`` tokens, counting lines."""
+        while self.tok in ("\n", also):
+            self.line += self.tok == "\n"
             self.next()
 
     def end_statement(self):
-        if self.tok.kind not in ("NEWLINE", "EOF"):
+        if self.tok not in ("\n", ""):
             raise self.error("expected end of line")
         self.skip_newlines()
 
     # -- values ------------------------------------------------------
 
+    def int_literal(self, digits: str) -> int:
+        """The number of the current INT or DOLLAR token, ``digits`` its digits; moves past it."""
+        try:
+            value = int(digits)
+        except ValueError:  # longer than the interpreter's int-conversion digit limit
+            raise self.error_at(f"integer literal of {len(digits)} digits is too long") from None
+        self.next()
+        return value
+
     def parse_value(self, depth: int = 0) -> Outcome:
         """A value inside ``depth`` enclosing set braces."""
         tok = self.tok
-        if tok.kind == "INT":
-            self.next()
-            return _int_literal(tok.text, tok)
-        if tok.kind == "DOLLAR":
-            self.next()
-            return Dollar(_int_literal(tok.text[1:], tok))
-        if tok.text == "{":
+        kind = self.kind[tok]
+        if kind == "INT":
+            return self.int_literal(tok)
+        if kind == "DOLLAR":
+            return Dollar(self.int_literal(tok[1:]))
+        if tok == "{":
             if depth == MAX_SET_DEPTH:
-                raise ParseError(f"set values nested more than {MAX_SET_DEPTH} deep",
-                                 tok.line, tok.col)
+                raise self.error_at(f"set values nested more than {MAX_SET_DEPTH} deep")
             self.next()
             elems = (self.comma_list(lambda: self.parse_value(depth + 1))
-                     if self.tok.text != "}" else [])
+                     if self.tok != "}" else [])
             self.expect("}")
             return frozenset(elems)
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+        if tok in self.idents:
             self.next()
-            return tok.text
+            return tok
         raise self.error("expected a value")
 
     def parse_value_set(self) -> tuple:
@@ -293,58 +297,58 @@ class _Parser:
 
     # -- kets and rows ---------------------------------------------------
 
-    def parse_rational(self) -> Fraction:
-        tok = self.tok
-        if tok.kind != "INT":
+    def parse_rational(self) -> tuple[int, int]:
+        """``p`` or ``p/q`` as a reduced (numerator, denominator) pair."""
+        kind = self.kind
+        if kind[self.tok] != "INT":
             raise self.error("expected a rational literal")
+        num = self.int_literal(self.tok)
+        if self.tok != "/":
+            return num, 1
         self.next()
-        num = _int_literal(tok.text, tok)
-        if self.tok.text != "/":
-            return Fraction(num)
-        self.next()
-        den_tok = self.tok
-        if den_tok.kind != "INT":
+        if kind[self.tok] != "INT":
             raise self.error("expected a denominator")
-        self.next()
-        den = _int_literal(den_tok.text, den_tok)
+        at = self.pos
+        den = self.int_literal(self.tok)
         if den == 0:
-            raise ParseError("zero denominator", den_tok.line, den_tok.col)
-        return Fraction(num, den)
+            raise self.error_at("zero denominator", at)
+        g = gcd(num, den)
+        return num // g, den // g
 
     def parse_ket_value(self) -> tuple:
         tok = self.tok
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+        if tok in self.idents:
             self.next()
-            return ("name", tok.text)
+            return ("name", tok)
         return ("lit", self.parse_value())
 
     def parse_ket(self) -> tuple:
         monomials = []
         while True:
-            weight = self.parse_rational() if self.tok.kind == "INT" else ONE
+            weight = self.parse_rational() if self.kind[self.tok] == "INT" else (1, 1)
             self.expect("|")
             values = self.comma_list(self.parse_ket_value)
             self.expect(">")
             monomials.append((weight, tuple(values)))
-            if self.tok.text != "+":
+            if self.tok != "+":
                 return tuple(monomials)
             self.next()
 
     def parse_pattern_atom(self) -> tuple:
         tok = self.tok
-        if tok.text == "_":
+        if tok == "_":
             self.next()
             return ("wild",)
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+        if tok in self.idents:
             self.next()
-            return ("name", tok.text)
+            return ("name", tok)
         return ("lit", self.parse_value())
 
     def parse_pattern(self) -> tuple:
-        if self.tok.text != "(":
+        if self.tok != "(":
             return (self.parse_pattern_atom(),)
         self.next()
-        entries = self.comma_list(self.parse_pattern_atom) if self.tok.text != ")" else []
+        entries = self.comma_list(self.parse_pattern_atom) if self.tok != ")" else []
         self.expect(")")
         return tuple(entries)
 
@@ -353,35 +357,34 @@ class _Parser:
         self.expect("->")
         ket = self.parse_ket()
         conditions = []
-        if self.tok.text == "IF":
+        if self.tok == "IF":
             self.next()
             while True:
                 left = self.expect_ident("a pattern variable")
                 self.expect("!=")
                 conditions.append((left, self.expect_ident("a pattern variable")))
-                if self.tok.text != "AND":
+                if self.tok != "AND":
                     break
                 self.next()
         return CaseRow(pattern, ket, tuple(conditions))
 
     def at_new_statement(self) -> bool:
         tok = self.tok
-        if tok.kind == "EOF" or tok.text in ("TYPE", "GEN", "OBSERVE", "RETURN"):
+        if tok in ("", "TYPE", "GEN", "OBSERVE", "RETURN"):
             return True
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+        if tok in self.idents:
             # scan an identifier list for a following arrow; it stops at
             # a token that is not a comma, at the latest at EOF
-            toks, k = self.toks, self.pos + 1
-            while toks[k].text == "," and toks[k + 1].kind == "IDENT":
+            toks, kind, k = self.toks, self.kind, self.pos + 1
+            while toks[k] == "," and kind[toks[k + 1]] == "IDENT":
                 k += 2
-            return toks[k].text == "<-"
+            return toks[k] == "<-"
         return False
 
     def parse_rows(self) -> tuple[CaseRow, ...]:
         rows = []
         while True:
-            while self.tok.kind == "NEWLINE" or self.tok.text == ";":
-                self.next()
+            self.skip_newlines(also=";")
             if self.at_new_statement():
                 break
             rows.append(self.parse_row())
@@ -391,8 +394,8 @@ class _Parser:
 
     # -- declarations and statements -----------------------------------------
 
-    def parse_type_decl(self) -> TypeDecl:
-        line = self.expect("TYPE").line
+    def parse_type_decl(self, line: int) -> TypeDecl:
+        self.next()  # TYPE
         name = self.expect_ident("a type name")
         self.expect("=")
         values = self.parse_value_set()
@@ -400,21 +403,21 @@ class _Parser:
         return TypeDecl(name, values, line)
 
     def parse_type_list(self) -> tuple[str, ...]:
-        if self.tok.text == "(":
+        if self.tok == "(":
             self.next()
             self.expect(")")
             return ()
         return self.names("a type name")
 
-    def parse_gen_decl(self) -> GenDecl:
-        line = self.expect("GEN").line
+    def parse_gen_decl(self, line: int) -> GenDecl:
+        self.next()  # GEN
         name = self.expect_ident("a generator name")
         self.expect(":")
         inputs = self.parse_type_list()
         self.expect("->")
         outputs = self.parse_type_list()
         rows = None
-        if self.tok.text == "=":
+        if self.tok == "=":
             self.next()
             rows = self.parse_rows()
         else:
@@ -423,28 +426,28 @@ class _Parser:
 
     def parse_operand(self) -> SOperand:
         tok = self.tok
-        if tok.kind == "IDENT" and tok.text not in KEYWORDS:
+        if tok in self.idents:
             self.next()
-            return SOperand(name=tok.text)
+            return SOperand(name=tok)
         return SOperand(value=self.parse_value())
 
-    def parse_observe(self) -> ObserveStmt:
-        line = self.expect("OBSERVE").line
+    def parse_observe(self, line: int) -> ObserveStmt:
+        self.next()  # OBSERVE
         self.expect("(")
         atoms = []
         while True:
             left = self.parse_operand()
             tok = self.tok
-            if tok.text in ("=", "!="):
+            if tok in ("=", "!="):
                 self.next()
-                atoms.append(SAtom(tok.text, left, self.parse_operand()))
-            elif tok.text == "IN":
+                atoms.append(SAtom(tok, left, self.parse_operand()))
+            elif tok == "IN":
                 self.next()
                 var = self.expect_ident("a set-valued variable")
                 atoms.append(SAtom("IN", left, SOperand(name=var)))
             else:
                 raise self.error("expected =, != or IN")
-            if self.tok.text != "AND":
+            if self.tok != "AND":
                 break
             self.next()
         self.expect(")")
@@ -454,29 +457,28 @@ class _Parser:
     def parse_args(self) -> tuple[str, ...]:
         """``( variable, ... )``, possibly empty."""
         self.expect("(")
-        names = self.names("a variable") if self.tok.text != ")" else ()
+        names = self.names("a variable") if self.tok != ")" else ()
         self.expect(")")
         return names
 
-    def parse_return(self) -> ReturnStmt:
-        line = self.expect("RETURN").line
+    def parse_return(self, line: int) -> ReturnStmt:
+        self.next()  # RETURN
         names = self.parse_args()
         self.end_statement()
         return ReturnStmt(names, line)
 
-    def parse_sample(self) -> SampleStmt:
-        line = self.tok.line
+    def parse_sample(self, line: int) -> SampleStmt:
         names = self.names("a variable")
         self.expect("<-")
         tok = self.tok
-        if tok.text == "UNIFORM":
+        if tok == "UNIFORM":
             self.next()
             values = self.parse_value_set()
             self.end_statement()
             return SampleStmt(names, "uniform", uniform_values=values, line=line)
-        if tok.text == "CASE":
+        if tok == "CASE":
             self.next()
-            if self.tok.text == "(":
+            if self.tok == "(":
                 self.next()
                 scrutinee = self.names("a variable")
                 self.expect(")")
@@ -495,34 +497,33 @@ class _Parser:
         gens: list[GenDecl] = []
         stmts: list = []
         self.skip_newlines()
-        while self.tok.kind != "EOF":
-            tok = self.tok
-            if tok.text == "TYPE":
-                types.append(self.parse_type_decl())
-            elif tok.text == "GEN":
-                gens.append(self.parse_gen_decl())
-            elif tok.text == "OBSERVE":
-                stmts.append(self.parse_observe())
-            elif tok.text == "RETURN":
-                stmts.append(self.parse_return())
+        while self.tok:
+            tok, line = self.tok, self.line
+            if tok == "TYPE":
+                types.append(self.parse_type_decl(line))
+            elif tok == "GEN":
+                gens.append(self.parse_gen_decl(line))
+            elif tok == "OBSERVE":
+                stmts.append(self.parse_observe(line))
+            elif tok == "RETURN":
+                stmts.append(self.parse_return(line))
                 self.skip_newlines()
-                if self.tok.kind != "EOF":
+                if self.tok:
                     raise self.error("statements after RETURN")
                 break
-            elif tok.kind == "IDENT" and tok.text not in KEYWORDS:
-                stmts.append(self.parse_sample())
+            elif tok in self.idents:
+                stmts.append(self.parse_sample(line))
             else:
                 raise self.error("expected a declaration or statement")
             self.skip_newlines()
         if not stmts or not isinstance(stmts[-1], ReturnStmt):
-            tok = self.tok
-            raise ParseError("program must end with RETURN", tok.line, tok.col)
+            raise self.error_at("program must end with RETURN")
         return SourceProgram(tuple(types), tuple(gens), tuple(stmts))
 
 
 def parse(text: str) -> SourceProgram:
     """Parse .arrow source text; raises ParseError with line and column."""
-    return _Parser(tokenize(text)).parse_program()
+    return _Parser(text, tokenize(text)).parse_program()
 
 
 # -- canonical rendering ---------------------------------------------------------
@@ -543,8 +544,9 @@ def _ket_value(raw: tuple) -> str:
 
 def render_ket(ket: tuple) -> str:
     parts = []
-    for weight, values in ket:
-        parts.append(f"{render_weight(weight)}|{','.join(_ket_value(v) for v in values)}>")
+    for (num, den), values in ket:
+        weight = str(num) if den == 1 else f"{num}/{den}"
+        parts.append(f"{weight}|{','.join(_ket_value(v) for v in values)}>")
     return " + ".join(parts)
 
 
@@ -704,12 +706,12 @@ class _RowMatcher:
         # the ket as integer numerators over the lcm of its weights'
         # denominators, each name in it marked ("var", name) when it is a
         # pattern or extra variable; the others are values
-        self.den = lcm(*(w.denominator for w, _ in row.ket))
+        self.den = lcm(*(den for (_, den), _ in row.ket))
         self.ket = [
-            (w.numerator * (self.den // w.denominator),
+            (num * (self.den // den),
              tuple(("var", v) if kind == "name" and (v in self.var_types or v in self.extras)
                    else (kind, v) for kind, v in values))
-            for w, values in row.ket]
+            for (num, den), values in row.ket]
 
     def bind(self, combo: tuple):
         """Match the pattern against concrete values; None when it fails."""
@@ -818,9 +820,20 @@ def _infer_case_output_type(stmt: SampleStmt, matchers, carriers: dict) -> str:
 
 
 def elaborate(sp: SourceProgram) -> Program:
-    """Resolve sugar and build the core term, interpretation, and trace lines."""
+    """Resolve sugar and build the core term, interpretation, and trace lines;
+    an ElaborationError gets the line of the declaration or statement it names."""
+    at = [None]  # the line of the declaration or statement being elaborated
+    try:
+        return _elaborate(sp, at)
+    except ElaborationError as exc:
+        exc.line = at[0]
+        raise
+
+
+def _elaborate(sp: SourceProgram, at: list) -> Program:
     carriers: dict[str, tuple] = {}
     for td in sp.types:
+        at[0] = td.line
         if td.name in carriers:
             raise ElaborationError(f"type {td.name} declared twice")
         if not td.values:
@@ -832,6 +845,7 @@ def elaborate(sp: SourceProgram) -> Program:
     gens: dict[str, Generator] = {}
     kernels: dict[str, dict] = {}
     for gd in sp.gens:
+        at[0] = gd.line
         if gd.name in gens:
             raise ElaborationError(f"generator {gd.name} declared twice")
         for t in gd.inputs + gd.outputs:
@@ -898,6 +912,7 @@ def elaborate(sp: SourceProgram) -> Program:
         return PEq(left, right) if atom.op == "=" else PNe(left, right)
 
     for stmt_index, stmt in enumerate(sp.stmts, 1):
+        at[0] = stmt.line
         if isinstance(stmt, SampleStmt):
             if stmt.kind == "uniform":
                 if len(stmt.vars) != 1:

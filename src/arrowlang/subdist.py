@@ -92,6 +92,17 @@ def outcome_key(x: Outcome):
     raise InvalidSubdistribution(f"not an outcome: {x!r}")
 
 
+def _check_outcome(x: Outcome) -> None:
+    """Raise as `outcome_key` does unless ``x`` is an outcome, without building its key."""
+    todo = [x]
+    for y in todo:  # grows by the elements of each tuple or frozenset
+        cls = type(y)
+        if cls is tuple or cls is frozenset:
+            todo.extend(y)
+        elif cls is not str and cls is not int and cls is not Dollar:
+            outcome_key(y)  # a bool, a subclass or no outcome: raise, or accept, as it does
+
+
 def render_outcome(x: Outcome) -> str:
     """Canonical text of one outcome, as it appears inside a ket."""
     if isinstance(x, Dollar):
@@ -189,7 +200,8 @@ class Subdist:
         store = {}
         total = 0
         for x, n in entries:
-            outcome_key(x)  # validates the outcome shape
+            if type(x) is not str:
+                _check_outcome(x)
             w = weights.get(n)
             if w is None:
                 w = weights[n] = Fraction(n, denom)

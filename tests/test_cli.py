@@ -234,6 +234,15 @@ def test_eq_clash_message_independent_of_hash_seed():
     assert errs == {"error: generator __u1 declared with different types\n"}
 
 
+def test_python_dash_m_arrowlang_traces_the_golden_file():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "arrowlang", "trace", "puzzles/monty_hall.arrow"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (PUZZLES / "monty_hall.golden").read_text()
+
+
 def _untabled_host(tmp_path, opened: str) -> str:
     """Monty Hall with the host as a generator that has no table."""
     source = (PUZZLES / "monty_hall.arrow").read_text()

@@ -1,6 +1,7 @@
 """Concrete syntax: parsing, elaboration, errors, pretty round trips."""
 
 from fractions import Fraction as Q
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -536,10 +537,11 @@ def _random_source(rng):
                 for out in carriers[out_type]:
                     w = rng.randint(0, remaining)
                     remaining -= w
-                    if w:
-                        ket.append((Q(w, denom), (("lit", out),)))
+                    if w:  # a weight is a reduced (numerator, denominator) pair
+                        g = gcd(w, denom)
+                        ket.append(((w // g, denom // g), (("lit", out),)))
                 if not ket:
-                    ket = [(Q(1), (("lit", carriers[out_type][0]),))]
+                    ket = [((1, 1), (("lit", carriers[out_type][0]),))]
                 rows.append(CaseRow((("lit", value),), tuple(ket), ()))
             counter += 1
             var = f"v{counter}"
@@ -576,3 +578,108 @@ def test_pretty_parse_round_trip_on_random_programs():
         t2 = elaborate(reparsed).typed
         assert alpha_eq(t1.term, t2.term)
         assert interpret(t1, elaborate(sp).interp) == interpret(t2, elaborate(reparsed).interp)
+
+
+# -- weights read as integers ---------------------------------------------------
+
+UNREDUCED = """TYPE T = {a, b, c}
+GEN g : T -> T =
+  a -> 2/4|a> + 2/4|b>
+  b -> 06/12|c> + 0/7|a>
+  c -> 3/3|c>
+x <- UNIFORM {a, b, c}
+y <- g(x)
+z <- CASE y OF a -> 2/4|a> + 2/4|b>; b -> 06/12|c> + 0/7|a> + 0|b>; c -> 3/3|c>
+RETURN(x, z)
+"""
+
+
+def test_unreduced_and_zero_weights_print_reduced(tmp_path, capsys):
+    from arrowlang.cli import main
+
+    prog = load_text(UNREDUCED)
+    assert pretty(prog.source) == (
+        "TYPE T = {a, b, c}\nGEN g : T -> T =\n  a -> 1/2|a> + 1/2|b>\n  b -> 1/2|c> + 0|a>\n"
+        "  c -> 1|c>\n\nx <- UNIFORM {a, b, c}\ny <- g(x)\nz <- CASE y OF\n"
+        "  a -> 1/2|a> + 1/2|b>\n  b -> 1/2|c> + 0|a> + 0|b>\n  c -> 1|c>\nRETURN(x, z)\n")
+    rows = {("a",): "1/2|a> + 1/2|b>", ("b",): "1/2|c>", ("c",): "1|c>"}
+    assert {name: {args: ket(row) for args, row in table.items()}
+            for name, table in prog.interp.kernels.items()} == {
+        "g": rows, "__case3": rows, "__u1": {(): "1/3|a> + 1/3|b> + 1/3|c>"}}
+    path = tmp_path / "weights.arrow"
+    path.write_text(UNREDUCED)
+    posterior = "Validity: 3/4\nPosterior: 1/9|a,a> + 1/9|a,b> + 1/9|a,c> + 2/9|b,c> + 4/9|c,c>\n"
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "Final: 1/12|a,a> + 1/12|a,b> + 1/12|a,c> + 1/6|b,c> + 1/3|c,c>\n" + posterior)
+    assert main(["trace", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "(1) x <- UNIFORM {a, b, c} | 1/3|a> + 1/3|b> + 1/3|c>\n"
+        "(2) y <- g(x) | 1/6|a,a> + 1/6|a,b> + 1/6|b,c> + 1/3|c,c>\n"
+        "(3) z <- CASE y OF a -> 1/2|a> + 1/2|b>; b -> 1/2|c> + 0|a> + 0|b>; c -> 1|c>"
+        " | 1/12|a,a,a> + 1/12|a,a,b> + 1/12|a,b,c> + 1/6|b,c,c> + 1/3|c,c,c>\n"
+        "(4) RETURN(x, z) | 1/12|a,a> + 1/12|a,b> + 1/12|a,c> + 1/6|b,c> + 1/3|c,c>\n" + posterior)
+
+
+def test_weights_over_one_in_total_are_still_rejected():
+    src = "TYPE T = {a, b}\nx <- UNIFORM {a, b}\ny <- CASE x OF _ -> 2/3|a> + 2/3|b>\nRETURN(y)\n"
+    with pytest.raises(ElaborationError, match="^line 3: row mass exceeds 1$"):
+        load_text(src)
+
+
+def _doors_source(n: int) -> str:
+    """Monty Hall with n doors; the host's row is explicit per (car, player)."""
+    doors = [f"d{i}" for i in range(1, n + 1)]
+    listed = ", ".join(doors)
+    rows = []
+    for c in doors:
+        for p in doors:
+            opens = [d for d in doors if d not in (c, p)]
+            rows.append(f"({c}, {p}) -> " + " + ".join(f"1/{len(opens)}|{d}>" for d in opens))
+    return (f"TYPE Door = {{{listed}}}\ncar <- UNIFORM {{{listed}}}\n"
+            f"player <- UNIFORM {{{listed}}}\nhost <- CASE (car, player) OF " + "; ".join(rows)
+            + "\nOBSERVE(player = d1)\nOBSERVE(host = d2)\nRETURN(car)\n")
+
+
+def test_source_weights_build_no_fractions(monkeypatch):
+    import sys
+    from fractions import Fraction
+
+    text = _doors_source(8)
+    assert text.count("|") == 56 * 6 + 8 * 7  # a weight per ket value
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(sys._getframe(1).f_globals.get("__name__"))
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    prog = load_text(text)
+    monkeypatch.undo()
+    assert "arrowlang.parser" not in made
+    assert ket(interpret(prog.typed, prog.interp)) == (
+        "1/448|d1> + " + " + ".join(f"1/384|d{i}>" for i in range(3, 9)))
+
+
+ELABORATION_ERRORS = [
+    ("TYPE T = {a}\nTYPE T = {b}\nx <- UNIFORM {a}\nRETURN(x)\n", 2, "type T declared twice"),
+    ("TYPE T = {a, b}\n\nGEN g : T -> U\nx <- UNIFORM {a, b}\nRETURN(x)\n", 3,
+     "generator g uses undeclared type U"),
+    ("TYPE T = {a, b}\nGEN g : T -> T =\n  a -> 1|b>\nx <- UNIFORM {a, b}\nRETURN(x)\n", 2,
+     "generator g: no row matches (b)"),
+    ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\n# a comment\n\ny <- CASE x OF a -> 1|b>\nRETURN(y)\n",
+     5, "line 5: no row matches (b)"),
+    ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(a = b)\nRETURN(x)\n", 3,
+     "line 3: neither side of the comparison (a and b) is a bound variable"),
+    ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\ny <- f(x)\nRETURN(y)", 3,
+     "line 3: unknown generator f"),
+]
+
+
+@pytest.mark.parametrize("src, line, message", ELABORATION_ERRORS)
+def test_elaboration_errors_carry_their_line(src, line, message):
+    with pytest.raises(ElaborationError) as exc:
+        load_text(src)
+    assert exc.value.line == line
+    assert str(exc.value) == message

@@ -120,6 +120,25 @@ def test_engine_exit_checks_mass_and_outcomes():
         Subdist._of_numerators([(1.5, 1)], 2)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (("a", 1.5), "not an outcome: 1.5"),
+    ((1, ("b", frozenset({"c", 2.0}))), "not an outcome: 2.0"),
+    (frozenset({"a", True}), "bool is not an outcome"),
+    ((frozenset({("x", False)}),), "bool is not an outcome"),
+    (["a", "b"], r"not an outcome: \['a', 'b'\]"),
+    (("a", ["b"]), r"not an outcome: \['b'\]"),
+    (None, "not an outcome: None"),
+    (True, "bool is not an outcome"),
+])
+def test_engine_exit_rejects_what_outcome_key_rejects(bad, message):
+    for ok in ("x", 3, Dollar(4), ("x", 3, Dollar(4)), frozenset({("x", frozenset({1}))})):
+        Subdist._of_numerators([(ok, 1)], 2)
+    with pytest.raises(InvalidSubdistribution, match=message):
+        outcome_key(bad)
+    with pytest.raises(InvalidSubdistribution, match=message):
+        Subdist._of_numerators([("fine", 1), (bad, 1)], 3)
+
+
 def test_constructors_agree_in_any_insertion_order():
     # the same map, built in every insertion order by either constructor
     numerators = [(("M", "L"), 1), ("R", 2), (Dollar(3), 4), (frozenset({"a", "b"}), 1), (-1, 3)]

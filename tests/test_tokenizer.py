@@ -1,21 +1,32 @@
-"""The regular-expression tokenizer against the character loop it replaced.
+"""The scanner against the character loop it replaced.
 
-``reference_tokenize`` is the earlier tokenizer, kept verbatim apart from
-its token type: it is the specification of the token stream, including
-two quirks (``_`` is an IDENT, and a comment gives its column to the
-NEWLINE or EOF after it).  The one intended difference is left out of
-the comparison: characters such as ``²`` that ``str.isdigit`` accepts but
-``int`` rejects, which the loop turned into INT tokens that crashed the
-parser (see ``test_parser.py``).
+``tokenize`` returns token texts only; ``located_tokens``, the walk that
+places errors, gives each token's kind, line and column.  The located
+walk is compared with ``reference_tokenize``, the earlier tokenizer, kept
+verbatim apart from its token type: it is the specification of the token
+stream, including two quirks (``_`` is an IDENT, and a comment gives its
+column to the NEWLINE or EOF after it).  The one intended difference is
+left out of the comparison: characters such as ``²`` that ``str.isdigit``
+accepts but ``int`` rejects, which the loop turned into INT tokens that
+crashed the parser (see ``test_parser.py``).  ``tokenize`` must give the
+located walk's texts, or raise the same ParseError.
+
+Every ParseError position is computed by the located walk after the
+fact, so ``test_load_outcomes_are_pinned`` pins the outcome of loading
+20,000 mutated puzzles, positions and messages included, to a digest
+taken before positions became lazy.
 """
 
+import hashlib
 import random
 from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from arrowlang.errors import ArrowError, ParseError
-from arrowlang.parser import load_text, tokenize
+from arrowlang.parser import load_text, located_tokens, pretty, tokenize
 
 PUZZLES = sorted((Path(__file__).resolve().parent.parent / "puzzles").glob("*.arrow"))
 TEXTS = [p.read_text(encoding="utf-8") for p in PUZZLES]
@@ -128,21 +139,112 @@ def mutate(text: str, rng: random.Random) -> str:
     return text
 
 
+def scanned(text: str):
+    """The texts ``tokenize`` returns, or its ParseError as ``outcome`` gives it."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, str(exc))
+
+
+def assert_scans_as_located(text: str, located):
+    expected = located if located[0] == "error" else [tok[1] for tok in located]
+    assert scanned(text) == expected, repr(text)
+
+
+def mutated_texts():
+    """The same 20,000 mutated puzzle texts on every call."""
+    rng = random.Random(20240501)
+    for _ in range(20_000):
+        yield mutate(rng.choice(TEXTS), rng)
+
+
 def test_puzzles_tokenize_as_before():
     for text in TEXTS:
-        assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+        located = outcome(located_tokens, text)
+        assert located == outcome(reference_tokenize, text)
+        assert_scans_as_located(text, located)
 
 
 def test_mutated_puzzles_tokenize_as_before():
-    rng = random.Random(20240501)
     errors = 0
-    for _ in range(20_000):
-        text = mutate(rng.choice(TEXTS), rng)
+    for text in mutated_texts():
         expected = outcome(reference_tokenize, text)
-        assert outcome(tokenize, text) == expected, repr(text)
+        located = outcome(located_tokens, text)
+        assert located == expected, repr(text)
+        assert_scans_as_located(text, located)
         errors += expected[0] == "error"
     # both kinds of outcome are exercised
     assert 1_000 < errors < 19_000
+
+
+def load_outcome(text: str):
+    """What loading ``text`` gives: the canonical source, or the error."""
+    try:
+        return pretty(load_text(text).source)
+    except ParseError as exc:
+        return ("ParseError", exc.line, exc.col, str(exc))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_load_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for text in mutated_texts():
+        digest.update(repr(load_outcome(text)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "d6848f1c4a2f89fc74c2f93440af98cddb007a1207a89222c0cdbceaaa881abe")
+
+
+COIN = "TYPE Coin = {H, T}\nx <- UNIFORM {H, T}\n"
+COIN_SOURCE = "TYPE Coin = {H, T}\n\nx <- UNIFORM {H, T}\n"
+
+
+@pytest.mark.parametrize("text, last_tokens, loaded", [
+    # a comment at the end of the text, with no newline, gives EOF its column
+    (COIN + "RETURN(x) # done", [("IDENT", "x", 3, 8), ("PUNCT", ")", 3, 9), ("EOF", "", 3, 11)],
+     COIN_SOURCE + "RETURN(x)\n"),
+    (COIN.replace("\n", "\r\n") + "RETURN(x)\r\n",
+     [("PUNCT", ")", 3, 9), ("NEWLINE", "\n", 3, 11), ("EOF", "", 4, 1)],
+     COIN_SOURCE + "RETURN(x)\n"),
+    ("TYPE Pièce = {Pile, Face}\nété <- UNIFORM {Pile, Face}\nRETURN(été)\n",
+     [("PUNCT", ")", 3, 11), ("NEWLINE", "\n", 3, 12), ("EOF", "", 4, 1)],
+     "TYPE Pièce = {Pile, Face}\n\nété <- UNIFORM {Pile, Face}\nRETURN(été)\n"),
+    # a statement on the last line, with no newline
+    (COIN + "OBSERVE(x = H)\nRETURN(x)",
+     [("IDENT", "x", 4, 8), ("PUNCT", ")", 4, 9), ("EOF", "", 4, 10)],
+     COIN_SOURCE + "OBSERVE(x = H)\nRETURN(x)\n"),
+    # parse errors on the first, the second and the last token
+    (")\n", [("PUNCT", ")", 1, 1), ("NEWLINE", "\n", 1, 2), ("EOF", "", 2, 1)],
+     ("ParseError", 1, 1, "1:1: expected a declaration or statement, got ')'")),
+    ("RETURN x\n", [("IDENT", "x", 1, 8), ("NEWLINE", "\n", 1, 9), ("EOF", "", 2, 1)],
+     ("ParseError", 1, 8, "1:8: expected '(', got 'x'")),
+    (COIN + "RETURN(x", [("PUNCT", "(", 3, 7), ("IDENT", "x", 3, 8), ("EOF", "", 3, 9)],
+     ("ParseError", 3, 9, "3:9: expected ')', got end of file")),
+    (COIN + "RETURN(x) )", [("PUNCT", ")", 3, 9), ("PUNCT", ")", 3, 11), ("EOF", "", 3, 12)],
+     ("ParseError", 3, 11, "3:11: expected end of line, got ')'")),
+    (COIN + "y <- CASE x OF # no rows",
+     [("IDENT", "x", 3, 11), ("IDENT", "OF", 3, 13), ("EOF", "", 3, 16)],
+     ("ParseError", 3, 16, "3:16: expected at least one table row, got end of file")),
+])
+def test_hand_cases_scan_and_load_as_before(text, last_tokens, loaded):
+    located = located_tokens(text)
+    assert located[-3:] == last_tokens
+    assert tokenize(text) == [tok[1] for tok in located]
+    assert load_outcome(text) == loaded
+
+
+@pytest.mark.parametrize("text, error", [
+    (COIN + "RETURN(x)\n$", ("error", 4, 1, "4:1: expected digits after $")),
+    (COIN + "y <- CASE x OF H -> ²|H>; T -> 1|T>\nRETURN(y)\n",
+     ("error", 3, 21, "3:21: unexpected character '²'")),
+    (COIN + "y <- CASE x OF H -> ½|H>; T -> 1|T>\nRETURN(y)\n",
+     ("error", 3, 21, "3:21: unexpected character '½'")),
+])
+def test_lexical_errors_are_placed_as_before(text, error):
+    assert outcome(located_tokens, text) == error
+    assert scanned(text) == error
+    assert load_outcome(text) == ("ParseError", *error[1:])
 
 
 def _apply(text: str, edits: list) -> str:
