@@ -35,17 +35,16 @@ from math import gcd, lcm
 
 from .errors import ElaborationError, ParseError
 from .semantics import Interpretation
-from .subdist import Dollar, Outcome, Subdist, collapse_values, outcome_key
+from .subdist import Dollar, Outcome, Subdist, collapse_values, outcome_key, render_outcome
 from .syntax import (
+    Atom,
     Generator,
     Observe,
     ObservePred,
-    PAnd,
     PEq,
     PIn,
     PLit,
     PNe,
-    Pred,
     PVar,
     Return,
     Sample,
@@ -92,10 +91,21 @@ def _kind(tok: str) -> str | None:
     return {"\n": "NEWLINE", "": "EOF"}.get(tok)
 
 
+class _Tokens(list):
+    """Token texts; ``kinds`` maps each distinct text to its kind."""
+
+    kinds: dict[str, str]
+
+
 def tokenize(text: str) -> list[str]:
-    """The token texts of ``text``, ending with the empty EOF token."""
-    tokens = _TOKEN_RE.findall(text, _LEAD_RE.match(text).end())
-    if not all(map(_kind, set(tokens).difference(_PUNCT, ("\n", "")))):
+    """The token texts of ``text``, ending with the empty EOF token.
+
+    The result also carries ``kinds``, the kind of each distinct text,
+    which the parser reads instead of classifying the texts again.
+    """
+    tokens = _Tokens(_TOKEN_RE.findall(text, _LEAD_RE.match(text).end()))
+    tokens.kinds = kinds = {tok: _kind(tok) for tok in set(tokens)}
+    if None in kinds.values():
         located_tokens(text)  # raises at the first lexical error
     return tokens
 
@@ -198,13 +208,13 @@ class SourceProgram:
 class _Parser:
     """Recursive descent over token texts; positions are computed only for an error."""
 
-    def __init__(self, text: str, tokens: list[str]):
+    def __init__(self, text: str, tokens: _Tokens):
         self.text = text
-        self.toks = tokens
+        self.toks = tokens[:]  # a plain list: CPython indexes a list subclass more slowly
         self.pos = 0
         self.tok = tokens[0]  # the current token; the list ends with EOF, ""
         self.line = 1  # the current token's line: one more than the "\n" tokens passed
-        self.kind = kind = {tok: _kind(tok) for tok in set(tokens)}
+        self.kind = kind = tokens.kinds
         self.idents = {tok for tok, k in kind.items() if k == "IDENT"} - KEYWORDS
 
     def next(self):
@@ -539,7 +549,7 @@ def _src_value(v: Outcome) -> str:
 
 def _ket_value(raw: tuple) -> str:
     kind, v = raw
-    return v if kind == "name" else _src_value(v).replace(", ", ",")
+    return v if kind == "name" else render_outcome(v)
 
 
 def render_ket(ket: tuple) -> str:
@@ -883,7 +893,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             )
         return PLit(name_or_value, tname)
 
-    def resolve_atom(atom: SAtom, line: int) -> Pred:
+    def resolve_atom(atom: SAtom, line: int) -> Atom:
         if atom.op == "IN":
             if atom.right.name is None or atom.right.name not in scope:
                 raise ElaborationError(f"line {line}: IN needs a bound set-valued variable")
@@ -988,10 +998,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 lines.append(f"{out} <- {gen.name}()")
                 lines.append(f"OBSERVE({var} = {out})")
                 continue
-            pred: Pred = resolve_atom(stmt.atoms[0], stmt.line)
-            for extra in stmt.atoms[1:]:
-                pred = PAnd(pred, resolve_atom(extra, stmt.line))
-            heads.append((ObservePred, pred))
+            heads.append((ObservePred, tuple(resolve_atom(a, stmt.line) for a in stmt.atoms)))
             lines.append(stmt)
         else:  # ReturnStmt
             ret = Return(stmt.vars)

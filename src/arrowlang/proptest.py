@@ -23,12 +23,10 @@ from .syntax import (
     Generator,
     Observe,
     ObservePred,
-    PAnd,
     PEq,
     PIn,
     PNe,
     Pred,
-    PTrue,
     PVar,
     Return,
     Sample,
@@ -129,24 +127,15 @@ def gen_term(budget: GenBudget, rng: random.Random | None = None
     rng = rng or budget.rng()
     sig = gen_signature(budget, rng)
     types = sorted(sig.types)
-    ctx = tuple(
-        (f"x{i}", rng.choice(types)) for i in range(1, rng.randint(0, 3) + 1)
-    )
-    scope = dict(ctx)
-    heads, ret = _gen_statements(sig, rng, budget, scope)
-    term = from_statements(heads, ret)
-    typecheck(sig, ctx, term)
-    return sig, ctx, term
+    ctx_types = tuple(rng.choice(types) for _ in range(rng.randint(0, 3)))
+    tt = gen_term_for_ctx(budget, rng, sig, ctx_types)
+    return sig, tt.ctx, tt.term
 
 
 def gen_closed_program(budget: GenBudget, rng: random.Random | None = None) -> TypedTerm:
     """Random well-typed program with an empty context."""
     rng = rng or budget.rng()
-    sig = gen_signature(budget, rng)
-    scope: dict[str, str] = {}
-    heads, ret = _gen_statements(sig, rng, budget, scope)
-    term = from_statements(heads, ret)
-    return typecheck(sig, (), term)
+    return gen_term_for_ctx(budget, rng, gen_signature(budget, rng), ())
 
 
 def gen_term_for_ctx(budget: GenBudget, rng: random.Random, sig: Signature,
@@ -236,21 +225,21 @@ def gen_reindexing(rng: random.Random, src_types: tuple[str, ...]):
 def _oracle_pred(p: Pred, env: dict) -> bool:
     # deliberately re-implemented here; the oracle shares no evaluation
     # path with the semantics module
-    if isinstance(p, PEq):
-        a = env[p.left.name] if isinstance(p.left, PVar) else p.left.value
-        b = env[p.right.name] if isinstance(p.right, PVar) else p.right.value
-        return a == b
-    if isinstance(p, PNe):
-        a = env[p.left.name] if isinstance(p.left, PVar) else p.left.value
-        b = env[p.right.name] if isinstance(p.right, PVar) else p.right.value
-        return a != b
-    if isinstance(p, PIn):
-        return p.element.value in env[p.var.name]
-    if isinstance(p, PAnd):
-        return _oracle_pred(p.left, env) and _oracle_pred(p.right, env)
-    if isinstance(p, PTrue):
-        return True
-    raise InvalidSubdistribution(f"not a predicate: {p!r}")
+    def value(o):
+        return env[o.name] if isinstance(o, PVar) else o.value
+
+    for a in p:
+        if isinstance(a, PEq):
+            ok = value(a.left) == value(a.right)
+        elif isinstance(a, PNe):
+            ok = value(a.left) != value(a.right)
+        elif isinstance(a, PIn):
+            ok = a.element.value in env[a.var.name]
+        else:
+            raise InvalidSubdistribution(f"not a predicate: {a!r}")
+        if not ok:
+            return False
+    return True
 
 
 def oracle_denote(program: TypedTerm, interp: Interpretation) -> Subdist:

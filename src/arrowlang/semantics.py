@@ -42,12 +42,10 @@ from .subdist import FAILURE, Outcome, Subdist, collapse_values, rescale
 from .syntax import (
     Generator,
     Observe,
-    PAnd,
     PEq,
     PIn,
     PNe,
     Pred,
-    PTrue,
     PVar,
     Return,
     Sample,
@@ -115,7 +113,7 @@ def outs_tuple(out_val: Outcome, arity: int) -> tuple:
 
 
 def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
-    """Evaluate a predicate in a variable environment."""
+    """Evaluate a predicate, a conjunction of atoms, in a variable environment."""
 
     def value(operand) -> Outcome:
         if isinstance(operand, PVar):
@@ -125,20 +123,21 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
                 raise PredicateTypeError(f"variable {operand.name} not in scope") from None
         return operand.value
 
-    if isinstance(p, PEq):
-        return value(p.left) == value(p.right)
-    if isinstance(p, PNe):
-        return value(p.left) != value(p.right)
-    if isinstance(p, PIn):
-        container = value(p.var)
-        if not isinstance(container, frozenset):
-            raise PredicateTypeError(f"{p.var.name} is not set-valued")
-        return p.element.value in container
-    if isinstance(p, PAnd):
-        return pred_holds(p.left, env) and pred_holds(p.right, env)
-    if isinstance(p, PTrue):
-        return True
-    raise PredicateTypeError(f"not a predicate: {p!r}")
+    for a in p:
+        if isinstance(a, PEq):
+            holds = value(a.left) == value(a.right)
+        elif isinstance(a, PNe):
+            holds = value(a.left) != value(a.right)
+        elif isinstance(a, PIn):
+            container = value(a.var)
+            if not isinstance(container, frozenset):
+                raise PredicateTypeError(f"{a.var.name} is not set-valued")
+            holds = a.element.value in container
+        else:
+            raise PredicateTypeError(f"not a predicate: {a!r}")
+        if not holds:
+            return False
+    return True
 
 
 # -- the evaluation engine ----------------------------------------------------

@@ -2,9 +2,11 @@
 
 A term is a chain of sampling and observation statements ending in a
 return statement.  Sampling binds fresh output variables; observation
-constrains two variables of equal type (the core form) or an arbitrary
-predicate over the scope (the evaluator-only form, which the algebraic
-operations reject).
+constrains two variables of equal type (the core form) or a predicate
+over the scope (the evaluator-only form, which the algebraic operations
+reject).  A predicate is a flat conjunction: a tuple of `=`, `!=` and
+`IN` atoms, the empty tuple being TRUE, so every pass over one is a
+loop over its atoms.
 """
 
 from __future__ import annotations
@@ -87,43 +89,30 @@ class PIn:
     var: PVar
 
 
-@dataclass(frozen=True)
-class PAnd:
-    left: "Pred"
-    right: "Pred"
-
-
-@dataclass(frozen=True)
-class PTrue:
-    pass
-
-
-Pred = Union[PEq, PNe, PIn, PAnd, PTrue]
+Atom = Union[PEq, PNe, PIn]
+Pred = tuple[Atom, ...]  # a conjunction of atoms; () is TRUE
 
 
 def pred_vars(p: Pred) -> set[Var]:
-    if isinstance(p, (PEq, PNe)):
-        return {o.name for o in (p.left, p.right) if isinstance(o, PVar)}
-    if isinstance(p, PIn):
-        return {p.var.name}
-    if isinstance(p, PAnd):
-        return pred_vars(p.left) | pred_vars(p.right)
-    return set()
+    out = set()
+    for a in p:
+        if isinstance(a, PIn):
+            out.add(a.var.name)
+        else:
+            out.update(o.name for o in (a.left, a.right) if isinstance(o, PVar))
+    return out
 
 
 def render_pred(p: Pred) -> str:
     def operand(o: Operand) -> str:
         return o.name if isinstance(o, PVar) else render_outcome(o.value)
 
-    if isinstance(p, PEq):
-        return f"{operand(p.left)} = {operand(p.right)}"
-    if isinstance(p, PNe):
-        return f"{operand(p.left)} != {operand(p.right)}"
-    if isinstance(p, PIn):
-        return f"{render_outcome(p.element.value)} IN {p.var.name}"
-    if isinstance(p, PAnd):
-        return f"{render_pred(p.left)} AND {render_pred(p.right)}"
-    return "TRUE"
+    def atom(a: Atom) -> str:
+        if isinstance(a, PIn):
+            return f"{render_outcome(a.element.value)} IN {a.var.name}"
+        return f"{operand(a.left)} {'=' if isinstance(a, PEq) else '!='} {operand(a.right)}"
+
+    return " AND ".join(map(atom, p)) or "TRUE"
 
 
 # -- term nodes ------------------------------------------------------------
@@ -164,7 +153,7 @@ class Observe(_Statement):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ObservePred(_Statement):
-    """Evaluator-only observe over an arbitrary predicate (non-core)."""
+    """Evaluator-only observe of a conjunction of atoms (non-core)."""
 
     pred: Pred
     cont: "Term"
@@ -230,16 +219,14 @@ def _check_operand(o: Operand, scope: dict[Var, TypeName]) -> TypeName:
 
 
 def _check_pred(p: Pred, scope: dict[Var, TypeName]) -> None:
-    if isinstance(p, (PEq, PNe)):
-        lt = _check_operand(p.left, scope)
-        rt = _check_operand(p.right, scope)
+    for a in p:
+        if isinstance(a, PIn):
+            _check_operand(a.var, scope)
+            continue
+        lt = _check_operand(a.left, scope)
+        rt = _check_operand(a.right, scope)
         if lt != rt:
-            raise TypeMismatch(f"comparison between {lt} and {rt} in OBSERVE({render_pred(p)})")
-    elif isinstance(p, PIn):
-        _check_operand(p.var, scope)
-    elif isinstance(p, PAnd):
-        _check_pred(p.left, scope)
-        _check_pred(p.right, scope)
+            raise TypeMismatch(f"comparison between {lt} and {rt} in OBSERVE({render_pred((a,))})")
 
 
 def typecheck(sig: Signature, ctx: Context, t: Term) -> TypedTerm:
@@ -315,14 +302,10 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
         return bound.get(v, v)
 
     def pred_resolved(p: Pred, bound: dict[Var, int]):
-        if isinstance(p, (PEq, PNe)):
-            conv = lambda o: resolve(o.name, bound) if isinstance(o, PVar) else ("lit", o.value, o.type)
-            return (type(p).__name__, conv(p.left), conv(p.right))
-        if isinstance(p, PIn):
-            return ("PIn", p.element.value, p.element.type, resolve(p.var.name, bound))
-        if isinstance(p, PAnd):
-            return ("PAnd", pred_resolved(p.left, bound), pred_resolved(p.right, bound))
-        return ("PTrue",)
+        conv = lambda o: resolve(o.name, bound) if isinstance(o, PVar) else ("lit", o.value, o.type)
+        return [("PIn", a.element.value, a.element.type, resolve(a.var.name, bound))
+                if isinstance(a, PIn) else (type(a).__name__, conv(a.left), conv(a.right))
+                for a in p]
 
     ba: dict[Var, int] = {}
     bb: dict[Var, int] = {}
@@ -381,15 +364,8 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
         return PVar(sub(o.name)) if isinstance(o, PVar) else o
 
     def sub_pred(p: Pred) -> Pred:
-        if isinstance(p, PEq):
-            return PEq(sub_operand(p.left), sub_operand(p.right))
-        if isinstance(p, PNe):
-            return PNe(sub_operand(p.left), sub_operand(p.right))
-        if isinstance(p, PIn):
-            return PIn(p.element, PVar(sub(p.var.name)))
-        if isinstance(p, PAnd):
-            return PAnd(sub_pred(p.left), sub_pred(p.right))
-        return p
+        return tuple(PIn(a.element, PVar(sub(a.var.name))) if isinstance(a, PIn)
+                     else type(a)(sub_operand(a.left), sub_operand(a.right)) for a in p)
 
     heads, ret = statements(t)
     moved: list[Term] = []

@@ -14,7 +14,7 @@ from arrowlang import cli, semantics
 from arrowlang.cli import main
 from arrowlang.combinator import decode, encode
 from arrowlang.errors import NonNumericOutcome
-from arrowlang.parser import load_file
+from arrowlang.parser import load_file, load_text, parse, pretty
 from arrowlang.semantics import interpret, trace
 from arrowlang.subdist import FAILURE, Subdist, expected_value, ket
 from arrowlang.syntax import alpha_eq
@@ -480,6 +480,42 @@ def test_trace_of_twelve_hundred_statements(tmp_path, capsys):
     mass = sum(final.values())
     assert lines[-2:] == [f"Validity: {mass}",
                           f"Posterior: {ket(Subdist({x: w / mass for x, w in final.items()}))}"]
+
+
+SHORT_OBSERVE = "OBSERVE(A IN ports AND guide != B)"
+
+
+def _long_observe(n: int) -> str:
+    """The AND chain of n atoms that cycles through ``A IN ports``,
+    ``guide != B``, ``coin = coin`` and ``A = guide``: all four kinds of
+    atom, and together no stronger than `SHORT_OBSERVE`."""
+    cycle = ("A IN ports", "guide != B", "coin = coin", "A = guide")
+    return "OBSERVE(" + " AND ".join(cycle[i % 4] for i in range(n)) + ")"
+
+
+def test_observe_of_ten_thousand_atoms_at_default_recursion_limit(tmp_path, capsys):
+    assert sys.getrecursionlimit() == 1000
+    source = (PUZZLES / "sailors_child.arrow").read_text()
+    long_observe = _long_observe(10_000)
+    short, long = tmp_path / "short.arrow", tmp_path / "long.arrow"
+    short.write_text(source.replace("OBSERVE(A IN ports)", SHORT_OBSERVE))
+    long.write_text(source.replace("OBSERVE(A IN ports)", long_observe))
+    assert long_observe.count(" AND ") == 9_999
+
+    code, out, _ = run_cli(capsys, "run", str(long))
+    assert code == 0
+    assert out == "Final: 1/4|H> + 1/4|T>\nValidity: 1/2\nPosterior: 1/2|H> + 1/2|T>\n"
+    code, short_trace, _ = run_cli(capsys, "trace", str(short))
+    assert code == 0 and f"(4) {SHORT_OBSERVE} | 1/4|H,A,{{A}}> + 1/4|T,A,{{A,B}}>" in short_trace
+    code, out, _ = run_cli(capsys, "trace", str(long))
+    assert code == 0 and out == short_trace.replace(SHORT_OBSERVE, long_observe)
+    code, out, _ = run_cli(capsys, "eq", str(long), str(short), "--trials", "5")
+    assert code == 0 and out.startswith("programs agree")
+
+    canonical = pretty(parse(long.read_text()))
+    assert long_observe in canonical.splitlines()
+    assert pretty(parse(canonical)) == canonical
+    assert alpha_eq(load_text(canonical).typed.term, load_file(long).typed.term)
 
 
 def _coprime_program(n: int) -> tuple[str, dict]:

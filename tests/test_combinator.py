@@ -42,7 +42,6 @@ from arrowlang.proptest import (
 from arrowlang.semantics import semantics_of_comb
 from arrowlang.syntax import (
     ObservePred,
-    PTrue,
     Return,
     Signature,
     alpha_eq,
@@ -344,7 +343,7 @@ def test_decode_compare_map():
 
 def test_encode_rejects_predicate_observe():
     sig = Signature(frozenset({"X"}))
-    tt = typecheck(sig, (("x1", "X"),), ObservePred(PTrue(), Return(("x1",))))
+    tt = typecheck(sig, (("x1", "X"),), ObservePred((), Return(("x1",))))
     with pytest.raises(NonCoreTerm):
         encode(tt)
 

@@ -1,5 +1,6 @@
 """Harness contracts: generators, the enumeration oracle, bounded search."""
 
+import hashlib
 import random
 from collections import deque
 from fractions import Fraction as Q
@@ -15,6 +16,7 @@ from arrowlang.proptest import (
     gen_closed_program,
     gen_interpretation,
     gen_term,
+    gen_term_for_ctx,
     oracle_denote,
 )
 from arrowlang.semantics import Interpretation, denote_channel, interpret, trace
@@ -79,6 +81,25 @@ def test_random_interpretations_hit_both_mass_regimes():
 
 
 # -- oracle ----------------------------------------------------------------------
+
+
+def test_generators_draw_as_pinned():
+    # The benchmark's differential workload draws its programs through
+    # these three generators, in this order; the digest was taken when
+    # each had its own body.  A signature's types are sorted, since a
+    # frozenset's repr follows the hash seed.
+    budget = GenBudget(max_statements=4)
+    digest = hashlib.sha256()
+    for seed in range(200):
+        rng = random.Random(seed)
+        tt = gen_closed_program(budget, rng)
+        sig, ctx, term = gen_term(budget, rng)
+        ctx2 = tuple(rng.choice(sorted(sig.types)) for _ in range(rng.randint(0, 2)))
+        tt2 = gen_term_for_ctx(budget, rng, sig, ctx2)
+        for s, c, t in ((tt.sig, tt.ctx, tt.term), (sig, ctx, term), (tt2.sig, tt2.ctx, tt2.term)):
+            digest.update(repr((sorted(s.types), list(s.generators.values()), c, t)).encode())
+    assert digest.hexdigest() == (
+        "36986488070e11b0611ad6d04f4f52d7726341d442f97bdbe4cbf7fed0991d6c")
 
 
 def test_oracle_monty_hall():

@@ -46,7 +46,6 @@ from arrowlang.syntax import (
     Generator,
     Observe,
     ObservePred,
-    PTrue,
     Return,
     Sample,
     Signature,
@@ -296,7 +295,7 @@ def test_observe_predicate_monty_fall():
     from arrowlang.syntax import PLit, PNe, PVar
 
     state = uniform(("L", "M", "R"))
-    out = _observe_pred(state, PNe(PVar("car"), PLit("L", "Door")), ["car"], ("Door",))
+    out = _observe_pred(state, (PNe(PVar("car"), PLit("L", "Door")),), ["car"], ("Door",))
     assert out == Subdist({"M": Q(1, 3), "R": Q(1, 3)})
 
 
@@ -310,7 +309,7 @@ def test_observe_predicate_membership():
         ("T", "A", sAB): Q(1, 4),
         ("T", "B", sAB): Q(1, 4),
     })
-    out = _observe_pred(state, PIn(PLit("A", "Port"), PVar("ports")),
+    out = _observe_pred(state, (PIn(PLit("A", "Port"), PVar("ports")),),
                         ["coin", "guide", "ports"], ("Coin", "Port", "Ports"))
     assert ("H", "B", sB) not in out
     assert out.mass == Q(3, 4)
@@ -318,7 +317,7 @@ def test_observe_predicate_membership():
 
 def test_observe_predicate_true_is_identity():
     state = uniform(("u", "v"))
-    assert _observe_pred(state, PTrue(), ["x"], ("X",)) == state
+    assert _observe_pred(state, (), ["x"], ("X",)) == state
 
 
 # -- combinator semantics agreement ---------------------------------------------------

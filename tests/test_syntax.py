@@ -1,9 +1,12 @@
 """Typing rules, alpha equivalence, substitution, and axiom rewrites."""
 
 import sys
+from dataclasses import replace
+from fractions import Fraction as Q
 
 import pytest
 
+import puzzle_programs
 from arrowlang.errors import (
     NonFreshOutput,
     NotApplicable,
@@ -11,11 +14,18 @@ from arrowlang.errors import (
     UnboundVariable,
     UnknownGenerator,
 )
+from arrowlang.proptest import oracle_denote
+from arrowlang.semantics import interpret
+from arrowlang.subdist import Subdist
 from arrowlang.syntax import (
     Generator,
     Observe,
     ObservePred,
-    PTrue,
+    PEq,
+    PIn,
+    PLit,
+    PNe,
+    PVar,
     Return,
     Sample,
     Signature,
@@ -168,16 +178,84 @@ def test_long_terms_compare_hash_and_print_at_default_recursion_limit():
 
 
 def test_statement_repr_is_the_dataclass_text():
-    t = Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred(PTrue(), Return(("e",)))))
+    t = Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred((), Return(("e",)))))
     assert repr(t) == (
         "Sample(gen=Generator(name='pair', inputs=('Coin',), outputs=('Coin', 'Door')), "
         "args=('c',), outs=('d', 'e'), cont=Observe(left='d', right='d', "
-        "cont=ObservePred(pred=PTrue(), cont=Return(vars=('e',)))))")
+        "cont=ObservePred(pred=(), cont=Return(vars=('e',)))))")
     assert repr(Observe("a", "b", None)) == "Observe(left='a', right='b', cont=None)"
-    assert t == Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred(PTrue(), Return(("e",)))))
+    assert t == Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred((), Return(("e",)))))
     assert t != Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", Return(("e",))))
-    assert Observe("a", "b", None) != ObservePred(PTrue(), None) and t != "t"
+    assert Observe("a", "b", None) != ObservePred((), None) and t != "t"
     assert len({t, Observe("a", "b", None), Observe("a", "b", None)}) == 2
+
+
+
+# -- long predicates at the default recursion limit --------------------------------
+
+
+def _chain(n: int, guide: str = "guide") -> tuple:
+    """The conjunction of n atoms that cycles through ``A IN ports``,
+    ``guide != B``, ``coin = coin`` and ``A = guide``."""
+    a, b = PLit("A", "Port"), PLit("B", "Port")
+    cycle = (PIn(a, PVar("ports")), PNe(PVar(guide), b),
+             PEq(PVar("coin"), PVar("coin")), PEq(a, PVar(guide)))
+    return tuple(cycle[i % 4] for i in range(n))
+
+
+def _sailor_observing(pred, guide: str = "guide"):
+    """The sailor's child term with its observe replaced by ``pred``."""
+    tt, _ = puzzle_programs.sailors_child()
+    (coin, book, ports, _), ret = statements(tt.term)
+    return from_statements([coin, replace(book, outs=(guide,)),
+                            replace(ports, args=("coin", guide)), ObservePred(pred, None)], ret)
+
+
+def test_ten_thousand_atom_observe_at_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    tt, interp = puzzle_programs.sailors_child()
+    pred = _chain(10_000)
+    term = _sailor_observing(pred)
+    typed = typecheck(tt.sig, (), term)
+    assert typed.out_types == ("Coin",)
+    last_wrong = pred[:-1] + (PEq(PVar("coin"), PLit("A", "Port")),)
+    with pytest.raises(TypeMismatch) as caught:
+        typecheck(tt.sig, (), _sailor_observing(last_wrong))
+    assert str(caught.value) == "comparison between Coin and Port in OBSERVE(coin = A)"
+    assert render_statement(statements(term)[0][3]) == (
+        "OBSERVE(" + " AND ".join(["A IN ports AND guide != B AND coin = coin AND A = guide"]
+                                  * 2_500) + ")")
+
+    assert alpha_eq(_sailor_observing(_chain(10_000, "g"), "g"), term)
+    assert not alpha_eq(_sailor_observing(last_wrong), term)
+    assert not alpha_eq(_sailor_observing(pred[:-1]), term)
+
+    copy = _sailor_observing(_chain(10_000))
+    assert copy == term and copy is not term and hash(copy) == hash(term)
+    assert _sailor_observing(pred[:-1]) != term
+    text = repr(term)
+    assert text.count("PIn(element=PLit(value='A', type='Port'), var=PVar(name='ports'))") == 2_500
+    assert text.endswith("PEq(left=PLit(value='A', type='Port'), right=PVar(name='guide'))), "
+                         "cont=Return(vars=('coin',))))))")
+
+    expected = Subdist({"H": Q(1, 4), "T": Q(1, 4)})
+    assert oracle_denote(typed, interp) == expected
+    assert interpret(typed, interp) == expected
+
+
+def test_substitute_through_ten_thousand_atoms_at_default_recursion_limit():
+    assert sys.getrecursionlimit() == 1000
+    a, b = PLit("A", "Port"), PLit("B", "Port")
+
+    def chain(x: str) -> tuple:
+        return tuple(PNe(PVar(x), b) if i % 2 else PEq(a, PVar(x)) for i in range(10_000))
+
+    ctx = (("x", "Port"), ("u", "Port"))
+    t = ObservePred(chain("x"), Return(("x",)))
+    done = substitute(t, "x", "u", ctx=ctx)
+    assert done == ObservePred(chain("u"), Return(("u",)))
+    assert typecheck(Signature(frozenset({"Port"})), ctx, done).out_types == ("Port",)
+    assert alpha_eq(substitute(done, "u", "x"), t) and not alpha_eq(done, t)
 
 
 # -- axiom rewrites ---------------------------------------------------------------

@@ -26,7 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrowlang.errors import ArrowError, ParseError
-from arrowlang.parser import load_text, located_tokens, pretty, tokenize
+from arrowlang import parser
+from arrowlang.parser import load_text, located_tokens, parse, pretty, tokenize
 
 PUZZLES = sorted((Path(__file__).resolve().parent.parent / "puzzles").glob("*.arrow"))
 TEXTS = [p.read_text(encoding="utf-8") for p in PUZZLES]
@@ -194,6 +195,27 @@ def test_load_outcomes_are_pinned():
         digest.update(repr(load_outcome(text)).encode() + b"\n")
     assert digest.hexdigest() == (
         "d6848f1c4a2f89fc74c2f93440af98cddb007a1207a89222c0cdbceaaa881abe")
+
+
+
+def _cases(n: int) -> str:
+    """A program of n CASE statements, each reading the one before."""
+    lines = ["TYPE S = {a, b, c}", "x0 <- UNIFORM {a, b, c}"]
+    for i in range(1, n + 1):
+        lines.append(f"x{i} <- CASE x{i - 1} OF a -> 1|b>; b -> 1/2|a> + 1/2|c>; _ -> 1|a>")
+    return "\n".join(lines + [f"RETURN(x0, x{n})"]) + "\n"
+
+
+def test_each_distinct_text_is_classified_once_per_parse(monkeypatch):
+    calls = []
+    kind = parser._kind
+    monkeypatch.setattr(parser, "_kind", lambda tok: calls.append(tok) or kind(tok))
+    for text in TEXTS + [_cases(200)]:
+        distinct = set(tokenize(text))
+        calls.clear()
+        parse(text)
+        assert sorted(calls) == sorted(distinct)
+    assert len(distinct) > 200
 
 
 COIN = "TYPE Coin = {H, T}\nx <- UNIFORM {H, T}\n"
