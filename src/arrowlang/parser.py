@@ -22,7 +22,10 @@ statements, rationals are ``p`` or ``p/q``):
 CASE patterns are literals, ``_`` wildcards, or variables; repeated
 variables force equality and ``IF`` inequalities constrain both pattern
 variables and extra ket variables, which are resolved by enumeration
-over the carrier.
+over the carrier.  Each input combination takes the first row that
+matches it and whose conditions can be met; rows whose patterns are all
+literals, with no ``IF``, are looked up by their values, and the other
+rows are scanned in order.
 """
 
 from __future__ import annotations
@@ -678,17 +681,17 @@ class _RowMatcher:
         self.variables: list[tuple[int, str]] = []
         self.var_types: dict[str, str] = {}
         for i, (entry, tname) in enumerate(zip(row.pattern, input_types)):
-            if entry[0] == "lit" or (entry[0] == "name" and entry[1] in carriers[tname]):
-                value = entry[1]
-                if value not in carriers[tname]:
-                    raise ElaborationError(f"{where}: literal {_src_value(value)} not in {tname}")
+            if entry[0] == "wild":
+                continue
+            value = entry[1]
+            if value in carriers[tname]:
                 self.literals.append((i, value))
-            elif entry[0] == "name":
-                name = entry[1]
-                if name in self.var_types and self.var_types[name] != tname:
-                    raise ElaborationError(f"{where}: pattern variable {name} used at two types")
-                self.var_types[name] = tname
-                self.variables.append((i, name))
+            elif entry[0] == "lit":
+                raise ElaborationError(f"{where}: literal {_src_value(value)} not in {tname}")
+            else:  # a name that is no value of its type is a pattern variable
+                if self.var_types.setdefault(value, tname) != tname:
+                    raise ElaborationError(f"{where}: pattern variable {value} used at two types")
+                self.variables.append((i, value))
         # extra variables are condition names not bound by the pattern;
         # their types come from inequation links, propagated to a fixpoint
         self.extras: dict[str, str | None] = {}
@@ -716,12 +719,19 @@ class _RowMatcher:
         # the ket as integer numerators over the lcm of its weights'
         # denominators, each name in it marked ("var", name) when it is a
         # pattern or extra variable; the others are values
-        self.den = lcm(*(den for (_, den), _ in row.ket))
-        self.ket = [
-            (num * (self.den // den),
-             tuple(("var", v) if kind == "name" and (v in self.var_types or v in self.extras)
-                   else (kind, v) for kind, v in values))
-            for (num, den), values in row.ket]
+        names = self.var_types.keys() | self.extras.keys()
+        self.den = den = lcm(*[den for (_, den), _ in row.ket])
+        self.ket = [(num * (den // d), values) for (num, d), values in row.ket]
+        if names:
+            self.ket = [(n, tuple([("var", v) if kind == "name" and v in names else (kind, v)
+                                   for kind, v in values])) for n, values in self.ket]
+        # a row that no combination changes is built once, into ``fixed``
+        self.fixed: Subdist | None = None
+        self.constant = not names or (not self.extras and not any(
+            kind == "var" for _, values in self.ket for kind, _ in values))
+        # the literal tuple that a pattern of literals only, with no IF, is looked up by
+        self.key = (tuple([value for _, value in self.literals])
+                    if len(self.literals) == len(row.pattern) and not row.conditions else None)
 
     def bind(self, combo: tuple):
         """Match the pattern against concrete values; None when it fails."""
@@ -737,59 +747,84 @@ class _RowMatcher:
     def _conditions_hold(self, env: dict[str, Outcome]) -> bool:
         return all(env[a] != env[b] for a, b in self.row.conditions)
 
+    def _numerators(self, env: dict[str, Outcome], out_types: tuple[str, ...]) -> dict:
+        """The row's outcomes under ``env`` with their nonzero numerators over ``den``."""
+        acc: dict = {}
+        for n, values in self.ket:
+            if len(values) != len(out_types):
+                raise ElaborationError(
+                    f"{self.where}: ket arity {len(values)} does not match outputs")
+            resolved = []
+            for (kind, v), tname in zip(values, out_types):
+                if kind == "var":
+                    resolved.append(env[v])
+                elif v in self.carriers[tname]:
+                    resolved.append(v)
+                elif kind == "name":
+                    raise ElaborationError(
+                        f"{self.where}: {v} is neither a variable nor a value of {tname}")
+                else:
+                    raise ElaborationError(f"{self.where}: {_src_value(v)} not in {tname}")
+            key = collapse_values(tuple(resolved))
+            acc[key] = acc.get(key, 0) + n
+        if sum(acc.values()) > self.den:
+            raise ElaborationError(f"{self.where}: row mass exceeds 1")
+        return {x: n for x, n in acc.items() if n}
+
     def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...]):
         """Row subdistribution for a matched combo; None when unsatisfiable.
 
         Extra variables are enumerated over their carriers; every
-        satisfying assignment must yield the same table row.
+        satisfying assignment must yield the same table row, and the
+        first one that does not raises.
         """
+        if not self.extras:
+            if not self._conditions_hold(bound):
+                return None
+            if self.fixed is None:
+                row = Subdist._of_numerators(self._numerators(bound, out_types).items(), self.den)
+                if not self.constant:
+                    return row
+                self.fixed = row
+            return self.fixed
         extra_names = sorted(self.extras)
         spaces = [self.carriers[self.extras[x]] for x in extra_names]
-        results = []
+        first = None
         for assignment in product(*spaces):
             env = dict(bound)
             env.update(zip(extra_names, assignment))
             if not self._conditions_hold(env):
                 continue
-            acc: dict = {}
-            for n, values in self.ket:
-                if len(values) != len(out_types):
-                    raise ElaborationError(
-                        f"{self.where}: ket arity {len(values)} does not match outputs")
-                resolved = []
-                for (kind, v), tname in zip(values, out_types):
-                    if kind == "var":
-                        resolved.append(env[v])
-                    elif v in self.carriers[tname]:
-                        resolved.append(v)
-                    elif kind == "name":
-                        raise ElaborationError(
-                            f"{self.where}: {v} is neither a variable nor a value of {tname}")
-                    else:
-                        raise ElaborationError(f"{self.where}: {_src_value(v)} not in {tname}")
-                key = collapse_values(tuple(resolved))
-                acc[key] = acc.get(key, 0) + n
-            if sum(acc.values()) > self.den:
-                raise ElaborationError(f"{self.where}: row mass exceeds 1")
-            results.append(Subdist._of_numerators([(x, n) for x, n in acc.items() if n],
-                                                   self.den))
-        if not results:
-            return None
-        first = results[0]
-        for other in results[1:]:
-            if other != first:
+            numerators = self._numerators(env, out_types)
+            if first is None:
+                first = numerators
+            elif numerators != first:
                 raise ElaborationError(
                     f"{self.where}: conflicting assignments of {', '.join(extra_names)} give different rows"
                 )
-        return first
+        return None if first is None else Subdist._of_numerators(first.items(), self.den)
 
 
 def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ...],
                 carriers: dict, where: str) -> dict:
-    """Expand classified pattern rows into a total kernel table over the carriers."""
+    """Expand classified pattern rows into a total kernel table over the carriers.
+
+    Each combo takes the first row that matches it and whose conditions
+    can be met.  Rows of literals only, with no IF, are looked up by their
+    values; the other rows are scanned, up to the row that the lookup found.
+    """
+    scanned = []
+    index: dict = {}  # literal tuple -> (number of rows scanned before it, its matcher)
+    for matcher in matchers:
+        if matcher.key is None:
+            scanned.append(matcher)
+        else:
+            index.setdefault(matcher.key, (len(scanned), matcher))
+    miss = (len(scanned), None)
     table: dict = {}
     for combo in product(*(carriers[t] for t in input_types)):
-        for matcher in matchers:
+        before, hit = index.get(combo, miss)
+        for matcher in scanned[:before]:
             bound = matcher.bind(combo)
             if bound is not None:
                 row_value = matcher.instantiate(bound, out_types)
@@ -797,14 +832,16 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
                     table[combo] = row_value
                     break
         else:
-            shown = ", ".join(_src_value(v) for v in combo)
-            raise ElaborationError(f"{where}: no row matches ({shown})")
+            if hit is None:
+                shown = ", ".join(_src_value(v) for v in combo)
+                raise ElaborationError(f"{where}: no row matches ({shown})")
+            table[combo] = hit.instantiate({}, out_types)
     return table
 
 
 def _infer_case_output_type(stmt: SampleStmt, matchers, carriers: dict) -> str:
     votes: set[str] = set()
-    literal_values: list = []
+    literal_values: dict = {}  # each distinct value once, in order of appearance
     for matcher in matchers:
         for _, values in matcher.ket:
             if len(values) != 1:
@@ -813,7 +850,7 @@ def _infer_case_output_type(stmt: SampleStmt, matchers, carriers: dict) -> str:
             if kind == "var":
                 votes.add(matcher.var_types.get(v) or matcher.extras[v])
             else:
-                literal_values.append(v)
+                literal_values[v] = None
     if len(votes) > 1:
         raise ElaborationError(
             f"line {stmt.line}: CASE kets mix output types {' and '.join(sorted(votes))}"

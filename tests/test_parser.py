@@ -662,6 +662,135 @@ def test_source_weights_build_no_fractions(monkeypatch):
         "1/448|d1> + " + " + ".join(f"1/384|d{i}>" for i in range(3, 9)))
 
 
+def _two_door_table(rows: str, gen: str = "") -> list[str]:
+    """The kernel built for ``rows`` over (x, y) in Door x Door, as
+    ``"x,y: ket"`` in table order; a GEN header makes it generator g's."""
+    text = (f"TYPE D = {{L, M, R}}\n{gen}x <- UNIFORM {{L, M, R}}\ny <- UNIFORM {{L, M, R}}\n"
+            + ("z <- g(x, y)" if gen else f"z <- CASE (x, y) OF {rows}") + "\nRETURN(z)\n")
+    kernels = load_text(text).interp.kernels
+    table = kernels["g"] if gen else kernels["__case3"]
+    return [f"{','.join(combo)}: {ket(row)}" for combo, row in table.items()]
+
+
+# Each table lists its rows in order; the expected kernel gives each
+# combination the first row that matches it and whose conditions can be met.
+ROW_ORDER = [
+    # a literal row after a wildcard row that covers it is never reached
+    ("(_, M) -> 1|L>; (L, M) -> 1|R>; (_, _) -> 1|M>",
+     "L,L: 1|M>; L,M: 1|L>; L,R: 1|M>; M,L: 1|M>; M,M: 1|L>; M,R: 1|M>; "
+     "R,L: 1|M>; R,M: 1|L>; R,R: 1|M>"),
+    # a wildcard row after a literal row
+    ("(L, M) -> 1|R>; (_, M) -> 1|L>; (_, _) -> 1|M>",
+     "L,L: 1|M>; L,M: 1|R>; L,R: 1|M>; M,L: 1|M>; M,M: 1|L>; M,R: 1|M>; "
+     "R,L: 1|M>; R,M: 1|L>; R,R: 1|M>"),
+    # duplicate literal rows: the first wins
+    ("(L, M) -> 1|R>; (L, M) -> 1|L>; (_, _) -> 1|M>",
+     "L,L: 1|M>; L,M: 1|R>; L,R: 1|M>; M,L: 1|M>; M,M: 1|M>; M,R: 1|M>; "
+     "R,L: 1|M>; R,M: 1|M>; R,R: 1|M>"),
+    # a row with a literal and an IF that no assignment meets (four distinct
+    # doors out of three), then a literal row for (L, L); a row of literals
+    # only cannot have an IF, whose extra variables would have no type
+    ("(L, y) -> 1|M> IF y != u AND u != v AND v != y AND w != y AND w != u AND w != v; "
+     "(L, L) -> 1|R>; (L, y) -> 1|y>; (_, _) -> 1|L>",
+     "L,L: 1|R>; L,M: 1|M>; L,R: 1|R>; M,L: 1|L>; M,M: 1|L>; M,R: 1|L>; "
+     "R,L: 1|L>; R,M: 1|L>; R,R: 1|L>"),
+    # an IF row met off the diagonal, literal rows for the diagonal, and a
+    # literal row that the IF row already covers
+    ("(x, y) -> 1|w> IF x != y AND y != w AND w != x; (L, L) -> 1|M>; (M, M) -> 1|R>; "
+     "(R, R) -> 1|L>; (L, M) -> 1|L>",
+     "L,L: 1|M>; L,M: 1|R>; L,R: 1|M>; M,L: 1|R>; M,M: 1|R>; M,R: 1|L>; "
+     "R,L: 1|M>; R,M: 1|L>; R,R: 1|L>"),
+    # a pattern-variable row before literal rows
+    ("(x, x) -> 1|x>; (L, L) -> 1|R>; (L, M) -> 1|R>; (_, _) -> 1|M>",
+     "L,L: 1|L>; L,M: 1|R>; L,R: 1|M>; M,L: 1|M>; M,M: 1|M>; M,R: 1|M>; "
+     "R,L: 1|M>; R,M: 1|M>; R,R: 1|R>"),
+    # a ket that reads no variable, under an IF on the pattern variables
+    ("(x, y) -> 1|L> IF x != y; (_, _) -> 1|R>",
+     "L,L: 1|R>; L,M: 1|L>; L,R: 1|L>; M,L: 1|L>; M,M: 1|R>; M,R: 1|L>; "
+     "R,L: 1|L>; R,M: 1|L>; R,R: 1|R>"),
+    # every assignment of w gives the same empty row
+    ("(x, x) -> 0|w> IF w != x; (L, _) -> 1|M>; (_, _) -> 1/2|R>",
+     "L,L: 0; L,M: 1|M>; L,R: 1|M>; M,L: 1/2|R>; M,M: 0; M,R: 1/2|R>; "
+     "R,L: 1/2|R>; R,M: 1/2|R>; R,R: 0"),
+]
+
+
+@pytest.mark.parametrize("rows, expected", ROW_ORDER)
+def test_case_rows_are_tried_in_order(rows, expected):
+    assert _two_door_table(rows) == expected.split("; ")
+
+
+def test_bad_ket_values_raise_only_in_reached_rows():
+    unreached = "GEN g : D, D -> D = (_, _) -> 1|L>; (L, M) -> 1|Q>; (M, M) -> 1/2|$3> + 1/2|L>\n"
+    assert set(_two_door_table("", unreached)) == {
+        f"{x},{y}: 1|L>" for x in "LMR" for y in "LMR"}
+    for ket_text, message in (("1|Q>", "generator g: Q is neither a variable nor a value of D"),
+                              ("1/2|L> + 1/2|$3>", "generator g: $3 not in D")):
+        with pytest.raises(ElaborationError) as exc:
+            _two_door_table("", f"GEN g : D, D -> D = (L, L) -> 1|L>; (L, M) -> {ket_text}; "
+                                "(_, _) -> 1|R>\n")
+        assert str(exc.value) == message and exc.value.line == 2
+
+
+def test_first_uncovered_combination_after_looked_up_rows():
+    with pytest.raises(ElaborationError) as exc:
+        _two_door_table("(L, L) -> 1|L>; (L, M) -> 1|L>; (M, y) -> 1|y>; (R, R) -> 1|M>")
+    assert str(exc.value) == "line 4: no row matches (L, R)" and exc.value.line == 4
+
+
+def test_literal_rows_are_looked_up_not_matched(monkeypatch):
+    from arrowlang import parser
+
+    matched = []
+    bind = parser._RowMatcher.bind
+    monkeypatch.setattr(parser._RowMatcher, "bind",
+                        lambda self, combo: matched.append(combo) or bind(self, combo))
+    prog = load_text(_doors_source(8))
+    assert matched == []
+    doors = [f"d{i}" for i in range(1, 9)]
+    table = prog.interp.kernels["__case3"]
+    assert list(table) == [(c, p) for c in doors for p in doors]
+    for (c, p), row in table.items():
+        opens = [d for d in doors if d not in (c, p)]
+        assert row == Subdist({d: Q(1, len(opens)) for d in opens})
+
+
+def test_row_with_no_variables_is_built_once(monkeypatch):
+    built = []
+    of_numerators = Subdist._of_numerators.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return of_numerators(cls, *args)
+
+    monkeypatch.setattr(Subdist, "_of_numerators", classmethod(counting))
+    doors = ", ".join(f"d{i}" for i in range(1, 9))
+    prog = load_text(f"TYPE Door = {{{doors}}}\n"
+                     "GEN g : Door, Door -> Door = (_, _) -> 1/2|d1> + 1/2|d2>\nRETURN()\n")
+    table = prog.interp.kernels["g"]
+    assert len(table) == 64 and len(built) == 1
+    assert {id(row) for row in table.values()} == {id(next(iter(table.values())))}
+    assert ket(table["d3", "d5"]) == "1/2|d1> + 1/2|d2>"
+
+
+def test_conflicting_extra_variables_fail_at_the_first_difference(monkeypatch):
+    from arrowlang import parser
+
+    resolved = []
+    collapse_values = parser.collapse_values
+    monkeypatch.setattr(parser, "collapse_values",
+                        lambda values: resolved.append(values) or collapse_values(values))
+    values = ", ".join(f"v{i}" for i in range(20))
+    src = (f"TYPE V = {{{values}}}\nx <- UNIFORM {{{values}}}\n"
+           "y <- CASE x OF a -> 1|e> IF a != b AND b != c AND c != d AND d != e\nRETURN(y)\n")
+    with pytest.raises(ElaborationError) as exc:
+        load_text(src)
+    assert str(exc.value) == "line 3: conflicting assignments of b, c, d, e give different rows"
+    # of the 19^4 assignments that meet the conditions, the second already
+    # gives another row, and it is the last one resolved
+    assert len(resolved) == 2
+
+
 ELABORATION_ERRORS = [
     ("TYPE T = {a}\nTYPE T = {b}\nx <- UNIFORM {a}\nRETURN(x)\n", 2, "type T declared twice"),
     ("TYPE T = {a, b}\n\nGEN g : T -> U\nx <- UNIFORM {a, b}\nRETURN(x)\n", 3,
