@@ -62,7 +62,7 @@ def _trace_text(lines, result) -> str:
     return "\n".join(body) + "\n"
 
 
-def _emit_run(prog: Program, path: str, args, out) -> int:
+def _emit_run(prog: Program, path: str, args) -> int:
     structured = args.format == "structured"
     doc = {"program": path, "lines": [], "failure": False}
     try:
@@ -76,9 +76,9 @@ def _emit_run(prog: Program, path: str, args, out) -> int:
         if structured:
             doc.update(failure=True, failure_line=exc.line,
                        validity=_fraction_json(Fraction(0)), posterior=[])
-            print(json.dumps(doc, sort_keys=True), file=out)
+            print(json.dumps(doc, sort_keys=True))
         else:
-            print(f"Failure: state mass is zero at line {exc.line}", file=out)
+            print(f"Failure: state mass is zero at line {exc.line}")
         return 2
 
     failed = result.posterior is FAILURE
@@ -97,7 +97,7 @@ def _emit_run(prog: Program, path: str, args, out) -> int:
         doc["failure"] = failed
         if ev is not None:
             doc["expected_value"] = _fraction_json(ev)
-        print(json.dumps(doc, sort_keys=True), file=out)
+        print(json.dumps(doc, sort_keys=True))
         return 2 if failed else 0
 
     # rendered whole before writing: a weight too long to print leaves no partial output
@@ -109,35 +109,33 @@ def _emit_run(prog: Program, path: str, args, out) -> int:
                 f"Posterior: {posterior}\n")
     if ev is not None:
         text += f"Expected value: {render_weight(ev)}\n"
-    out.write(text)
+    sys.stdout.write(text)
     return 2 if failed else 0
 
 
-def cmd_run(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_run(args) -> int:
     try:
         prog = load_file(args.path)
     except (ArrowError, OSError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _emit_run(prog, str(args.path), args, out)
+        return _emit_run(prog, str(args.path), args)
     except (NonNumericOutcome, ArrowError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _compatible(a: Program, b: Program, err) -> bool:
+def _compatible(a: Program, b: Program) -> bool:
     for tname in sorted(set(a.interp.carriers) & set(b.interp.carriers)):
         if tuple(a.interp.carriers[tname]) != tuple(b.interp.carriers[tname]):
-            print(f"error: type {tname} has different carriers", file=err)
+            print(f"error: type {tname} has different carriers", file=sys.stderr)
             return False
     gens_a = a.typed.sig.generators
     gens_b = b.typed.sig.generators
     for name in sorted(set(gens_a) & set(gens_b)):
         if gens_a[name] != gens_b[name]:
-            print(f"error: generator {name} declared with different types", file=err)
+            print(f"error: generator {name} declared with different types", file=sys.stderr)
             return False
     return True
 
@@ -151,8 +149,7 @@ def _final(prog: Program, denote, kernels=None) -> Subdist:
     return denote(interp, [()])[()]
 
 
-def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, out, err,
-                             kernels=None) -> int:
+def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, kernels=None) -> int:
     """Print how the programs differ, and the random kernels if given."""
     from .subdist import rescale
 
@@ -168,22 +165,20 @@ def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, out, err,
                 shown = ", ".join(render_outcome(v) for v in inputs)
                 lines.append(f"    {name}({shown}) = {ket(row)}")
     except WeightTooLong as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    out.write("\n".join(lines) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 3
 
 
-def cmd_eq(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_eq(args) -> int:
     try:
         a = load_file(args.path_a)
         b = load_file(args.path_b)
     except (ArrowError, OSError) as exc:
-        print(f"error: {exc}", file=err)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not _compatible(a, b, err):
+    if not _compatible(a, b):
         return 1
     denote_a, denote_b = denoter(a.typed), denoter(b.typed)
 
@@ -193,7 +188,7 @@ def cmd_eq(args, out=None, err=None) -> int:
     if have_declared:
         fa, fb = _final(a, denote_a), _final(b, denote_b)
         if fa != fb:
-            return _describe_counterexample("the declared interpretation", fa, fb, out, err)
+            return _describe_counterexample("the declared interpretation", fa, fb)
 
     rng = random.Random(args.seed)
     union_gens: dict[str, Generator] = dict(a.typed.sig.generators)
@@ -205,19 +200,17 @@ def cmd_eq(args, out=None, err=None) -> int:
         fa, fb = _final(a, denote_a, kernels), _final(b, denote_b, kernels)
         if fa != fb:
             return _describe_counterexample(
-                f"random interpretation (seed {args.seed}, trial {trial})", fa, fb, out, err, kernels)
+                f"random interpretation (seed {args.seed}, trial {trial})", fa, fb, kernels)
     checked = "declared interpretation and " if have_declared else ""
-    print(f"programs agree under the {checked}{args.trials} random interpretations", file=out)
+    print(f"programs agree under the {checked}{args.trials} random interpretations")
     return 0
 
 
-def cmd_corpus(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_corpus(args) -> int:
     root = Path(args.dir)
     programs = sorted(root.glob("*.arrow"))
     if not programs:
-        print(f"warning: no .arrow files in {root}", file=err)
+        print(f"warning: no .arrow files in {root}", file=sys.stderr)
         return 0
     failures = []
     for path in programs:
@@ -225,7 +218,7 @@ def cmd_corpus(args, out=None, err=None) -> int:
         name = path.stem
         if not golden.exists():
             failures.append((name, "missing golden file", None, None))
-            print(f"FAIL {name} (missing golden file)", file=out)
+            print(f"FAIL {name} (missing golden file)")
             continue
         try:
             source = path.read_text(encoding="utf-8")
@@ -237,11 +230,11 @@ def cmd_corpus(args, out=None, err=None) -> int:
             actual = f"Failure: state mass is zero at line {exc.line}\n"
         except ArrowError as exc:
             failures.append((name, f"error: {exc}", None, None))
-            print(f"FAIL {name} (error: {exc})", file=out)
+            print(f"FAIL {name} (error: {exc})")
             continue
         expected = golden.read_text(encoding="utf-8")
         if actual == expected:
-            print(f"PASS {name}", file=out)
+            print(f"PASS {name}")
             continue
         exp_lines = expected.splitlines()
         act_lines = actual.splitlines()
@@ -252,15 +245,26 @@ def cmd_corpus(args, out=None, err=None) -> int:
         failures.append((name, f"first difference at line {where}",
                          exp_lines[where - 1] if where <= len(exp_lines) else "<end>",
                          act_lines[where - 1] if where <= len(act_lines) else "<end>"))
-        print(f"FAIL {name} (first difference at line {where})", file=out)
+        print(f"FAIL {name} (first difference at line {where})")
     if failures:
         name, why, exp, act = failures[0]
-        print(f"first failure: {name}: {why}", file=out)
+        print(f"first failure: {name}: {why}")
         if exp is not None:
-            print(f"  golden: {exp}", file=out)
-            print(f"  actual: {act}", file=out)
+            print(f"  golden: {exp}")
+            print(f"  actual: {act}")
         return 4
     return 0
+
+
+def _count(text: str) -> int:
+    """An option's count: an int, and not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
 
 
 @functools.cache
@@ -290,7 +294,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("eq", help="check two programs for equal denotations")
     eq.add_argument("path_a")
     eq.add_argument("path_b")
-    eq.add_argument("--trials", type=int, default=20)
+    eq.add_argument("--trials", type=_count, default=20)
     eq.add_argument("--seed", type=int, default=0)
 
     corpus = sub.add_parser("corpus", help="replay a directory against golden traces")

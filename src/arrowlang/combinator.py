@@ -212,32 +212,21 @@ def _reindexed(t: CombTerm, pos: tuple[int, ...], ctx: TypeList, ret: tuple[int,
 # -- the module action -----------------------------------------------------------
 
 
-def act(phi: FiniteFunction, t: CombTerm, ctx: TypeList | None = None) -> CombTerm:
+def act(phi: FiniteFunction, t: CombTerm, ctx: TypeList) -> CombTerm:
     """Reindex the context of ``t`` through ``phi``.
 
     Position i of the old context becomes position phi(i) of the new
-    context ``ctx``.  When ``ctx`` is omitted it is synthesised, which
-    requires phi to cover every new position.
+    context ``ctx``.
     """
     old = t.in_types
     if phi.dom != len(old):
         raise ArityMismatch(f"action domain {phi.dom} != context length {len(old)}")
-    if ctx is None:
-        slots: list[TypeName | None] = [None] * phi.cod
-        for j, tname in zip(phi.targets, old):
-            if slots[j - 1] is not None and slots[j - 1] != tname:
-                raise TypeMismatch(f"position {j} would need both {slots[j - 1]} and {tname}")
-            slots[j - 1] = tname
-        if any(s is None for s in slots):
-            raise TypeMismatch("target context not inferable; pass it explicitly")
-        ctx = tuple(slots)  # type: ignore[arg-type]
-    else:
-        ctx = tuple(ctx)
-        if len(ctx) != phi.cod:
-            raise ArityMismatch(f"target context length {len(ctx)} != codomain {phi.cod}")
-        for j, tname in zip(phi.targets, old):
-            if ctx[j - 1] != tname:
-                raise TypeMismatch(f"position {j} is {ctx[j - 1]}, expected {tname}")
+    ctx = tuple(ctx)
+    if len(ctx) != phi.cod:
+        raise ArityMismatch(f"target context length {len(ctx)} != codomain {phi.cod}")
+    for j, tname in zip(phi.targets, old):
+        if ctx[j - 1] != tname:
+            raise TypeMismatch(f"position {j} is {ctx[j - 1]}, expected {tname}")
     # generator outputs follow the new context in their order
     pos = (0, *phi.targets, *range(phi.cod + 1, phi.cod + len(t.ctx) - len(old) + 1))
     return _reindexed(t, pos, ctx + t.ctx[len(old):], _through(pos, t.sel))

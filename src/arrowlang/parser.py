@@ -311,15 +311,12 @@ class _Parser:
     # -- kets and rows ---------------------------------------------------
 
     def parse_rational(self) -> tuple[int, int]:
-        """``p`` or ``p/q`` as a reduced (numerator, denominator) pair."""
-        kind = self.kind
-        if kind[self.tok] != "INT":
-            raise self.error("expected a rational literal")
+        """``p`` or ``p/q``, at an INT token, as a reduced (numerator, denominator) pair."""
         num = self.int_literal(self.tok)
         if self.tok != "/":
             return num, 1
         self.next()
-        if kind[self.tok] != "INT":
+        if self.kind[self.tok] != "INT":
             raise self.error("expected a denominator")
         at = self.pos
         den = self.int_literal(self.tok)
@@ -329,6 +326,7 @@ class _Parser:
         return num // g, den // g
 
     def parse_ket_value(self) -> tuple:
+        """A name, ``("name", text)``, or a value, ``("lit", value)``."""
         tok = self.tok
         if tok in self.idents:
             self.next()
@@ -348,14 +346,10 @@ class _Parser:
             self.next()
 
     def parse_pattern_atom(self) -> tuple:
-        tok = self.tok
-        if tok == "_":
+        if self.tok == "_":
             self.next()
             return ("wild",)
-        if tok in self.idents:
-            self.next()
-            return ("name", tok)
-        return ("lit", self.parse_value())
+        return self.parse_ket_value()
 
     def parse_pattern(self) -> tuple:
         if self.tok != "(":
@@ -438,11 +432,8 @@ class _Parser:
         return GenDecl(name, inputs, outputs, rows, line)
 
     def parse_operand(self) -> SOperand:
-        tok = self.tok
-        if tok in self.idents:
-            self.next()
-            return SOperand(name=tok)
-        return SOperand(value=self.parse_value())
+        kind, v = self.parse_ket_value()
+        return SOperand(name=v) if kind == "name" else SOperand(value=v)
 
     def parse_observe(self, line: int) -> ObserveStmt:
         self.next()  # OBSERVE
@@ -608,7 +599,8 @@ def render_stmt(stmt, oneline: bool = True) -> str:
 
 
 def pretty(sp: SourceProgram) -> str:
-    """Canonical source text; parsing it back gives the same program."""
+    """Canonical source text; parsing it back gives the same program up to
+    the source line numbers of its declarations and statements."""
     lines: list[str] = []
     for td in sp.types:
         values = ", ".join(_src_value(v) for v in td.values)
@@ -716,6 +708,9 @@ class _RowMatcher:
         for name, tname in self.extras.items():
             if tname is None:
                 raise ElaborationError(f"{where}: cannot infer a type for variable {name}")
+        # the extra variables in the order they are enumerated, and their carriers
+        self.extra_names = sorted(self.extras)
+        self.spaces = [carriers[self.extras[name]] for name in self.extra_names]
         # the ket as integer numerators over the lcm of its weights'
         # denominators, each name in it marked ("var", name) when it is a
         # pattern or extra variable; the others are values
@@ -744,9 +739,6 @@ class _RowMatcher:
                 return None
         return bound
 
-    def _conditions_hold(self, env: dict[str, Outcome]) -> bool:
-        return all(env[a] != env[b] for a, b in self.row.conditions)
-
     def _numerators(self, env: dict[str, Outcome], out_types: tuple[str, ...]) -> dict:
         """The row's outcomes under ``env`` with their nonzero numerators over ``den``."""
         acc: dict = {}
@@ -774,35 +766,33 @@ class _RowMatcher:
     def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...]):
         """Row subdistribution for a matched combo; None when unsatisfiable.
 
-        Extra variables are enumerated over their carriers; every
-        satisfying assignment must yield the same table row, and the
-        first one that does not raises.
+        Extra variables are enumerated over their carriers, into ``bound``;
+        a row without any has one assignment, the empty one.  Every
+        satisfying assignment must yield the same table row, and the first
+        one that does not raises.
         """
-        if not self.extras:
-            if not self._conditions_hold(bound):
-                return None
-            if self.fixed is None:
-                row = Subdist._of_numerators(self._numerators(bound, out_types).items(), self.den)
-                if not self.constant:
-                    return row
-                self.fixed = row
-            return self.fixed
-        extra_names = sorted(self.extras)
-        spaces = [self.carriers[self.extras[x]] for x in extra_names]
         first = None
-        for assignment in product(*spaces):
-            env = dict(bound)
-            env.update(zip(extra_names, assignment))
-            if not self._conditions_hold(env):
+        conditions = self.row.conditions
+        for assignment in product(*self.spaces):
+            for name, value in zip(self.extra_names, assignment):
+                bound[name] = value
+            if any(bound[a] == bound[b] for a, b in conditions):
                 continue
-            numerators = self._numerators(env, out_types)
+            if self.fixed is not None:  # a constant row: this is its only assignment
+                return self.fixed
+            numerators = self._numerators(bound, out_types)
             if first is None:
                 first = numerators
             elif numerators != first:
                 raise ElaborationError(
-                    f"{self.where}: conflicting assignments of {', '.join(extra_names)} give different rows"
+                    f"{self.where}: conflicting assignments of {', '.join(self.extra_names)} give different rows"
                 )
-        return None if first is None else Subdist._of_numerators(first.items(), self.den)
+        if first is None:
+            return None
+        row = Subdist._of_numerators(first.items(), self.den)
+        if self.constant:
+            self.fixed = row
+        return row
 
 
 def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ...],

@@ -53,7 +53,8 @@ from .syntax import (
     Term,
     TypedTerm,
     TypeName,
-    pred_vars,
+    binds,
+    reads,
     render_statement,
     statements,
 )
@@ -233,14 +234,6 @@ def _reduce(state: dict, denom: int) -> tuple[dict, int]:
     return {values: w // g for values, w in state.items()}, denom // g
 
 
-def _reads(node: Term) -> set[str]:
-    if isinstance(node, Sample):
-        return set(node.args)
-    if isinstance(node, Observe):
-        return {node.left, node.right}
-    return pred_vars(node.pred)
-
-
 # A schedule pairs each statement with the variables summed out after it.
 Schedule = list[tuple[Term, set[str]]]
 
@@ -254,30 +247,30 @@ def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
     and no return reads; the engine sums them out after the step.  Inputs
     are never summed out: they index the channel the run tabulates.
     Neither move changes the result: an observe commutes with a sample
-    whose outputs it does not read, and summing out a column preserves
-    mass.
+    whose outputs it does not read (the interchange law of `syntax`), and
+    summing out a column preserves mass.
     """
     heads, ret = statements(term)
     # slots[k], k >= 1: the k-th sample, then the observes placed after it
     slots: list[list[tuple[Term, set[str]]]] = [[]]
     bound = dict.fromkeys(inputs, 0)
     for node in heads:
-        reads = _reads(node)
+        read = reads(node)
         if isinstance(node, Sample):
             bound.update(dict.fromkeys(node.outs, len(slots)))
-            slots.append([(node, reads)])
+            slots.append([(node, read)])
         else:
             # a variable not bound yet is out of scope: the observe stays
             # where it is and raises there
-            slots[max((bound.get(x, len(slots) - 1) for x in reads), default=0)].append(
-                (node, reads))
+            slots[max((bound.get(x, len(slots) - 1) for x in read), default=0)].append(
+                (node, read))
     live = set(ret.vars).union(inputs)
     steps: Schedule = []
-    for node, reads in reversed([entry for slot in slots for entry in slot]):
-        outs = node.outs if isinstance(node, Sample) else ()
-        steps.append((node, reads.union(outs) - live))
+    for node, read in reversed([entry for slot in slots for entry in slot]):
+        outs = binds(node)
+        steps.append((node, read.union(outs) - live))
         live.difference_update(outs)
-        live |= reads
+        live |= read
     steps.reverse()
     return steps, ret
 

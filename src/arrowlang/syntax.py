@@ -7,6 +7,11 @@ over the scope (the evaluator-only form, which the algebraic operations
 reject).  A predicate is a flat conjunction: a tuple of `=`, `!=` and
 `IN` atoms, the empty tuple being TRUE, so every pass over one is a
 loop over its atoms.
+
+The interchange law: two adjacent statements commute when neither reads
+a variable that the other binds (`reads`, `binds`), because the
+subdistribution monad is commutative.  Axioms 1a-1c are its instances,
+and the evaluation planner moves observes by it.
 """
 
 from __future__ import annotations
@@ -48,12 +53,6 @@ class Signature:
                 if t not in self.types:
                     raise UnknownGenerator(f"generator {gen.name} uses undeclared type {t}")
 
-    def generator(self, name: str) -> Generator:
-        try:
-            return self.generators[name]
-        except KeyError:
-            raise UnknownGenerator(f"no generator named {name}") from None
-
 
 # -- predicates for evaluator-level observes ------------------------------
 
@@ -91,16 +90,6 @@ class PIn:
 
 Atom = Union[PEq, PNe, PIn]
 Pred = tuple[Atom, ...]  # a conjunction of atoms; () is TRUE
-
-
-def pred_vars(p: Pred) -> set[Var]:
-    out = set()
-    for a in p:
-        if isinstance(a, PIn):
-            out.add(a.var.name)
-        else:
-            out.update(o.name for o in (a.left, a.right) if isinstance(o, PVar))
-    return out
 
 
 def render_pred(p: Pred) -> str:
@@ -184,6 +173,26 @@ def from_statements(heads: list[Term], ret: Return) -> Term:
     for h in reversed(heads):
         t = replace(h, cont=t)
     return t
+
+
+def reads(node: Term) -> set[Var]:
+    """The variables a statement reads."""
+    if isinstance(node, Sample):
+        return set(node.args)
+    if isinstance(node, Observe):
+        return {node.left, node.right}
+    out = set()
+    for a in node.pred:
+        if isinstance(a, PIn):
+            out.add(a.var.name)
+        else:
+            out.update(o.name for o in (a.left, a.right) if isinstance(o, PVar))
+    return out
+
+
+def binds(node: Term) -> tuple[Var, ...]:
+    """The variables a statement binds: a sample's outputs."""
+    return node.outs if isinstance(node, Sample) else ()
 
 
 def render_statement(node: Term) -> str:
@@ -383,6 +392,10 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
 
 AXIOM_IDS = ("1a", "1b", "1c", "2", "3", "4")
 
+# The instances of the interchange law, by the shapes of the two statements
+# they swap, read forward; read backward, the shapes come in reverse order.
+_INTERCHANGE = {"1a": (Sample, Sample), "1b": (Sample, Observe), "1c": (Observe, Observe)}
+
 
 def axiom_step(t: Term, which: str, position: int, direction: str = "fwd") -> Term:
     """Apply one named axiom at a statement position (0-based from the head).
@@ -405,36 +418,14 @@ def axiom_step(t: Term, which: str, position: int, direction: str = "fwd") -> Te
 
     node = heads[position]
 
-    if which == "1a":
+    if which in _INTERCHANGE:
         need(position + 1 < len(heads), "needs two adjacent statements")
-        first, second = heads[position], heads[position + 1]
-        need(isinstance(first, Sample) and isinstance(second, Sample), "needs two sampling statements")
-        need(not set(first.outs) & set(second.args), "second statement consumes the first's output")
-        need(not set(second.outs) & set(first.args), "first statement consumes the second's output")
-        heads = heads[:position] + [second, first] + heads[position + 2 :]
-        return from_statements(heads, ret)
-
-    if which == "1b":
-        need(position + 1 < len(heads), "needs two adjacent statements")
-        first, second = heads[position], heads[position + 1]
-        if direction == "fwd":
-            need(isinstance(first, Sample) and isinstance(second, Observe),
-                 "needs sampling then observe")
-            need(not {second.left, second.right} & set(first.outs),
-                 "observe mentions the sampled outputs")
-        else:
-            need(isinstance(first, Observe) and isinstance(second, Sample),
-                 "needs observe then sampling")
-            need(not {first.left, first.right} & set(second.outs),
-                 "observe mentions the sampled outputs")
-        heads = heads[:position] + [second, first] + heads[position + 2 :]
-        return from_statements(heads, ret)
-
-    if which == "1c":
-        need(position + 1 < len(heads), "needs two adjacent statements")
-        first, second = heads[position], heads[position + 1]
-        need(isinstance(first, Observe) and isinstance(second, Observe),
-             "needs two observe statements")
+        first, second = heads[position : position + 2]
+        shape = _INTERCHANGE[which] if direction == "fwd" else _INTERCHANGE[which][::-1]
+        need(isinstance(first, shape[0]) and isinstance(second, shape[1]),
+             f"needs {shape[0].__name__} then {shape[1].__name__}")
+        need(reads(first).isdisjoint(binds(second)) and reads(second).isdisjoint(binds(first)),
+             "one statement reads what the other binds")
         heads = heads[:position] + [second, first] + heads[position + 2 :]
         return from_statements(heads, ret)
 

@@ -186,6 +186,19 @@ def test_eq_program_with_itself(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("trials", ["-3", "-1"])
+def test_eq_rejects_a_negative_trial_count(capsys, trials):
+    monty_hall = str(PUZZLES / "monty_hall.arrow")
+    with pytest.raises(SystemExit) as exc:
+        main(["eq", monty_hall, monty_hall, "--trials", trials])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument --trials: must not be negative, got {trials}" in captured.err
+    assert run_cli(capsys, "eq", monty_hall, monty_hall, "--trials", "0")[:2] == (
+        0, "programs agree under the declared interpretation and 0 random interpretations\n")
+
+
 def test_eq_after_observe_symmetry_rewrite(tmp_path, capsys):
     # swapping the operands of the core observe is the symmetry axiom
     source = (PUZZLES / "newcomb_a.arrow").read_text()

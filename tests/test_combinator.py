@@ -41,6 +41,7 @@ from arrowlang.proptest import (
 )
 from arrowlang.semantics import semantics_of_comb
 from arrowlang.syntax import (
+    Generator,
     ObservePred,
     Return,
     Signature,
@@ -550,3 +551,33 @@ def test_combinator_passes_build_linearly_many_selector_entries(monkeypatch):
     large = _selector_entries(4_000, monkeypatch)
     assert small > 1_000
     assert large <= 4.5 * small
+
+
+def _g(inputs, outputs):
+    return Generator("g", inputs, outputs)
+
+
+@pytest.mark.parametrize("heads, sel, ctx, error, message", [
+    ((), ff([1], 3), ("A", "B"), ArityMismatch, "selector codomain 3 != context length 2"),
+    ((CGen(_g((), ("A", "B")), ff([], 1)),), ff([], 1), ("A",), TypeMismatch,
+     "context is shorter than the generators' outputs"),
+    ((CObs(ff([1], 2)),), ff([], 2), ("A", "A"), ArityMismatch,
+     "observe needs a selector with domain 2"),
+    ((CObs(ff([1, 2], 3)),), ff([], 2), ("A", "A"), ArityMismatch,
+     "observe selector does not match the context"),
+    ((CObs(ff([1, 2], 2)),), ff([], 2), ("A", "B"), TypeMismatch,
+     "observe compares positions of different types"),
+    ((CGen(_g(("A",), ("B",)), ff([1], 2)),), ff([], 2), ("A", "B"), ArityMismatch,
+     "argument selector does not match the context"),
+    ((CGen(_g(("A", "A"), ("B",)), ff([1], 1)),), ff([], 2), ("A", "B"), ArityMismatch,
+     "g expects 2 arguments"),
+    ((CGen(_g(("B",), ("B",)), ff([1], 1)),), ff([], 2), ("A", "B"), TypeMismatch,
+     "arguments ('A',) do not match ('B',)"),
+    ((CGen(_g(("A",), ("A",)), ff([1], 1)),), ff([], 2), ("A", "B"), TypeMismatch,
+     "context does not continue with g's outputs"),
+    (("x",), ff([], 1), ("A",), TypeMismatch, "not a statement: 'x'"),
+])
+def test_comb_term_rejects_ill_formed_terms(heads, sel, ctx, error, message):
+    with pytest.raises(error) as exc:
+        CombTerm(heads, sel, ctx)
+    assert str(exc.value) == message

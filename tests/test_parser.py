@@ -791,6 +791,8 @@ def test_conflicting_extra_variables_fail_at_the_first_difference(monkeypatch):
     assert len(resolved) == 2
 
 
+T2 = "TYPE T = {a, b, c}\nTYPE U = {u, v}\n"
+
 ELABORATION_ERRORS = [
     ("TYPE T = {a}\nTYPE T = {b}\nx <- UNIFORM {a}\nRETURN(x)\n", 2, "type T declared twice"),
     ("TYPE T = {a, b}\n\nGEN g : T -> U\nx <- UNIFORM {a, b}\nRETURN(x)\n", 3,
@@ -803,6 +805,34 @@ ELABORATION_ERRORS = [
      "line 3: neither side of the comparison (a and b) is a bound variable"),
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\ny <- f(x)\nRETURN(y)", 3,
      "line 3: unknown generator f"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF (a, b) -> 1|a>\nRETURN(y)\n", 4,
+     "line 4: pattern arity 2 does not match 1 inputs"),
+    (T2 + "x <- UNIFORM {a, b}\nz <- UNIFORM {u, v}\ny <- CASE (x, z) OF (p, p) -> 1|a>\nRETURN(y)\n",
+     5, "line 5: pattern variable p used at two types"),
+    (T2 + "x <- UNIFORM {a, b}\nz <- UNIFORM {u, v}\n"
+     "y <- CASE (x, z) OF (p, q) -> 1|a> IF p != q\nRETURN(y)\n",
+     5, "line 5: condition p != q compares T with U"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF p -> 1|a> IF e != f\nRETURN(y)\n", 4,
+     "line 4: cannot infer a type for variable e"),
+    (T2 + "GEN g : T -> T =\n  p -> 1|a, b>\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n", 3,
+     "generator g: ket arity 2 does not match outputs"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF p -> 1|a, b>\nRETURN(y)\n", 4,
+     "line 4: CASE kets must have exactly one value"),
+    (T2 + "x <- UNIFORM {a, b}\nz <- UNIFORM {u, v}\n"
+     "y <- CASE (x, z) OF (p, q) -> 1/2|p> + 1/2|q>\nRETURN(y)\n",
+     5, "line 5: CASE kets mix output types T and U"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF p -> 1/2|p> + 1/2|u>\nRETURN(y)\n", 4,
+     "line 4: u not in inferred type T"),
+    (T2 + "GEN g : T -> T\nGEN g : T -> T\nx <- UNIFORM {a, b}\nRETURN(x)\n", 4,
+     "generator g declared twice"),
+    (T2 + "x, y <- UNIFORM {a, b}\nRETURN(x)\n", 3, "line 3: UNIFORM binds exactly one variable"),
+    (T2 + "x <- UNIFORM {a, b}\ny, z <- CASE x OF p -> 1|p>\nRETURN(y)\n", 4,
+     "line 4: CASE binds exactly one variable"),
+    (T2 + "x <- UNIFORM {a, b, a}\nRETURN(x)\n", 3, "line 3: UNIFORM repeats a value"),
+    (T2 + "GEN g : T -> T\nx <- UNIFORM {a, b}\ny <- g(w)\nRETURN(y)\n", 5,
+     "line 5: unknown variable w"),
+    (T2 + "GEN g : T -> T\nx <- UNIFORM {a, b}\ny, z <- g(x)\nRETURN(y)\n", 5,
+     "line 5: g produces 1 outputs"),
 ]
 
 
@@ -812,3 +842,24 @@ def test_elaboration_errors_carry_their_line(src, line, message):
         load_text(src)
     assert exc.value.line == line
     assert str(exc.value) == message
+
+
+def test_fresh_generator_name_steps_past_a_user_generator():
+    prog = load_text("TYPE T = {a, b}\nGEN __u1 : () -> T = () -> 1|a>\n"
+                     "x <- UNIFORM {a, b}\ny <- __u1()\nRETURN(x, y)\n")
+    heads, _ = statements(prog.typed.term)
+    assert [h.gen.name for h in heads] == ["__u1_", "__u1"]
+    assert interpret(prog.typed, prog.interp) == Subdist({("a", "a"): Q(1, 2), ("b", "a"): Q(1, 2)})
+
+
+def test_fresh_observe_variable_steps_past_a_user_variable():
+    prog = load_text("TYPE T = {a, b}\nGEN flip : () -> T = () -> 1/2|a> + 1/2|b>\n"
+                     "x <- UNIFORM {a, b}\n__o3 <- UNIFORM {a, b}\nOBSERVE(x = flip)\n"
+                     "RETURN(x, __o3)\n")
+    assert prog.texts == ("x <- UNIFORM {a, b}", "__o3 <- UNIFORM {a, b}", "__o3_ <- flip()",
+                          "OBSERVE(x = __o3_)", "RETURN(x, __o3)")
+    _, result = trace(prog.typed, prog.interp, prog.texts)
+    quarter = {(x, y): Q(1, 4) for x in "ab" for y in "ab"}
+    assert result.validity == Q(1, 2)
+    assert result.posterior == Subdist(quarter)
+    assert interpret(prog.typed, prog.interp) == Subdist({k: w / 2 for k, w in quarter.items()})

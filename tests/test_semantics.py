@@ -102,8 +102,42 @@ def test_interpret_carrier_mismatch():
     sig = Signature(frozenset({"X"}))
     tt = typecheck(sig, (("x", "X"),), Return(("x",)))
     interp = Interpretation({"X": ("u",)}, {})
-    with pytest.raises(CarrierMismatch):
+    with pytest.raises(CarrierMismatch) as exc:
         interpret(tt, interp, ("w",))
+    assert str(exc.value) == "'w' outside carrier of X (variable x)"
+
+
+@pytest.mark.parametrize("v, message", [
+    ((), "input arity 0 != context length 1"),
+    (("u", "u"), "input arity 2 != context length 1"),
+])
+def test_interpret_rejects_an_input_of_the_wrong_arity(v, message):
+    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Return(("x",)))
+    with pytest.raises(CarrierMismatch) as exc:
+        interpret(tt, Interpretation({"X": ("u",)}, {}), v)
+    assert str(exc.value) == message
+
+
+def test_trace_rejects_an_open_term():
+    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Return(("x",)))
+    with pytest.raises(CarrierMismatch) as exc:
+        trace(tt, Interpretation({"X": ("u",)}, {}))
+    assert str(exc.value) == "trace needs a closed program (empty context)"
+
+
+@pytest.mark.parametrize("carriers, kernels, message", [
+    ({}, {}, "no carrier for type X"),
+    ({"X": ()}, {}, "empty carrier for type X"),
+    ({"X": ("u", "v")}, {}, "no kernel for generator g"),
+    ({"X": ("u", "v")}, {"g": {("u",): dirac("u")}}, "kernel g undefined on ('v',)"),
+    ({"X": ("u", "v")}, {"g": {("u",): dirac("w"), ("v",): dirac("u")}},
+     "kernel g emits 'w' outside its output carrier"),
+])
+def test_validate_rejects_partial_interpretations(carriers, kernels, message):
+    sig = Signature(frozenset({"X"}), {"g": Generator("g", ("X",), ("X",))})
+    with pytest.raises(CarrierMismatch) as exc:
+        Interpretation(carriers, kernels).validate(sig)
+    assert str(exc.value) == message
 
 
 # -- traces against the figures ----------------------------------------------------
