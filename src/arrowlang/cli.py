@@ -20,8 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ArrowError, NonNumericOutcome, WeightTooLong, ZeroMassState
-from .parser import Program, load_file
+from .errors import ArrowError, WeightTooLong, ZeroMassState
+from .parser import Program, load_file, load_text, read_source
 from .proptest import gen_kernels
 from .semantics import EvalResult, Interpretation, denoter, interpret, trace
 from .subdist import (
@@ -115,13 +115,8 @@ def _emit_run(prog: Program, path: str, args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        prog = load_file(args.path)
+        return _emit_run(load_file(args.path), str(args.path), args)
     except (ArrowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _emit_run(prog, str(args.path), args)
-    except (NonNumericOutcome, ArrowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -221,18 +216,18 @@ def cmd_corpus(args) -> int:
             print(f"FAIL {name} (missing golden file)")
             continue
         try:
-            source = path.read_text(encoding="utf-8")
-            prog = load_file(path)
+            source = read_source(path)
+            expected = read_source(golden)
+            prog = load_text(source)
             normalize = any(line.strip() == NORMALIZE_PRAGMA for line in source.splitlines())
             lines, result = trace(prog.typed, prog.interp, prog.texts, normalize=normalize)
             actual = _trace_text(lines, result)
         except ZeroMassState as exc:
             actual = f"Failure: state mass is zero at line {exc.line}\n"
-        except ArrowError as exc:
+        except (ArrowError, OSError) as exc:
             failures.append((name, f"error: {exc}", None, None))
             print(f"FAIL {name} (error: {exc})")
             continue
-        expected = golden.read_text(encoding="utf-8")
         if actual == expected:
             print(f"PASS {name}")
             continue

@@ -1045,6 +1045,17 @@ def load_text(text: str) -> Program:
     return elaborate(parse(text))
 
 
+def read_source(path) -> str:
+    """A file's text; raises ParseError at the first byte that is not UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = re.search("[\udc80-\udcff]", text)  # the bytes the decoder escaped
+    if bad:
+        at = bad.start()
+        raise ParseError(f"byte 0x{ord(bad.group()) - 0xDC00:02X} is not UTF-8 in {path}",
+                         text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+    return text
+
+
 def load_file(path) -> Program:
-    with open(path, encoding="utf-8") as fh:
-        return load_text(fh.read())
+    return load_text(read_source(path))

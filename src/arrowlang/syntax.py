@@ -365,6 +365,11 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
             raise UnboundVariable(f"{x} or {u} not in the ambient context")
         if types[x] != types[u]:
             raise TypeMismatch(f"cannot substitute {types[x]} {x} by {types[u]} {u}")
+    return from_statements(*_substituted(*statements(t), x, u))
+
+
+def _substituted(heads: list[Term], ret: Return, x: Var, u: Var) -> tuple[list[Term], Return]:
+    """`substitute` on a statement list: the new heads and return."""
 
     def sub(v: Var) -> Var:
         return u if v == x else v
@@ -376,7 +381,6 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
         return tuple(PIn(a.element, PVar(sub(a.var.name))) if isinstance(a, PIn)
                      else type(a)(sub_operand(a.left), sub_operand(a.right)) for a in p)
 
-    heads, ret = statements(t)
     moved: list[Term] = []
     for node in heads:
         if isinstance(node, Observe):
@@ -385,7 +389,7 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
             moved.append(ObservePred(sub_pred(node.pred), None))
         else:
             moved.append(Sample(node.gen, tuple(sub(v) for v in node.args), node.outs, None))
-    return from_statements(moved, Return(tuple(sub(v) for v in ret.vars)))
+    return moved, Return(tuple(sub(v) for v in ret.vars))
 
 
 # -- axiom rewrites ------------------------------------------------------------------
@@ -395,6 +399,31 @@ AXIOM_IDS = ("1a", "1b", "1c", "2", "3", "4")
 # The instances of the interchange law, by the shapes of the two statements
 # they swap, read forward; read backward, the shapes come in reverse order.
 _INTERCHANGE = {"1a": (Sample, Sample), "1b": (Sample, Observe), "1c": (Observe, Observe)}
+
+# The distinct rewrites, as `applicable_steps` lists them at each position.
+_STEPS = (("1a", "fwd"), ("1b", "fwd"), ("1b", "bwd"), ("1c", "fwd"),
+          ("2", "fwd"), ("3", "fwd"), ("3", "bwd"), ("4", "fwd"))
+
+
+def _obstacle(heads: list[Term], which: str, position: int, direction: str) -> str | None:
+    """Why the axiom cannot rewrite the statement list at the position, or None."""
+    if not 0 <= position < len(heads):
+        return f"no statement at position {position}"
+    node = heads[position]
+    if which in _INTERCHANGE:
+        if position + 1 == len(heads):
+            return "needs two adjacent statements"
+        second = heads[position + 1]
+        shape = _INTERCHANGE[which] if direction == "fwd" else _INTERCHANGE[which][::-1]
+        if not (isinstance(node, shape[0]) and isinstance(second, shape[1])):
+            return f"needs {shape[0].__name__} then {shape[1].__name__}"
+        independent = reads(node).isdisjoint(binds(second)) and reads(second).isdisjoint(binds(node))
+        return None if independent else "one statement reads what the other binds"
+    if which == "4" and direction == "bwd":
+        return "inserting a self-observation needs a variable choice"
+    if not isinstance(node, Observe):
+        return "needs an observe statement"
+    return "observe is not of the form x = x" if which == "4" and node.left != node.right else None
 
 
 def axiom_step(t: Term, which: str, position: int, direction: str = "fwd") -> Term:
@@ -409,60 +438,30 @@ def axiom_step(t: Term, which: str, position: int, direction: str = "fwd") -> Te
     if direction not in ("fwd", "bwd"):
         raise NotApplicable(f"unknown direction {direction!r}")
     heads, ret = statements(t)
-    if not 0 <= position < len(heads):
-        raise NotApplicable(f"no statement at position {position}")
-
-    def need(cond: bool, why: str):
-        if not cond:
-            raise NotApplicable(why)
-
+    why = _obstacle(heads, which, position, direction)
+    if why is not None:
+        raise NotApplicable(why)
     node = heads[position]
-
     if which in _INTERCHANGE:
-        need(position + 1 < len(heads), "needs two adjacent statements")
-        first, second = heads[position : position + 2]
-        shape = _INTERCHANGE[which] if direction == "fwd" else _INTERCHANGE[which][::-1]
-        need(isinstance(first, shape[0]) and isinstance(second, shape[1]),
-             f"needs {shape[0].__name__} then {shape[1].__name__}")
-        need(reads(first).isdisjoint(binds(second)) and reads(second).isdisjoint(binds(first)),
-             "one statement reads what the other binds")
-        heads = heads[:position] + [second, first] + heads[position + 2 :]
-        return from_statements(heads, ret)
-
-    if which == "2":
-        need(isinstance(node, Observe), "needs an observe statement")
-        heads = heads[:position] + [replace(node, left=node.right, right=node.left)] + heads[position + 1 :]
-        return from_statements(heads, ret)
-
-    if which == "3":
-        need(isinstance(node, Observe), "needs an observe statement")
-        rest = from_statements(heads[position + 1 :], ret)
-        if direction == "fwd":
-            rest = substitute(rest, node.left, node.right)
-        else:
-            # mirrored substitution; sound by composing with the symmetry axiom
-            rest = substitute(rest, node.right, node.left)
-        rest_heads, rest_ret = statements(rest)
-        return from_statements(heads[: position + 1] + rest_heads, rest_ret)
-
-    # which == "4"
-    need(direction == "fwd", "inserting a self-observation needs a variable choice")
-    need(isinstance(node, Observe), "needs an observe statement")
-    need(node.left == node.right, "observe is not of the form x = x")
-    heads = heads[:position] + heads[position + 1 :]
+        heads[position : position + 2] = heads[position + 1], node
+    elif which == "2":
+        heads[position] = replace(node, left=node.right, right=node.left)
+    elif which == "3":
+        # backward is the mirrored substitution; sound by composing with the symmetry axiom
+        x, u = (node.left, node.right) if direction == "fwd" else (node.right, node.left)
+        heads[position + 1 :], ret = _substituted(heads[position + 1 :], ret, x, u)
+    else:
+        del heads[position]
     return from_statements(heads, ret)
 
 
 def applicable_steps(t: Term) -> Iterator[tuple[str, int, str]]:
-    """Enumerate every (axiom, position, direction) that rewrites the term."""
+    """Enumerate every (axiom, position, direction) that rewrites the term.
+
+    Backward 1a, 1c and 2 are left out, being the same rewrites as forward,
+    and so is backward 4, which would need a variable to observe equal to itself."""
     heads, _ = statements(t)
     for pos in range(len(heads)):
-        for which in AXIOM_IDS:
-            for direction in ("fwd", "bwd"):
-                if which in ("1a", "1c", "2") and direction == "bwd":
-                    continue  # same rewrite as fwd
-                try:
-                    axiom_step(t, which, pos, direction)
-                except NotApplicable:
-                    continue
+        for which, direction in _STEPS:
+            if _obstacle(heads, which, pos, direction) is None:
                 yield which, pos, direction

@@ -368,6 +368,39 @@ def test_corpus_detects_corruption(tmp_path, capsys):
     assert "golden:" in out
 
 
+@pytest.mark.parametrize("command", ["run", "trace", "eq"])
+def test_non_utf8_program_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.arrow"
+    path.write_bytes("TYPE A = {a}\n# café\nx <- UNIFORM {a}\nRETURN(x)\n".encode("latin-1"))
+    paths = [str(path), str(path)] if command == "eq" else [str(path)]
+    code, out, err = run_cli(capsys, command, *paths)
+    assert (code, out) == (1, "")
+    assert err == f"error: 2:6: byte 0xE9 is not UTF-8 in {path}\n"
+
+
+def test_corpus_reports_unreadable_files_and_goes_on(tmp_path, capsys):
+    for name in ("monty_hall", "monty_fall"):
+        shutil.copy(PUZZLES / f"{name}.arrow", tmp_path / f"{name}.arrow")
+        shutil.copy(PUZZLES / f"{name}.golden", tmp_path / f"{name}.golden")
+    golden = tmp_path / "monty_fall.golden"
+    golden.write_bytes(golden.read_bytes() + b"\xff\n")
+    (tmp_path / "folder.arrow").mkdir()
+    shutil.copy(PUZZLES / "monty_hall.golden", tmp_path / "folder.golden")
+    (tmp_path / "latin1.arrow").write_bytes(b"TYPE A = {\xe9}\n")
+    shutil.copy(PUZZLES / "monty_hall.golden", tmp_path / "latin1.golden")
+    code, out, err = run_cli(capsys, "corpus", str(tmp_path))
+    assert code == 4 and err == ""
+    folder, *rest, first = out.splitlines()
+    assert folder.startswith("FAIL folder (error: ") and "folder.arrow" in folder
+    bad_line = len(golden.read_bytes().splitlines())
+    assert rest == [
+        f"FAIL latin1 (error: 1:11: byte 0xE9 is not UTF-8 in {tmp_path / 'latin1.arrow'})",
+        f"FAIL monty_fall (error: {bad_line}:1: byte 0xFF is not UTF-8 in {golden})",
+        "PASS monty_hall",
+    ]
+    assert first == f"first failure: folder: {folder[len('FAIL folder ('):-1]}"
+
+
 def test_corpus_empty_dir_warns(tmp_path, capsys):
     code, out, err = run_cli(capsys, "corpus", str(tmp_path))
     assert code == 0

@@ -137,6 +137,21 @@ def test_digit_that_int_rejects_is_an_unexpected_character():
     assert interpret(prog.typed, prog.interp) == uniform((3, 7))
 
 
+@pytest.mark.parametrize("data, line, col, byte", [
+    (b"TYPE A = {a}\nx <- UNIF\xffORM {a}\nRETURN(x)\n", 2, 10, "FF"),
+    # the column counts characters, and a line may end in CR LF
+    (b"TYPE A = {\xc3\xa9}\r\nx <- UNIFORM {\xc3\xa9} # \xe9\r\nRETURN(x)\r\n", 2, 20, "E9"),
+    (b"\xc3", 1, 1, "C3"),  # a sequence cut short by the end of the file
+], ids=["mid-line", "crlf", "cut-short"])
+def test_undecodable_byte_is_a_parse_error_at_its_position(tmp_path, data, line, col, byte):
+    path = tmp_path / "bad.arrow"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_file(path)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{line}:{col}: byte 0x{byte} is not UTF-8 in {path}"
+
+
 def test_statements_after_return_rejected():
     src = "TYPE Coin = {H, T}\nx <- UNIFORM {H, T}\nRETURN(x)\ny <- UNIFORM {H, T}\n"
     with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 """Typing rules, alpha equivalence, substitution, and axiom rewrites."""
 
+import hashlib
 import sys
 from dataclasses import replace
 from fractions import Fraction as Q
@@ -7,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 import puzzle_programs
+from arrowlang import syntax
 from arrowlang.errors import (
     NonFreshOutput,
     NotApplicable,
@@ -14,10 +16,12 @@ from arrowlang.errors import (
     UnboundVariable,
     UnknownGenerator,
 )
-from arrowlang.proptest import oracle_denote
+from arrowlang.parser import load_text
+from arrowlang.proptest import GenBudget, gen_term, oracle_denote
 from arrowlang.semantics import interpret
 from arrowlang.subdist import Subdist
 from arrowlang.syntax import (
+    AXIOM_IDS,
     Generator,
     Observe,
     ObservePred,
@@ -38,6 +42,8 @@ from arrowlang.syntax import (
     substitute,
     typecheck,
 )
+from test_cli import _straight_line
+from test_parser import BUILDERS
 
 COIN = Generator("flip", (), ("Coin",))
 STEP = Generator("step", ("Coin",), ("Coin",))
@@ -353,3 +359,65 @@ def test_statement_round_trip():
     assert render_statement(heads[0]) == "x <- flip()"
     assert render_statement(heads[2]) == "OBSERVE(x = y)"
     assert render_statement(ret) == "RETURN(y)"
+
+
+def _step_outcome(t, which, pos, direction):
+    try:
+        return repr(axiom_step(t, which, pos, direction))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_rewrites_are_pinned():
+    # Every applicable_steps list, and every axiom_step outcome over all
+    # axioms (and an unknown one), both directions (and an invalid one)
+    # and every position from -1 to one past the end.
+    terms = [gen_term(GenBudget(seed=seed))[2] for seed in range(500)]
+    terms += [build()[0].term for build in BUILDERS.values()]
+    digest = hashlib.sha256()
+    for t in terms:
+        digest.update(repr(list(applicable_steps(t))).encode() + b"\n")
+        n = len(statements(t)[0])
+        for which in AXIOM_IDS + ("5",):
+            for direction in ("fwd", "bwd", "sideways"):
+                for pos in range(-1, n + 2):
+                    outcome = _step_outcome(t, which, pos, direction)
+                    digest.update(repr(outcome).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "cd7f3df0f0575159a820d4c9d24e6341630f65bcbf7c565daf4686851a50f1ef")
+
+
+def test_ten_thousand_statement_rewrites_at_default_recursion_limit(monkeypatch):
+    assert sys.getrecursionlimit() == 1000
+    tt = load_text(_straight_line(10_000)[0]).typed
+    t = tt.term
+    heads, _ = statements(t)
+    calls = {"statements": 0, "axiom_step": 0}
+
+    def counted_statements(term):
+        calls["statements"] += 1
+        return statements(term)
+
+    def counted_step(*args):
+        calls["axiom_step"] += 1
+        raise NotApplicable("counted")  # an enumeration by trial goes on, and is counted
+
+    monkeypatch.setattr(syntax, "statements", counted_statements)
+    monkeypatch.setattr(syntax, "axiom_step", counted_step)
+    steps = list(applicable_steps(t))
+    monkeypatch.undo()
+    assert calls == {"statements": 1, "axiom_step": 0}
+    last = max(pos for _, pos, _ in steps)
+    kinds = [(which, direction) for which, pos, direction in steps if pos == last]
+    assert kinds == [("1b", "bwd"), ("2", "fwd"), ("3", "fwd"), ("3", "bwd")]
+    observe, sample = heads[last : last + 2]
+    texts = [render_statement(h) for h in heads]
+    swapped = Observe(observe.right, observe.left, None)
+    mirrored = replace(sample, args=(observe.left,))
+    expected = {("1b", "bwd"): [sample, observe], ("2", "fwd"): [swapped, sample],
+                ("3", "fwd"): [observe, sample], ("3", "bwd"): [observe, mirrored]}
+    for which, direction in kinds:
+        rewritten = axiom_step(t, which, last, direction)
+        assert typecheck(tt.sig, tt.ctx, rewritten).out_types == tt.out_types
+        want = [*texts[:last], *map(render_statement, expected[which, direction]), *texts[last + 2 :]]
+        assert [render_statement(h) for h in statements(rewritten)[0]] == want
