@@ -19,6 +19,11 @@ statements, rationals are ``p`` or ``p/q``):
     OBSERVE(A IN ports)
     RETURN(car)
 
+A surface value is stored as the value itself: a name is a ``str``,
+either a variable or a symbol, and elaboration tells which by the
+variables in scope; anything else (an integer, a ``$`` amount, a set) is
+a literal; ``_`` in a pattern is the wildcard.
+
 CASE patterns are literals, ``_`` wildcards, or variables; repeated
 variables force equality and ``IF`` inequalities constrain both pattern
 variables and extra ket variables, which are resolved by enumeration
@@ -140,24 +145,16 @@ def located_tokens(text: str) -> list[tuple]:
 # -- surface syntax ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SOperand:
-    """An unresolved predicate operand: a name or a literal value."""
-
-    name: str | None = None
-    value: Outcome | None = None
-
-
-@dataclass(frozen=True)
 class SAtom:
     op: str  # "=", "!=", "IN"
-    left: SOperand
-    right: SOperand
+    left: Outcome  # a surface value: a name (str) or a literal
+    right: Outcome  # the same; for IN, the name of a set-valued variable
 
 
 @dataclass(frozen=True)
 class CaseRow:
-    pattern: tuple  # entries: ("wild",) | ("name", str) | ("lit", value)
-    ket: tuple  # (((num, den), (rawvalue, ...)), ...) raw: ("name", s) | ("lit", v)
+    pattern: tuple  # surface values, one per input; "_" is the wildcard
+    ket: tuple  # (((num, den), (surface value, ...)), ...)
     conditions: tuple  # ((name, name), ...) inequalities
 
 
@@ -282,8 +279,11 @@ class _Parser:
         return value
 
     def parse_value(self, depth: int = 0) -> Outcome:
-        """A value inside ``depth`` enclosing set braces."""
+        """A surface value inside ``depth`` enclosing set braces; a name is its text."""
         tok = self.tok
+        if tok in self.idents:
+            self.next()
+            return tok
         kind = self.kind[tok]
         if kind == "INT":
             return self.int_literal(tok)
@@ -297,9 +297,6 @@ class _Parser:
                      if self.tok != "}" else [])
             self.expect("}")
             return frozenset(elems)
-        if tok in self.idents:
-            self.next()
-            return tok
         raise self.error("expected a value")
 
     def parse_value_set(self) -> tuple:
@@ -325,37 +322,23 @@ class _Parser:
         g = gcd(num, den)
         return num // g, den // g
 
-    def parse_ket_value(self) -> tuple:
-        """A name, ``("name", text)``, or a value, ``("lit", value)``."""
-        tok = self.tok
-        if tok in self.idents:
-            self.next()
-            return ("name", tok)
-        return ("lit", self.parse_value())
-
     def parse_ket(self) -> tuple:
         monomials = []
         while True:
             weight = self.parse_rational() if self.kind[self.tok] == "INT" else (1, 1)
             self.expect("|")
-            values = self.comma_list(self.parse_ket_value)
+            values = self.comma_list(self.parse_value)
             self.expect(">")
             monomials.append((weight, tuple(values)))
             if self.tok != "+":
                 return tuple(monomials)
             self.next()
 
-    def parse_pattern_atom(self) -> tuple:
-        if self.tok == "_":
-            self.next()
-            return ("wild",)
-        return self.parse_ket_value()
-
     def parse_pattern(self) -> tuple:
         if self.tok != "(":
-            return (self.parse_pattern_atom(),)
+            return (self.parse_value(),)
         self.next()
-        entries = self.comma_list(self.parse_pattern_atom) if self.tok != ")" else []
+        entries = self.comma_list(self.parse_value) if self.tok != ")" else []
         self.expect(")")
         return tuple(entries)
 
@@ -431,24 +414,19 @@ class _Parser:
             self.end_statement()
         return GenDecl(name, inputs, outputs, rows, line)
 
-    def parse_operand(self) -> SOperand:
-        kind, v = self.parse_ket_value()
-        return SOperand(name=v) if kind == "name" else SOperand(value=v)
-
     def parse_observe(self, line: int) -> ObserveStmt:
         self.next()  # OBSERVE
         self.expect("(")
         atoms = []
         while True:
-            left = self.parse_operand()
+            left = self.parse_value()
             tok = self.tok
             if tok in ("=", "!="):
                 self.next()
-                atoms.append(SAtom(tok, left, self.parse_operand()))
+                atoms.append(SAtom(tok, left, self.parse_value()))
             elif tok == "IN":
                 self.next()
-                var = self.expect_ident("a set-valued variable")
-                atoms.append(SAtom("IN", left, SOperand(name=var)))
+                atoms.append(SAtom("IN", left, self.expect_ident("a set-valued variable")))
             else:
                 raise self.error("expected =, != or IN")
             if self.tok != "AND":
@@ -541,28 +519,16 @@ def _src_value(v: Outcome) -> str:
     return str(v)
 
 
-def _ket_value(raw: tuple) -> str:
-    kind, v = raw
-    return v if kind == "name" else render_outcome(v)
-
-
 def render_ket(ket: tuple) -> str:
     parts = []
     for (num, den), values in ket:
         weight = str(num) if den == 1 else f"{num}/{den}"
-        parts.append(f"{weight}|{','.join(_ket_value(v) for v in values)}>")
+        parts.append(f"{weight}|{','.join(render_outcome(v) for v in values)}>")
     return " + ".join(parts)
 
 
 def render_row(row: CaseRow) -> str:
-    atoms = []
-    for entry in row.pattern:
-        if entry[0] == "wild":
-            atoms.append("_")
-        elif entry[0] == "name":
-            atoms.append(entry[1])
-        else:
-            atoms.append(_src_value(entry[1]))
+    atoms = [_src_value(v) for v in row.pattern]
     pattern = atoms[0] if len(atoms) == 1 else "(" + ", ".join(atoms) + ")"
     text = f"{pattern} -> {render_ket(row.ket)}"
     if row.conditions:
@@ -570,15 +536,11 @@ def render_row(row: CaseRow) -> str:
     return text
 
 
-def _render_operand(op: SOperand) -> str:
-    return op.name if op.name is not None else _src_value(op.value)
-
-
 def render_stmt(stmt, oneline: bool = True) -> str:
     """Canonical statement text; CASE tables fold onto one line when asked."""
     if isinstance(stmt, ObserveStmt):
         inner = " AND ".join(
-            f"{_render_operand(a.left)} {a.op} {_render_operand(a.right)}"
+            f"{_src_value(a.left)} {a.op} {_src_value(a.right)}"
             for a in stmt.atoms
         )
         return f"OBSERVE({inner})"
@@ -672,13 +634,12 @@ class _RowMatcher:
         self.literals: list[tuple[int, Outcome]] = []
         self.variables: list[tuple[int, str]] = []
         self.var_types: dict[str, str] = {}
-        for i, (entry, tname) in enumerate(zip(row.pattern, input_types)):
-            if entry[0] == "wild":
+        for i, (value, tname) in enumerate(zip(row.pattern, input_types)):
+            if value == "_":
                 continue
-            value = entry[1]
             if value in carriers[tname]:
                 self.literals.append((i, value))
-            elif entry[0] == "lit":
+            elif not isinstance(value, str):
                 raise ElaborationError(f"{where}: literal {_src_value(value)} not in {tname}")
             else:  # a name that is no value of its type is a pattern variable
                 if self.var_types.setdefault(value, tname) != tname:
@@ -711,19 +672,16 @@ class _RowMatcher:
         # the extra variables in the order they are enumerated, and their carriers
         self.extra_names = sorted(self.extras)
         self.spaces = [carriers[self.extras[name]] for name in self.extra_names]
-        # the ket as integer numerators over the lcm of its weights'
-        # denominators, each name in it marked ("var", name) when it is a
-        # pattern or extra variable; the others are values
-        names = self.var_types.keys() | self.extras.keys()
+        # every variable, pattern or extra, with its type; a name in the ket
+        # is a variable when it is one of these, and a value otherwise
+        self.names = {**self.var_types, **self.extras}
+        # the ket as integer numerators over the lcm of its weights' denominators
         self.den = den = lcm(*[den for (_, den), _ in row.ket])
         self.ket = [(num * (den // d), values) for (num, d), values in row.ket]
-        if names:
-            self.ket = [(n, tuple([("var", v) if kind == "name" and v in names else (kind, v)
-                                   for kind, v in values])) for n, values in self.ket]
         # a row that no combination changes is built once, into ``fixed``
         self.fixed: Subdist | None = None
-        self.constant = not names or (not self.extras and not any(
-            kind == "var" for _, values in self.ket for kind, _ in values))
+        self.constant = not self.names or (not self.extras and not any(
+            v in self.names for _, values in self.ket for v in values))
         # the literal tuple that a pattern of literals only, with no IF, is looked up by
         self.key = (tuple([value for _, value in self.literals])
                     if len(self.literals) == len(row.pattern) and not row.conditions else None)
@@ -747,12 +705,12 @@ class _RowMatcher:
                 raise ElaborationError(
                     f"{self.where}: ket arity {len(values)} does not match outputs")
             resolved = []
-            for (kind, v), tname in zip(values, out_types):
-                if kind == "var":
+            for v, tname in zip(values, out_types):
+                if v in env:
                     resolved.append(env[v])
                 elif v in self.carriers[tname]:
                     resolved.append(v)
-                elif kind == "name":
+                elif isinstance(v, str):
                     raise ElaborationError(
                         f"{self.where}: {v} is neither a variable nor a value of {tname}")
                 else:
@@ -836,9 +794,9 @@ def _infer_case_output_type(stmt: SampleStmt, matchers, carriers: dict) -> str:
         for _, values in matcher.ket:
             if len(values) != 1:
                 raise ElaborationError(f"line {stmt.line}: CASE kets must have exactly one value")
-            kind, v = values[0]
-            if kind == "var":
-                votes.add(matcher.var_types.get(v) or matcher.extras[v])
+            v = values[0]
+            if v in matcher.names:
+                votes.add(matcher.names[v])
             else:
                 literal_values[v] = None
     if len(votes) > 1:
@@ -892,6 +850,12 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         if gd.rows is not None:
             where = f"generator {gd.name}"
             matchers = [_RowMatcher(row, gd.inputs, carriers, where) for row in gd.rows]
+            for matcher in matchers:  # a ket variable holds values of its own type
+                for _, values in matcher.ket:
+                    for v, tname in zip(values, gd.outputs):
+                        if matcher.names.get(v, tname) != tname:
+                            raise ElaborationError(
+                                f"{where}: ket variable {v} is {matcher.names[v]}, not {tname}")
             kernels[gd.name] = build_table(matchers, gd.inputs, gd.outputs, carriers, where)
 
     scope: dict[str, str] = {}
@@ -913,39 +877,22 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             name += "_"
         return name
 
-    def resolve_literal(name_or_value, tname: str, line: int) -> PLit:
-        if name_or_value not in carriers[tname]:
-            raise ElaborationError(
-                f"line {line}: {_src_value(name_or_value)} is not a value of {tname}"
-            )
-        return PLit(name_or_value, tname)
-
     def resolve_atom(atom: SAtom, line: int) -> Atom:
+        left, right = atom.left, atom.right
         if atom.op == "IN":
-            if atom.right.name is None or atom.right.name not in scope:
+            if right not in scope:
                 raise ElaborationError(f"line {line}: IN needs a bound set-valued variable")
-            element = atom.left.value if atom.left.value is not None else atom.left.name
-            tname = _unique_type_for([element], carriers, f"{_src_value(element)} on line {line}")
-            return PIn(PLit(element, tname), PVar(atom.right.name))
-        ops = []
-        for side in (atom.left, atom.right):
-            if side.name is not None and side.name in scope:
-                ops.append(PVar(side.name))
-            else:
-                ops.append(side)
-        if not any(isinstance(o, PVar) for o in ops):
-            shown = " and ".join(_render_operand(o) for o in (atom.left, atom.right))
-            raise ElaborationError(
-                f"line {line}: neither side of the comparison ({shown}) is a bound variable"
-            )
-        if all(isinstance(o, PVar) for o in ops):
-            left, right = ops
-        else:
-            var = next(o for o in ops if isinstance(o, PVar))
-            other = next(o for o in ops if not isinstance(o, PVar))
-            value = other.value if other.value is not None else other.name
-            lit = resolve_literal(value, scope[var.name], line)
-            left, right = (var, lit) if isinstance(ops[0], PVar) else (lit, var)
+            tname = _unique_type_for([left], carriers, f"{_src_value(left)} on line {line}")
+            return PIn(PLit(left, tname), PVar(right))
+        if left not in scope and right not in scope:
+            raise ElaborationError(f"line {line}: neither side of the comparison "
+                                   f"({_src_value(left)} and {_src_value(right)}) is a bound variable")
+        # a side that is not a variable in scope is a value of the other side's type
+        tname = scope[left] if left in scope else scope[right]
+        for v in (left, right):
+            if v not in scope and v not in carriers[tname]:
+                raise ElaborationError(f"line {line}: {_src_value(v)} is not a value of {tname}")
+        left, right = [PVar(v) if v in scope else PLit(v, tname) for v in (left, right)]
         return PEq(left, right) if atom.op == "=" else PNe(left, right)
 
     for stmt_index, stmt in enumerate(sp.stmts, 1):
@@ -999,20 +946,20 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             both_vars = (
                 len(stmt.atoms) == 1
                 and atom.op == "="
-                and atom.left.name in scope
-                and atom.right.name in scope
+                and atom.left in scope
+                and atom.right in scope
             )
             if both_vars:
-                heads.append((Observe, atom.left.name, atom.right.name))
+                heads.append((Observe, atom.left, atom.right))
                 lines.append(stmt)
                 continue
             nullary = None
             if len(stmt.atoms) == 1 and atom.op == "=":
                 for a, b in ((atom.left, atom.right), (atom.right, atom.left)):
-                    gen = gens.get(b.name) if b.name else None
-                    if (a.name in scope and b.name not in scope
+                    gen = gens.get(b)
+                    if (a in scope and b not in scope
                             and gen is not None and gen.inputs == () and len(gen.outputs) == 1):
-                        nullary = (a.name, gen)
+                        nullary = (a, gen)
                         break
             if nullary is not None:
                 var, gen = nullary

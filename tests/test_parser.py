@@ -1,5 +1,6 @@
 """Concrete syntax: parsing, elaboration, errors, pretty round trips."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 from math import gcd
 from pathlib import Path
@@ -55,6 +56,11 @@ def test_corpus_files_match_direct_constructions(name):
     assert interpret(prog.typed, prog.interp) == interpret(tt, interp)
 
 
+def without_lines(sp) -> list:
+    """The declarations and statements of ``sp``, each with its line set to 0."""
+    return [replace(node, line=0) for node in sp.types + sp.gens + sp.stmts]
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_pretty_round_trip_on_corpus(name):
     source = (PUZZLES / f"{name}.arrow").read_text()
@@ -62,6 +68,7 @@ def test_pretty_round_trip_on_corpus(name):
     canonical = pretty(sp)
     reparsed = parse(canonical)
     assert pretty(reparsed) == canonical
+    assert without_lines(reparsed) == without_lines(sp)
     p1 = load_text(source)
     p2 = load_text(canonical)
     assert alpha_eq(p1.typed.term, p2.typed.term)
@@ -512,7 +519,6 @@ def _random_source(rng):
         ReturnStmt,
         SampleStmt,
         SAtom,
-        SOperand,
         SourceProgram,
         TypeDecl,
     )
@@ -554,10 +560,10 @@ def _random_source(rng):
                     remaining -= w
                     if w:  # a weight is a reduced (numerator, denominator) pair
                         g = gcd(w, denom)
-                        ket.append(((w // g, denom // g), (("lit", out),)))
+                        ket.append(((w // g, denom // g), (out,)))
                 if not ket:
-                    ket = [((1, 1), (("lit", carriers[out_type][0]),))]
-                rows.append(CaseRow((("lit", value),), tuple(ket), ()))
+                    ket = [((1, 1), (carriers[out_type][0],))]
+                rows.append(CaseRow((value,), tuple(ket), ()))
             counter += 1
             var = f"v{counter}"
             stmts.append(SampleStmt((var,), "case", scrutinee=(scrut,), rows=tuple(rows)))
@@ -567,10 +573,9 @@ def _random_source(rng):
             if rng.random() < 0.5:
                 same = [v for v, t in scope.items() if t == scope[var]]
                 other = rng.choice(same)
-                atom = SAtom("=", SOperand(name=var), SOperand(name=other))
+                atom = SAtom("=", var, other)
             else:
-                lit = rng.choice(carriers[scope[var]])
-                atom = SAtom("!=", SOperand(name=var), SOperand(name=lit))
+                atom = SAtom("!=", var, rng.choice(carriers[scope[var]]))
             stmts.append(ObserveStmt((atom,)))
     names = sorted(scope)
     ret = tuple(rng.choice(names) for _ in range(rng.randint(0, 2))) if names else ()
@@ -589,6 +594,7 @@ def test_pretty_parse_round_trip_on_random_programs():
         text = pretty(sp)
         reparsed = parse(text)
         assert pretty(reparsed) == text
+        assert without_lines(reparsed) == without_lines(sp)
         t1 = elaborate(sp).typed
         t2 = elaborate(reparsed).typed
         assert alpha_eq(t1.term, t2.term)
@@ -848,6 +854,26 @@ ELABORATION_ERRORS = [
      "line 5: unknown variable w"),
     (T2 + "GEN g : T -> T\nx <- UNIFORM {a, b}\ny, z <- g(x)\nRETURN(y)\n", 5,
      "line 5: g produces 1 outputs"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF 5 -> 1|a>; _ -> 1|b>\nRETURN(y)\n", 4,
+     "line 4: literal 5 not in T"),
+    (T2 + "GEN g : T -> T =\n  p -> 1|7>\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n", 3,
+     "generator g: 7 not in T"),
+    (T2 + "x <- UNIFORM {a, b}\nOBSERVE(a IN s)\nRETURN(x)\n", 4,
+     "line 4: IN needs a bound set-valued variable"),
+    ("TYPE S = {{a}, {b}}\ns <- UNIFORM {{a}, {b}}\nOBSERVE(c IN s)\nRETURN(s)\n", 3,
+     "no declared type contains c on line 3"),
+    ("TYPE T = {a, b}\nTYPE V = {a, c}\nx <- UNIFORM {a}\nRETURN(x)\n", 3,
+     "ambiguous type for UNIFORM on line 3: T or V"),
+    (T2 + "x <- UNIFORM {a, b}\nOBSERVE({a} != x)\nRETURN(x)\n", 4,
+     "line 4: {a} is not a value of T"),
+    # a ket variable of a GEN row holds values of its own type, which must
+    # be the output's: a pattern variable, an extra variable, a second output
+    (T2 + "GEN g : T -> U = p -> 1|p>\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n", 3,
+     "generator g: ket variable p is T, not U"),
+    (T2 + "GEN g : T -> U = p -> 1|q> IF p != q\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n",
+     3, "generator g: ket variable q is T, not U"),
+    (T2 + "GEN g : T, U -> T, U = (p, q) -> 1|q, p>\nx <- UNIFORM {a, b}\nz <- UNIFORM {u}\n"
+     "y, w <- g(x, z)\nRETURN(y, w)\n", 3, "generator g: ket variable q is U, not T"),
 ]
 
 
