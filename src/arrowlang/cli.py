@@ -5,9 +5,10 @@ states), ``trace`` is run in trace mode, ``eq`` compares two programs
 under the declared and random interpretations, ``corpus`` replays a
 directory of programs against golden traces.
 
-Exit codes: 0 success, 1 parse, type or internal errors (one stderr
-line, never a traceback), 2 a failed run (zero mass), 3 programs differ
-under ``eq``, 4 a corpus mismatch.
+Exit codes: 0 success, 1 a usage, parse, type or internal error (one
+stderr line, never a traceback: ``error: line:col: ...`` for a parse
+error, ``error: line N: ...`` for any other load error), 2 a failed run
+(zero mass), 3 programs differ under ``eq``, 4 a corpus mismatch.
 """
 
 from __future__ import annotations
@@ -262,12 +263,19 @@ def _count(text: str) -> int:
     return n
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as one stderr line and exit 1."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process: ``main`` runs many
     times in one process under the tests and the benchmark."""
-    ap = argparse.ArgumentParser(prog="arrowlang",
-                                 description="evaluate probabilistic decision programs exactly")
+    ap = _ArgumentParser(prog="arrowlang",
+                         description="evaluate probabilistic decision programs exactly")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p, trace_default: bool):

@@ -87,8 +87,9 @@ class ParseError(ArrowError):
 
 
 class ElaborationError(ArrowError):
-    """``line``: the source line of the statement or declaration it names, or None."""
+    """``line``: the source line of the statement or declaration it names, or
+    None; the text starts ``line N: `` when it is set."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")

@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
-from .errors import ElaborationError, ParseError
+from .errors import ArrowError, ElaborationError, ParseError
 from .semantics import Interpretation
 from .subdist import Dollar, Outcome, Subdist, collapse_values, outcome_key, render_outcome
 from .syntax import (
@@ -57,9 +57,9 @@ from .syntax import (
     Return,
     Sample,
     Signature,
-    Term,
     TypedTerm,
-    typecheck,
+    check_statement,
+    from_statements,
 )
 
 # Set values nest at most this deep.  Parsing, ordering and printing a set
@@ -609,27 +609,24 @@ class Program:
         return tuple(line if isinstance(line, str) else render_stmt(line) for line in self.lines)
 
 
-def _unique_type_for(values, carriers: dict, where: str) -> str:
+def _unique_type_for(values, carriers: dict, what: str) -> str:
     candidates = [t for t, carrier in carriers.items() if all(v in carrier for v in values)]
     if not candidates:
-        raise ElaborationError(f"no declared type contains {where}")
+        raise ElaborationError(f"no declared type contains {what}")
     if len(candidates) > 1:
-        raise ElaborationError(f"ambiguous type for {where}: {' or '.join(sorted(candidates))}")
+        raise ElaborationError(f"ambiguous type for {what}: {' or '.join(sorted(candidates))}")
     return candidates[0]
 
 
 class _RowMatcher:
     """Pattern-matching and instantiation for one table row."""
 
-    def __init__(self, row: CaseRow, input_types: tuple[str, ...],
-                 carriers: dict, where: str):
+    def __init__(self, row: CaseRow, input_types: tuple[str, ...], carriers: dict):
         self.row = row
         self.carriers = carriers
-        self.where = where
         if len(row.pattern) != len(input_types):
             raise ElaborationError(
-                f"{where}: pattern arity {len(row.pattern)} does not match {len(input_types)} inputs"
-            )
+                f"pattern arity {len(row.pattern)} does not match {len(input_types)} inputs")
         # classify pattern entries; names that denote carrier values are literals
         self.literals: list[tuple[int, Outcome]] = []
         self.variables: list[tuple[int, str]] = []
@@ -640,10 +637,10 @@ class _RowMatcher:
             if value in carriers[tname]:
                 self.literals.append((i, value))
             elif not isinstance(value, str):
-                raise ElaborationError(f"{where}: literal {_src_value(value)} not in {tname}")
+                raise ElaborationError(f"literal {_src_value(value)} not in {tname}")
             else:  # a name that is no value of its type is a pattern variable
                 if self.var_types.setdefault(value, tname) != tname:
-                    raise ElaborationError(f"{where}: pattern variable {value} used at two types")
+                    raise ElaborationError(f"pattern variable {value} used at two types")
                 self.variables.append((i, value))
         # extra variables are condition names not bound by the pattern;
         # their types come from inequation links, propagated to a fixpoint
@@ -665,10 +662,10 @@ class _RowMatcher:
                     self.extras[a] = tb
                     changed = True
                 if ta and tb and ta != tb:
-                    raise ElaborationError(f"{where}: condition {a} != {b} compares {ta} with {tb}")
+                    raise ElaborationError(f"condition {a} != {b} compares {ta} with {tb}")
         for name, tname in self.extras.items():
             if tname is None:
-                raise ElaborationError(f"{where}: cannot infer a type for variable {name}")
+                raise ElaborationError(f"cannot infer a type for variable {name}")
         # the extra variables in the order they are enumerated, and their carriers
         self.extra_names = sorted(self.extras)
         self.spaces = [carriers[self.extras[name]] for name in self.extra_names]
@@ -702,8 +699,7 @@ class _RowMatcher:
         acc: dict = {}
         for n, values in self.ket:
             if len(values) != len(out_types):
-                raise ElaborationError(
-                    f"{self.where}: ket arity {len(values)} does not match outputs")
+                raise ElaborationError(f"ket arity {len(values)} does not match outputs")
             resolved = []
             for v, tname in zip(values, out_types):
                 if v in env:
@@ -711,14 +707,13 @@ class _RowMatcher:
                 elif v in self.carriers[tname]:
                     resolved.append(v)
                 elif isinstance(v, str):
-                    raise ElaborationError(
-                        f"{self.where}: {v} is neither a variable nor a value of {tname}")
+                    raise ElaborationError(f"{v} is neither a variable nor a value of {tname}")
                 else:
-                    raise ElaborationError(f"{self.where}: {_src_value(v)} not in {tname}")
+                    raise ElaborationError(f"{_src_value(v)} not in {tname}")
             key = collapse_values(tuple(resolved))
             acc[key] = acc.get(key, 0) + n
         if sum(acc.values()) > self.den:
-            raise ElaborationError(f"{self.where}: row mass exceeds 1")
+            raise ElaborationError("row mass exceeds 1")
         return {x: n for x, n in acc.items() if n}
 
     def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...]):
@@ -743,8 +738,7 @@ class _RowMatcher:
                 first = numerators
             elif numerators != first:
                 raise ElaborationError(
-                    f"{self.where}: conflicting assignments of {', '.join(self.extra_names)} give different rows"
-                )
+                    f"conflicting assignments of {', '.join(self.extra_names)} give different rows")
         if first is None:
             return None
         row = Subdist._of_numerators(first.items(), self.den)
@@ -754,7 +748,7 @@ class _RowMatcher:
 
 
 def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ...],
-                carriers: dict, where: str) -> dict:
+                carriers: dict) -> dict:
     """Expand classified pattern rows into a total kernel table over the carriers.
 
     Each combo takes the first row that matches it and whose conditions
@@ -782,47 +776,47 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
         else:
             if hit is None:
                 shown = ", ".join(_src_value(v) for v in combo)
-                raise ElaborationError(f"{where}: no row matches ({shown})")
+                raise ElaborationError(f"no row matches ({shown})")
             table[combo] = hit.instantiate({}, out_types)
     return table
 
 
-def _infer_case_output_type(stmt: SampleStmt, matchers, carriers: dict) -> str:
+def _infer_case_output_type(matchers, carriers: dict) -> str:
     votes: set[str] = set()
     literal_values: dict = {}  # each distinct value once, in order of appearance
     for matcher in matchers:
         for _, values in matcher.ket:
             if len(values) != 1:
-                raise ElaborationError(f"line {stmt.line}: CASE kets must have exactly one value")
+                raise ElaborationError("CASE kets must have exactly one value")
             v = values[0]
             if v in matcher.names:
                 votes.add(matcher.names[v])
             else:
                 literal_values[v] = None
     if len(votes) > 1:
-        raise ElaborationError(
-            f"line {stmt.line}: CASE kets mix output types {' and '.join(sorted(votes))}"
-        )
+        raise ElaborationError(f"CASE kets mix output types {' and '.join(sorted(votes))}")
     if votes:
         tname = votes.pop()
         for v in literal_values:
             if v not in carriers[tname]:
-                raise ElaborationError(
-                    f"line {stmt.line}: {_src_value(v)} not in inferred type {tname}"
-                )
+                raise ElaborationError(f"{_src_value(v)} not in inferred type {tname}")
         return tname
-    return _unique_type_for(literal_values, carriers, f"the CASE kets on line {stmt.line}")
+    return _unique_type_for(literal_values, carriers, "the CASE kets")
 
 
 def elaborate(sp: SourceProgram) -> Program:
-    """Resolve sugar and build the core term, interpretation, and trace lines;
-    an ElaborationError gets the line of the declaration or statement it names."""
-    at = [None]  # the line of the declaration or statement being elaborated
+    """Resolve sugar and build the core term, interpretation, and trace lines.
+
+    Each core statement is checked by the typing rule, `check_statement`,
+    as it is built.  Any error, a typing error included, is raised as an
+    ElaborationError at the line of the declaration or statement being
+    elaborated: declarations first, then statements in order.
+    """
+    at = [None, ""]  # that line, and the context its messages are given in
     try:
         return _elaborate(sp, at)
-    except ElaborationError as exc:
-        exc.line = at[0]
-        raise
+    except ArrowError as exc:
+        raise ElaborationError(at[1] + str(exc), at[0]) from exc
 
 
 def _elaborate(sp: SourceProgram, at: list) -> Program:
@@ -848,26 +842,26 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 raise ElaborationError(f"generator {gd.name} uses undeclared type {t}")
         gens[gd.name] = Generator(gd.name, gd.inputs, gd.outputs)
         if gd.rows is not None:
-            where = f"generator {gd.name}"
-            matchers = [_RowMatcher(row, gd.inputs, carriers, where) for row in gd.rows]
+            at[1] = f"generator {gd.name}: "
+            matchers = [_RowMatcher(row, gd.inputs, carriers) for row in gd.rows]
             for matcher in matchers:  # a ket variable holds values of its own type
                 for _, values in matcher.ket:
                     for v, tname in zip(values, gd.outputs):
                         if matcher.names.get(v, tname) != tname:
                             raise ElaborationError(
-                                f"{where}: ket variable {v} is {matcher.names[v]}, not {tname}")
-            kernels[gd.name] = build_table(matchers, gd.inputs, gd.outputs, carriers, where)
+                                f"ket variable {v} is {matcher.names[v]}, not {tname}")
+            kernels[gd.name] = build_table(matchers, gd.inputs, gd.outputs, carriers)
+            at[1] = ""
 
-    scope: dict[str, str] = {}
-    heads: list = []  # (node class, fields before ``cont``), one per statement
+    sig = Signature(frozenset(carriers), gens)  # the sugar's generators join ``gens`` below
+    scope: dict[str, str] = {}  # each variable bound so far, and its type, kept by the rule
+    heads: list = []  # the core statements, cont left None
     lines: list = []  # Program.lines
-    ret: Return | None = None
 
-    def declare(names: tuple[str, ...], types: tuple[str, ...], line: int):
-        for name, tname in zip(names, types):
-            if name in scope:
-                raise ElaborationError(f"line {line}: variable {name} already bound")
-            scope[name] = tname
+    def add(node, line):
+        check_statement(sig, scope, node)
+        heads.append(node)
+        lines.append(line)
 
     def fresh_gen_name(base: str, index: int) -> str:
         # keyed by statement index, not source line, so reformatting a
@@ -877,21 +871,22 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             name += "_"
         return name
 
-    def resolve_atom(atom: SAtom, line: int) -> Atom:
+    def resolve_atom(atom: SAtom) -> Atom:
         left, right = atom.left, atom.right
         if atom.op == "IN":
             if right not in scope:
-                raise ElaborationError(f"line {line}: IN needs a bound set-valued variable")
-            tname = _unique_type_for([left], carriers, f"{_src_value(left)} on line {line}")
-            return PIn(PLit(left, tname), PVar(right))
+                raise ElaborationError("IN needs a bound set-valued variable")
+            if not all(isinstance(v, frozenset) for v in carriers[scope[right]]):
+                raise ElaborationError(f"{right} is not set-valued")
+            return PIn(PLit(left, _unique_type_for([left], carriers, _src_value(left))), PVar(right))
         if left not in scope and right not in scope:
-            raise ElaborationError(f"line {line}: neither side of the comparison "
+            raise ElaborationError(f"neither side of the comparison "
                                    f"({_src_value(left)} and {_src_value(right)}) is a bound variable")
         # a side that is not a variable in scope is a value of the other side's type
         tname = scope[left] if left in scope else scope[right]
         for v in (left, right):
             if v not in scope and v not in carriers[tname]:
-                raise ElaborationError(f"line {line}: {_src_value(v)} is not a value of {tname}")
+                raise ElaborationError(f"{_src_value(v)} is not a value of {tname}")
         left, right = [PVar(v) if v in scope else PLit(v, tname) for v in (left, right)]
         return PEq(left, right) if atom.op == "=" else PNe(left, right)
 
@@ -900,47 +895,33 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         if isinstance(stmt, SampleStmt):
             if stmt.kind == "uniform":
                 if len(stmt.vars) != 1:
-                    raise ElaborationError(f"line {stmt.line}: UNIFORM binds exactly one variable")
+                    raise ElaborationError("UNIFORM binds exactly one variable")
                 values = stmt.uniform_values
                 if len(set(values)) != len(values):
-                    raise ElaborationError(f"line {stmt.line}: UNIFORM repeats a value")
-                tname = _unique_type_for(values, carriers, f"UNIFORM on line {stmt.line}")
-                gname = fresh_gen_name("u", stmt_index)
-                gen = Generator(gname, (), (tname,))
-                gens[gname] = gen
-                kernels[gname] = {(): Subdist._of_numerators([(v, 1) for v in values], len(values))}
-                heads.append((Sample, gen, (), stmt.vars))
-                declare(stmt.vars, (tname,), stmt.line)
+                    raise ElaborationError("UNIFORM repeats a value")
+                gen = Generator(fresh_gen_name("u", stmt_index), (),
+                                (_unique_type_for(values, carriers, "UNIFORM"),))
+                gens[gen.name] = gen
+                kernels[gen.name] = {(): Subdist._of_numerators([(v, 1) for v in values], len(values))}
+                add(Sample(gen, (), stmt.vars, None), stmt)
             elif stmt.kind == "case":
                 for v in stmt.scrutinee:
                     if v not in scope:
-                        raise ElaborationError(f"line {stmt.line}: unknown variable {v}")
+                        raise ElaborationError(f"unknown variable {v}")
                 if len(stmt.vars) != 1:
-                    raise ElaborationError(f"line {stmt.line}: CASE binds exactly one variable")
+                    raise ElaborationError("CASE binds exactly one variable")
                 in_types = tuple(scope[v] for v in stmt.scrutinee)
-                where = f"line {stmt.line}"
-                matchers = [_RowMatcher(row, in_types, carriers, where) for row in stmt.rows]
-                out_type = _infer_case_output_type(stmt, matchers, carriers)
-                gname = fresh_gen_name("case", stmt_index)
-                gen = Generator(gname, in_types, (out_type,))
-                gens[gname] = gen
-                kernels[gname] = build_table(matchers, in_types, (out_type,), carriers, where)
-                heads.append((Sample, gen, stmt.scrutinee, stmt.vars))
-                declare(stmt.vars, (out_type,), stmt.line)
+                matchers = [_RowMatcher(row, in_types, carriers) for row in stmt.rows]
+                gen = Generator(fresh_gen_name("case", stmt_index), in_types,
+                                (_infer_case_output_type(matchers, carriers),))
+                gens[gen.name] = gen
+                kernels[gen.name] = build_table(matchers, in_types, gen.outputs, carriers)
+                add(Sample(gen, stmt.scrutinee, stmt.vars, None), stmt)
             else:  # call
                 gen = gens.get(stmt.callee)
                 if gen is None:
-                    raise ElaborationError(f"line {stmt.line}: unknown generator {stmt.callee}")
-                for a in stmt.args:
-                    if a not in scope:
-                        raise ElaborationError(f"line {stmt.line}: unknown variable {a}")
-                if len(stmt.vars) != len(gen.outputs):
-                    raise ElaborationError(
-                        f"line {stmt.line}: {stmt.callee} produces {len(gen.outputs)} outputs"
-                    )
-                heads.append((Sample, gen, stmt.args, stmt.vars))
-                declare(stmt.vars, gen.outputs, stmt.line)
-            lines.append(stmt)
+                    raise ElaborationError(f"unknown generator {stmt.callee}")
+                add(Sample(gen, stmt.args, stmt.vars, None), stmt)
         elif isinstance(stmt, ObserveStmt):
             atom = stmt.atoms[0]
             both_vars = (
@@ -950,8 +931,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 and atom.right in scope
             )
             if both_vars:
-                heads.append((Observe, atom.left, atom.right))
-                lines.append(stmt)
+                add(Observe(atom.left, atom.right, None), stmt)
                 continue
             nullary = None
             if len(stmt.atoms) == 1 and atom.op == "=":
@@ -966,26 +946,17 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 out = f"__o{stmt_index}"
                 while out in scope:
                     out += "_"
-                heads.append((Sample, gen, (), (out,)))
-                declare((out,), gen.outputs, stmt.line)
-                heads.append((Observe, var, out))
-                lines.append(f"{out} <- {gen.name}()")
-                lines.append(f"OBSERVE({var} = {out})")
+                add(Sample(gen, (), (out,), None), f"{out} <- {gen.name}()")
+                add(Observe(var, out, None), f"OBSERVE({var} = {out})")
                 continue
-            heads.append((ObservePred, tuple(resolve_atom(a, stmt.line) for a in stmt.atoms)))
-            lines.append(stmt)
-        else:  # ReturnStmt
+            add(ObservePred(tuple(resolve_atom(a) for a in stmt.atoms), None), stmt)
+        else:  # ReturnStmt, the last statement
             ret = Return(stmt.vars)
+            check_statement(sig, scope, ret)
             lines.append(stmt)
 
-    term: Term = ret
-    for make, *fields in reversed(heads):
-        term = make(*fields, term)
-
-    sig = Signature(frozenset(carriers), gens)
-    typed = typecheck(sig, (), term)
-    interp = Interpretation(carriers, kernels)
-    return Program(sp, typed, interp, tuple(lines))
+    typed = TypedTerm(sig, (), from_statements(heads, ret), tuple(scope[v] for v in ret.vars))
+    return Program(sp, typed, Interpretation(carriers, kernels), tuple(lines))
 
 
 def load_text(text: str) -> Program:

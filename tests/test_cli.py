@@ -116,6 +116,20 @@ def test_superscript_digit_is_a_parse_error(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: 1:11: unexpected character '²'\n")
 
 
+@pytest.mark.parametrize("command", ["run", "trace", "eq"])
+@pytest.mark.parametrize("text, error", [
+    ("TYPE Coin = {H, T}\nx <- UNIFORM {H, T}\nRETURN(y)\n",
+     "error: line 3: variable y not in scope in RETURN(y)\n"),
+    ("TYPE Coin = {H, T}\nx <- UNIFORM {H, T}\nOBSERVE(H IN x)\nRETURN(x)\n",
+     "error: line 3: x is not set-valued\n"),
+])
+def test_load_error_is_one_line_naming_its_line(tmp_path, capsys, command, text, error):
+    path = tmp_path / "bad.arrow"
+    path.write_text(text)
+    paths = [str(path), str(path)] if command == "eq" else [str(path)]
+    assert run_cli(capsys, command, *paths) == (1, "", error)
+
+
 def test_arg_parser_is_built_once():
     assert cli.build_arg_parser() is cli.build_arg_parser()
 
@@ -192,9 +206,9 @@ def test_eq_rejects_a_negative_trial_count(capsys, trials):
     with pytest.raises(SystemExit) as exc:
         main(["eq", monty_hall, monty_hall, "--trials", trials])
     captured = capsys.readouterr()
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert captured.out == ""
-    assert f"argument --trials: must not be negative, got {trials}" in captured.err
+    assert captured.err == f"error: argument --trials: must not be negative, got {trials}\n"
     assert run_cli(capsys, "eq", monty_hall, monty_hall, "--trials", "0")[:2] == (
         0, "programs agree under the declared interpretation and 0 random interpretations\n")
 

@@ -745,8 +745,8 @@ def test_bad_ket_values_raise_only_in_reached_rows():
     unreached = "GEN g : D, D -> D = (_, _) -> 1|L>; (L, M) -> 1|Q>; (M, M) -> 1/2|$3> + 1/2|L>\n"
     assert set(_two_door_table("", unreached)) == {
         f"{x},{y}: 1|L>" for x in "LMR" for y in "LMR"}
-    for ket_text, message in (("1|Q>", "generator g: Q is neither a variable nor a value of D"),
-                              ("1/2|L> + 1/2|$3>", "generator g: $3 not in D")):
+    for ket_text, message in (("1|Q>", "line 2: generator g: Q is neither a variable nor a value of D"),
+                              ("1/2|L> + 1/2|$3>", "line 2: generator g: $3 not in D")):
         with pytest.raises(ElaborationError) as exc:
             _two_door_table("", f"GEN g : D, D -> D = (L, L) -> 1|L>; (L, M) -> {ket_text}; "
                                 "(_, _) -> 1|R>\n")
@@ -815,11 +815,11 @@ def test_conflicting_extra_variables_fail_at_the_first_difference(monkeypatch):
 T2 = "TYPE T = {a, b, c}\nTYPE U = {u, v}\n"
 
 ELABORATION_ERRORS = [
-    ("TYPE T = {a}\nTYPE T = {b}\nx <- UNIFORM {a}\nRETURN(x)\n", 2, "type T declared twice"),
+    ("TYPE T = {a}\nTYPE T = {b}\nx <- UNIFORM {a}\nRETURN(x)\n", 2, "line 2: type T declared twice"),
     ("TYPE T = {a, b}\n\nGEN g : T -> U\nx <- UNIFORM {a, b}\nRETURN(x)\n", 3,
-     "generator g uses undeclared type U"),
+     "line 3: generator g uses undeclared type U"),
     ("TYPE T = {a, b}\nGEN g : T -> T =\n  a -> 1|b>\nx <- UNIFORM {a, b}\nRETURN(x)\n", 2,
-     "generator g: no row matches (b)"),
+     "line 2: generator g: no row matches (b)"),
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\n# a comment\n\ny <- CASE x OF a -> 1|b>\nRETURN(y)\n",
      5, "line 5: no row matches (b)"),
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(a = b)\nRETURN(x)\n", 3,
@@ -836,7 +836,7 @@ ELABORATION_ERRORS = [
     (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF p -> 1|a> IF e != f\nRETURN(y)\n", 4,
      "line 4: cannot infer a type for variable e"),
     (T2 + "GEN g : T -> T =\n  p -> 1|a, b>\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n", 3,
-     "generator g: ket arity 2 does not match outputs"),
+     "line 3: generator g: ket arity 2 does not match outputs"),
     (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF p -> 1|a, b>\nRETURN(y)\n", 4,
      "line 4: CASE kets must have exactly one value"),
     (T2 + "x <- UNIFORM {a, b}\nz <- UNIFORM {u, v}\n"
@@ -845,35 +845,47 @@ ELABORATION_ERRORS = [
     (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF p -> 1/2|p> + 1/2|u>\nRETURN(y)\n", 4,
      "line 4: u not in inferred type T"),
     (T2 + "GEN g : T -> T\nGEN g : T -> T\nx <- UNIFORM {a, b}\nRETURN(x)\n", 4,
-     "generator g declared twice"),
+     "line 4: generator g declared twice"),
     (T2 + "x, y <- UNIFORM {a, b}\nRETURN(x)\n", 3, "line 3: UNIFORM binds exactly one variable"),
     (T2 + "x <- UNIFORM {a, b}\ny, z <- CASE x OF p -> 1|p>\nRETURN(y)\n", 4,
      "line 4: CASE binds exactly one variable"),
     (T2 + "x <- UNIFORM {a, b, a}\nRETURN(x)\n", 3, "line 3: UNIFORM repeats a value"),
     (T2 + "GEN g : T -> T\nx <- UNIFORM {a, b}\ny <- g(w)\nRETURN(y)\n", 5,
-     "line 5: unknown variable w"),
+     "line 5: variable w not in scope in y <- g(w)"),
     (T2 + "GEN g : T -> T\nx <- UNIFORM {a, b}\ny, z <- g(x)\nRETURN(y)\n", 5,
-     "line 5: g produces 1 outputs"),
+     "line 5: output arity mismatch in y, z <- g(x)"),
     (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF 5 -> 1|a>; _ -> 1|b>\nRETURN(y)\n", 4,
      "line 4: literal 5 not in T"),
     (T2 + "GEN g : T -> T =\n  p -> 1|7>\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n", 3,
-     "generator g: 7 not in T"),
+     "line 3: generator g: 7 not in T"),
     (T2 + "x <- UNIFORM {a, b}\nOBSERVE(a IN s)\nRETURN(x)\n", 4,
      "line 4: IN needs a bound set-valued variable"),
     ("TYPE S = {{a}, {b}}\ns <- UNIFORM {{a}, {b}}\nOBSERVE(c IN s)\nRETURN(s)\n", 3,
-     "no declared type contains c on line 3"),
+     "line 3: no declared type contains c"),
     ("TYPE T = {a, b}\nTYPE V = {a, c}\nx <- UNIFORM {a}\nRETURN(x)\n", 3,
-     "ambiguous type for UNIFORM on line 3: T or V"),
+     "line 3: ambiguous type for UNIFORM: T or V"),
     (T2 + "x <- UNIFORM {a, b}\nOBSERVE({a} != x)\nRETURN(x)\n", 4,
      "line 4: {a} is not a value of T"),
     # a ket variable of a GEN row holds values of its own type, which must
     # be the output's: a pattern variable, an extra variable, a second output
     (T2 + "GEN g : T -> U = p -> 1|p>\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n", 3,
-     "generator g: ket variable p is T, not U"),
+     "line 3: generator g: ket variable p is T, not U"),
     (T2 + "GEN g : T -> U = p -> 1|q> IF p != q\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n",
-     3, "generator g: ket variable q is T, not U"),
+     3, "line 3: generator g: ket variable q is T, not U"),
     (T2 + "GEN g : T, U -> T, U = (p, q) -> 1|q, p>\nx <- UNIFORM {a, b}\nz <- UNIFORM {u}\n"
-     "y, w <- g(x, z)\nRETURN(y, w)\n", 3, "generator g: ket variable q is U, not T"),
+     "y, w <- g(x, z)\nRETURN(y, w)\n", 3, "line 3: generator g: ket variable q is U, not T"),
+    # typing errors, found by the typing rule as each statement is built
+    (T2 + "x <- UNIFORM {a, b}\nRETURN(y)\n", 4, "line 4: variable y not in scope in RETURN(y)"),
+    (T2 + "GEN g : T -> T\nx <- UNIFORM {u, v}\ny <- g(x)\nRETURN(y)\n", 5,
+     "line 5: argument x: U is not T in y <- g(x)"),
+    (T2 + "GEN g : T -> T\nx <- UNIFORM {a, b}\ny <- g(x, x)\nRETURN(y)\n", 5,
+     "line 5: arity mismatch in y <- g(x, x)"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x = y)\nRETURN(x)\n", 5,
+     "line 5: OBSERVE needs equal types, got T and U in OBSERVE(x = y)"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x != y)\nRETURN(x)\n", 5,
+     "line 5: comparison between T and U in OBSERVE(x != y)"),
+    ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(a IN x)\nRETURN(x)\n", 3,
+     "line 3: x is not set-valued"),
 ]
 
 

@@ -13,8 +13,10 @@ located walk's texts, or raise the same ParseError.
 
 Every ParseError position is computed by the located walk after the
 fact, so ``test_load_outcomes_are_pinned`` pins the outcome of loading
-20,000 mutated puzzles, positions and messages included, to a digest
-taken before positions became lazy.
+20,000 mutated puzzles, positions and messages included, to a digest.
+Every success and ParseError in it is as it was before positions became
+lazy; the elaboration errors were re-pinned when each came to name its
+line.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from arrowlang.errors import ArrowError, ParseError
+from arrowlang.errors import ArrowError, ElaborationError, ParseError
 from arrowlang import parser
 from arrowlang.parser import load_text, located_tokens, parse, pretty, tokenize
 
@@ -194,8 +196,20 @@ def test_load_outcomes_are_pinned():
     for text in mutated_texts():
         digest.update(repr(load_outcome(text)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "d6848f1c4a2f89fc74c2f93440af98cddb007a1207a89222c0cdbceaaa881abe")
+        "65b105c2f782aabf68c9c259a045ba0042e6b50cc88272157d5c160f33a0751e")
 
+
+def test_every_failed_load_names_its_line():
+    elaboration_errors = 0
+    for text in mutated_texts():
+        try:
+            load_text(text)
+        except ParseError:
+            pass
+        except ElaborationError as exc:
+            assert exc.line is not None and str(exc).startswith(f"line {exc.line}: "), repr(text)
+            elaboration_errors += 1
+    assert elaboration_errors > 100
 
 
 def _cases(n: int) -> str:
