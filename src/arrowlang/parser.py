@@ -7,7 +7,8 @@ kernel is the inline table, so the core term uses exactly the three
 statement forms.
 
 Grammar sketch (comments start with ``#``, newlines separate
-statements, rationals are ``p`` or ``p/q``):
+statements; a ket weight is ``p`` or ``p/q``, read reduced, with blanks
+allowed around the ``/``, and a weight left out is 1):
 
     TYPE Door = {L, M, R}
     GEN f : Door -> Door = L -> 1|R>; M -> 1/2|L> + 1/2|R>; R -> 1|L>
@@ -30,7 +31,9 @@ variables and extra ket variables, which are resolved by enumeration
 over the carrier.  Each input combination takes the first row that
 matches it and whose conditions can be met; rows whose patterns are all
 literals, with no ``IF``, are looked up by their values, and the other
-rows are scanned in order.
+rows are scanned in order.  A row whose ket names no extra variable
+takes the first assignment that meets its conditions; otherwise every
+such assignment must give the same row.
 """
 
 from __future__ import annotations
@@ -216,6 +219,9 @@ class _Parser:
         self.line = 1  # the current token's line: one more than the "\n" tokens passed
         self.kind = kind = tokens.kinds
         self.idents = {tok for tok, k in kind.items() if k == "IDENT"} - KEYWORDS
+        # the reduced pair of each weight read, by its texts (p,) or (p, q); per
+        # parse, as the int-conversion digit limit may change between parses
+        self.weights: dict[tuple, tuple[int, int]] = {}
 
     def next(self):
         """Move past the current token, which is not EOF."""
@@ -323,16 +329,39 @@ class _Parser:
         return num // g, den // g
 
     def parse_ket(self) -> tuple:
+        """``weight? |values>`` terms joined by ``+``, read at a local index.
+
+        A weight seen before in this parse is looked up and a one-name
+        monomial is read off the list; the rest goes through
+        `parse_rational` and `parse_value`, which place any error.
+        """
+        toks, kind, idents, weights = self.toks, self.kind, self.idents, self.weights
         monomials = []
+        pos = self.pos
         while True:
-            weight = self.parse_rational() if self.kind[self.tok] == "INT" else (1, 1)
-            self.expect("|")
-            values = self.comma_list(self.parse_value)
-            self.expect(">")
-            monomials.append((weight, tuple(values)))
-            if self.tok != "+":
+            tok = toks[pos]
+            weight = (1, 1)
+            if kind[tok] == "INT":
+                text = (tok, toks[pos + 2]) if toks[pos + 1] == "/" else (tok,)
+                weight = weights.get(text)
+                if weight is None:
+                    self.pos, self.tok = pos, tok
+                    weight = weights[text] = self.parse_rational()
+                pos += 2 * len(text) - 1
+            if toks[pos] == "|" and toks[pos + 1] in idents and toks[pos + 2] == ">":
+                monomials.append((weight, (toks[pos + 1],)))
+                pos += 3
+            else:
+                self.pos, self.tok = pos, toks[pos]
+                self.expect("|")
+                values = self.comma_list(self.parse_value)
+                self.expect(">")
+                monomials.append((weight, tuple(values)))
+                pos = self.pos
+            if toks[pos] != "+":
+                self.pos, self.tok = pos, toks[pos]
                 return tuple(monomials)
-            self.next()
+            pos += 1
 
     def parse_pattern(self) -> tuple:
         if self.tok != "(":
@@ -622,7 +651,6 @@ class _RowMatcher:
     """Pattern-matching and instantiation for one table row."""
 
     def __init__(self, row: CaseRow, input_types: tuple[str, ...], carriers: dict):
-        self.row = row
         self.carriers = carriers
         if len(row.pattern) != len(input_types):
             raise ElaborationError(
@@ -630,7 +658,9 @@ class _RowMatcher:
         # classify pattern entries; names that denote carrier values are literals
         self.literals: list[tuple[int, Outcome]] = []
         self.variables: list[tuple[int, str]] = []
-        self.var_types: dict[str, str] = {}
+        # every variable, pattern or extra, with its type; a name in the ket
+        # is a variable when it is one of these, and a value otherwise
+        self.names = names = {}
         for i, (value, tname) in enumerate(zip(row.pattern, input_types)):
             if value == "_":
                 continue
@@ -639,46 +669,44 @@ class _RowMatcher:
             elif not isinstance(value, str):
                 raise ElaborationError(f"literal {_src_value(value)} not in {tname}")
             else:  # a name that is no value of its type is a pattern variable
-                if self.var_types.setdefault(value, tname) != tname:
+                if names.setdefault(value, tname) != tname:
                     raise ElaborationError(f"pattern variable {value} used at two types")
                 self.variables.append((i, value))
         # extra variables are condition names not bound by the pattern;
         # their types come from inequation links, propagated to a fixpoint
-        self.extras: dict[str, str | None] = {}
-        for a, b in row.conditions:
-            for name in (a, b):
-                if name not in self.var_types:
-                    self.extras.setdefault(name, None)
+        extras = [name for pair in row.conditions for name in pair if name not in names]
+        names.update(dict.fromkeys(extras))
         changed = True
         while changed:
             changed = False
             for a, b in row.conditions:
-                ta = self.var_types.get(a) or self.extras.get(a)
-                tb = self.var_types.get(b) or self.extras.get(b)
-                if ta and not tb and b in self.extras:
-                    self.extras[b] = ta
-                    changed = True
-                if tb and not ta and a in self.extras:
-                    self.extras[a] = tb
-                    changed = True
+                ta, tb = names[a], names[b]
                 if ta and tb and ta != tb:
                     raise ElaborationError(f"condition {a} != {b} compares {ta} with {tb}")
-        for name, tname in self.extras.items():
-            if tname is None:
+                if (ta is None) != (tb is None):
+                    names[a] = names[b] = ta or tb
+                    changed = True
+        for name in extras:
+            if names[name] is None:
                 raise ElaborationError(f"cannot infer a type for variable {name}")
         # the extra variables in the order they are enumerated, and their carriers
-        self.extra_names = sorted(self.extras)
-        self.spaces = [carriers[self.extras[name]] for name in self.extra_names]
-        # every variable, pattern or extra, with its type; a name in the ket
-        # is a variable when it is one of these, and a value otherwise
-        self.names = {**self.var_types, **self.extras}
+        self.extra_names = sorted(set(extras))
+        self.spaces = [carriers[names[name]] for name in self.extra_names]
+        # each condition at the depth where both its names are bound: 0 for
+        # two pattern variables, k + 1 once extra_names[k] is
+        depth = {name: k for k, name in enumerate(self.extra_names, 1)}
+        self.checks: list[list] = [[] for _ in range(len(self.extra_names) + 1)]
+        for a, b in row.conditions:
+            self.checks[max(depth.get(a, 0), depth.get(b, 0))].append((a, b))
         # the ket as integer numerators over the lcm of its weights' denominators
         self.den = den = lcm(*[den for (_, den), _ in row.ket])
         self.ket = [(num * (den // d), values) for (num, d), values in row.ket]
-        # a row that no combination changes is built once, into ``fixed``
+        # a row whose ket names no variable is built once, into ``fixed``;
+        # one whose ket names no extra variable takes the first assignment
         self.fixed: Subdist | None = None
-        self.constant = not self.names or (not self.extras and not any(
-            v in self.names for _, values in self.ket for v in values))
+        named = {v for _, values in self.ket for v in values if v in names} if names else set()
+        self.constant = not named
+        self.ket_extras = any(v in depth for v in named)
         # the literal tuple that a pattern of literals only, with no IF, is looked up by
         self.key = (tuple([value for _, value in self.literals])
                     if len(self.literals) == len(row.pattern) and not row.conditions else None)
@@ -697,14 +725,15 @@ class _RowMatcher:
     def _numerators(self, env: dict[str, Outcome], out_types: tuple[str, ...]) -> dict:
         """The row's outcomes under ``env`` with their nonzero numerators over ``den``."""
         acc: dict = {}
+        carriers = [self.carriers[tname] for tname in out_types]
         for n, values in self.ket:
             if len(values) != len(out_types):
                 raise ElaborationError(f"ket arity {len(values)} does not match outputs")
             resolved = []
-            for v, tname in zip(values, out_types):
+            for v, carrier, tname in zip(values, carriers, out_types):
                 if v in env:
                     resolved.append(env[v])
-                elif v in self.carriers[tname]:
+                elif v in carrier:
                     resolved.append(v)
                 elif isinstance(v, str):
                     raise ElaborationError(f"{v} is neither a variable nor a value of {tname}")
@@ -716,32 +745,55 @@ class _RowMatcher:
             raise ElaborationError("row mass exceeds 1")
         return {x: n for x, n in acc.items() if n}
 
-    def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...]):
+    def _assignments(self, bound: dict[str, Outcome]):
+        """Extend ``bound`` to each assignment of the extra variables that
+        meets the conditions, yielding after each, in `product` order.
+
+        The walk is depth first in ``extra_names`` order, and a condition is
+        tested as soon as both its names are bound, so a failing one prunes
+        every assignment below it.  Without extra variables there is one
+        assignment, the empty one.
+        """
+        names, spaces, checks = self.extra_names, self.spaces, self.checks
+        levels = [iter((None,))]  # level 0: the empty assignment; k: the values of names[k - 1]
+        while levels:
+            k = len(levels) - 1
+            for value in levels[k]:
+                if k:
+                    bound[names[k - 1]] = value
+                if not any(bound[a] == bound[b] for a, b in checks[k]):
+                    if k == len(names):
+                        yield
+                    else:
+                        levels.append(iter(spaces[k]))
+                    break
+            else:
+                levels.pop()
+
+    def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...], fractions: dict):
         """Row subdistribution for a matched combo; None when unsatisfiable.
 
-        Extra variables are enumerated over their carriers, into ``bound``;
-        a row without any has one assignment, the empty one.  Every
-        satisfying assignment must yield the same table row, and the first
-        one that does not raises.
+        When the ket names an extra variable, every satisfying assignment
+        must yield the same table row, and the first one that does not
+        raises; otherwise the first satisfying assignment gives the row.
+        ``fractions`` maps a denominator to its numerators' `Fraction`s,
+        shared by the rows of one table.
         """
         first = None
-        conditions = self.row.conditions
-        for assignment in product(*self.spaces):
-            for name, value in zip(self.extra_names, assignment):
-                bound[name] = value
-            if any(bound[a] == bound[b] for a, b in conditions):
-                continue
-            if self.fixed is not None:  # a constant row: this is its only assignment
+        for _ in self._assignments(bound):
+            if self.fixed is not None:  # a constant row: any assignment gives it
                 return self.fixed
             numerators = self._numerators(bound, out_types)
             if first is None:
                 first = numerators
+                if not self.ket_extras:
+                    break
             elif numerators != first:
                 raise ElaborationError(
                     f"conflicting assignments of {', '.join(self.extra_names)} give different rows")
         if first is None:
             return None
-        row = Subdist._of_numerators(first.items(), self.den)
+        row = Subdist._of_numerators(first.items(), self.den, fractions.setdefault(self.den, {}))
         if self.constant:
             self.fixed = row
         return row
@@ -763,13 +815,14 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
         else:
             index.setdefault(matcher.key, (len(scanned), matcher))
     miss = (len(scanned), None)
+    fractions: dict = {}
     table: dict = {}
     for combo in product(*(carriers[t] for t in input_types)):
         before, hit = index.get(combo, miss)
         for matcher in scanned[:before]:
             bound = matcher.bind(combo)
             if bound is not None:
-                row_value = matcher.instantiate(bound, out_types)
+                row_value = matcher.instantiate(bound, out_types, fractions)
                 if row_value is not None:
                     table[combo] = row_value
                     break
@@ -777,7 +830,7 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
             if hit is None:
                 shown = ", ".join(_src_value(v) for v in combo)
                 raise ElaborationError(f"no row matches ({shown})")
-            table[combo] = hit.instantiate({}, out_types)
+            table[combo] = hit.instantiate({}, out_types, fractions)
     return table
 
 

@@ -193,7 +193,8 @@ class Subdist:
         The integers already rule out floats, signs, weights above 1 and
         duplicates, so only the outcome shapes and the total mass are
         checked.  ``weights`` caches the `Fraction` of each numerator over
-        ``denom``; calls over the same denominator may share it.
+        ``denom``, the total's included; calls over the same denominator
+        may share it.
         """
         if weights is None:
             weights = {}
@@ -211,7 +212,10 @@ class Subdist:
             raise InvalidSubdistribution(f"total mass {Fraction(total, denom)} exceeds 1")
         self = cls.__new__(cls)
         self._entries = store
-        self._mass = Fraction(total, denom)
+        mass = weights.get(total)
+        if mass is None:
+            mass = weights[total] = Fraction(total, denom)
+        self._mass = mass
         self._items = None
         return self
 

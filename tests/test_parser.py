@@ -648,6 +648,121 @@ def test_weights_over_one_in_total_are_still_rejected():
         load_text(src)
 
 
+def _ket_of(src: str) -> tuple:
+    """The ket of the first row of the CASE on line 3 of ``src``."""
+    return parse(src).stmts[1].rows[0].ket
+
+
+KET_PREFIX = "TYPE A = {a, b, c}\nx <- UNIFORM {a}\ny <- CASE x OF a -> "
+
+
+def test_each_weight_spelling_reads_as_its_reduced_pair():
+    ket = _ket_of(KET_PREFIX + "2/12|a> + 1/6|b> + 1 / 6|c> + |a> + 2/12|b>\nRETURN(y)\n")
+    assert ket == (((1, 6), ("a",)), ((1, 6), ("b",)), ((1, 6), ("c",)), ((1, 1), ("a",)),
+                   ((1, 6), ("b",)))
+
+
+@pytest.mark.parametrize("ket_text, col", [
+    ("1/6|a> + 1/0|b>", 32),
+    ("1/0|a> + 1/6|b>", 23),
+    ("1/6|a> + 1/6|b> + 1/0|c>", 41),
+])
+def test_zero_denominator_is_raised_at_its_own_token(ket_text, col):
+    # a weight that fails to read is not remembered: each text raises at its own 0
+    with pytest.raises(ParseError) as exc:
+        parse(KET_PREFIX + ket_text + "\nRETURN(y)\n")
+    assert str(exc.value) == f"3:{col}: zero denominator"
+
+
+@pytest.mark.parametrize("which", ["numerator", "denominator"])
+def test_weight_is_read_again_under_the_digit_limit_of_each_parse(which):
+    import sys
+
+    digits = "1" * 700
+    weight = f"{digits}/{digits}0" if which == "numerator" else f"1/{digits}"
+    src = KET_PREFIX + f"{weight}|a> + {weight}|b>\nRETURN(y)\n"
+    assert _ket_of(src)[0][0] == ((1, 10) if which == "numerator" else (1, int(digits)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    col = 21 if which == "numerator" else 23
+    assert str(exc.value) == f"3:{col}: integer literal of 700 digits is too long"
+
+
+def _random_ket(rng, arity: int) -> tuple[str, tuple]:
+    """A ket text over ``arity`` values per monomial, and the ket it reads as.
+
+    Weights are left out, ``p`` or an unreduced ``p/q`` with blanks around
+    the ``/``, some of them 0; values are names, integers, ``$`` amounts
+    and sets, written in a random order.
+    """
+    texts, ket = [], []
+    for _ in range(rng.randint(1, 5)):
+        shape = rng.randrange(3)
+        if shape == 0:
+            weight_text, weight = "", (1, 1)
+        elif shape == 1:
+            num = rng.choice((0, 1, 1, 2, 7))
+            weight_text, weight = str(num), (num, 1)
+        else:
+            den = rng.randint(1, 12)
+            num = rng.choice((0, rng.randint(1, 2 * den)))
+            g = gcd(num, den)
+            blank = lambda: rng.choice(("", " ", "  "))
+            weight_text, weight = f"{num}{blank()}/{blank()}{den}", (num // g, den // g)
+        value_texts, values = [], []
+        for _ in range(arity):
+            kind = rng.randrange(4)
+            if kind == 0:
+                value = rng.choice(("a", "b", "H", "door_2", "_x"))
+                text = value
+            elif kind == 1:
+                value = rng.randint(0, 30)
+                text = str(value)
+            elif kind == 2:
+                value = Dollar(rng.randint(0, 500))
+                text = f"${int(value)}"
+            else:
+                elems = rng.sample(("a", "b", "c", "d"), rng.randint(0, 3))
+                value = frozenset(elems)
+                text = "{" + ", ".join(elems) + "}"
+            value_texts.append(text)
+            values.append(value)
+        texts.append(f"{weight_text}|{rng.choice(('', ' '))}{','.join(value_texts)}>")
+        ket.append((weight, tuple(values)))
+    return " + ".join(texts), tuple(ket)
+
+
+def test_generated_kets_parse_to_what_was_written():
+    import random
+
+    rng = random.Random(17)
+    for _ in range(150):
+        lines, expected = ["TYPE A = {a, b}", "x <- UNIFORM {a, b}"], []
+        for g in range(rng.randint(0, 2)):
+            arity = rng.randint(1, 3)
+            outs = ", ".join(["A"] * arity)
+            kets = [_random_ket(rng, arity) for _ in range(rng.randint(1, 3))]
+            rows = "; ".join(f"{p} -> {text}" for p, (text, _) in zip("abc", kets))
+            lines.insert(1, f"GEN g{g} : A -> {outs} = {rows}")
+            expected.append([ket for _, ket in kets])
+        kets = [_random_ket(rng, 1) for _ in range(rng.randint(1, 3))]
+        rows = "\n  ".join(f"{p} -> {text}" + (" IF p != q" if p == "p" else "")
+                           for p, (text, _) in zip(("a", "_", "p"), kets))
+        lines += [f"y <- CASE x OF\n  {rows}", "RETURN(y)"]
+        expected.append([ket for _, ket in kets])
+        text = "\n".join(lines) + "\n"
+        sp = parse(text)
+        tables = [gd.rows for gd in reversed(sp.gens)] + [sp.stmts[1].rows]
+        assert [[row.ket for row in rows] for rows in tables] == expected, text
+        reparsed = parse(pretty(sp))
+        assert without_lines(reparsed) == without_lines(sp), text
+
+
 def _doors_source(n: int) -> str:
     """Monty Hall with n doors; the host's row is explicit per (car, player)."""
     doors = [f"d{i}" for i in range(1, n + 1)]
@@ -679,6 +794,9 @@ def test_source_weights_build_no_fractions(monkeypatch):
     prog = load_text(text)
     monkeypatch.undo()
     assert "arrowlang.parser" not in made
+    # one Fraction per distinct weight and mass in a table: 1/6, 1/7 and 1
+    # (twice) for the CASE, 1/8 and 1 for each UNIFORM
+    assert made.count("arrowlang.subdist") == 8
     assert ket(interpret(prog.typed, prog.interp)) == (
         "1/448|d1> + " + " + ".join(f"1/384|d{i}>" for i in range(3, 9)))
 
@@ -810,6 +928,49 @@ def test_conflicting_extra_variables_fail_at_the_first_difference(monkeypatch):
     # of the 19^4 assignments that meet the conditions, the second already
     # gives another row, and it is the last one resolved
     assert len(resolved) == 2
+
+
+def test_row_whose_ket_names_no_extra_variable_takes_the_first_assignment(monkeypatch):
+    from arrowlang import parser
+
+    resolved = []
+    collapse_values = parser.collapse_values
+    monkeypatch.setattr(parser, "collapse_values",
+                        lambda values: resolved.append(values) or collapse_values(values))
+    values = [f"v{i}" for i in range(20)]
+    listed = ", ".join(values)
+    prog = load_text(f"TYPE V = {{{listed}}}\nx <- UNIFORM {{{listed}}}\n"
+                     "y <- CASE x OF a -> 1|a> IF a != b AND b != c AND c != d\nRETURN(y)\n")
+    assert prog.interp.kernels["__case2"] == {(v,): dirac(v) for v in values}
+    # each value of x has 19^3 assignments that meet the conditions, and
+    # every one gives the same row: the first is the only one resolved
+    assert len(resolved) == 20
+
+
+def test_extra_variables_are_assigned_in_product_order():
+    # the pruned walk against the plain one: every assignment in `product`
+    # order, kept when it meets the conditions
+    import random
+    from itertools import product
+
+    from arrowlang.parser import CaseRow, _RowMatcher
+
+    rng = random.Random(5)
+    carriers = {"T": ("a", "b", "c", "d")}
+    for _ in range(100):
+        names = ["x"] + [f"e{i}" for i in range(rng.randint(0, 4))]
+        conditions = [(rng.choice(names[:i]), names[i]) for i in range(1, len(names))]
+        if len(names) > 1:
+            conditions += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(conditions)
+        row = CaseRow(("x",), (((1, 1), ("x",)),), tuple(conditions))
+        matcher = _RowMatcher(row, ("T",), carriers)
+        for x in carriers["T"]:
+            bound = {"x": x}
+            walked = [dict(bound) for _ in matcher._assignments(bound)]
+            every = ({"x": x, **dict(zip(matcher.extra_names, values))}
+                     for values in product(*matcher.spaces))
+            assert walked == [env for env in every if all(env[a] != env[b] for a, b in conditions)]
 
 
 T2 = "TYPE T = {a, b, c}\nTYPE U = {u, v}\n"

@@ -17,15 +17,15 @@ from arrowlang.syntax import Sample, statements
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load_perfbench("tracing")
 
 
 def _programs():
@@ -52,3 +52,26 @@ def test_chain_length_and_worlds_count_statements_and_sampled_outputs():
         assert tracing.chain_length(tt.term) == len(heads) + 1, label
         outputs = [t for h in heads if isinstance(h, Sample) for t in h.gen.outputs]
         assert tracing.worlds(tt.term, carriers) == math.prod(len(carriers[t]) for t in outputs), label
+
+
+def test_traced_loads_count_every_token_and_table_row():
+    """``parser.tokens`` and ``parser.table_rows`` come from the wrappers
+    around `parser.tokenize` and `parser.build_table`: a load that went
+    round either name would read 0 on the benchmark."""
+    from arrowlang import parser
+
+    texts = {path.stem: path.read_text() for path in sorted((ROOT / "puzzles").glob("*.arrow"))}
+    texts["doors 8"], _, _ = _load_perfbench("programs").doors(8, random.Random(1))
+    for label, text in texts.items():
+        rec = tracing.Recorder()
+        with rec.installed(0, counting=True):
+            prog = parser.load_text(text)
+        carriers = prog.interp.carriers
+        tables = [prog.typed.sig.gens[gd.name] for gd in prog.source.gens if gd.rows is not None]
+        heads, _ = statements(prog.typed.term)
+        tables += [head.gen for head, line in zip(heads, prog.lines)
+                   if getattr(line, "kind", None) == "case"]
+        rows = sum(math.prod(len(carriers[t]) for t in gen.inputs) for gen in tables)
+        assert rec.counts["parser.tokens"] == len(parser.located_tokens(text)), label
+        assert rec.counts["parser.table_rows"] == rows, label
+    assert rows == 64  # doors 8, the last text: one table over Door x Door
