@@ -52,11 +52,7 @@ from .syntax import (
     Generator,
     Observe,
     ObservePred,
-    PEq,
-    PIn,
     PLit,
-    PNe,
-    PVar,
     Return,
     Sample,
     Signature,
@@ -102,23 +98,13 @@ def _kind(tok: str) -> str | None:
     return {"\n": "NEWLINE", "": "EOF"}.get(tok)
 
 
-class _Tokens(list):
-    """Token texts; ``kinds`` maps each distinct text to its kind."""
-
-    kinds: dict[str, str]
-
-
 def tokenize(text: str) -> list[str]:
     """The token texts of ``text``, ending with the empty EOF token.
 
-    The result also carries ``kinds``, the kind of each distinct text,
-    which the parser reads instead of classifying the texts again.
+    The texts are not classified here: the parser gives each distinct
+    text its kind, and places a lexical error with `located_tokens`.
     """
-    tokens = _Tokens(_TOKEN_RE.findall(text, _LEAD_RE.match(text).end()))
-    tokens.kinds = kinds = {tok: _kind(tok) for tok in set(tokens)}
-    if None in kinds.values():
-        located_tokens(text)  # raises at the first lexical error
-    return tokens
+    return _TOKEN_RE.findall(text, _LEAD_RE.match(text).end())
 
 
 def located_tokens(text: str) -> list[tuple]:
@@ -211,13 +197,15 @@ class SourceProgram:
 class _Parser:
     """Recursive descent over token texts; positions are computed only for an error."""
 
-    def __init__(self, text: str, tokens: _Tokens):
+    def __init__(self, text: str, tokens: list[str]):
         self.text = text
-        self.toks = tokens[:]  # a plain list: CPython indexes a list subclass more slowly
+        self.toks = tokens
         self.pos = 0
         self.tok = tokens[0]  # the current token; the list ends with EOF, ""
         self.line = 1  # the current token's line: one more than the "\n" tokens passed
-        self.kind = kind = tokens.kinds
+        self.kind = kind = {tok: _kind(tok) for tok in set(tokens)}
+        if None in kind.values():
+            located_tokens(text)  # raises at the first lexical error
         self.idents = {tok for tok, k in kind.items() if k == "IDENT"} - KEYWORDS
         # the reduced pair of each weight read, by its texts (p,) or (p, q); per
         # parse, as the int-conversion digit limit may change between parses
@@ -931,7 +919,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 raise ElaborationError("IN needs a bound set-valued variable")
             if not all(isinstance(v, frozenset) for v in carriers[scope[right]]):
                 raise ElaborationError(f"{right} is not set-valued")
-            return PIn(PLit(left, _unique_type_for([left], carriers, _src_value(left))), PVar(right))
+            return Atom("IN", PLit(left, _unique_type_for([left], carriers, _src_value(left))), right)
         if left not in scope and right not in scope:
             raise ElaborationError(f"neither side of the comparison "
                                    f"({_src_value(left)} and {_src_value(right)}) is a bound variable")
@@ -940,8 +928,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         for v in (left, right):
             if v not in scope and v not in carriers[tname]:
                 raise ElaborationError(f"{_src_value(v)} is not a value of {tname}")
-        left, right = [PVar(v) if v in scope else PLit(v, tname) for v in (left, right)]
-        return PEq(left, right) if atom.op == "=" else PNe(left, right)
+        return Atom(atom.op, *[v if v in scope else PLit(v, tname) for v in (left, right)])
 
     for stmt_index, stmt in enumerate(sp.stmts, 1):
         at[0] = stmt.line

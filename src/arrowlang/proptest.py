@@ -19,15 +19,13 @@ from .errors import InvalidSubdistribution
 from .semantics import Interpretation
 from .subdist import Subdist, collapse_values
 from .syntax import (
+    Atom,
     Context,
     Generator,
     Observe,
     ObservePred,
-    PEq,
-    PIn,
-    PNe,
+    PLit,
     Pred,
-    PVar,
     Return,
     Sample,
     Signature,
@@ -226,15 +224,16 @@ def _oracle_pred(p: Pred, env: dict) -> bool:
     # deliberately re-implemented here; the oracle shares no evaluation
     # path with the semantics module
     def value(o):
-        return env[o.name] if isinstance(o, PVar) else o.value
+        return o.value if isinstance(o, PLit) else env[o]
 
     for a in p:
-        if isinstance(a, PEq):
+        op = a.op if isinstance(a, Atom) else None
+        if op == "=":
             ok = value(a.left) == value(a.right)
-        elif isinstance(a, PNe):
+        elif op == "!=":
             ok = value(a.left) != value(a.right)
-        elif isinstance(a, PIn):
-            ok = a.element.value in env[a.var.name]
+        elif op == "IN":
+            ok = value(a.left) in value(a.right)
         else:
             raise InvalidSubdistribution(f"not a predicate: {a!r}")
         if not ok:

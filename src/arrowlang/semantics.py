@@ -40,13 +40,11 @@ from .combinator import CombTerm, decode
 from .errors import CarrierMismatch, PredicateTypeError, ZeroMassState
 from .subdist import FAILURE, Outcome, Subdist, collapse_values, rescale
 from .syntax import (
+    Atom,
     Generator,
     Observe,
-    PEq,
-    PIn,
-    PNe,
+    PLit,
     Pred,
-    PVar,
     Return,
     Sample,
     Signature,
@@ -117,23 +115,24 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
     """Evaluate a predicate, a conjunction of atoms, in a variable environment."""
 
     def value(operand) -> Outcome:
-        if isinstance(operand, PVar):
-            try:
-                return env[operand.name]
-            except KeyError:
-                raise PredicateTypeError(f"variable {operand.name} not in scope") from None
-        return operand.value
+        if isinstance(operand, PLit):
+            return operand.value
+        try:
+            return env[operand]
+        except KeyError:
+            raise PredicateTypeError(f"variable {operand} not in scope") from None
 
     for a in p:
-        if isinstance(a, PEq):
+        op = a.op if isinstance(a, Atom) else None
+        if op == "=":
             holds = value(a.left) == value(a.right)
-        elif isinstance(a, PNe):
+        elif op == "!=":
             holds = value(a.left) != value(a.right)
-        elif isinstance(a, PIn):
-            container = value(a.var)
+        elif op == "IN":
+            container = value(a.right)
             if not isinstance(container, frozenset):
-                raise PredicateTypeError(f"{a.var.name} is not set-valued")
-            holds = a.element.value in container
+                raise PredicateTypeError(f"{a.right} is not set-valued")
+            holds = value(a.left) in container
         else:
             raise PredicateTypeError(f"not a predicate: {a!r}")
         if not holds:

@@ -13,8 +13,8 @@ A subdistribution is a map; its canonical outcome order (see
 `ket`) and kept.  Equality, hashing, `mass` and `weight` never sort.
 
 Outcomes are symbols (plain strings), integers (including `Dollar`,
-an integer that prints with a ``$`` prefix), flat tuples of outcomes,
-or frozensets of outcomes.
+an integer that prints with a ``$`` prefix and equals no plain integer),
+flat tuples of outcomes, or frozensets of outcomes.
 """
 
 from __future__ import annotations
@@ -39,12 +39,25 @@ ONE = Fraction(1)
 
 
 class Dollar(int):
-    """An integer outcome rendered with a dollar prefix, e.g. ``$10``."""
+    """An integer outcome rendered with a dollar prefix, e.g. ``$10``.
+
+    ``$3`` and ``3`` are different outcomes: a `Dollar` equals only a
+    `Dollar`.  Both `__eq__` and `__ne__` are needed, as `int.__ne__` would
+    still call them equal; the hash stays the int's.
+    """
 
     def __repr__(self) -> str:
         return f"${int(self)}"
 
     __str__ = __repr__
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dollar) and int.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = int.__hash__
 
 
 class Failure:
@@ -78,11 +91,12 @@ def as_weight(value) -> Fraction:
 
 
 def outcome_key(x: Outcome):
-    """Total ordering key: integers, then symbols, then tuples, then sets."""
+    """Total ordering key: integers, then symbols, then tuples, then sets;
+    an integer comes before the `Dollar` of the same amount."""
     if isinstance(x, bool):
         raise InvalidSubdistribution("bool is not an outcome")
     if isinstance(x, int):
-        return (0, x)
+        return (0, int(x), 1) if isinstance(x, Dollar) else (0, x)
     if isinstance(x, str):
         return (1, x)
     if isinstance(x, tuple):

@@ -4,9 +4,12 @@ A term is a chain of sampling and observation statements ending in a
 return statement.  Sampling binds fresh output variables; observation
 constrains two variables of equal type (the core form) or a predicate
 over the scope (the evaluator-only form, which the algebraic operations
-reject).  A predicate is a flat conjunction: a tuple of `=`, `!=` and
-`IN` atoms, the empty tuple being TRUE, so every pass over one is a
-loop over its atoms.
+reject).  A predicate is a flat conjunction: a tuple of atoms, the empty
+tuple being TRUE, so every pass over one is a loop over its atoms.  An
+atom is one shape, `Atom(op, left, right)`, with ``op`` one of `=`, `!=`
+and `IN`.  An operand is a variable, stored as its name (a `str`, as in
+`Observe`), or a `PLit`, a value with its type.  An `IN` atom has the
+literal on the left and the set-valued variable on the right.
 
 The interchange law: two adjacent statements commute when neither reads
 a variable that the other binds (`reads`, `binds`), because the
@@ -57,51 +60,31 @@ class Signature:
 # -- predicates for evaluator-level observes ------------------------------
 
 @dataclass(frozen=True)
-class PVar:
-    name: Var
-
-
-@dataclass(frozen=True)
 class PLit:
+    """A literal operand; its type is kept, as a symbol is a `str` like a variable."""
+
     value: Outcome
     type: TypeName
 
 
-Operand = Union[PVar, PLit]
+Operand = Union[Var, PLit]
 
 
 @dataclass(frozen=True)
-class PEq:
+class Atom:
+    op: str  # "=", "!=" or "IN"
     left: Operand
     right: Operand
 
 
-@dataclass(frozen=True)
-class PNe:
-    left: Operand
-    right: Operand
-
-
-@dataclass(frozen=True)
-class PIn:
-    element: PLit
-    var: PVar
-
-
-Atom = Union[PEq, PNe, PIn]
 Pred = tuple[Atom, ...]  # a conjunction of atoms; () is TRUE
 
 
 def render_pred(p: Pred) -> str:
     def operand(o: Operand) -> str:
-        return o.name if isinstance(o, PVar) else render_outcome(o.value)
+        return render_outcome(o.value) if isinstance(o, PLit) else o
 
-    def atom(a: Atom) -> str:
-        if isinstance(a, PIn):
-            return f"{render_outcome(a.element.value)} IN {a.var.name}"
-        return f"{operand(a.left)} {'=' if isinstance(a, PEq) else '!='} {operand(a.right)}"
-
-    return " AND ".join(map(atom, p)) or "TRUE"
+    return " AND ".join(f"{operand(a.left)} {a.op} {operand(a.right)}" for a in p) or "TRUE"
 
 
 # -- term nodes ------------------------------------------------------------
@@ -184,13 +167,7 @@ def reads(node: Term) -> set[Var]:
         return set(node.args)
     if isinstance(node, Observe):
         return {node.left, node.right}
-    out = set()
-    for a in node.pred:
-        if isinstance(a, PIn):
-            out.add(a.var.name)
-        else:
-            out.update(o.name for o in (a.left, a.right) if isinstance(o, PVar))
-    return out
+    return {o for a in node.pred for o in (a.left, a.right) if not isinstance(o, PLit)}
 
 
 def binds(node: Term) -> tuple[Var, ...]:
@@ -223,21 +200,18 @@ class TypedTerm:
 
 
 def _check_operand(o: Operand, scope: dict[Var, TypeName]) -> TypeName:
-    if isinstance(o, PVar):
-        if o.name not in scope:
-            raise UnboundVariable(f"variable {o.name} not in scope")
-        return scope[o.name]
-    return o.type
+    if isinstance(o, PLit):
+        return o.type
+    if o not in scope:
+        raise UnboundVariable(f"variable {o} not in scope")
+    return scope[o]
 
 
 def _check_pred(p: Pred, scope: dict[Var, TypeName]) -> None:
     for a in p:
-        if isinstance(a, PIn):
-            _check_operand(a.var, scope)
-            continue
         lt = _check_operand(a.left, scope)
         rt = _check_operand(a.right, scope)
-        if lt != rt:
+        if lt != rt and a.op != "IN":  # IN compares an element with a set
             raise TypeMismatch(f"comparison between {lt} and {rt} in OBSERVE({render_pred((a,))})")
 
 
@@ -321,10 +295,8 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
         return bound.get(v, v)
 
     def pred_resolved(p: Pred, bound: dict[Var, int]):
-        conv = lambda o: resolve(o.name, bound) if isinstance(o, PVar) else ("lit", o.value, o.type)
-        return [("PIn", a.element.value, a.element.type, resolve(a.var.name, bound))
-                if isinstance(a, PIn) else (type(a).__name__, conv(a.left), conv(a.right))
-                for a in p]
+        conv = lambda o: o if isinstance(o, PLit) else resolve(o, bound)
+        return [(a.op, conv(a.left), conv(a.right)) for a in p]
 
     ba: dict[Var, int] = {}
     bb: dict[Var, int] = {}
@@ -381,22 +353,16 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
 def _substituted(heads: list[Term], ret: Return, x: Var, u: Var) -> tuple[list[Term], Return]:
     """`substitute` on a statement list: the new heads and return."""
 
-    def sub(v: Var) -> Var:
+    def sub(v: Operand) -> Operand:  # a PLit is equal to no name
         return u if v == x else v
-
-    def sub_operand(o: Operand) -> Operand:
-        return PVar(sub(o.name)) if isinstance(o, PVar) else o
-
-    def sub_pred(p: Pred) -> Pred:
-        return tuple(PIn(a.element, PVar(sub(a.var.name))) if isinstance(a, PIn)
-                     else type(a)(sub_operand(a.left), sub_operand(a.right)) for a in p)
 
     moved: list[Term] = []
     for node in heads:
         if isinstance(node, Observe):
             moved.append(Observe(sub(node.left), sub(node.right), None))
         elif isinstance(node, ObservePred):
-            moved.append(ObservePred(sub_pred(node.pred), None))
+            moved.append(ObservePred(tuple(Atom(a.op, sub(a.left), sub(a.right))
+                                           for a in node.pred), None))
         else:
             moved.append(Sample(node.gen, tuple(sub(v) for v in node.args), node.outs, None))
     return moved, Return(tuple(sub(v) for v in ret.vars))

@@ -9,14 +9,11 @@ from fractions import Fraction as Q
 from arrowlang.semantics import Interpretation
 from arrowlang.subdist import Dollar, Subdist, dirac, uniform
 from arrowlang.syntax import (
+    Atom,
     Generator,
     Observe,
     ObservePred,
-    PEq,
-    PIn,
     PLit,
-    PNe,
-    PVar,
     Return,
     Sample,
     Signature,
@@ -32,7 +29,7 @@ def monty_hall():
     sig = Signature(frozenset({"Door"}), {"pick": pick, "host": host})
     term = Sample(pick, (), ("car",),
                   Sample(host, ("car",), ("h",),
-                         ObservePred((PEq(PVar("h"), PLit("L", "Door")),),
+                         ObservePred((Atom("=", "h", PLit("L", "Door")),),
                                      Return(("car",)))))
     interp = Interpretation(
         {"Door": DOORS},
@@ -52,7 +49,7 @@ def monty_fall():
     pick = Generator("pick", (), ("Door",))
     sig = Signature(frozenset({"Door"}), {"pick": pick})
     term = Sample(pick, (), ("car",),
-                  ObservePred((PNe(PVar("car"), PLit("L", "Door")),),
+                  ObservePred((Atom("!=", "car", PLit("L", "Door")),),
                               Return(("car",))))
     interp = Interpretation({"Door": DOORS}, {"pick": {(): uniform(DOORS)}})
     return typecheck(sig, (), term), interp
@@ -64,7 +61,7 @@ def three_prisoners():
     sig = Signature(frozenset({"Prisoner"}), {"pardon_pick": pardon, "reply": reply})
     term = Sample(pardon, (), ("pardon",),
                   Sample(reply, ("pardon",), ("reply_to_A",),
-                         ObservePred((PEq(PVar("reply_to_A"), PLit("B", "Prisoner")),),
+                         ObservePred((Atom("=", "reply_to_A", PLit("B", "Prisoner")),),
                                      Return(("pardon",)))))
     interp = Interpretation(
         {"Prisoner": ("A", "B", "C")},
@@ -91,7 +88,7 @@ def sailors_child(anthropic=True):
     )
     tail = Return(("coin",))
     if anthropic:
-        tail = ObservePred((PIn(PLit("A", "Port"), PVar("ports")),), tail)
+        tail = ObservePred((Atom("IN", PLit("A", "Port"), "ports"),), tail)
     term = Sample(coin, (), ("coin",),
                   Sample(guide, (), ("guide",),
                          Sample(ports, ("coin", "guide"), ("ports",), tail)))
@@ -133,7 +130,7 @@ def newcomb(branch):
                   Sample(choose, (), ("choice",),
                          Observe("prediction", "choice",
                                  Sample(outcome, ("prediction", "choice"), ("outcome",),
-                                        ObservePred((PEq(PVar("choice"), PLit(branch, "Choice")),),
+                                        ObservePred((Atom("=", "choice", PLit(branch, "Choice")),),
                                                     Return(("outcome",)))))))
     interp = Interpretation(
         {"Choice": ("a", "b"), "Money": (Dollar(0), Dollar(1), Dollar(10), Dollar(11))},
@@ -161,9 +158,9 @@ def imperfect_newcomb(branch):
     term = Sample(pick, (), ("prediction",),
                   Sample(choose, (), ("choice",),
                          Sample(correct, ("prediction", "choice"), ("correctness",),
-                                ObservePred((PEq(PVar("correctness"), PLit("T", "Truth")),),
+                                ObservePred((Atom("=", "correctness", PLit("T", "Truth")),),
                                             Sample(outcome, ("prediction", "choice"), ("outcome",),
-                                                   ObservePred((PEq(PVar("choice"), PLit(branch, "Choice")),),
+                                                   ObservePred((Atom("=", "choice", PLit(branch, "Choice")),),
                                                                Return(("outcome",))))))))
     interp = Interpretation(
         {"Choice": ("a", "b"), "Truth": ("T", "F"),
@@ -200,8 +197,8 @@ def monty_hall_full():
     term = Sample(pick, (), ("car",),
                   Sample(choose, (), ("player",),
                          Sample(host, ("car", "player"), ("h",),
-                                ObservePred((PEq(PVar("player"), PLit("M", "Door")),),
-                                            ObservePred((PEq(PVar("h"), PLit("L", "Door")),),
+                                ObservePred((Atom("=", "player", PLit("M", "Door")),),
+                                            ObservePred((Atom("=", "h", PLit("L", "Door")),),
                                                         Return(("car",)))))))
     interp = Interpretation(
         {"Door": DOORS},

@@ -471,6 +471,10 @@ RETURN(x)
     prog = load_text(src)
     assert interpret(prog.typed, prog.interp) == uniform((Dollar(0), Dollar(5)))
     assert "1/2|$0> + 1/2|$5>" == ket(interpret(prog.typed, prog.interp))
+    # $3 and 3 are two values
+    prog = load_text("TYPE T = {3, $3}\nx <- UNIFORM {$3, 3}\nRETURN(x)\n")
+    assert prog.interp.carriers["T"] == (3, Dollar(3))
+    assert ket(interpret(prog.typed, prog.interp)) == "1/2|3> + 1/2|$3>"
 
 
 def test_set_values_and_membership():
@@ -1047,6 +1051,13 @@ ELABORATION_ERRORS = [
      "line 5: comparison between T and U in OBSERVE(x != y)"),
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(a IN x)\nRETURN(x)\n", 3,
      "line 3: x is not set-valued"),
+    # a $ amount is not the integer of the same digits, in either direction
+    ("TYPE T = {3, 4}\nx <- UNIFORM {$3, 4}\nRETURN(x)\n", 2,
+     "line 2: no declared type contains UNIFORM"),
+    ("TYPE M = {$0, $1}\nTYPE C = {a, b}\nc <- UNIFORM {a, b}\nm <- CASE c OF a -> 1|$0>; b -> 1|1>\n"
+     "RETURN(m)\n", 4, "line 4: no declared type contains the CASE kets"),
+    ("TYPE M = {$0, $3}\nx <- UNIFORM {$0, $3}\nOBSERVE(x = 3)\nRETURN(x)\n", 3,
+     "line 3: 3 is not a value of M"),
 ]
 
 

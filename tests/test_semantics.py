@@ -17,7 +17,7 @@ from puzzle_programs import (
 )
 
 from arrowlang.combinator import decode, encode
-from arrowlang.errors import CarrierMismatch, ZeroMassState
+from arrowlang.errors import CarrierMismatch, PredicateTypeError, ZeroMassState
 from arrowlang.proptest import (
     GenBudget,
     gen_closed_program,
@@ -25,6 +25,7 @@ from arrowlang.proptest import (
     gen_term,
     oracle_denote,
 )
+from arrowlang.parser import SAtom
 from arrowlang.semantics import (
     Interpretation,
     denote_channel,
@@ -43,9 +44,11 @@ from arrowlang.subdist import (
     uniform,
 )
 from arrowlang.syntax import (
+    Atom,
     Generator,
     Observe,
     ObservePred,
+    PLit,
     Return,
     Sample,
     Signature,
@@ -326,16 +329,12 @@ def _observe_pred(state, pred, layout, types):
 
 
 def test_observe_predicate_monty_fall():
-    from arrowlang.syntax import PLit, PNe, PVar
-
     state = uniform(("L", "M", "R"))
-    out = _observe_pred(state, (PNe(PVar("car"), PLit("L", "Door")),), ["car"], ("Door",))
+    out = _observe_pred(state, (Atom("!=", "car", PLit("L", "Door")),), ["car"], ("Door",))
     assert out == Subdist({"M": Q(1, 3), "R": Q(1, 3)})
 
 
 def test_observe_predicate_membership():
-    from arrowlang.syntax import PIn, PLit, PVar
-
     sA, sB, sAB = frozenset({"A"}), frozenset({"B"}), frozenset({"A", "B"})
     state = Subdist({
         ("H", "A", sA): Q(1, 4),
@@ -343,10 +342,29 @@ def test_observe_predicate_membership():
         ("T", "A", sAB): Q(1, 4),
         ("T", "B", sAB): Q(1, 4),
     })
-    out = _observe_pred(state, (PIn(PLit("A", "Port"), PVar("ports")),),
+    out = _observe_pred(state, (Atom("IN", PLit("A", "Port"), "ports"),),
                         ["coin", "guide", "ports"], ("Coin", "Port", "Ports"))
     assert ("H", "B", sB) not in out
     assert out.mass == Q(3, 4)
+
+
+@pytest.mark.parametrize("atom, message", [
+    (Atom("IN", PLit("H", "Coin"), "x"), "x is not set-valued"),
+    (Atom("=", "x", "y"), "variable y not in scope"),
+    (Atom("<", "x", PLit("H", "Coin")),
+     "not a predicate: Atom(op='<', left='x', right=PLit(value='H', type='Coin'))"),
+    (SAtom("=", "x", "H"), "not a predicate: SAtom(op='=', left='x', right='H')"),
+])
+def test_engine_rejects_a_predicate_it_cannot_evaluate(atom, message):
+    # built directly, past the elaborator and the typing rule
+    coin = Generator("coin", (), ("Coin",))
+    typed = TypedTerm(Signature(frozenset({"Coin"}), {"coin": coin}), (),
+                      Sample(coin, (), ("x",), ObservePred((atom,), Return(("x",)))), ("Coin",))
+    interp = Interpretation({"Coin": ("H", "T")}, {"coin": {(): uniform(("H", "T"))}})
+    for run in (trace, interpret):
+        with pytest.raises(PredicateTypeError) as caught:
+            run(typed, interp)
+        assert str(caught.value) == message, run.__name__
 
 
 def test_observe_predicate_true_is_identity():

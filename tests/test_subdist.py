@@ -452,5 +452,12 @@ def test_weights_past_the_digit_limit_do_not_print():
 
 
 def test_dollar_is_integer():
-    assert Dollar(10) == 10
+    assert Dollar(10) != 10
     assert isinstance(Dollar(10), int)
+    # but equals only a Dollar
+    assert not (Dollar(3) == 3 or 3 == Dollar(3) or Dollar(3) != Dollar(3))
+    assert Dollar(3) != 3 and 3 != Dollar(3) and Dollar(3) == Dollar(3)
+    assert hash(Dollar(3)) == hash(3) and len({3, Dollar(3), Dollar(3)}) == 2
+    # the order stays total: an integer before the $ amount of the same digits
+    assert sorted([Dollar(3), 4, Dollar(2), 3], key=outcome_key) == [Dollar(2), 3, Dollar(3), 4]
+    assert ket(Subdist({Dollar(3): Q(1, 2), 3: Q(1, 2)})) == "1/2|3> + 1/2|$3>"

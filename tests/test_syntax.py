@@ -22,14 +22,11 @@ from arrowlang.semantics import interpret
 from arrowlang.subdist import Subdist
 from arrowlang.syntax import (
     AXIOM_IDS,
+    Atom,
     Generator,
     Observe,
     ObservePred,
-    PEq,
-    PIn,
     PLit,
-    PNe,
-    PVar,
     Return,
     Sample,
     Signature,
@@ -204,8 +201,8 @@ def _chain(n: int, guide: str = "guide") -> tuple:
     """The conjunction of n atoms that cycles through ``A IN ports``,
     ``guide != B``, ``coin = coin`` and ``A = guide``."""
     a, b = PLit("A", "Port"), PLit("B", "Port")
-    cycle = (PIn(a, PVar("ports")), PNe(PVar(guide), b),
-             PEq(PVar("coin"), PVar("coin")), PEq(a, PVar(guide)))
+    cycle = (Atom("IN", a, "ports"), Atom("!=", guide, b),
+             Atom("=", "coin", "coin"), Atom("=", a, guide))
     return tuple(cycle[i % 4] for i in range(n))
 
 
@@ -224,7 +221,7 @@ def test_ten_thousand_atom_observe_at_default_recursion_limit():
     term = _sailor_observing(pred)
     typed = typecheck(tt.sig, (), term)
     assert typed.out_types == ("Coin",)
-    last_wrong = pred[:-1] + (PEq(PVar("coin"), PLit("A", "Port")),)
+    last_wrong = pred[:-1] + (Atom("=", "coin", PLit("A", "Port")),)
     with pytest.raises(TypeMismatch) as caught:
         typecheck(tt.sig, (), _sailor_observing(last_wrong))
     assert str(caught.value) == "comparison between Coin and Port in OBSERVE(coin = A)"
@@ -240,8 +237,8 @@ def test_ten_thousand_atom_observe_at_default_recursion_limit():
     assert copy == term and copy is not term and hash(copy) == hash(term)
     assert _sailor_observing(pred[:-1]) != term
     text = repr(term)
-    assert text.count("PIn(element=PLit(value='A', type='Port'), var=PVar(name='ports'))") == 2_500
-    assert text.endswith("PEq(left=PLit(value='A', type='Port'), right=PVar(name='guide'))), "
+    assert text.count("Atom(op='IN', left=PLit(value='A', type='Port'), right='ports')") == 2_500
+    assert text.endswith("Atom(op='=', left=PLit(value='A', type='Port'), right='guide')), "
                          "cont=Return(vars=('coin',))))))")
 
     expected = Subdist({"H": Q(1, 4), "T": Q(1, 4)})
@@ -254,7 +251,7 @@ def test_substitute_through_ten_thousand_atoms_at_default_recursion_limit():
     a, b = PLit("A", "Port"), PLit("B", "Port")
 
     def chain(x: str) -> tuple:
-        return tuple(PNe(PVar(x), b) if i % 2 else PEq(a, PVar(x)) for i in range(10_000))
+        return tuple(Atom("!=", x, b) if i % 2 else Atom("=", a, x) for i in range(10_000))
 
     ctx = (("x", "Port"), ("u", "Port"))
     t = ObservePred(chain("x"), Return(("x",)))
@@ -384,7 +381,7 @@ def test_rewrites_are_pinned():
                     outcome = _step_outcome(t, which, pos, direction)
                     digest.update(repr(outcome).encode() + b"\n")
     assert digest.hexdigest() == (
-        "cd7f3df0f0575159a820d4c9d24e6341630f65bcbf7c565daf4686851a50f1ef")
+        "f5d953af0568b03d8672854afe6661d1ebffc071899f1fef8f54ad080f4b2f18")
 
 
 def test_ten_thousand_statement_rewrites_at_default_recursion_limit(monkeypatch):

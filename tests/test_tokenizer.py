@@ -9,14 +9,15 @@ column to the NEWLINE or EOF after it).  The one intended difference is
 left out of the comparison: characters such as ``²`` that ``str.isdigit``
 accepts but ``int`` rejects, which the loop turned into INT tokens that
 crashed the parser (see ``test_parser.py``).  ``tokenize`` must give the
-located walk's texts, or raise the same ParseError.
+located walk's texts, and the parser, which classifies them, must raise
+the same ParseError.
 
 Every ParseError position is computed by the located walk after the
 fact, so ``test_load_outcomes_are_pinned`` pins the outcome of loading
 20,000 mutated puzzles, positions and messages included, to a digest.
 Every success and ParseError in it is as it was before positions became
 lazy; the elaboration errors were re-pinned when each came to name its
-line.
+line, and three outcomes when ``$3`` stopped being equal to ``3``.
 """
 
 import hashlib
@@ -143,9 +144,12 @@ def mutate(text: str, rng: random.Random) -> str:
 
 
 def scanned(text: str):
-    """The texts ``tokenize`` returns, or its ParseError as ``outcome`` gives it."""
+    """The texts ``tokenize`` returns, or the ParseError that the parser
+    raises on classifying them, as ``outcome`` gives it."""
     try:
-        return tokenize(text)
+        tokens = tokenize(text)
+        parser._Parser(text, tokens)
+        return tokens
     except ParseError as exc:
         return ("error", exc.line, exc.col, str(exc))
 
@@ -196,7 +200,7 @@ def test_load_outcomes_are_pinned():
     for text in mutated_texts():
         digest.update(repr(load_outcome(text)).encode() + b"\n")
     assert digest.hexdigest() == (
-        "65b105c2f782aabf68c9c259a045ba0042e6b50cc88272157d5c160f33a0751e")
+        "f665b1c5649a503f704a7a369c87e70d6382aff1147d88fdbe75d8e7dde30cde")
 
 
 def test_every_failed_load_names_its_line():
