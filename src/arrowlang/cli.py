@@ -32,6 +32,7 @@ from .subdist import (
     ket,
     render_outcome,
     render_weight,
+    rescale,
     weight_parts,
 )
 from .syntax import Generator
@@ -147,8 +148,6 @@ def _final(prog: Program, denote, kernels=None) -> Subdist:
 
 def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, kernels=None) -> int:
     """Print how the programs differ, and the random kernels if given."""
-    from .subdist import rescale
-
     try:
         lines = [f"programs differ under {which}",
                  f"  left final:  {ket(fa)}", f"  right final: {ket(fb)}"]

@@ -758,14 +758,12 @@ class _RowMatcher:
             else:
                 levels.pop()
 
-    def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...], fractions: dict):
+    def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...]):
         """Row subdistribution for a matched combo; None when unsatisfiable.
 
         When the ket names an extra variable, every satisfying assignment
         must yield the same table row, and the first one that does not
         raises; otherwise the first satisfying assignment gives the row.
-        ``fractions`` maps a denominator to its numerators' `Fraction`s,
-        shared by the rows of one table.
         """
         first = None
         for _ in self._assignments(bound):
@@ -781,7 +779,7 @@ class _RowMatcher:
                     f"conflicting assignments of {', '.join(self.extra_names)} give different rows")
         if first is None:
             return None
-        row = Subdist._of_numerators(first.items(), self.den, fractions.setdefault(self.den, {}))
+        row = Subdist._of_numerators(first.items(), self.den)
         if self.constant:
             self.fixed = row
         return row
@@ -803,14 +801,13 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
         else:
             index.setdefault(matcher.key, (len(scanned), matcher))
     miss = (len(scanned), None)
-    fractions: dict = {}
     table: dict = {}
     for combo in product(*(carriers[t] for t in input_types)):
         before, hit = index.get(combo, miss)
         for matcher in scanned[:before]:
             bound = matcher.bind(combo)
             if bound is not None:
-                row_value = matcher.instantiate(bound, out_types, fractions)
+                row_value = matcher.instantiate(bound, out_types)
                 if row_value is not None:
                     table[combo] = row_value
                     break
@@ -818,7 +815,7 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
             if hit is None:
                 shown = ", ".join(_src_value(v) for v in combo)
                 raise ElaborationError(f"no row matches ({shown})")
-            table[combo] = hit.instantiate({}, out_types, fractions)
+            table[combo] = hit.instantiate({}, out_types)
     return table
 
 

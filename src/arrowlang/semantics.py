@@ -24,8 +24,9 @@ so it can cross-check it.
 Inside the engine every weight is an integer numerator over one
 denominator shared by the whole state, so a step multiplies, filters or
 adds integers and reduces by a gcd only once the denominator grows
-large.  Outside it weights are `Fraction`s: a state becomes a `Subdist`
-only where it leaves the engine, as a trace line or a result.
+large.  A `Subdist` holds its weights in the same form, so kernel rows
+enter the engine, and states leave it as trace lines and results, as
+integers; a `Fraction` is made only where a weight is read as one.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Interpretation:
                 row = table.get(args)
                 if row is None:
                     raise CarrierMismatch(f"kernel {gen.name} undefined on {args!r}")
-                for x, _ in row.entries():
+                for x, _ in row.numerators()[0]:
                     if outs_tuple(x, len(gen.outputs)) not in out_space:
                         raise CarrierMismatch(
                             f"kernel {gen.name} emits {x!r} outside its output carrier"
@@ -144,8 +145,8 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
 #
 # A state maps flat value tuples, one entry per variable of its layout,
 # to positive integer numerators over one denominator shared by the whole
-# state.  It becomes a validated Subdist of Fractions only where it leaves
-# the engine, in `_subdists`.
+# state.  It becomes a validated Subdist only where it leaves the engine,
+# in `_subdists`.
 
 # The gcd of a state's numerators and denominator is divided out only
 # once the denominator passes this bound, and after that only once it has
@@ -162,13 +163,10 @@ RowCache = dict[str, dict[tuple, tuple[int, list[tuple[tuple, int]]]]]
 
 def _kernel_row(interp: Interpretation, gen: Generator,
                 args: tuple) -> tuple[int, list[tuple[tuple, int]]]:
-    """One kernel row as integer numerators over the lcm of its weights'
-    denominators."""
-    row = interp.kernel_row(gen, args).entries()
-    denom = math.lcm(*[w.denominator for _, w in row])
+    """One kernel row as integer numerators over its denominator."""
+    row, denom = interp.kernel_row(gen, args).numerators()
     arity = len(gen.outputs)
-    return denom, [(outs_tuple(x, arity), w.numerator * (denom // w.denominator))
-                   for x, w in row]
+    return denom, [(outs_tuple(x, arity), n) for x, n in row]
 
 
 def _step(state: dict, denom: int, layout: list[str], node: Term,
@@ -311,16 +309,13 @@ def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
 
 
 def _subdists(state: dict, denom: int, envs: list[tuple], width: int) -> dict[tuple, Subdist]:
-    """The one exit from the engine: a Subdist of Fractions for each input
-    environment in ``envs``, as held in the state's first ``width``
-    columns.  An environment that no monomial is left for gets zero.  All
-    of them share one `Fraction` per numerator."""
+    """The one exit from the engine: a Subdist over ``denom`` for each
+    input environment in ``envs``, as held in the state's first ``width``
+    columns.  An environment that no monomial is left for gets zero."""
     split: dict[tuple, list] = {env: [] for env in envs}
     for values, w in state.items():
         split[values[:width]].append((collapse_values(values[width:]), w))
-    weights: dict[int, Fraction] = {}
-    return {env: Subdist._of_numerators(entries, denom, weights)
-            for env, entries in split.items()}
+    return {env: Subdist._of_numerators(entries, denom) for env, entries in split.items()}
 
 
 def denoter(tt: TypedTerm) -> Callable[[Interpretation, list[tuple]], dict[tuple, Subdist]]:
@@ -369,10 +364,7 @@ class EvalResult:
     def of(cls, final: Subdist) -> EvalResult:
         """Split a final subdistribution into its validity and posterior."""
         res = rescale(final)
-        if res is FAILURE:
-            return cls(final, Fraction(0), FAILURE)
-        validity, posterior = res
-        return cls(final, validity, posterior)
+        return cls(final, Fraction(0), FAILURE) if res is FAILURE else cls(final, *res)
 
 
 def trace(program: TypedTerm, interp: Interpretation,

@@ -2,11 +2,12 @@
 
 A subdistribution assigns a positive rational weight to finitely many
 outcomes, with total mass at most 1.  Missing mass records the failure
-probability of earlier observations.  All arithmetic is exact: weights
-are `fractions.Fraction` values and floats are rejected outright.  The
-evaluation engine in `semantics` and the CASE/GEN tables of the parser
-hold weights as integer numerators over one denominator instead, and turn
-them into `Fraction`s here, once, as they leave it.
+probability of earlier observations.  All arithmetic is exact and floats
+are rejected outright.  Weights are stored as integer numerators over one
+denominator, as the evaluation engine in `semantics` and the parser's
+CASE/GEN tables compute them, so equality, hashing and the engine's reads
+stay in integers; a weight's `fractions.Fraction` is made on its first
+read (`mass`, `weight`, `entries`, `items`) and kept.
 
 A subdistribution is a map; its canonical outcome order (see
 `outcome_key`) is computed on the first ordered read (`items`, `support`,
@@ -19,6 +20,7 @@ flat tuples of outcomes, or frozensets of outcomes.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -35,7 +37,6 @@ from .errors import (
 Outcome = Union[str, int, tuple, frozenset]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Dollar(int):
@@ -169,13 +170,15 @@ def collapse_values(values: tuple) -> Outcome:
 
 
 class Subdist:
-    """Immutable finite map from outcomes to positive rational weights.
+    """Immutable finite map from outcomes to positive rational weights,
+    held as positive integer numerators ``_nums`` over one denominator
+    ``_den``, which equal maps need not share.
 
     Zero weights are dropped at construction, so the support is exactly
     the set of stored keys.  Total mass must not exceed 1.
     """
 
-    __slots__ = ("_entries", "_mass", "_items")
+    __slots__ = ("_nums", "_den", "_weights", "_mass", "_items")
 
     def __init__(self, entries: Mapping[Outcome, Fraction] | Iterable[tuple[Outcome, Fraction]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -190,104 +193,115 @@ class Subdist:
             if x in store:
                 raise InvalidSubdistribution(f"duplicate outcome {x!r}")
             store[x] = w
-        mass = sum(store.values(), ZERO)
-        if mass > 1:
-            raise InvalidSubdistribution(f"total mass {mass} exceeds 1")
-        self._entries = store
-        self._mass = mass
-        self._items = None
+        den = math.lcm(*[w.denominator for w in store.values()])
+        self._set(den, {x: w.numerator * (den // w.denominator) for x, w in store.items()})
 
     @classmethod
-    def _of_numerators(cls, entries: Iterable[tuple[Outcome, int]], denom: int,
-                       weights: dict[int, Fraction] | None = None) -> "Subdist":
+    def _of_numerators(cls, entries: Iterable[tuple[Outcome, int]], denom: int) -> "Subdist":
         """Build from distinct outcomes with positive integer numerators
         over one positive denominator, as the evaluation engine and the
         parser's tables hold them.
 
         The integers already rule out floats, signs, weights above 1 and
         duplicates, so only the outcome shapes and the total mass are
-        checked.  ``weights`` caches the `Fraction` of each numerator over
-        ``denom``, the total's included; calls over the same denominator
-        may share it.
+        checked.
         """
-        if weights is None:
-            weights = {}
-        store = {}
-        total = 0
+        nums = {}
         for x, n in entries:
             if type(x) is not str:
                 _check_outcome(x)
-            w = weights.get(n)
-            if w is None:
-                w = weights[n] = Fraction(n, denom)
-            store[x] = w
-            total += n
-        if total > denom:
-            raise InvalidSubdistribution(f"total mass {Fraction(total, denom)} exceeds 1")
+            nums[x] = n
         self = cls.__new__(cls)
-        self._entries = store
-        mass = weights.get(total)
-        if mass is None:
-            mass = weights[total] = Fraction(total, denom)
-        self._mass = mass
-        self._items = None
+        self._set(denom, nums)
         return self
+
+    def _set(self, den: int, nums: dict) -> None:
+        total = sum(nums.values())
+        if total > den:
+            raise InvalidSubdistribution(f"total mass {Fraction(total, den)} exceeds 1")
+        self._nums = nums
+        self._den = den
+        self._weights = self._mass = self._items = None
+
+    def numerators(self):
+        """The (outcome, numerator) pairs, in no particular order, and the
+        one denominator they share: the form the evaluation engine reads."""
+        return self._nums.items(), self._den
+
+    def _fractions(self) -> dict:
+        """Outcome to `Fraction` weight, made on the first call: one
+        `Fraction` per distinct numerator."""
+        weights = self._weights
+        if weights is None:
+            made = {n: Fraction(n, self._den) for n in set(self._nums.values())}
+            weights = self._weights = {x: made[n] for x, n in self._nums.items()}
+        return weights
 
     @property
     def mass(self) -> Fraction:
-        return self._mass
+        mass = self._mass
+        if mass is None:
+            mass = self._mass = Fraction(sum(self._nums.values()), self._den)
+        return mass
 
     def support(self) -> list:
         return [x for x, _ in self.items()]
 
     def weight(self, x: Outcome) -> Fraction:
-        return self._entries.get(x, ZERO)
+        return (self._weights or self._fractions()).get(x, ZERO)
 
     def entries(self):
         """(outcome, weight) pairs in no particular order, without sorting."""
-        return self._entries.items()
+        return self._fractions().items()
 
     def items(self) -> tuple:
         """Entries in canonical outcome order, sorted on the first call."""
         items = self._items
         if items is None:
-            items = self._items = tuple(sorted(self._entries.items(),
+            items = self._items = tuple(sorted(self._fractions().items(),
                                                key=lambda kv: outcome_key(kv[0])))
         return items
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._nums
 
     def is_distribution(self) -> bool:
-        return self._mass == 1
+        return sum(self._nums.values()) == self._den
 
     def scaled(self, factor: Fraction) -> "Subdist":
         factor = as_weight(factor)
-        return Subdist({x: w * factor for x, w in self._entries.items()})
+        return Subdist({x: w * factor for x, w in self.entries()})
 
     def __rmul__(self, factor) -> "Subdist":
         return self.scaled(factor)
 
     def __add__(self, other: "Subdist") -> "Subdist":
-        merged = dict(self._entries)
-        for x, w in other._entries.items():
+        merged = dict(self.entries())
+        for x, w in other.entries():
             merged[x] = merged.get(x, ZERO) + w
         return Subdist(merged)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subdist) and self._entries == other._entries
+        if not isinstance(other, Subdist):
+            return False
+        a, da, b, db = self._nums, self._den, other._nums, other._den
+        if da == db:
+            return a == b
+        return a.keys() == b.keys() and all(n * db == b[x] * da for x, n in a.items())
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
+        # the form over the least denominator is the same for every equal map
+        g = math.gcd(self._den, *self._nums.values())
+        return hash((self._den // g, frozenset([(x, n // g) for x, n in self._nums.items()])))
 
     def __repr__(self) -> str:
         return ket(self)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._nums)
 
     def __contains__(self, x: Outcome) -> bool:
-        return x in self._entries
+        return x in self._nums
 
 
 Channel = Union[Mapping[Outcome, Subdist], Callable[[Outcome], Subdist]]
@@ -299,7 +313,7 @@ def zero() -> Subdist:
 
 def dirac(x: Outcome) -> Subdist:
     """Point mass 1|x>."""
-    return Subdist({x: ONE})
+    return Subdist._of_numerators([(x, 1)], 1)
 
 
 def uniform(xs: Iterable[Outcome]) -> Subdist:
@@ -309,8 +323,7 @@ def uniform(xs: Iterable[Outcome]) -> Subdist:
         raise EmptySupport("uniform over the empty set")
     if len(set(values)) != len(values):
         raise InvalidSubdistribution("uniform requires distinct outcomes")
-    w = Fraction(1, len(values))
-    return Subdist({x: w for x in values})
+    return Subdist._of_numerators([(x, 1) for x in values], len(values))
 
 
 def tensor(sigma: Subdist, rho: Subdist) -> Subdist:
@@ -320,17 +333,17 @@ def tensor(sigma: Subdist, rho: Subdist) -> Subdist:
     back to its element, so `dirac(())` is a two-sided unit.
     """
     out: dict = {}
-    for x, w in sigma.items():
-        for y, v in rho.items():
+    for x, n in sigma._nums.items():
+        for y, m in rho._nums.items():
             joint = collapse_values(_flat(x) + _flat(y))
-            out[joint] = out.get(joint, ZERO) + w * v
-    return Subdist(out)
+            out[joint] = out.get(joint, 0) + n * m
+    return Subdist._of_numerators(out.items(), sigma._den * rho._den)
 
 
 def restrict(sigma: Subdist, u: Callable[[Outcome], bool]) -> Subdist:
     """Keep only the monomials satisfying the predicate; weights unchanged."""
-    kept = {}
-    for x, w in sigma.items():
+    kept = []
+    for x in sigma.support():
         try:
             holds = u(x)
         except PredicateTypeError:
@@ -340,17 +353,15 @@ def restrict(sigma: Subdist, u: Callable[[Outcome], bool]) -> Subdist:
         if not isinstance(holds, bool):
             raise PredicateTypeError(f"predicate returned non-boolean on {x!r}")
         if holds:
-            kept[x] = w
-    return Subdist(kept)
+            kept.append((x, sigma._nums[x]))
+    return Subdist._of_numerators(kept, sigma._den)
 
 
 def rescale(sigma: Subdist):
     """Split off the validity: Failure on zero, else (mass, mass-1 posterior)."""
     if sigma.is_zero():
         return FAILURE
-    v = sigma.mass
-    posterior = Subdist({x: w / v for x, w in sigma.items()})
-    return v, posterior
+    return sigma.mass, Subdist._of_numerators(sigma._nums.items(), sum(sigma._nums.values()))
 
 
 def _apply_channel(f: Channel, x: Outcome) -> Subdist:
@@ -382,13 +393,7 @@ def kleisli_compose(f: Mapping[Outcome, Subdist], g: Channel) -> dict:
 
 def normalize_channel(f: Mapping[Outcome, Subdist]) -> dict:
     """Rescale each output to mass 1; inputs with zero mass map to zero."""
-    out = {}
-    for x, fx in f.items():
-        if fx.is_zero():
-            out[x] = fx
-        else:
-            out[x] = fx.scaled(1 / fx.mass)
-    return out
+    return {x: fx if fx.is_zero() else rescale(fx)[1] for x, fx in f.items()}
 
 
 def expected_value(d: Subdist) -> Fraction:

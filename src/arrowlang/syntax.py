@@ -25,6 +25,7 @@ from typing import Iterator, Mapping, Union
 from .errors import (
     NonFreshOutput,
     NotApplicable,
+    PredicateTypeError,
     TypeMismatch,
     UnboundVariable,
     UnknownGenerator,
@@ -167,6 +168,9 @@ def reads(node: Term) -> set[Var]:
         return set(node.args)
     if isinstance(node, Observe):
         return {node.left, node.right}
+    for a in node.pred:
+        if not isinstance(a, Atom):
+            raise PredicateTypeError(f"not a predicate: {a!r}")
     return {o for a in node.pred for o in (a.left, a.right) if not isinstance(o, PLit)}
 
 
@@ -209,6 +213,8 @@ def _check_operand(o: Operand, scope: dict[Var, TypeName]) -> TypeName:
 
 def _check_pred(p: Pred, scope: dict[Var, TypeName]) -> None:
     for a in p:
+        if not isinstance(a, Atom) or a.op not in ("=", "!=", "IN"):
+            raise TypeMismatch(f"not a predicate atom: {a!r}")
         lt = _check_operand(a.left, scope)
         rt = _check_operand(a.right, scope)
         if lt != rt and a.op != "IN":  # IN compares an element with a set

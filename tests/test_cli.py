@@ -344,6 +344,25 @@ def test_eq_plans_each_program_once(capsys, monkeypatch):
     assert len(plans) == 2
 
 
+def test_eq_of_a_program_with_itself_makes_no_fraction(capsys, monkeypatch):
+    # loading, drawing the random kernels, running and comparing all stay in integers
+    made = []
+    new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(sys._getframe(1).f_globals.get("__name__"))
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    path = str(PUZZLES / "monty_hall.arrow")
+    code, out, _ = run_cli(capsys, "eq", path, path)
+    monkeypatch.undo()
+    assert code == 0
+    assert out == ("programs agree under the declared interpretation"
+                   " and 20 random interpretations\n")
+    assert made == []
+
+
 def test_internal_error_is_one_line(capsys, monkeypatch):
     def broken(path):
         raise RuntimeError("boom")

@@ -798,9 +798,8 @@ def test_source_weights_build_no_fractions(monkeypatch):
     prog = load_text(text)
     monkeypatch.undo()
     assert "arrowlang.parser" not in made
-    # one Fraction per distinct weight and mass in a table: 1/6, 1/7 and 1
-    # (twice) for the CASE, 1/8 and 1 for each UNIFORM
-    assert made.count("arrowlang.subdist") == 8
+    # a table row holds its weights as integers: loading makes no Fraction
+    assert made.count("arrowlang.subdist") == 0
     assert ket(interpret(prog.typed, prog.interp)) == (
         "1/448|d1> + " + " + ".join(f"1/384|d{i}>" for i in range(3, 9)))
 

@@ -30,6 +30,7 @@ from arrowlang.semantics import (
     Interpretation,
     denote_channel,
     interpret,
+    pred_holds,
     semantics_of_comb,
     trace,
 )
@@ -56,6 +57,7 @@ from arrowlang.syntax import (
     applicable_steps,
     axiom_step,
     from_statements,
+    reads,
     statements,
     typecheck,
 )
@@ -365,6 +367,21 @@ def test_engine_rejects_a_predicate_it_cannot_evaluate(atom, message):
         with pytest.raises(PredicateTypeError) as caught:
             run(typed, interp)
         assert str(caught.value) == message, run.__name__
+
+
+def test_engine_rejects_a_non_atom_in_a_predicate():
+    coin = Generator("coin", (), ("Coin",))
+    node = ObservePred((Atom("=", "x", "x"), "junk"), Return(("x",)))
+    typed = TypedTerm(Signature(frozenset({"Coin"}), {"coin": coin}), (),
+                      Sample(coin, (), ("x",), node), ("Coin",))
+    interp = Interpretation({"Coin": ("H", "T")}, {"coin": {(): uniform(("H", "T"))}})
+    with pytest.raises(PredicateTypeError, match="^not a predicate: 'junk'$"):
+        reads(node)
+    with pytest.raises(PredicateTypeError, match="^not a predicate: 'junk'$"):
+        pred_holds(node.pred, {"x": "H"})
+    for run in (trace, interpret, denote_channel):
+        with pytest.raises(PredicateTypeError, match="^not a predicate: 'junk'$"):
+            run(typed, interp)
 
 
 def test_observe_predicate_true_is_identity():

@@ -1,5 +1,7 @@
 """Subdistribution core: exact arithmetic, tensor, restriction, rescaling."""
 
+import random
+import sys
 from fractions import Fraction as Q
 from itertools import permutations
 
@@ -156,6 +158,76 @@ def test_constructors_agree_in_any_insertion_order():
         assert ket(d) == "1/4|-1> + 1/3|$3> + 1/6|R> + 1/12|M,L> + 1/12|{a,b}>"
     assert len(set(built)) == 1
     assert built[0] != Subdist._of_numerators([("R", 2)], 12)
+
+
+# -- the stored form: integer numerators over one denominator -------------
+
+OUTCOMES = ["L", "M", "R", 1, Dollar(1), -2, ("a", 3), ("a", Dollar(3)), frozenset({"x", 2})]
+
+
+def _random_numerators(rng: random.Random) -> tuple[list, int]:
+    """Distinct outcomes with positive numerators over a denominator they
+    sum to no more than."""
+    den = rng.randint(1, 40)
+    entries, remaining = [], den
+    for x in rng.sample(OUTCOMES, rng.randint(0, len(OUTCOMES))):
+        if not remaining:
+            break
+        n = rng.randint(1, remaining)
+        entries.append((x, n))
+        remaining -= n
+    return entries, den
+
+
+def test_the_same_map_over_any_denominator_is_one_value():
+    rng = random.Random(1901)
+    for _ in range(400):
+        entries, den = _random_numerators(rng)
+        scale = rng.randint(2, 9)
+        forms = [Subdist._of_numerators(entries, den),
+                 Subdist._of_numerators([(x, n * scale) for x, n in reversed(entries)],
+                                        den * scale),
+                 Subdist({x: Q(n, den) for x, n in entries}),
+                 Subdist([(x, Q(n * scale, den * scale)) for x, n in entries])]
+        first = forms[0]
+        for d in forms:
+            assert d == first and first == d and not d != first
+            assert hash(d) == hash(first)
+            assert d.items() == first.items() and d.mass == first.mass
+            assert ket(d) == ket(first)
+        assert len(set(forms)) == 1
+        if entries:
+            # one numerator one less, over the scaled denominator: another map
+            i = rng.randrange(len(entries))
+            changed = [(x, n * scale - (j == i)) for j, (x, n) in enumerate(entries)]
+            other = Subdist._of_numerators(changed, den * scale)
+            for d in forms:
+                assert d != other and other != d and not d == other
+
+
+def test_two_quarters_is_one_half():
+    half = Subdist({"x": Q(1, 2)})
+    for same in (Subdist._of_numerators([("x", 2)], 4), Subdist({"x": Q(2, 4)}),
+                 Subdist._of_numerators([("x", 1)], 2)):
+        assert same == half and hash(same) == hash(half)
+    nothing = Subdist._of_numerators([], 7)
+    assert nothing == zero() and hash(nothing) == hash(zero())
+    assert Subdist._of_numerators([("x", 2)], 4) != Subdist._of_numerators([("y", 2)], 4)
+    assert Subdist._of_numerators([("x", 2)], 4) != Subdist._of_numerators([("x", 2)], 5)
+    assert Subdist._of_numerators([("x", 1)], 2) != Subdist._of_numerators([("x", 1), ("y", 1)], 4)
+
+
+def test_weights_past_the_digit_limit_compare_and_hash():
+    digits = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) + 10
+    big = 10**digits + 1
+    a = Subdist._of_numerators([("x", big), ("y", 1)], 2 * big + 7)
+    b = Subdist._of_numerators([("y", 3), ("x", 3 * big)], 3 * (2 * big + 7))
+    c = Subdist({"x": Q(big, 2 * big + 7), "y": Q(1, 2 * big + 7)})
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert a != Subdist._of_numerators([("x", big + 1), ("y", 1)], 2 * big + 7)
+    assert a.mass == Q(big + 1, 2 * big + 7)
+    with pytest.raises(WeightTooLong):
+        ket(a)
 
 
 def test_only_ordered_reads_sort(monkeypatch):

@@ -214,6 +214,26 @@ def _sailor_observing(pred, guide: str = "guide"):
                             replace(ports, args=("coin", guide)), ObservePred(pred, None)], ret)
 
 
+@pytest.mark.parametrize("entry, message", [
+    (Atom("<", "x", PLit("H", "Coin")),
+     "not a predicate atom: Atom(op='<', left='x', right=PLit(value='H', type='Coin'))"),
+    (Atom("==", "x", "x"), "not a predicate atom: Atom(op='==', left='x', right='x')"),
+    ("junk", "not a predicate atom: 'junk'"),
+    (("=", "x", "x"), "not a predicate atom: ('=', 'x', 'x')"),
+])
+def test_typing_rejects_a_predicate_entry_the_engine_cannot_evaluate(entry, message):
+    ok = Atom("=", "x", PLit("H", "Coin"))
+    for pred in ((entry,), (ok, entry)):
+        term = Sample(COIN, (), ("x",), ObservePred(pred, Return(("x",))))
+        with pytest.raises(TypeMismatch) as caught:
+            typecheck(SIG, (), term)
+        assert str(caught.value) == message
+    # typing knows no carriers: IN over a variable of a symbol type is the engine's to reject
+    term = Sample(COIN, (), ("x",), ObservePred((Atom("IN", PLit("H", "Coin"), "x"),),
+                                                Return(("x",))))
+    assert typecheck(SIG, (), term).out_types == ("Coin",)
+
+
 def test_ten_thousand_atom_observe_at_default_recursion_limit():
     assert sys.getrecursionlimit() == 1000
     tt, interp = puzzle_programs.sailors_child()
