@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` evaluates a program (``--trace`` prints the line
 states), ``trace`` is run in trace mode, ``eq`` compares two programs
-under the declared and random interpretations, ``corpus`` replays a
-directory of programs against golden traces.
+under the declared interpretation and random ones of their ``GEN``
+generators, ``corpus`` replays a directory of programs against golden
+traces.
 
 Exit codes: 0 success, 1 a usage, parse, type or internal error (one
 stderr line, never a traceback: ``error: line:col: ...`` for a parse
@@ -123,13 +124,19 @@ def cmd_run(args) -> int:
         return 1
 
 
+def _declared_gens(p: Program) -> dict[str, Generator]:
+    """The generators ``p`` declares with ``GEN``: the only ones ``eq``
+    reinterprets.  An inline ``UNIFORM``/``CASE`` table means its table."""
+    gens = p.typed.sig.generators
+    return {gd.name: gens[gd.name] for gd in p.source.gens}
+
+
 def _compatible(a: Program, b: Program) -> bool:
     for tname in sorted(set(a.interp.carriers) & set(b.interp.carriers)):
         if tuple(a.interp.carriers[tname]) != tuple(b.interp.carriers[tname]):
             print(f"error: type {tname} has different carriers", file=sys.stderr)
             return False
-    gens_a = a.typed.sig.generators
-    gens_b = b.typed.sig.generators
+    gens_a, gens_b = _declared_gens(a), _declared_gens(b)
     for name in sorted(set(gens_a) & set(gens_b)):
         if gens_a[name] != gens_b[name]:
             print(f"error: generator {name} declared with different types", file=sys.stderr)
@@ -138,10 +145,12 @@ def _compatible(a: Program, b: Program) -> bool:
 
 
 def _final(prog: Program, denote, kernels=None) -> Subdist:
+    """The final state of ``prog``; ``kernels`` replaces the tables of its
+    own ``GEN`` declarations, never a sugar table of the same name."""
     interp = prog.interp
     if kernels is not None:
         merged = dict(interp.kernels)
-        merged.update({n: kernels[n] for n in kernels if n in prog.typed.sig.generators})
+        merged.update({gd.name: kernels[gd.name] for gd in prog.source.gens})
         interp = Interpretation(interp.carriers, merged)
     return denote(interp, [()])[()]
 
@@ -177,21 +186,22 @@ def cmd_eq(args) -> int:
         return 1
     denote_a, denote_b = denoter(a.typed), denoter(b.typed)
 
-    have_declared = all(
-        g.name in p.interp.kernels for p in (a, b) for g in p.typed.sig.generators.values()
-    )
+    gens = {**_declared_gens(a), **_declared_gens(b)}
+    have_declared = all(gd.rows is not None for p in (a, b) for gd in p.source.gens)
     if have_declared:
         fa, fb = _final(a, denote_a), _final(b, denote_b)
         if fa != fb:
             return _describe_counterexample("the declared interpretation", fa, fb)
+    if not gens:  # every trial would repeat the declared comparison
+        print("programs are equal: neither declares a GEN, "
+              "so the declared tables are their only interpretation")
+        return 0
 
     rng = random.Random(args.seed)
-    union_gens: dict[str, Generator] = dict(a.typed.sig.generators)
-    union_gens.update(b.typed.sig.generators)
     carriers = dict(a.interp.carriers)
     carriers.update({t: c for t, c in b.interp.carriers.items() if t not in carriers})
     for trial in range(args.trials):
-        kernels = gen_kernels(union_gens.values(), carriers, rng)
+        kernels = gen_kernels(gens.values(), carriers, rng)
         fa, fb = _final(a, denote_a, kernels), _final(b, denote_b, kernels)
         if fa != fb:
             return _describe_counterexample(

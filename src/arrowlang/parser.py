@@ -59,6 +59,7 @@ from .syntax import (
     TypedTerm,
     check_statement,
     from_statements,
+    render_statement,
 )
 
 # Set values nest at most this deep.  Parsing, ordering and printing a set
@@ -897,7 +898,14 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
     lines: list = []  # Program.lines
 
     def add(node, line):
-        check_statement(sig, scope, node)
+        try:
+            check_statement(sig, scope, node)
+        except ArrowError as exc:  # name ``stmt``, the statement as written, not its core form
+            core = f" in {render_statement(node)}"
+            message = str(exc)
+            if not message.endswith(core):
+                raise
+            raise type(exc)(message[:-len(core)] + f" in {render_stmt(stmt)}") from exc
         heads.append(node)
         lines.append(line)
 

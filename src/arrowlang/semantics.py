@@ -351,7 +351,11 @@ class TraceLine:
     line: int
     text: str
     state: Subdist
-    mass: Fraction
+
+    @property
+    def mass(self) -> Fraction:
+        """The mass of the line's state, made only when read."""
+        return self.state.mass
 
 
 @dataclass(frozen=True)
@@ -388,8 +392,7 @@ def trace(program: TypedTerm, interp: Interpretation,
                 raise ZeroMassState(lineno)
             denom = sum(state.values())
         text = texts[lineno - 1] if texts else render_statement(node)
-        line_state = _subdists(state, denom, [()], 0)[()]
-        lines.append(TraceLine(lineno, text, line_state, line_state.mass))
+        lines.append(TraceLine(lineno, text, _subdists(state, denom, [()], 0)[()]))
         return state, denom
 
     heads, ret = statements(program.term)

@@ -1,5 +1,6 @@
 """Command line behaviour: output contracts and exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -17,10 +18,13 @@ from arrowlang.errors import NonNumericOutcome
 from arrowlang.parser import load_file, load_text, parse, pretty
 from arrowlang.semantics import interpret, trace
 from arrowlang.subdist import FAILURE, Subdist, expected_value, ket
-from arrowlang.syntax import alpha_eq
+from arrowlang.syntax import alpha_eq, applicable_steps
 
 ROOT = Path(__file__).resolve().parent.parent
 PUZZLES = ROOT / "puzzles"
+# `eq` on two programs without a GEN: one exact run of each, no random trial
+EXACT_EQUAL = ("programs are equal: neither declares a GEN,"
+               " so the declared tables are their only interpretation\n")
 
 
 def run_cli(capsys, *argv):
@@ -209,8 +213,7 @@ def test_eq_rejects_a_negative_trial_count(capsys, trials):
     assert exc.value.code == 1
     assert captured.out == ""
     assert captured.err == f"error: argument --trials: must not be negative, got {trials}\n"
-    assert run_cli(capsys, "eq", monty_hall, monty_hall, "--trials", "0")[:2] == (
-        0, "programs agree under the declared interpretation and 0 random interpretations\n")
+    assert run_cli(capsys, "eq", monty_hall, monty_hall, "--trials", "0")[:2] == (0, EXACT_EQUAL)
 
 
 def test_eq_after_observe_symmetry_rewrite(tmp_path, capsys):
@@ -246,19 +249,106 @@ def test_eq_monty_hall_vs_fall(capsys):
     assert "1/3|M> + 1/3|R>" in out
 
 
-def test_eq_clash_message_independent_of_hash_seed():
-    # several generators clash; the first in name order is reported
+def test_eq_clash_message_independent_of_hash_seed(tmp_path):
+    # several GEN declarations clash; the first in name order is reported
+    decls = {"left": ("GEN zeta : T -> T", "GEN beta : T -> U", "GEN alpha : () -> T"),
+             "right": ("GEN zeta : U -> U", "GEN beta : U -> T", "GEN alpha : () -> U")}
+    paths = []
+    for side, gens in decls.items():
+        path = tmp_path / f"{side}.arrow"
+        path.write_text("TYPE T = {a, b}\nTYPE U = {c, d}\n" + "\n".join(gens)
+                        + "\nx <- UNIFORM {a, b}\nRETURN(x)\n")
+        paths.append(str(path))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     errs = set()
     for seed in ("2", "5"):
         done = subprocess.run(
-            [sys.executable, "-m", "arrowlang.cli", "eq",
-             str(PUZZLES / "monty_hall_full.arrow"), str(PUZZLES / "newcomb_a.arrow")],
+            [sys.executable, "-m", "arrowlang.cli", "eq", *paths],
             env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=120)
         assert done.returncode == 1
         errs.add(done.stderr)
-    assert errs == {"error: generator __u1 declared with different types\n"}
+    assert errs == {"error: generator alpha declared with different types\n"}
+
+
+# `eq` exit codes over every ordered pair of puzzles, in sorted file order:
+# a puzzle equals itself, and any two puzzles differ under their declared tables
+EQ_EXITS = """
+0 3 3 3 3 3 3 3 3
+3 0 3 3 3 3 3 3 3
+3 3 0 3 3 3 3 3 3
+3 3 3 0 3 3 3 3 3
+3 3 3 3 0 3 3 3 3
+3 3 3 3 3 0 3 3 3
+3 3 3 3 3 3 0 3 3
+3 3 3 3 3 3 3 0 3
+3 3 3 3 3 3 3 3 0
+"""
+
+
+def test_eq_exits_over_every_pair_of_puzzles_are_pinned(capsys):
+    paths = [str(p) for p in sorted(PUZZLES.glob("*.arrow"))]
+    exits = [" ".join(str(run_cli(capsys, "eq", a, b)[0]) for b in paths) for a in paths]
+    assert "\n".join(exits) == EQ_EXITS.strip()
+
+
+def _swapped_sources(path):
+    """The source of ``path`` with each adjacent pair of independent
+    statements swapped, one pair at a time: every interchange (axiom 1a,
+    1b or 1c) that `applicable_steps` finds between two source statements."""
+    prog = load_file(path)
+    stmts = list(prog.source.stmts)
+    for which, pos, _ in applicable_steps(prog.typed.term):
+        first, second = prog.lines[pos], prog.lines[pos + 1]
+        if which[0] != "1" or isinstance(first, str) or isinstance(second, str):
+            continue
+        i = stmts.index(first)
+        assert stmts[i + 1] is second
+        swapped = stmts[:i] + [second, first] + stmts[i + 2:]
+        yield pretty(dataclasses.replace(prog.source, stmts=tuple(swapped)))
+
+
+def test_eq_equates_each_puzzle_with_its_interchanged_statements(tmp_path, capsys):
+    swaps = 0
+    for path in sorted(PUZZLES.glob("*.arrow")):
+        for n, text in enumerate(_swapped_sources(path)):
+            variant = tmp_path / f"{path.stem}_{n}.arrow"
+            variant.write_text(text)
+            assert run_cli(capsys, "eq", str(path), str(variant))[:2] == (0, EXACT_EQUAL), text
+            swaps += 1
+    assert swaps == 8
+
+
+def test_eq_keeps_a_sugar_table_that_shares_a_gen_name(tmp_path, capsys):
+    # the left program's GEN __case2 is redrawn; the right's CASE of the
+    # same name and type keeps its table, so the two differ
+    left, right = tmp_path / "left.arrow", tmp_path / "right.arrow"
+    left.write_text("TYPE T = {a, b}\nGEN __case2 : T -> T\n"
+                    "x <- UNIFORM {a, b}\ny <- __case2(x)\nRETURN(x, y)\n")
+    right.write_text("TYPE T = {a, b}\n"
+                     "x <- UNIFORM {a, b}\ny <- CASE x OF a -> 1|b>; b -> 1|a>\nRETURN(x, y)\n")
+    code, out, _ = run_cli(capsys, "eq", str(left), str(right))
+    assert code == 3
+    assert out.startswith("programs differ under random interpretation (seed 0, trial 0)\n")
+    assert out.count("    __case2(") == 2  # the drawn rows, one per input
+
+
+def test_eq_without_gen_runs_each_program_once(capsys, monkeypatch):
+    drawn, runs = [], []
+    denoter = cli.denoter
+
+    def counting_denoter(typed):
+        denote = denoter(typed)
+        return lambda *args: runs.append(typed) or denote(*args)
+
+    monkeypatch.setattr(cli, "gen_kernels", lambda *args: drawn.append(args))
+    monkeypatch.setattr(cli, "denoter", counting_denoter)
+    for left, right, code in (("monty_hall", "monty_hall", 0), ("monty_hall", "monty_fall", 3)):
+        runs.clear()
+        a, b = str(PUZZLES / f"{left}.arrow"), str(PUZZLES / f"{right}.arrow")
+        assert run_cli(capsys, "eq", a, b)[0] == code
+        assert len(runs) == 2 and runs[0] is not runs[1]
+    assert drawn == []
 
 
 def test_python_dash_m_arrowlang_traces_the_golden_file():
@@ -328,7 +418,28 @@ def test_run_and_eq_render_no_statement(tmp_path, capsys, monkeypatch):
     assert len(rendered) == 4  # the trace prints each statement's text
 
 
-def test_eq_plans_each_program_once(capsys, monkeypatch):
+# Monty Hall with the host as inline sugar, as a GEN with a table (checked as
+# declared, then drawn), and as a GEN without one (only drawn)
+SELF_PAIRS = {
+    "sugar": EXACT_EQUAL,
+    "gen table": "programs agree under the declared interpretation and 20 random interpretations\n",
+    "gen": "programs agree under the 20 random interpretations\n",
+}
+
+
+def _self_pair_path(tmp_path, tables: str) -> str:
+    if tables == "sugar":
+        return str(PUZZLES / "monty_hall.arrow")
+    path = Path(_untabled_host(tmp_path, "L"))
+    if tables == "gen table":
+        path.write_text(path.read_text().replace(
+            "GEN opens : Door -> Door\n",
+            "GEN opens : Door -> Door =\n  L -> 1|R>\n  M -> 1/2|L> + 1/2|R>\n  R -> 1|L>\n"))
+    return str(path)
+
+
+@pytest.mark.parametrize("tables", SELF_PAIRS)
+def test_eq_plans_each_program_once(tmp_path, capsys, monkeypatch, tables):
     plans = []
     original = semantics._plan
 
@@ -337,14 +448,14 @@ def test_eq_plans_each_program_once(capsys, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(semantics, "_plan", counting)
-    path = str(PUZZLES / "monty_hall.arrow")
+    path = _self_pair_path(tmp_path, tables)
     code, out, _ = run_cli(capsys, "eq", path, path)
-    assert code == 0
-    assert "declared interpretation and 20 random interpretations" in out
+    assert (code, out) == (0, SELF_PAIRS[tables])
     assert len(plans) == 2
 
 
-def test_eq_of_a_program_with_itself_makes_no_fraction(capsys, monkeypatch):
+@pytest.mark.parametrize("tables", SELF_PAIRS)
+def test_eq_of_a_program_with_itself_makes_no_fraction(tmp_path, capsys, monkeypatch, tables):
     # loading, drawing the random kernels, running and comparing all stay in integers
     made = []
     new = Q.__new__
@@ -354,12 +465,10 @@ def test_eq_of_a_program_with_itself_makes_no_fraction(capsys, monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
-    path = str(PUZZLES / "monty_hall.arrow")
+    path = _self_pair_path(tmp_path, tables)
     code, out, _ = run_cli(capsys, "eq", path, path)
     monkeypatch.undo()
-    assert code == 0
-    assert out == ("programs agree under the declared interpretation"
-                   " and 20 random interpretations\n")
+    assert (code, out) == (0, SELF_PAIRS[tables])
     assert made == []
 
 
@@ -589,7 +698,7 @@ def test_observe_of_ten_thousand_atoms_at_default_recursion_limit(tmp_path, caps
     code, out, _ = run_cli(capsys, "trace", str(long))
     assert code == 0 and out == short_trace.replace(SHORT_OBSERVE, long_observe)
     code, out, _ = run_cli(capsys, "eq", str(long), str(short), "--trials", "5")
-    assert code == 0 and out.startswith("programs agree")
+    assert (code, out) == (0, EXACT_EQUAL)
 
     canonical = pretty(parse(long.read_text()))
     assert long_observe in canonical.splitlines()

@@ -1050,6 +1050,13 @@ ELABORATION_ERRORS = [
      "line 5: comparison between T and U in OBSERVE(x != y)"),
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(a IN x)\nRETURN(x)\n", 3,
      "line 3: x is not set-valued"),
+    # a typing error in sugar names the statement as written, not its generator
+    (T2 + "x <- UNIFORM {a, b}\nx <- UNIFORM {a, b}\nRETURN(x)\n", 4,
+     "line 4: output x shadows an existing variable in x <- UNIFORM {a, b}"),
+    (T2 + "x <- UNIFORM {a, b}\nx <- CASE x OF\n  a -> 1|b>\n  _ -> 1|a>\nRETURN(x)\n", 4,
+     "line 4: output x shadows an existing variable in x <- CASE x OF a -> 1|b>; _ -> 1|a>"),
+    (T2 + "GEN g : () -> U\nx <- UNIFORM {a, b}\nOBSERVE(x = g)\nRETURN(x)\n", 5,
+     "line 5: OBSERVE needs equal types, got T and U in OBSERVE(x = g)"),
     # a $ amount is not the integer of the same digits, in either direction
     ("TYPE T = {3, 4}\nx <- UNIFORM {$3, 4}\nRETURN(x)\n", 2,
      "line 2: no declared type contains UNIFORM"),

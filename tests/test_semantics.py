@@ -1,6 +1,7 @@
 """Evaluation: denotations, traces, normalisation, soundness of rewrites."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -305,6 +306,24 @@ def test_stochastic_kernels_preserve_mass():
         if isinstance(node, Sample):
             assert line.mass == prev
         prev = line.mass
+
+
+def test_a_trace_line_makes_its_mass_only_when_read(monkeypatch):
+    tt, interp = monty_hall_full()
+    made = []
+    new = Q.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(sys._getframe(1).f_code.co_name)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", staticmethod(counting_new))
+    lines, result = trace(tt, interp)
+    assert made.count("mass") == 1  # the validity, the final line's mass
+    masses = [line.mass for line in lines]
+    assert made.count("mass") == len(lines)  # the final line's is the validity, made once
+    monkeypatch.undo()
+    assert masses == [line.state.mass for line in lines] and masses[-1] == result.validity
 
 
 # -- predicate observes ------------------------------------------------------------
