@@ -187,8 +187,12 @@ def cmd_eq(args) -> int:
     denote_a, denote_b = denoter(a.typed), denoter(b.typed)
 
     gens = {**_declared_gens(a), **_declared_gens(b)}
-    have_declared = all(gd.rows is not None for p in (a, b) for gd in p.source.gens)
-    if have_declared:
+    untabled = sorted(gd.name for p in (a, b) for gd in p.source.gens if gd.rows is None)
+    if untabled and not args.trials:
+        print(f"error: --trials 0 compares nothing: generator {untabled[0]} has no table",
+              file=sys.stderr)
+        return 1
+    if not untabled:
         fa, fb = _final(a, denote_a), _final(b, denote_b)
         if fa != fb:
             return _describe_counterexample("the declared interpretation", fa, fb)
@@ -206,7 +210,7 @@ def cmd_eq(args) -> int:
         if fa != fb:
             return _describe_counterexample(
                 f"random interpretation (seed {args.seed}, trial {trial})", fa, fb, kernels)
-    checked = "declared interpretation and " if have_declared else ""
+    checked = "" if untabled else "declared interpretation and "
     print(f"programs agree under the {checked}{args.trials} random interpretations")
     return 0
 

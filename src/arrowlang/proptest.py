@@ -98,12 +98,10 @@ def _gen_statements(sig: Signature, rng: random.Random, budget: GenBudget,
             left, right = rng.choice(vs), rng.choice(vs)
             heads.append(Observe(left, right, None))  # cont set by from_statements
             continue
-        usable = [
+        usable = [  # never empty: `gen_signature` declares the nullary g1
             g for g in sig.generators.values()
             if all(any(t == tv for tv in scope.values()) for t in g.inputs)
         ]
-        if not usable:
-            continue
         g = rng.choice(usable)
         args = []
         for t in g.inputs:
@@ -269,7 +267,7 @@ def oracle_denote(program: TypedTerm, interp: Interpretation) -> Subdist:
                 si += 1
                 args = tuple(env[a] for a in h.args)
                 row = interp.kernels[h.gen.name][args]
-                w = row.weight(collapse_values(out_vals) if out_vals else ())
+                w = row.weight(collapse_values(out_vals))
                 if w == 0:
                     alive = False
                     break

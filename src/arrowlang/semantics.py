@@ -34,12 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Mapping
 
 from .combinator import CombTerm, decode
 from .errors import CarrierMismatch, PredicateTypeError, ZeroMassState
-from .subdist import FAILURE, Outcome, Subdist, collapse_values, rescale
+from .subdist import FAILURE, Outcome, Subdist, collapse_values, outcome_key, rescale
 from .syntax import (
     Atom,
     Generator,
@@ -67,6 +67,10 @@ class Interpretation:
 
     carriers: Mapping[TypeName, tuple[Outcome, ...]]
     kernels: Mapping[str, KernelTable]
+
+    def __post_init__(self) -> None:
+        for v in chain.from_iterable(self.carriers.values()):
+            outcome_key(v)  # carrier values enter runs here; the engine checks none
 
     def carrier(self, t: TypeName) -> tuple[Outcome, ...]:
         try:
@@ -145,8 +149,8 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
 #
 # A state maps flat value tuples, one entry per variable of its layout,
 # to positive integer numerators over one denominator shared by the whole
-# state.  It becomes a validated Subdist only where it leaves the engine,
-# in `_subdists`.
+# state.  It leaves the engine only in `_subdists`, as an unchecked
+# Subdist: its values were checked where they entered the interpretation.
 
 # The gcd of a state's numerators and denominator is divided out only
 # once the denominator passes this bound, and after that only once it has

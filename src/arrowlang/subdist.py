@@ -2,12 +2,15 @@
 
 A subdistribution assigns a positive rational weight to finitely many
 outcomes, with total mass at most 1.  Missing mass records the failure
-probability of earlier observations.  All arithmetic is exact and floats
-are rejected outright.  Weights are stored as integer numerators over one
-denominator, as the evaluation engine in `semantics` and the parser's
-CASE/GEN tables compute them, so equality, hashing and the engine's reads
-stay in integers; a weight's `fractions.Fraction` is made on its first
-read (`mass`, `weight`, `entries`, `items`) and kept.
+probability of earlier observations.  All arithmetic is exact.  Values
+are checked where they enter: the public `Subdist` constructor checks
+every weight (floats are rejected outright), outcome and the mass, and
+`dirac` and `uniform` their outcomes; `Subdist._of_numerators`, for
+values already checked, checks nothing.  Weights are stored as integer
+numerators over one denominator, as the evaluation engine in `semantics`
+and the parser's CASE/GEN tables compute them, so equality, hashing and
+the engine's reads stay in integers; a weight's `fractions.Fraction` is
+made on its first read (`mass`, `weight`, `entries`, `items`) and kept.
 
 A subdistribution is a map; its canonical outcome order (see
 `outcome_key`) is computed on the first ordered read (`items`, `support`,
@@ -107,17 +110,6 @@ def outcome_key(x: Outcome):
     raise InvalidSubdistribution(f"not an outcome: {x!r}")
 
 
-def _check_outcome(x: Outcome) -> None:
-    """Raise as `outcome_key` does unless ``x`` is an outcome, without building its key."""
-    todo = [x]
-    for y in todo:  # grows by the elements of each tuple or frozenset
-        cls = type(y)
-        if cls is tuple or cls is frozenset:
-            todo.extend(y)
-        elif cls is not str and cls is not int and cls is not Dollar:
-            outcome_key(y)  # a bool, a subclass or no outcome: raise, or accept, as it does
-
-
 def render_outcome(x: Outcome) -> str:
     """Canonical text of one outcome, as it appears inside a ket."""
     if isinstance(x, Dollar):
@@ -194,7 +186,11 @@ class Subdist:
                 raise InvalidSubdistribution(f"duplicate outcome {x!r}")
             store[x] = w
         den = math.lcm(*[w.denominator for w in store.values()])
-        self._set(den, {x: w.numerator * (den // w.denominator) for x, w in store.items()})
+        nums = {x: w.numerator * (den // w.denominator) for x, w in store.items()}
+        total = sum(nums.values())
+        if total > den:
+            raise InvalidSubdistribution(f"total mass {Fraction(total, den)} exceeds 1")
+        self._set(den, nums)
 
     @classmethod
     def _of_numerators(cls, entries: Iterable[tuple[Outcome, int]], denom: int) -> "Subdist":
@@ -202,23 +198,15 @@ class Subdist:
         over one positive denominator, as the evaluation engine and the
         parser's tables hold them.
 
-        The integers already rule out floats, signs, weights above 1 and
-        duplicates, so only the outcome shapes and the total mass are
-        checked.
+        Nothing is checked: each caller builds from values checked where
+        they entered (a `Subdist`, a carrier of an `Interpretation`, a
+        parsed table), with numerators summing to at most ``denom``.
         """
-        nums = {}
-        for x, n in entries:
-            if type(x) is not str:
-                _check_outcome(x)
-            nums[x] = n
         self = cls.__new__(cls)
-        self._set(denom, nums)
+        self._set(denom, dict(entries))
         return self
 
     def _set(self, den: int, nums: dict) -> None:
-        total = sum(nums.values())
-        if total > den:
-            raise InvalidSubdistribution(f"total mass {Fraction(total, den)} exceeds 1")
         self._nums = nums
         self._den = den
         self._weights = self._mass = self._items = None
@@ -313,12 +301,14 @@ def zero() -> Subdist:
 
 def dirac(x: Outcome) -> Subdist:
     """Point mass 1|x>."""
-    return Subdist._of_numerators([(x, 1)], 1)
+    return uniform((x,))
 
 
 def uniform(xs: Iterable[Outcome]) -> Subdist:
     """Equal weight 1/n on each of n distinct outcomes."""
     values = list(xs)
+    for x in values:
+        outcome_key(x)
     if not values:
         raise EmptySupport("uniform over the empty set")
     if len(set(values)) != len(values):

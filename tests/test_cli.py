@@ -103,6 +103,13 @@ def test_structured_output(capsys):
     assert doc["failure"] is False
     assert {"weight": {"num": 1, "den": 3}, "outcome": ["M"]} in doc["posterior"]
     assert doc["lines"][0]["statement"] == "car <- UNIFORM {L, M, R}"
+    code, out, err = run_cli(capsys, "run", "--format", "structured", "--expected-value",
+                             str(PUZZLES / "newcomb_a.arrow"))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["expected_value"] == {"den": 1, "num": 1}
+    assert doc["posterior"] == [{"outcome": ["$1"], "weight": {"den": 1, "num": 1}}]
+    assert doc["validity"] == {"den": 4, "num": 1} and len(doc["lines"]) == 6
 
 
 def test_parse_error_exits_one(tmp_path, capsys):
@@ -160,6 +167,9 @@ def test_zero_mass_run_exits_two(tmp_path, capsys):
     assert code == 2
     assert "Final: 0" in out
     assert "Posterior: Failure" in out
+    assert run_cli(capsys, "trace", str(f)) == (2, (
+        "(1) x <- always_h() | 1|H>\n(2) y <- always_t() | 1|H,T>\n(3) OBSERVE(x = y) | 0\n"
+        "(4) RETURN(x) | 0\nValidity: 0\nFailure\n"), "")
 
 
 def _run_text(result, with_ev: bool) -> str:
@@ -196,6 +206,9 @@ def test_zero_mass_normalized_exits_two(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", "--normalize-each-line", str(f))
     assert code == 2
     assert "line 3" in out
+    assert run_cli(capsys, "run", "--normalize-each-line", "--format", "structured", str(f)) == (
+        2, '{"failure": true, "failure_line": 3, "lines": [], "posterior": [], '
+           f'"program": "{f}", "validity": {{"den": 1, "num": 0}}}}\n', "")
 
 
 def test_eq_program_with_itself(capsys):
@@ -214,6 +227,47 @@ def test_eq_rejects_a_negative_trial_count(capsys, trials):
     assert captured.out == ""
     assert captured.err == f"error: argument --trials: must not be negative, got {trials}\n"
     assert run_cli(capsys, "eq", monty_hall, monty_hall, "--trials", "0")[:2] == (0, EXACT_EQUAL)
+
+
+def test_eq_rejects_a_trial_count_that_is_not_an_int(capsys):
+    monty_hall = str(PUZZLES / "monty_hall.arrow")
+    with pytest.raises(SystemExit) as exc:
+        main(["eq", monty_hall, monty_hall, "--trials", "x"])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", "error: argument --trials: invalid int value: 'x'\n")
+
+
+def test_eq_with_zero_trials_needs_every_gen_tabled(tmp_path, capsys):
+    # an untabled GEN is compared only under random trials: none compares nothing
+    left, right = _untabled_host(tmp_path, "L"), _untabled_host(tmp_path, "R")
+    for pair in ((left, right), (left, left)):
+        assert run_cli(capsys, "eq", *pair, "--trials", "0") == (
+            1, "", "error: --trials 0 compares nothing: generator opens has no table\n")
+    assert run_cli(capsys, "eq", left, right)[0] == 3
+    assert run_cli(capsys, "eq", left, right, "--trials", "1")[0] == 3
+    tabled = tmp_path / "tabled.arrow"
+    tabled.write_text(FAILING)
+    assert run_cli(capsys, "eq", str(tabled), str(tabled), "--trials", "0") == (
+        0, "programs agree under the declared interpretation and 0 random interpretations\n", "")
+    monty_hall, monty_fall = str(PUZZLES / "monty_hall.arrow"), str(PUZZLES / "monty_fall.arrow")
+    assert run_cli(capsys, "eq", monty_hall, monty_hall, "--trials", "0") == (0, EXACT_EQUAL, "")
+    assert run_cli(capsys, "eq", monty_hall, monty_fall, "--trials", "0")[0] == 3
+
+
+@pytest.mark.parametrize("left, right, error", [
+    ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nRETURN(x)\n",
+     "TYPE T = {a, c}\nx <- UNIFORM {a, c}\nRETURN(x)\n", "type T has different carriers"),
+    ("TYPE T = {a, b}\nGEN g : T -> T\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n",
+     "TYPE T = {a, b}\nGEN g : () -> T\ny <- g()\nRETURN(y)\n",
+     "generator g declared with different types"),
+])
+def test_eq_of_programs_that_disagree_on_a_declaration_exits_one(tmp_path, capsys,
+                                                                  left, right, error):
+    paths = []
+    for side, text in (("left", left), ("right", right)):
+        (tmp_path / f"{side}.arrow").write_text(text)
+        paths.append(str(tmp_path / f"{side}.arrow"))
+    assert run_cli(capsys, "eq", *paths) == (1, "", f"error: {error}\n")
 
 
 def test_eq_after_observe_symmetry_rewrite(tmp_path, capsys):
@@ -498,6 +552,19 @@ def test_corpus_all_pass(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 9
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_corpus_reports_a_missing_golden_file(tmp_path, capsys):
+    shutil.copy(PUZZLES / "monty_hall.arrow", tmp_path / "monty_hall.arrow")
+    assert run_cli(capsys, "corpus", str(tmp_path)) == (4, (
+        "FAIL monty_hall (missing golden file)\n"
+        "first failure: monty_hall: missing golden file\n"), "")
+
+
+def test_corpus_compares_a_normalized_zero_mass_run(tmp_path, capsys):
+    (tmp_path / "fail.arrow").write_text(cli.NORMALIZE_PRAGMA + "\n" + FAILING)
+    (tmp_path / "fail.golden").write_text("Failure: state mass is zero at line 3\n")
+    assert run_cli(capsys, "corpus", str(tmp_path)) == (0, "PASS fail\n", "")
 
 
 def test_corpus_detects_corruption(tmp_path, capsys):

@@ -74,6 +74,13 @@ def test_pretty_round_trip_on_corpus(name):
     assert alpha_eq(p1.typed.term, p2.typed.term)
 
 
+def test_pretty_prints_an_untabled_gen_as_its_head():
+    source = "TYPE T = {a, b}\nGEN g : T -> T\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n"
+    canonical = pretty(parse(source))
+    assert canonical == source.replace("T -> T\n", "T -> T\n\n")
+    assert without_lines(parse(canonical)) == without_lines(parse(source))
+
+
 def test_rational_literals_normalize():
     src = """TYPE Coin = {H, T}
 x <- CASE H OF _ -> 2/4|H> + 1/2|T>
@@ -1047,6 +1054,8 @@ ELABORATION_ERRORS = [
     (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x = y)\nRETURN(x)\n", 5,
      "line 5: OBSERVE needs equal types, got T and U in OBSERVE(x = y)"),
     (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x != y)\nRETURN(x)\n", 5,
+     "line 5: comparison between T and U in OBSERVE(x != y)"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x = a AND x != y)\nRETURN(x)\n", 5,
      "line 5: comparison between T and U in OBSERVE(x != y)"),
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(a IN x)\nRETURN(x)\n", 3,
      "line 3: x is not set-valued"),

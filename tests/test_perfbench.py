@@ -61,17 +61,22 @@ def test_traced_loads_count_every_token_and_table_row():
     from arrowlang import parser
 
     texts = {path.stem: path.read_text() for path in sorted((ROOT / "puzzles").glob("*.arrow"))}
-    texts["doors 8"], _, _ = _load_perfbench("programs").doors(8, random.Random(1))
+    programs = _load_perfbench("programs")
+    texts["straight_line 40"], _, _ = programs.straight_line(40, random.Random(1))
+    texts["doors 8"], _, _ = programs.doors(8, random.Random(1))
+    counted = {}
     for label, text in texts.items():
         rec = tracing.Recorder()
         with rec.installed(0, counting=True):
             prog = parser.load_text(text)
         carriers = prog.interp.carriers
-        tables = [prog.typed.sig.gens[gd.name] for gd in prog.source.gens if gd.rows is not None]
+        tables = [prog.typed.sig.generators[gd.name] for gd in prog.source.gens if gd.rows is not None]
         heads, _ = statements(prog.typed.term)
         tables += [head.gen for head, line in zip(heads, prog.lines)
                    if getattr(line, "kind", None) == "case"]
         rows = sum(math.prod(len(carriers[t]) for t in gen.inputs) for gen in tables)
         assert rec.counts["parser.tokens"] == len(parser.located_tokens(text)), label
         assert rec.counts["parser.table_rows"] == rows, label
-    assert rows == 64  # doors 8, the last text: one table over Door x Door
+        counted[label] = rows
+    assert counted["straight_line 40"] == 15  # five GEN tables over S, three rows each
+    assert counted["doors 8"] == 64  # one table over Door x Door

@@ -128,13 +128,18 @@ def test_oracle_matches_interpreter_on_random_programs():
 
 def test_planned_interpret_matches_trace_and_oracle():
     # `interpret` observes early and sums out dead columns; `trace` runs
-    # the statements as written and keeps every column
+    # the statements as written and keeps every column.  States leave the
+    # engine unchecked, so each is rebuilt through the public constructor,
+    # which checks every outcome and the mass
     rng = random.Random(3)
     for _ in range(1000):
         tt = gen_closed_program(BUDGET, rng)
         interp = gen_interpretation(BUDGET, tt.sig, rng)
-        _, result = trace(tt, interp)
-        assert interpret(tt, interp) == result.final == oracle_denote(tt, interp)
+        lines, result = trace(tt, interp)
+        final = interpret(tt, interp)
+        assert final == result.final == oracle_denote(tt, interp)
+        for s in [final] + [line.state for line in lines]:
+            assert Subdist(list(s.entries())) == s
 
 
 def _closed_at(tt, interp, env):

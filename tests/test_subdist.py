@@ -17,6 +17,7 @@ from arrowlang.errors import (
     WeightTooLong,
 )
 from arrowlang import subdist
+from arrowlang.semantics import Interpretation
 from arrowlang.subdist import (
     FAILURE,
     Dollar,
@@ -109,17 +110,20 @@ def test_float_weights_rejected():
         Subdist({"x": 0.5})
 
 
-def test_engine_exit_checks_mass_and_outcomes():
-    # the evaluation engine hands over integer numerators over one denominator
+def test_public_constructor_checks_mass_and_outcomes():
+    # the evaluation engine hands over integer numerators over one
+    # denominator, unchecked; the public constructor checks what it is given
     built = Subdist._of_numerators([("y", 2), ("x", 2), ("z", 3)], 21)
     assert built == Subdist({"x": Q(2, 21), "y": Q(2, 21), "z": Q(1, 7)})
     assert built.items() == Subdist({"x": Q(2, 21), "y": Q(2, 21), "z": Q(1, 7)}).items()
     assert built.mass == Q(1, 3)
     assert Subdist._of_numerators([("x", 5), ("y", 2)], 7).is_distribution()
     with pytest.raises(InvalidSubdistribution, match="total mass 8/7 exceeds 1"):
-        Subdist._of_numerators([("x", 6), ("y", 2)], 7)
+        Subdist([("x", Q(6, 7)), ("y", Q(2, 7))])
     with pytest.raises(InvalidSubdistribution):
-        Subdist._of_numerators([(1.5, 1)], 2)
+        Subdist([(1.5, Q(1, 2))])
+    with pytest.raises(InvalidSubdistribution, match=r"not an outcome: \['b'\]"):
+        uniform(["a", ["b"]])
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -132,13 +136,24 @@ def test_engine_exit_checks_mass_and_outcomes():
     (None, "not an outcome: None"),
     (True, "bool is not an outcome"),
 ])
-def test_engine_exit_rejects_what_outcome_key_rejects(bad, message):
+def test_every_edge_rejects_what_outcome_key_rejects(bad, message):
+    # values are checked where they enter: the public constructor, `dirac`,
+    # `uniform` and the carriers of an interpretation
     for ok in ("x", 3, Dollar(4), ("x", 3, Dollar(4)), frozenset({("x", frozenset({1}))})):
         Subdist._of_numerators([(ok, 1)], 2)
+        assert Subdist([("fine", Q(1, 2)), (ok, Q(1, 2))]) == uniform(["fine", ok])
+        assert dirac(ok).support() == [ok]
+        Interpretation({"T": ("fine", ok)}, {})
     with pytest.raises(InvalidSubdistribution, match=message):
         outcome_key(bad)
     with pytest.raises(InvalidSubdistribution, match=message):
-        Subdist._of_numerators([("fine", 1), (bad, 1)], 3)
+        Subdist([("fine", Q(1, 3)), (bad, Q(1, 3))])
+    with pytest.raises(InvalidSubdistribution, match=message):
+        dirac(bad)
+    with pytest.raises(InvalidSubdistribution, match=message):
+        uniform(["fine", bad])
+    with pytest.raises(InvalidSubdistribution, match=message):
+        Interpretation({"T": ("fine", bad)}, {})
 
 
 def test_constructors_agree_in_any_insertion_order():
