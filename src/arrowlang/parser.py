@@ -28,12 +28,13 @@ a literal; ``_`` in a pattern is the wildcard.
 CASE patterns are literals, ``_`` wildcards, or variables; repeated
 variables force equality and ``IF`` inequalities constrain both pattern
 variables and extra ket variables, which are resolved by enumeration
-over the carrier.  Each input combination takes the first row that
-matches it and whose conditions can be met; rows whose patterns are all
-literals, with no ``IF``, are looked up by their values, and the other
-rows are scanned in order.  A row whose ket names no extra variable
-takes the first assignment that meets its conditions; otherwise every
-such assignment must give the same row.
+over the carrier.  Every row's ket is checked once, when its table is
+declared, whether or not an input reaches it.  Each input combination
+takes the first row that matches it and whose conditions can be met;
+rows whose patterns are all literals, with no ``IF``, are looked up by
+their values, and the other rows are scanned in order.  A row whose ket
+names no extra variable takes the first assignment that meets its
+conditions; otherwise every such assignment must give the same row.
 """
 
 from __future__ import annotations
@@ -640,7 +641,6 @@ class _RowMatcher:
     """Pattern-matching and instantiation for one table row."""
 
     def __init__(self, row: CaseRow, input_types: tuple[str, ...], carriers: dict):
-        self.carriers = carriers
         if len(row.pattern) != len(input_types):
             raise ElaborationError(
                 f"pattern arity {len(row.pattern)} does not match {len(input_types)} inputs")
@@ -690,12 +690,8 @@ class _RowMatcher:
         # the ket as integer numerators over the lcm of its weights' denominators
         self.den = den = lcm(*[den for (_, den), _ in row.ket])
         self.ket = [(num * (den // d), values) for (num, d), values in row.ket]
-        # a row whose ket names no variable is built once, into ``fixed``;
-        # one whose ket names no extra variable takes the first assignment
-        self.fixed: Subdist | None = None
-        named = {v for _, values in self.ket for v in values if v in names} if names else set()
-        self.constant = not named
-        self.ket_extras = any(v in depth for v in named)
+        # a row whose ket names no extra variable takes the first assignment
+        self.ket_extras = bool(depth) and any(v in depth for _, values in self.ket for v in values)
         # the literal tuple that a pattern of literals only, with no IF, is looked up by
         self.key = (tuple([value for _, value in self.literals])
                     if len(self.literals) == len(row.pattern) and not row.conditions else None)
@@ -711,27 +707,34 @@ class _RowMatcher:
                 return None
         return bound
 
-    def _numerators(self, env: dict[str, Outcome], out_types: tuple[str, ...]) -> dict:
-        """The row's outcomes under ``env`` with their nonzero numerators over ``den``."""
-        acc: dict = {}
-        carriers = [self.carriers[tname] for tname in out_types]
+    def check(self, out_types: tuple[str, ...], carriers: dict) -> None:
+        """Check the ket against the outputs, once, whether or not any input
+        reaches the row: its arity, that each name is a variable of the
+        output's type or a value of it, and a mass of at most 1.  A ket that
+        names no variable is the row itself, ``row``, built here once."""
+        names, named, mass = self.names, False, 0
         for n, values in self.ket:
             if len(values) != len(out_types):
                 raise ElaborationError(f"ket arity {len(values)} does not match outputs")
-            resolved = []
-            for v, carrier, tname in zip(values, carriers, out_types):
-                if v in env:
-                    resolved.append(env[v])
-                elif v in carrier:
-                    resolved.append(v)
-                elif isinstance(v, str):
-                    raise ElaborationError(f"{v} is neither a variable nor a value of {tname}")
-                else:
-                    raise ElaborationError(f"{_src_value(v)} not in {tname}")
-            key = collapse_values(tuple(resolved))
-            acc[key] = acc.get(key, 0) + n
-        if sum(acc.values()) > self.den:
+            for v, tname in zip(values, out_types):
+                if v in names:
+                    if names[v] != tname:
+                        raise ElaborationError(f"ket variable {v} is {names[v]}, not {tname}")
+                    named = True
+                elif v not in carriers[tname]:
+                    raise ElaborationError(f"{v} is neither a variable nor a value of {tname}"
+                                           if isinstance(v, str) else f"{_src_value(v)} not in {tname}")
+            mass += n
+        if mass > self.den:
             raise ElaborationError("row mass exceeds 1")
+        self.row = None if named else Subdist._of_numerators(self._numerators({}).items(), self.den)
+
+    def _numerators(self, env: dict[str, Outcome]) -> dict:
+        """The row's outcomes under ``env`` with their nonzero numerators over ``den``."""
+        acc: dict = {}
+        for n, values in self.ket:
+            key = collapse_values(tuple([env.get(v, v) for v in values]))
+            acc[key] = acc.get(key, 0) + n
         return {x: n for x, n in acc.items() if n}
 
     def _assignments(self, bound: dict[str, Outcome]):
@@ -759,7 +762,7 @@ class _RowMatcher:
             else:
                 levels.pop()
 
-    def instantiate(self, bound: dict[str, Outcome], out_types: tuple[str, ...]):
+    def instantiate(self, bound: dict[str, Outcome]):
         """Row subdistribution for a matched combo; None when unsatisfiable.
 
         When the ket names an extra variable, every satisfying assignment
@@ -768,9 +771,9 @@ class _RowMatcher:
         """
         first = None
         for _ in self._assignments(bound):
-            if self.fixed is not None:  # a constant row: any assignment gives it
-                return self.fixed
-            numerators = self._numerators(bound, out_types)
+            if self.row is not None:  # a ket with no variable: any assignment gives it
+                return self.row
+            numerators = self._numerators(bound)
             if first is None:
                 first = numerators
                 if not self.ket_extras:
@@ -778,12 +781,7 @@ class _RowMatcher:
             elif numerators != first:
                 raise ElaborationError(
                     f"conflicting assignments of {', '.join(self.extra_names)} give different rows")
-        if first is None:
-            return None
-        row = Subdist._of_numerators(first.items(), self.den)
-        if self.constant:
-            self.fixed = row
-        return row
+        return None if first is None else Subdist._of_numerators(first.items(), self.den)
 
 
 def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ...],
@@ -791,12 +789,14 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
     """Expand classified pattern rows into a total kernel table over the carriers.
 
     Each combo takes the first row that matches it and whose conditions
-    can be met.  Rows of literals only, with no IF, are looked up by their
-    values; the other rows are scanned, up to the row that the lookup found.
+    can be met.  Every row is checked first, in order, reached or not.
+    Rows of literals only, with no IF, are looked up by their values; the
+    other rows are scanned, up to the row that the lookup found.
     """
     scanned = []
     index: dict = {}  # literal tuple -> (number of rows scanned before it, its matcher)
     for matcher in matchers:
+        matcher.check(out_types, carriers)
         if matcher.key is None:
             scanned.append(matcher)
         else:
@@ -808,21 +808,19 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
         for matcher in scanned[:before]:
             bound = matcher.bind(combo)
             if bound is not None:
-                row_value = matcher.instantiate(bound, out_types)
+                row_value = matcher.instantiate(bound)
                 if row_value is not None:
                     table[combo] = row_value
                     break
         else:
             if hit is None:
-                shown = ", ".join(_src_value(v) for v in combo)
-                raise ElaborationError(f"no row matches ({shown})")
-            table[combo] = hit.instantiate({}, out_types)
+                raise ElaborationError(f"no row matches ({', '.join(map(_src_value, combo))})")
+            table[combo] = hit.row
     return table
 
 
 def _infer_case_output_type(matchers, carriers: dict) -> str:
-    votes: set[str] = set()
-    literal_values: dict = {}  # each distinct value once, in order of appearance
+    votes, literal_values = set(), set()  # the types of the ket variables; the other values
     for matcher in matchers:
         for _, values in matcher.ket:
             if len(values) != 1:
@@ -831,16 +829,10 @@ def _infer_case_output_type(matchers, carriers: dict) -> str:
             if v in matcher.names:
                 votes.add(matcher.names[v])
             else:
-                literal_values[v] = None
+                literal_values.add(v)
     if len(votes) > 1:
         raise ElaborationError(f"CASE kets mix output types {' and '.join(sorted(votes))}")
-    if votes:
-        tname = votes.pop()
-        for v in literal_values:
-            if v not in carriers[tname]:
-                raise ElaborationError(f"{_src_value(v)} not in inferred type {tname}")
-        return tname
-    return _unique_type_for(literal_values, carriers, "the CASE kets")
+    return votes.pop() if votes else _unique_type_for(literal_values, carriers, "the CASE kets")
 
 
 def elaborate(sp: SourceProgram) -> Program:
@@ -883,12 +875,6 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         if gd.rows is not None:
             at[1] = f"generator {gd.name}: "
             matchers = [_RowMatcher(row, gd.inputs, carriers) for row in gd.rows]
-            for matcher in matchers:  # a ket variable holds values of its own type
-                for _, values in matcher.ket:
-                    for v, tname in zip(values, gd.outputs):
-                        if matcher.names.get(v, tname) != tname:
-                            raise ElaborationError(
-                                f"ket variable {v} is {matcher.names[v]}, not {tname}")
             kernels[gd.name] = build_table(matchers, gd.inputs, gd.outputs, carriers)
             at[1] = ""
 
@@ -901,11 +887,12 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         try:
             check_statement(sig, scope, node)
         except ArrowError as exc:  # name ``stmt``, the statement as written, not its core form
-            core = f" in {render_statement(node)}"
-            message = str(exc)
-            if not message.endswith(core):
+            message = str(exc)  # the rule names only the failing atom of a conjunction
+            cut = message.rfind(" in OBSERVE(" if isinstance(node, ObservePred)
+                                else f" in {render_statement(node)}")
+            if cut < 0:
                 raise
-            raise type(exc)(message[:-len(core)] + f" in {render_stmt(stmt)}") from exc
+            raise type(exc)(message[:cut] + f" in {render_stmt(stmt)}") from exc
         heads.append(node)
         lines.append(line)
 
@@ -922,9 +909,13 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         if atom.op == "IN":
             if right not in scope:
                 raise ElaborationError("IN needs a bound set-valued variable")
-            if not all(isinstance(v, frozenset) for v in carriers[scope[right]]):
+            sets = carriers[scope[right]]
+            if not all(isinstance(v, frozenset) for v in sets):
                 raise ElaborationError(f"{right} is not set-valued")
-            return Atom("IN", PLit(left, _unique_type_for([left], carriers, _src_value(left))), right)
+            element = PLit(left, _unique_type_for([left], carriers, _src_value(left)))
+            if not any(left in v for v in sets):
+                raise ElaborationError(f"{_src_value(left)} is in no value of {scope[right]}")
+            return Atom("IN", element, right)
         if left not in scope and right not in scope:
             raise ElaborationError(f"neither side of the comparison "
                                    f"({_src_value(left)} and {_src_value(right)}) is a bound variable")

@@ -19,7 +19,6 @@ from .errors import InvalidSubdistribution
 from .semantics import Interpretation
 from .subdist import Subdist, collapse_values
 from .syntax import (
-    Atom,
     Context,
     Generator,
     Observe,
@@ -225,15 +224,12 @@ def _oracle_pred(p: Pred, env: dict) -> bool:
         return o.value if isinstance(o, PLit) else env[o]
 
     for a in p:
-        op = a.op if isinstance(a, Atom) else None
-        if op == "=":
+        if a.op == "=":
             ok = value(a.left) == value(a.right)
-        elif op == "!=":
+        elif a.op == "!=":
             ok = value(a.left) != value(a.right)
-        elif op == "IN":
+        else:  # IN
             ok = value(a.left) in value(a.right)
-        else:
-            raise InvalidSubdistribution(f"not a predicate: {a!r}")
         if not ok:
             return False
     return True

@@ -41,7 +41,6 @@ from .combinator import CombTerm, decode
 from .errors import CarrierMismatch, PredicateTypeError, ZeroMassState
 from .subdist import FAILURE, Outcome, Subdist, collapse_values, outcome_key, rescale
 from .syntax import (
-    Atom,
     Generator,
     Observe,
     PLit,
@@ -128,18 +127,15 @@ def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
             raise PredicateTypeError(f"variable {operand} not in scope") from None
 
     for a in p:
-        op = a.op if isinstance(a, Atom) else None
-        if op == "=":
+        if a.op == "=":
             holds = value(a.left) == value(a.right)
-        elif op == "!=":
+        elif a.op == "!=":
             holds = value(a.left) != value(a.right)
-        elif op == "IN":
+        else:  # IN
             container = value(a.right)
             if not isinstance(container, frozenset):
                 raise PredicateTypeError(f"{a.right} is not set-valued")
             holds = value(a.left) in container
-        else:
-            raise PredicateTypeError(f"not a predicate: {a!r}")
         if not holds:
             return False
     return True

@@ -126,10 +126,16 @@ class Observe(_Statement):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ObservePred(_Statement):
-    """Evaluator-only observe of a conjunction of atoms (non-core)."""
+    """Evaluator-only observe of a conjunction of atoms (non-core), each
+    checked here, once, to be an `Atom` of a known op."""
 
     pred: Pred
     cont: "Term"
+
+    def __post_init__(self):
+        for a in self.pred:
+            if not isinstance(a, Atom) or a.op not in ("=", "!=", "IN"):
+                raise PredicateTypeError(f"not a predicate atom: {a!r}")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -168,9 +174,6 @@ def reads(node: Term) -> set[Var]:
         return set(node.args)
     if isinstance(node, Observe):
         return {node.left, node.right}
-    for a in node.pred:
-        if not isinstance(a, Atom):
-            raise PredicateTypeError(f"not a predicate: {a!r}")
     return {o for a in node.pred for o in (a.left, a.right) if not isinstance(o, PLit)}
 
 
@@ -213,8 +216,6 @@ def _check_operand(o: Operand, scope: dict[Var, TypeName]) -> TypeName:
 
 def _check_pred(p: Pred, scope: dict[Var, TypeName]) -> None:
     for a in p:
-        if not isinstance(a, Atom) or a.op not in ("=", "!=", "IN"):
-            raise TypeMismatch(f"not a predicate atom: {a!r}")
         lt = _check_operand(a.left, scope)
         rt = _check_operand(a.right, scope)
         if lt != rt and a.op != "IN":  # IN compares an element with a set

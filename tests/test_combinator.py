@@ -45,6 +45,7 @@ from arrowlang.syntax import (
     ObservePred,
     Return,
     Signature,
+    TypedTerm,
     alpha_eq,
     typecheck,
 )
@@ -580,4 +581,28 @@ def _g(inputs, outputs):
 def test_comb_term_rejects_ill_formed_terms(heads, sel, ctx, error, message):
     with pytest.raises(error) as exc:
         CombTerm(heads, sel, ctx)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FiniteFunction((), -1), ArityMismatch, "negative codomain -1"),
+    (lambda: ff([3], 2), ArityMismatch, "target 3 outside 1..2"),
+    (lambda: ff([1], 1)(2), ArityMismatch, "index 2 outside 1..1"),
+    (lambda: ff([1], 2).then(ff([1], 1)), ArityMismatch, "cannot chain cod 2 into dom 1"),
+    (lambda: ff_collapse(ff([1], 1)), ArityMismatch, "collapse needs a function with domain 2"),
+    (lambda: act(ff([1, 2], 2), comb_identity(("A",)), ("A", "A")), ArityMismatch,
+     "action domain 2 != context length 1"),
+    (lambda: act(ff([1], 2), comb_identity(("A",)), ("A",)), ArityMismatch,
+     "target context length 1 != codomain 2"),
+    (lambda: act(ff([1], 1), comb_identity(("A",)), ("B",)), TypeMismatch,
+     "position 1 is B, expected A"),
+    # a TypedTerm built directly, past the typing rule
+    (lambda: encode(TypedTerm(Signature(frozenset({"A"})), (), Return(("x",)), ("A",))),
+     TypeMismatch, "variable x not in context"),
+    (lambda: encode(TypedTerm(Signature(frozenset({"A"})), (), "junk", ())), TypeMismatch,
+     "not a term node: 'junk'"),
+])
+def test_finite_functions_action_and_encode_reject_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
     assert str(exc.value) == message

@@ -869,16 +869,27 @@ def test_case_rows_are_tried_in_order(rows, expected):
     assert _two_door_table(rows) == expected.split("; ")
 
 
-def test_bad_ket_values_raise_only_in_reached_rows():
-    unreached = "GEN g : D, D -> D = (_, _) -> 1|L>; (L, M) -> 1|Q>; (M, M) -> 1/2|$3> + 1/2|L>\n"
-    assert set(_two_door_table("", unreached)) == {
-        f"{x},{y}: 1|L>" for x in "LMR" for y in "LMR"}
-    for ket_text, message in (("1|Q>", "line 2: generator g: Q is neither a variable nor a value of D"),
-                              ("1/2|L> + 1/2|$3>", "line 2: generator g: $3 not in D")):
+def test_bad_ket_values_raise_in_every_row():
+    # one rule for GEN and CASE rows: each row's ket is checked when its
+    # table is declared, whether or not an input reaches the row
+    bad = (("1|Q>", "Q is neither a variable nor a value of D"), ("1/2|L> + 1/2|$3>", "$3 not in D"),
+           ("1|L> + 1|R>", "row mass exceeds 1"))
+    for ket_text, message in bad:
+        # (L, M) is reached in the first table; the wildcard row before it
+        # covers every input in the second
+        for rows in (f"(L, L) -> 1|L>; (L, M) -> {ket_text}; (_, _) -> 1|R>",
+                     f"(_, _) -> 1|L>; (L, M) -> {ket_text}; (M, M) -> 1/2|$3> + 1/2|L>"):
+            with pytest.raises(ElaborationError) as exc:
+                _two_door_table("", f"GEN g : D, D -> D = {rows}\n")
+            assert str(exc.value) == f"line 2: generator g: {message}" and exc.value.line == 2
+    # a CASE row no input reaches, with the output type voted by a ket variable
+    for ket_text, message in bad:
         with pytest.raises(ElaborationError) as exc:
-            _two_door_table("", f"GEN g : D, D -> D = (L, L) -> 1|L>; (L, M) -> {ket_text}; "
-                                "(_, _) -> 1|R>\n")
-        assert str(exc.value) == message and exc.value.line == 2
+            _two_door_table(f"(x, _) -> 1|x>; (L, M) -> {ket_text}")
+        assert str(exc.value) == f"line 4: {message}" and exc.value.line == 4
+    # with literal kets only, a value of no type fails the inference first
+    with pytest.raises(ElaborationError, match="^line 4: no declared type contains the CASE kets$"):
+        _two_door_table("(_, _) -> 1|L>; (L, M) -> 1|Q>")
 
 
 def test_first_uncovered_combination_after_looked_up_rows():
@@ -1014,7 +1025,7 @@ ELABORATION_ERRORS = [
      "y <- CASE (x, z) OF (p, q) -> 1/2|p> + 1/2|q>\nRETURN(y)\n",
      5, "line 5: CASE kets mix output types T and U"),
     (T2 + "x <- UNIFORM {a, b}\ny <- CASE x OF p -> 1/2|p> + 1/2|u>\nRETURN(y)\n", 4,
-     "line 4: u not in inferred type T"),
+     "line 4: u is neither a variable nor a value of T"),
     (T2 + "GEN g : T -> T\nGEN g : T -> T\nx <- UNIFORM {a, b}\nRETURN(x)\n", 4,
      "line 4: generator g declared twice"),
     (T2 + "x, y <- UNIFORM {a, b}\nRETURN(x)\n", 3, "line 3: UNIFORM binds exactly one variable"),
@@ -1055,10 +1066,17 @@ ELABORATION_ERRORS = [
      "line 5: OBSERVE needs equal types, got T and U in OBSERVE(x = y)"),
     (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x != y)\nRETURN(x)\n", 5,
      "line 5: comparison between T and U in OBSERVE(x != y)"),
+    # the failing atom of a conjunction is named in the statement as written
     (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x = a AND x != y)\nRETURN(x)\n", 5,
-     "line 5: comparison between T and U in OBSERVE(x != y)"),
+     "line 5: comparison between T and U in OBSERVE(x = a AND x != y)"),
+    (T2 + "x <- UNIFORM {a, b}\ny <- UNIFORM {u, v}\nOBSERVE(x != y AND x = a)\nRETURN(x)\n", 5,
+     "line 5: comparison between T and U in OBSERVE(x != y AND x = a)"),
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nOBSERVE(a IN x)\nRETURN(x)\n", 3,
      "line 3: x is not set-valued"),
+    # the element of an IN is in some value of the set variable's type
+    ("TYPE Door = {L, M, R}\nTYPE Port = {A, B}\nTYPE Ports = {{A}, {A, B}}\n"
+     "d <- UNIFORM {L, M, R}\nports <- UNIFORM {{A}, {A, B}}\nOBSERVE(L IN ports)\nRETURN(d)\n", 6,
+     "line 6: L is in no value of Ports"),
     # a typing error in sugar names the statement as written, not its generator
     (T2 + "x <- UNIFORM {a, b}\nx <- UNIFORM {a, b}\nRETURN(x)\n", 4,
      "line 4: output x shadows an existing variable in x <- UNIFORM {a, b}"),
@@ -1103,3 +1121,19 @@ def test_fresh_observe_variable_steps_past_a_user_variable():
     assert result.validity == Q(1, 2)
     assert result.posterior == Subdist(quarter)
     assert interpret(prog.typed, prog.interp) == Subdist({k: w / 2 for k, w in quarter.items()})
+
+
+def test_elaborate_rejects_an_empty_carrier_built_by_hand():
+    # the grammar reads no empty carrier; a SourceProgram built directly can hold one
+    from arrowlang.parser import ReturnStmt, SourceProgram, TypeDecl, elaborate
+
+    with pytest.raises(ElaborationError) as exc:
+        elaborate(SourceProgram((TypeDecl("T", (), 1),), (), (ReturnStmt((), 2),)))
+    assert str(exc.value) == "line 1: type T has an empty carrier" and exc.value.line == 1
+
+
+def test_in_accepts_an_element_of_some_value_of_the_set_type():
+    prog = load_text("TYPE Door = {L, M, R}\nTYPE Port = {A, B}\nTYPE Ports = {{A}, {A, B}}\n"
+                     "d <- UNIFORM {L, M, R}\nports <- UNIFORM {{A}, {A, B}}\n"
+                     "OBSERVE(B IN ports)\nRETURN(ports)\n")
+    assert interpret(prog.typed, prog.interp) == Subdist({frozenset({"A", "B"}): Q(1, 2)})

@@ -225,3 +225,12 @@ def test_substitution_well_defined_under_axioms():
             f"substituted terms not related within 2 steps (axiom {which})"
         )
         checked += 1
+
+
+def test_oracle_rejects_an_open_program():
+    from arrowlang.errors import InvalidSubdistribution
+    from arrowlang.syntax import Return, typecheck
+
+    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Return(("x",)))
+    with pytest.raises(InvalidSubdistribution, match="^oracle needs a closed program$"):
+        oracle_denote(tt, Interpretation({"X": ("u",)}, {}))

@@ -548,3 +548,32 @@ def test_dollar_is_integer():
     # the order stays total: an integer before the $ amount of the same digits
     assert sorted([Dollar(3), 4, Dollar(2), 3], key=outcome_key) == [Dollar(2), 3, Dollar(3), 4]
     assert ket(Subdist({Dollar(3): Q(1, 2), 3: Q(1, 2)})) == "1/2|3> + 1/2|$3>"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: subdist.render_outcome(1.5), InvalidSubdistribution, "not an outcome: 1.5"),
+    (lambda: Subdist([("x", Q(1, 4)), ("x", Q(1, 4))]), InvalidSubdistribution,
+     "duplicate outcome 'x'"),
+    (lambda: uniform(["a", "b", "a"]), InvalidSubdistribution, "uniform requires distinct outcomes"),
+    (lambda: restrict(dirac("x"), lambda x: 1), PredicateTypeError,
+     "predicate returned non-boolean on 'x'"),
+    (lambda: kleisli_extend(lambda x: "y", dirac("x")), DomainError,
+     "channel produced non-subdistribution for 'x'"),
+])
+def test_public_edges_reject_what_they_cannot_use(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_restrict_passes_on_a_predicate_error_as_raised():
+    def pred(x):
+        raise PredicateTypeError("the predicate's own message")
+
+    with pytest.raises(PredicateTypeError, match="^the predicate's own message$"):
+        restrict(dirac("x"), pred)
+
+
+def test_failure_and_equality_with_a_non_subdist():
+    assert repr(FAILURE) == "Failure"
+    assert (dirac("x") == "x") is False and dirac("x") != "x"

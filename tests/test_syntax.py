@@ -12,11 +12,12 @@ from arrowlang import syntax
 from arrowlang.errors import (
     NonFreshOutput,
     NotApplicable,
+    PredicateTypeError,
     TypeMismatch,
     UnboundVariable,
     UnknownGenerator,
 )
-from arrowlang.parser import load_text
+from arrowlang.parser import SAtom, load_text
 from arrowlang.proptest import GenBudget, gen_term, oracle_denote
 from arrowlang.semantics import interpret
 from arrowlang.subdist import Subdist
@@ -220,13 +221,15 @@ def _sailor_observing(pred, guide: str = "guide"):
     (Atom("==", "x", "x"), "not a predicate atom: Atom(op='==', left='x', right='x')"),
     ("junk", "not a predicate atom: 'junk'"),
     (("=", "x", "x"), "not a predicate atom: ('=', 'x', 'x')"),
+    (SAtom("=", "x", "H"), "not a predicate atom: SAtom(op='=', left='x', right='H')"),
 ])
 def test_typing_rejects_a_predicate_entry_the_engine_cannot_evaluate(entry, message):
+    # the entry is rejected where the observe is built, so neither the
+    # typing rule nor the engine nor the oracle ever meets it
     ok = Atom("=", "x", PLit("H", "Coin"))
     for pred in ((entry,), (ok, entry)):
-        term = Sample(COIN, (), ("x",), ObservePred(pred, Return(("x",))))
-        with pytest.raises(TypeMismatch) as caught:
-            typecheck(SIG, (), term)
+        with pytest.raises(PredicateTypeError) as caught:
+            ObservePred(pred, Return(("x",)))
         assert str(caught.value) == message
     # typing knows no carriers: IN over a variable of a symbol type is the engine's to reject
     term = Sample(COIN, (), ("x",), ObservePred((Atom("IN", PLit("H", "Coin"), "x"),),
@@ -438,3 +441,30 @@ def test_ten_thousand_statement_rewrites_at_default_recursion_limit(monkeypatch)
         assert typecheck(tt.sig, tt.ctx, rewritten).out_types == tt.out_types
         want = [*texts[:last], *map(render_statement, expected[which, direction]), *texts[last + 2 :]]
         assert [render_statement(h) for h in statements(rewritten)[0]] == want
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Signature(frozenset({"Coin"}), {"g": Generator("g", ("Coin",), ("Die",))}),
+     UnknownGenerator, "generator g uses undeclared type Die"),
+    (lambda: typecheck(SIG, (), ObservePred((Atom("=", "y", PLit("H", "Coin")),), Return(()))),
+     UnboundVariable, "variable y not in scope"),
+    (lambda: typecheck(SIG, (("x", "Coin"),), Observe("x", "y", Return(("x",)))),
+     UnboundVariable, "variable y not in scope in OBSERVE(x = y)"),
+    (lambda: typecheck(SIG, (), "junk"), TypeMismatch, "not a term node: 'junk'"),
+    (lambda: typecheck(SIG, (("x", "Coin"), ("x", "Coin")), Return(("x",))), NonFreshOutput,
+     "duplicate context variable x"),
+    (lambda: typecheck(SIG, (("x", "Die"),), Return(("x",))), UnknownGenerator,
+     "context uses undeclared type Die"),
+    (lambda: substitute(Return(("x",)), "x", "u", (("x", "Coin"),)), UnboundVariable,
+     "x or u not in the ambient context"),
+])
+def test_signature_typing_and_substitution_reject_bad_arguments(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_alpha_eq_is_false_for_contexts_of_other_types_and_for_non_terms():
+    assert not alpha_eq(Return(("x",)), Return(("y",)), (("x", "Coin"),), (("y", "Door"),))
+    assert alpha_eq(Return(("x",)), Return(("y",)), (("x", "Coin"),), (("y", "Coin"),))
+    assert not alpha_eq("junk", "junk")
