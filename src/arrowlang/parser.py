@@ -31,8 +31,9 @@ variables and extra ket variables, which are resolved by enumeration
 over the carrier.  Every row's ket is checked once, when its table is
 declared, whether or not an input reaches it.  Each input combination
 takes the first row that matches it and whose conditions can be met;
-rows whose patterns are all literals, with no ``IF``, are looked up by
-their values, and the other rows are scanned in order.  A row whose ket
+a literal row (values only, no ``IF``) is looked up by its values, and
+checked and built by one walk over its ket, with the same behaviour and
+messages, and the other rows are scanned in order.  A row whose ket
 names no extra variable takes the first assignment that meets its
 conditions; otherwise every such assignment must give the same row.
 """
@@ -362,7 +363,16 @@ class _Parser:
         return tuple(entries)
 
     def parse_row(self) -> CaseRow:
-        pattern = self.parse_pattern()
+        toks, idents, pos = self.toks, self.idents, self.pos  # a pattern of names is read here
+        paren = toks[pos] == "("
+        end = pos + paren  # the pattern's last name, if it is one
+        while paren and toks[end] in idents and toks[end + 1] == ",":
+            end += 2
+        if toks[end] in idents and (not paren or toks[end + 1] == ")"):
+            pattern = tuple(toks[pos + paren:end + 1:2])
+            self.pos, self.tok = end + 1 + paren, toks[end + 1 + paren]
+        else:  # parse_pattern reads any other pattern and places its errors
+            pattern = self.parse_pattern()
         self.expect("->")
         ket = self.parse_ket()
         conditions = []
@@ -644,6 +654,19 @@ class _RowMatcher:
         if len(row.pattern) != len(input_types):
             raise ElaborationError(
                 f"pattern arity {len(row.pattern)} does not match {len(input_types)} inputs")
+        # the ket as integer numerators over the lcm of its weights' denominators
+        self.den = den = lcm(*[den for (_, den), _ in row.ket])
+        self.key = None  # the pattern of a literal row (values only, no IF), looked up by it
+        if not row.conditions and all(v != "_" and v in carriers[t]
+                                      for v, t in zip(row.pattern, input_types)):
+            # one walk over its ket: the numerators per outcome, zero sums kept, and the arities
+            self.key, self.names, self.ket = row.pattern, {}, row.ket  # its ket read for values only
+            self.nums, self.arities = nums, arities = {}, set()
+            for (num, d), values in row.ket:
+                arities.add(len(values))
+                x = values[0] if len(values) == 1 else values
+                nums[x] = nums.get(x, 0) + num * (den // d)
+            return
         # classify pattern entries; names that denote carrier values are literals
         self.literals: list[tuple[int, Outcome]] = []
         self.variables: list[tuple[int, str]] = []
@@ -687,14 +710,9 @@ class _RowMatcher:
         self.checks: list[list] = [[] for _ in range(len(self.extra_names) + 1)]
         for a, b in row.conditions:
             self.checks[max(depth.get(a, 0), depth.get(b, 0))].append((a, b))
-        # the ket as integer numerators over the lcm of its weights' denominators
-        self.den = den = lcm(*[den for (_, den), _ in row.ket])
         self.ket = [(num * (den // d), values) for (num, d), values in row.ket]
         # a row whose ket names no extra variable takes the first assignment
         self.ket_extras = bool(depth) and any(v in depth for _, values in self.ket for v in values)
-        # the literal tuple that a pattern of literals only, with no IF, is looked up by
-        self.key = (tuple([value for _, value in self.literals])
-                    if len(self.literals) == len(row.pattern) and not row.conditions else None)
 
     def bind(self, combo: tuple):
         """Match the pattern against concrete values; None when it fails."""
@@ -707,13 +725,15 @@ class _RowMatcher:
                 return None
         return bound
 
-    def check(self, out_types: tuple[str, ...], carriers: dict) -> None:
+    def check(self, out_types: tuple[str, ...], members: dict) -> None:
         """Check the ket against the outputs, once, whether or not any input
         reaches the row: its arity, that each name is a variable of the
-        output's type or a value of it, and a mass of at most 1.  A ket that
-        names no variable is the row itself, ``row``, built here once."""
-        names, named, mass = self.names, False, 0
-        for n, values in self.ket:
+        output's type or a value of it (in ``members``, by type), and a mass of
+        at most 1.  A ket that names no variable is ``row``, built here once."""
+        names, named = self.names, False
+        one = self.key is not None and self.arities == {1} == {len(out_types)}  # literal, one output
+        # such a row is checked by one test of its values, any other monomial by monomial
+        for _, values in () if one and members[out_types[0]].issuperset(self.nums) else self.ket:
             if len(values) != len(out_types):
                 raise ElaborationError(f"ket arity {len(values)} does not match outputs")
             for v, tname in zip(values, out_types):
@@ -721,13 +741,14 @@ class _RowMatcher:
                     if names[v] != tname:
                         raise ElaborationError(f"ket variable {v} is {names[v]}, not {tname}")
                     named = True
-                elif v not in carriers[tname]:
+                elif v not in members[tname]:
                     raise ElaborationError(f"{v} is neither a variable nor a value of {tname}"
                                            if isinstance(v, str) else f"{_src_value(v)} not in {tname}")
-            mass += n
-        if mass > self.den:
+        nums = self.nums if self.key is not None else None if named else self._numerators({})
+        if (sum(n for n, _ in self.ket) if nums is None else sum(nums.values())) > self.den:
             raise ElaborationError("row mass exceeds 1")
-        self.row = None if named else Subdist._of_numerators(self._numerators({}).items(), self.den)
+        self.row = None if nums is None else Subdist._of_numerators(
+            [(x, n) for x, n in nums.items() if n], self.den)
 
     def _numerators(self, env: dict[str, Outcome]) -> dict:
         """The row's outcomes under ``env`` with their nonzero numerators over ``den``."""
@@ -795,8 +816,9 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
     """
     scanned = []
     index: dict = {}  # literal tuple -> (number of rows scanned before it, its matcher)
+    members = {t: frozenset(carriers[t]) for t in out_types}
     for matcher in matchers:
-        matcher.check(out_types, carriers)
+        matcher.check(out_types, members)
         if matcher.key is None:
             scanned.append(matcher)
         else:
@@ -822,6 +844,9 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
 def _infer_case_output_type(matchers, carriers: dict) -> str:
     votes, literal_values = set(), set()  # the types of the ket variables; the other values
     for matcher in matchers:
+        if matcher.key is not None and matcher.arities == {1}:  # a literal row: values only
+            literal_values.update(matcher.nums)
+            continue
         for _, values in matcher.ket:
             if len(values) != 1:
                 raise ElaborationError("CASE kets must have exactly one value")
@@ -912,7 +937,10 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             sets = carriers[scope[right]]
             if not all(isinstance(v, frozenset) for v in sets):
                 raise ElaborationError(f"{right} is not set-valued")
-            element = PLit(left, _unique_type_for([left], carriers, _src_value(left)))
+            elements = set().union(*sets)  # typed as these when one declared type holds them all
+            holders = [t for t, carrier in carriers.items() if elements.issubset(carrier)]
+            element = PLit(left, holders[0] if len(holders) == 1
+                           else _unique_type_for([left], carriers, _src_value(left)))
             if not any(left in v for v in sets):
                 raise ElaborationError(f"{_src_value(left)} is in no value of {scope[right]}")
             return Atom("IN", element, right)

@@ -913,3 +913,43 @@ def test_deeply_nested_set_is_a_parse_error(tmp_path, capsys):
     bad.write_text(f"TYPE A = {{{value}}}\nx <- UNIFORM {{{value}}}\nRETURN(x)\n")
     code, out, err = run_cli(capsys, "run", str(bad))
     assert (code, out, err) == (1, "", "error: 1:111: set values nested more than 100 deep\n")
+
+
+def test_in_element_takes_its_type_from_the_set_variable(tmp_path, capsys):
+    # `a` is a value of both T and V; the sets of S hold only values of T
+    path = tmp_path / "in.arrow"
+    path.write_text("TYPE T = {a, b}\nTYPE V = {a, c}\nTYPE S = {{a}, {b}}\n"
+                    "s <- UNIFORM {{a}, {b}}\nOBSERVE(a IN s)\nRETURN(s)\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, err) == (0, "")
+    assert out == "Final: 1/2|{a}>\nValidity: 1/2\nPosterior: 1|{a}>\n"
+    # no one type holds every element of S's sets: `a` is typed as any value
+    path.write_text("TYPE T = {a}\nTYPE U = {b}\nTYPE S = {{a}, {b}}\n"
+                    "s <- UNIFORM {{a}, {b}}\nOBSERVE(a IN s)\nRETURN(s)\n")
+    assert run_cli(capsys, "run", str(path)) == (0, out, "")
+
+
+def _perfbench_programs():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_programs",
+                                                  ROOT / "perfbench" / "programs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("family, size", [("doors", 3), ("doors", 5), ("doors", 8), ("chain", 8),
+                                          ("evidence", 4)])
+def test_pretty_layout_loads_and_runs_as_the_source(tmp_path, capsys, family, size):
+    import random
+
+    text, _, _ = getattr(_perfbench_programs(), family)(size, random.Random(size))
+    printed = pretty(parse(text))
+    assert printed != text  # pretty writes each CASE row on its own line
+    assert load_text(printed).interp.kernels == load_text(text).interp.kernels
+    outputs = []
+    for name, source in (("source.arrow", text), ("pretty.arrow", printed)):
+        (tmp_path / name).write_text(source)
+        outputs.append(run_cli(capsys, "run", str(tmp_path / name)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0

@@ -933,6 +933,80 @@ def test_row_with_no_variables_is_built_once(monkeypatch):
     assert ket(table["d3", "d5"]) == "1/2|d1> + 1/2|d2>"
 
 
+def test_literal_rows_are_built_by_one_walk(monkeypatch):
+    from arrowlang import parser
+
+    calls = []
+    numerators = parser._RowMatcher._numerators
+    monkeypatch.setattr(parser._RowMatcher, "_numerators",
+                        lambda self, env: calls.append("_numerators") or numerators(self, env))
+    collapse_values = parser.collapse_values
+    monkeypatch.setattr(parser, "collapse_values",
+                        lambda values: calls.append("collapse_values") or collapse_values(values))
+    load_text(_doors_source(8))
+    assert calls == []
+
+
+LITERAL_TYPES = "TYPE A = {a0, a1, a2}\nTYPE B = {b0, b1}\nTYPE V = {v0, v1, 7, $7, {v0}}\n"
+LITERAL_VALUES = {"A": ("a0", "a1", "a2"), "B": ("b0", "b1"),
+                  "V": ("v0", "v1", 7, Dollar(7), frozenset({"v0"}))}
+
+
+def _literal_rows(rng, inputs: tuple, outputs: tuple) -> tuple[list[str], dict]:
+    """Literal rows covering every combination of ``inputs``, in a random
+    order, some patterns repeated with another ket, and the kernel they
+    should load as, built with the public `Subdist` constructor: the first
+    row of a pattern wins, repeated outcomes of a ket sum, and a zero
+    weight is dropped."""
+    from itertools import product
+
+    from arrowlang.parser import _src_value
+
+    combos = list(product(*(LITERAL_VALUES[t] for t in inputs)))
+    patterns = combos + rng.sample(combos, rng.randint(0, len(combos)))
+    rng.shuffle(patterns)
+    rows, kernel = [], {}
+    for combo in patterns:
+        den = rng.randint(1, 6)
+        budget, terms, weights = den, [], {}
+        for _ in range(rng.randint(1, 4)):
+            num = rng.choice((0, rng.randint(0, budget)))
+            budget -= num
+            values = tuple(rng.choice(LITERAL_VALUES[t]) for t in outputs)
+            terms.append(f"{num}/{den}|{','.join(map(_src_value, values))}>")
+            x = values[0] if len(values) == 1 else values
+            weights[x] = weights.get(x, 0) + Q(num, den)
+        entries = ", ".join(map(_src_value, combo))
+        rows.append(f"({entries}) -> " + " + ".join(terms) if len(combo) > 1
+                    else f"{entries} -> " + " + ".join(terms))
+        kernel.setdefault(combo, Subdist(weights))
+    return rows, kernel
+
+
+def test_literal_tables_match_an_independent_reference():
+    import random
+
+    rng = random.Random(23)
+    for trial in range(60):
+        inputs = ("A", "B")[:rng.randint(1, 2)]
+        case = trial % 2 == 0
+        outputs = ("V",) if case else ("V", "A")[:rng.randint(1, 2)]
+        rows, kernel = _literal_rows(rng, inputs, outputs)
+        wildcard = "_" if len(inputs) == 1 else "(_, _)"
+        catch_all = f"{wildcard} -> 1|{', '.join(LITERAL_VALUES[t][0] for t in outputs)}>"
+        for table in (rows, rows + [catch_all]):
+            if case:
+                scrutinee = "x" if len(inputs) == 1 else "(x, y)"
+                text = (LITERAL_TYPES + "x <- UNIFORM {a0, a1, a2}\ny <- UNIFORM {b0, b1}\n"
+                        f"z <- CASE {scrutinee} OF " + "; ".join(table) + "\nRETURN(z)\n")
+                name = "__case3"
+            else:
+                text = (LITERAL_TYPES + f"GEN g : {', '.join(inputs)} -> {', '.join(outputs)} =\n  "
+                        + "\n  ".join(table) + "\nRETURN()\n")
+                name = "g"
+            assert load_text(text).interp.kernels[name] == kernel, text
+
+
 def test_conflicting_extra_variables_fail_at_the_first_difference(monkeypatch):
     from arrowlang import parser
 
@@ -1091,6 +1165,17 @@ ELABORATION_ERRORS = [
      "RETURN(m)\n", 4, "line 4: no declared type contains the CASE kets"),
     ("TYPE M = {$0, $3}\nx <- UNIFORM {$0, $3}\nOBSERVE(x = 3)\nRETURN(x)\n", 3,
      "line 3: 3 is not a value of M"),
+    # literal rows (values only, no IF) and other rows in one table: the
+    # first bad row in row order is reported, whichever kind it is
+    ("TYPE Door = {L, M, R}\nx <- UNIFORM {L, M, R}\ny <- UNIFORM {L, M, R}\n"
+     "z <- CASE (x, y) OF\n  (a, b) -> 1|c> IF a != b AND b != c AND c != a\n  (L, L) -> 1|Q>\n"
+     "  (_, _) -> 1|L>\nRETURN(z)\n", 4, "line 4: Q is neither a variable nor a value of Door"),
+    ("TYPE Door = {L, M, R}\nx <- UNIFORM {L, M, R}\ny <- UNIFORM {L, M, R}\n"
+     "z <- CASE (x, y) OF (L, L) -> 1|L> + 1|M>; (a, b) -> 1/2|a> + 1/2|Q> IF a != b; (_, _) -> 1|L>\n"
+     "RETURN(z)\n", 4, "line 4: row mass exceeds 1"),
+    ("TYPE Door = {L, M, R}\nGEN g : Door -> Door, Door =\n  a -> 1|a, a>\n  L -> 1|M>\n"
+     "x <- UNIFORM {L, M, R}\ny, z <- g(x)\nRETURN(y, z)\n", 2,
+     "line 2: generator g: ket arity 1 does not match outputs"),
 ]
 
 
