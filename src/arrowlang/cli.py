@@ -133,7 +133,7 @@ def _declared_gens(p: Program) -> dict[str, Generator]:
 
 def _compatible(a: Program, b: Program) -> bool:
     for tname in sorted(set(a.interp.carriers) & set(b.interp.carriers)):
-        if tuple(a.interp.carriers[tname]) != tuple(b.interp.carriers[tname]):
+        if set(a.interp.carriers[tname]) != set(b.interp.carriers[tname]):  # order is free
             print(f"error: type {tname} has different carriers", file=sys.stderr)
             return False
     gens_a, gens_b = _declared_gens(a), _declared_gens(b)
@@ -217,6 +217,9 @@ def cmd_eq(args) -> int:
 
 def cmd_corpus(args) -> int:
     root = Path(args.dir)
+    if not root.is_dir():
+        print(f"error: {root} is not a directory", file=sys.stderr)
+        return 1
     programs = sorted(root.glob("*.arrow"))
     if not programs:
         print(f"warning: no .arrow files in {root}", file=sys.stderr)

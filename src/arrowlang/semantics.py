@@ -10,16 +10,18 @@ line, exactly as the worked puzzles compute it.  Every other caller
 records nothing, so it plans the term once first: each observe moves to
 just after the sample that binds its last variable, and after each step
 every variable that no later statement and no return reads is summed
-out (variable elimination).  Both moves leave the result unchanged and
-keep the state small.
+out (variable elimination); a sample output that nothing reads is summed
+out of the kernel row and never becomes a column.  These moves leave the
+result unchanged and keep the state small.
 
 An open term denotes a channel, one subdistribution per input
-environment, and one run tabulates it: the state starts with every
-environment, weight 1 each, in the input columns, which are never summed
-out, and splits by them at the end.  `interpret` runs it on one
-environment; a closed program has no input columns.  The
-world-enumeration oracle in `proptest` shares no code with this engine,
-so it can cross-check it.
+environment, and one run tabulates it.  A channel is constant along an
+input that nothing reads, so such inputs are not enumerated: the state
+starts with each distinct value of the inputs read, weight 1 each, in
+their columns, which are never summed out, and splits by them at the
+end.  `interpret` runs it on one environment; a closed program has no
+input columns.  The world-enumeration oracle in `proptest` shares no
+code with this engine, so it can cross-check it.
 
 Inside the engine every weight is an integer numerator over one
 denominator shared by the whole state, so a step multiplies, filters or
@@ -51,7 +53,6 @@ from .syntax import (
     Term,
     TypedTerm,
     TypeName,
-    binds,
     reads,
     render_statement,
     statements,
@@ -169,13 +170,15 @@ def _kernel_row(interp: Interpretation, gen: Generator,
     return denom, [(outs_tuple(x, arity), n) for x, n in row]
 
 
-def _step(state: dict, denom: int, layout: list[str], node: Term,
-          interp: Interpretation, rows: RowCache) -> tuple[dict, int]:
+def _step(state: dict, denom: int, layout: list[str], node: Term, kept: tuple | None,
+          interp: Interpretation, rows: RowCache, margins: dict) -> tuple[dict, int]:
     """Apply one statement to a joint state over ``denom``.
 
     Sampling tensors the kernel row onto every monomial, puts the state
     over ``denom`` times the lcm of the rows it used, and appends the
     outputs to ``layout``; an observe keeps the monomials satisfying it.
+    ``kept``, when not None, lists the sample's output positions to keep:
+    the row is first summed onto them, once per run in ``margins``.
     """
     if isinstance(node, Sample):
         picks = [layout.index(a) for a in node.args]
@@ -189,11 +192,16 @@ def _step(state: dict, denom: int, layout: list[str], node: Term,
             else:
                 group.append(item)
         converted = rows.setdefault(node.gen.name, {})
+        summed = converted if kept is None else margins.setdefault((node.gen.name, kept), {})
         used = []
         for args, members in groups.items():
-            entry = converted.get(args)
+            entry = summed.get(args)
             if entry is None:
-                entry = converted[args] = _kernel_row(interp, node.gen, args)
+                entry = converted.get(args)
+                if entry is None:
+                    entry = converted[args] = _kernel_row(interp, node.gen, args)
+                if kept is not None:
+                    entry = summed[args] = (entry[0], list(_project(dict(entry[1]), kept).items()))
             used.append((entry, members))
         scale = math.lcm(*[row_denom for (row_denom, _), _ in used])
         out: dict = {}
@@ -205,7 +213,7 @@ def _step(state: dict, denom: int, layout: list[str], node: Term,
             for values, w in members:
                 for outs, n in row:
                     out[values + outs] = w * n
-        layout.extend(node.outs)
+        layout.extend(node.outs if kept is None else [node.outs[i] for i in kept])
         return out, denom * scale
     if isinstance(node, Observe):
         i, j = layout.index(node.left), layout.index(node.right)
@@ -231,45 +239,50 @@ def _reduce(state: dict, denom: int) -> tuple[dict, int]:
     return {values: w // g for values, w in state.items()}, denom // g
 
 
-# A schedule pairs each statement with the variables summed out after it.
-Schedule = list[tuple[Term, set[str]]]
+# A schedule pairs each statement with the variables summed out after it,
+# and a sample with the positions of its outputs that some later statement
+# or the return reads (None: all of them); the others never become columns.
+Schedule = list[tuple[Term, set[str], tuple | None]]
 
 
-def _plan(term: Term, inputs: list[str]) -> tuple[Schedule, Return]:
-    """Schedule a term for evaluation that records no intermediate state.
+def _plan(term: Term, inputs: list[str]) -> tuple[tuple[Schedule, Return], list[str]]:
+    """Schedule a term for evaluation that records no intermediate state,
+    and list the inputs that some statement or the return reads.
 
     Each observe moves to just after the sample that binds the last
     variable it reads; samples keep their order.  Each statement is paired
-    with the variables that it binds or reads and that no later statement
-    and no return reads; the engine sums them out after the step.  Inputs
-    are never summed out: they index the channel the run tabulates.
-    Neither move changes the result: an observe commutes with a sample
-    whose outputs it does not read (the interchange law of `syntax`), and
-    summing out a column preserves mass.
+    with the variables that it reads and that no later statement and no
+    return reads, and each sample with its outputs that some do; the
+    engine sums the first out after the step and the rest out of the
+    kernel row.  Inputs are never summed out: they index the channel the
+    run tabulates.  No move changes the result: an observe commutes with
+    a sample whose outputs it does not read (the interchange law of
+    `syntax`), and summing out a column or a row's outputs keeps mass.
     """
     heads, ret = statements(term)
     # slots[k], k >= 1: the k-th sample, then the observes placed after it
-    slots: list[list[tuple[Term, set[str]]]] = [[]]
+    slots: list[list[tuple[Term, set[str], tuple]]] = [[]]
     bound = dict.fromkeys(inputs, 0)
     for node in heads:
         read = reads(node)
         if isinstance(node, Sample):
             bound.update(dict.fromkeys(node.outs, len(slots)))
-            slots.append([(node, read)])
+            slots.append([(node, read, node.outs)])
         else:
             # a variable not bound yet is out of scope: the observe stays
             # where it is and raises there
             slots[max((bound.get(x, len(slots) - 1) for x in read), default=0)].append(
-                (node, read))
-    live = set(ret.vars).union(inputs)
+                (node, read, ()))
+    # inputs stay out of `live`, so that it ends as the inputs read
+    live, ins = set(ret.vars), frozenset(inputs)
     steps: Schedule = []
-    for node, read in reversed([entry for slot in slots for entry in slot]):
-        outs = binds(node)
-        steps.append((node, read.union(outs) - live))
+    for node, read, outs in reversed([entry for slot in slots for entry in slot]):
+        kept = None if live.issuperset(outs) else tuple(i for i, x in enumerate(outs) if x in live)
+        steps.append((node, read.difference(live, ins), kept))
         live.difference_update(outs)
         live |= read
     steps.reverse()
-    return steps, ret
+    return (steps, ret), [x for x in inputs if x in live]
 
 
 # A record callback sees a statement and the state it produced, and
@@ -291,8 +304,9 @@ def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
     picks = list(range(len(layout)))
     denom, bound = 1, _REDUCE_ABOVE
     rows: RowCache = {}
-    for node, dead in steps:
-        state, denom = _step(state, denom, layout, node, interp, rows)
+    margins: dict = {}
+    for node, dead, kept in steps:
+        state, denom = _step(state, denom, layout, node, kept, interp, rows, margins)
         if dead:
             keep = [i for i, name in enumerate(layout) if name not in dead]
             state = _project(state, keep)
@@ -308,26 +322,30 @@ def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
     return record(ret, state, denom) if record else (state, denom)
 
 
-def _subdists(state: dict, denom: int, envs: list[tuple], width: int) -> dict[tuple, Subdist]:
+def _subdists(state: dict, denom: int, keys: list[tuple], width: int) -> dict[tuple, Subdist]:
     """The one exit from the engine: a Subdist over ``denom`` for each
-    input environment in ``envs``, as held in the state's first ``width``
-    columns.  An environment that no monomial is left for gets zero."""
-    split: dict[tuple, list] = {env: [] for env in envs}
+    key in ``keys``, as held in the state's first ``width`` columns.  A
+    key that no monomial is left for gets zero."""
+    split: dict[tuple, list] = {key: [] for key in keys}
     for values, w in state.items():
         split[values[:width]].append((collapse_values(values[width:]), w))
-    return {env: Subdist._of_numerators(entries, denom) for env, entries in split.items()}
+    return {key: Subdist._of_numerators(entries, denom) for key, entries in split.items()}
 
 
 def denoter(tt: TypedTerm) -> Callable[[Interpretation, list[tuple]], dict[tuple, Subdist]]:
     """Plan a typed term once; the result tabulates it under an
     interpretation at the given input environments, unchecked, in one run
-    that starts from each environment with weight 1 in the input columns."""
+    that starts from the distinct projections of the environments onto
+    the inputs read, each with weight 1 in those columns."""
     inputs = [name for name, _ in tt.ctx]
-    schedule = _plan(tt.term, inputs)
+    schedule, read = _plan(tt.term, inputs)
+    picks = [inputs.index(x) for x in read]
 
     def tabulate(interp: Interpretation, envs: list[tuple]) -> dict[tuple, Subdist]:
-        state, denom = _evaluate(schedule, list(inputs), dict.fromkeys(envs, 1), interp)
-        return _subdists(state, denom, envs, len(inputs))
+        keys = [tuple([env[i] for i in picks]) for env in envs]
+        state, denom = _evaluate(schedule, list(read), dict.fromkeys(keys, 1), interp)
+        results = _subdists(state, denom, keys, len(read))
+        return {env: results[key] for env, key in zip(envs, keys)}
     return tabulate
 
 
@@ -396,7 +414,7 @@ def trace(program: TypedTerm, interp: Interpretation,
         return state, denom
 
     heads, ret = statements(program.term)
-    _evaluate(([(node, set()) for node in heads], ret), [], {(): 1}, interp, record)
+    _evaluate(([(node, set(), None) for node in heads], ret), [], {(): 1}, interp, record)
     return lines, EvalResult.of(lines[-1].state)
 
 
@@ -405,7 +423,7 @@ def trace(program: TypedTerm, interp: Interpretation,
 
 def denote_channel(tt: TypedTerm, interp: Interpretation) -> dict[tuple, Subdist]:
     """`interpret` at every point of the input carrier product, in one run
-    that keeps the inputs as columns of the joint state to the end."""
+    that keeps the inputs read as columns of the joint state to the end."""
     return denoter(tt)(interp, list(product(*(interp.carrier(t) for _, t in tt.ctx))))
 
 

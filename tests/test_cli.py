@@ -254,12 +254,29 @@ def test_eq_with_zero_trials_needs_every_gen_tabled(tmp_path, capsys):
     assert run_cli(capsys, "eq", monty_hall, monty_fall, "--trials", "0")[0] == 3
 
 
+@pytest.mark.parametrize("declared, verdict", [
+    ("", "programs are equal: neither declares a GEN, "
+         "so the declared tables are their only interpretation\n"),
+    ("GEN g : T -> T\n", "programs agree under the 20 random interpretations\n"),
+])
+def test_eq_ignores_the_order_of_a_carrier(tmp_path, capsys, declared, verdict):
+    # the two files declare T with the same values in another order
+    body = "x <- UNIFORM {a, b}\n" + ("y <- g(x)\nRETURN(y)\n" if declared else "RETURN(x)\n")
+    paths = []
+    for side, values in (("left", "a, b"), ("right", "b, a")):
+        (tmp_path / f"{side}.arrow").write_text(f"TYPE T = {{{values}}}\n{declared}{body}")
+        paths.append(str(tmp_path / f"{side}.arrow"))
+    assert run_cli(capsys, "eq", *paths) == (0, verdict, "")
+
+
 @pytest.mark.parametrize("left, right, error", [
     ("TYPE T = {a, b}\nx <- UNIFORM {a, b}\nRETURN(x)\n",
      "TYPE T = {a, c}\nx <- UNIFORM {a, c}\nRETURN(x)\n", "type T has different carriers"),
     ("TYPE T = {a, b}\nGEN g : T -> T\nx <- UNIFORM {a, b}\ny <- g(x)\nRETURN(y)\n",
      "TYPE T = {a, b}\nGEN g : () -> T\ny <- g()\nRETURN(y)\n",
      "generator g declared with different types"),
+    ("TYPE T = {3}\nx <- UNIFORM {3}\nRETURN(x)\n",
+     "TYPE T = {$3}\nx <- UNIFORM {$3}\nRETURN(x)\n", "type T has different carriers"),
 ])
 def test_eq_of_programs_that_disagree_on_a_declaration_exits_one(tmp_path, capsys,
                                                                   left, right, error):
@@ -614,6 +631,14 @@ def test_corpus_empty_dir_warns(tmp_path, capsys):
     code, out, err = run_cli(capsys, "corpus", str(tmp_path))
     assert code == 0
     assert "warning" in err
+
+
+def test_corpus_on_a_path_that_is_not_a_directory_exits_one(tmp_path, capsys):
+    program = tmp_path / "p.arrow"
+    program.write_text("TYPE T = {a}\nx <- UNIFORM {a}\nRETURN(x)\n")
+    for path in (tmp_path / "missing", program):
+        assert run_cli(capsys, "corpus", str(path)) == (
+            1, "", f"error: {path} is not a directory\n")
 
 
 # -- programs whose joint state would not fit in memory -----------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from arrowlang import semantics
 from arrowlang.errors import NotApplicable
 from arrowlang.parser import load_file
 from arrowlang.proptest import (
@@ -24,12 +25,14 @@ from arrowlang.subdist import Dollar, Subdist
 from arrowlang.syntax import (
     Generator,
     Observe,
+    Return,
     Sample,
     Signature,
     alpha_eq,
     applicable_steps,
     axiom_step,
     from_statements,
+    reads,
     statements,
     substitute,
     typecheck,
@@ -159,7 +162,7 @@ def test_open_channels_match_the_oracle_at_every_environment():
     # the oracle enumerates worlds of one closed program per environment;
     # the engine tabulates the open term in one run
     rng = random.Random(7)
-    open_terms = envs = emptied = 0
+    open_terms = envs = emptied = unread_inputs = unread_outputs = 0
     while open_terms < 200:
         sig, ctx, term = gen_term(BUDGET, rng)
         tt = typecheck(sig, ctx, term)
@@ -171,7 +174,100 @@ def test_open_channels_match_the_oracle_at_every_environment():
         open_terms += len(ctx) > 0
         envs += len(chan) if ctx else 0
         emptied += sum(result.is_zero() for result in chan.values()) if ctx else 0
+        # the run enumerates only the inputs read, and never makes a column
+        # of a sample output that nothing reads
+        heads, ret = statements(term)
+        read = set(ret.vars).union(*map(reads, heads))
+        unread_inputs += any(name not in read for name, _ in ctx)
+        unread_outputs += any(x not in read for h in heads if isinstance(h, Sample)
+                              for x in h.outs)
     assert envs >= 1_000 and emptied >= 200
+    assert unread_inputs >= 50 and unread_outputs >= 50
+
+
+# -- a run carries only what is read -------------------------------------------------
+
+
+def _count_steps(monkeypatch):
+    """Record each engine step: the sampled generator (None for an observe),
+    the monomials before and after it, and the columns after it."""
+    steps = []
+    step = semantics._step
+
+    def counting_step(state, denom, layout, node, *rest):
+        out = step(state, denom, layout, node, *rest)
+        gen = node.gen.name if isinstance(node, Sample) else None
+        steps.append((gen, len(state), len(out[0]), list(layout)))
+        return out
+
+    monkeypatch.setattr(semantics, "_step", counting_step)
+    return steps
+
+
+def test_unread_inputs_are_not_enumerated(monkeypatch):
+    # y <- noisy(x); RETURN(y) over x and k inputs that nothing reads: the
+    # run starts from the 3 values of x, not from 3**(k+1) environments
+    steps = _count_steps(monkeypatch)
+    noisy = Generator("noisy", ("X",), ("X",))
+    sig = Signature(frozenset({"X"}), {"noisy": noisy})
+    rows = {("a",): {"a": Q(1, 2), "b": Q(1, 4)}, ("b",): {"b": Q(1)},
+            ("c",): {"a": Q(1, 3), "b": Q(1, 3), "c": Q(1, 3)}}
+    interp = Interpretation({"X": ("a", "b", "c")},
+                            {"noisy": {args: Subdist(row) for args, row in rows.items()}})
+    peaks = []
+    for k in (6, 7):
+        ctx = (("x", "X"),) + tuple((f"u{i}", "X") for i in range(k))
+        tt = typecheck(sig, ctx, Sample(noisy, ("x",), ("y",), Return(("y",))))
+        steps.clear()
+        chan = denote_channel(tt, interp)
+        peaks.append(max(after for _, _, after, _ in steps))
+        assert set(chan) == set(product(*(interp.carrier(t) for _, t in ctx)))
+        for env, result in chan.items():  # the closed form: noisy's row at x
+            assert result == Subdist(rows[env[:1]])
+    assert peaks == [6, 6]  # 3 ** (k + 1) and more when every input is a column
+    for env, result in chan.items():
+        assert interpret(tt, interp, env) == result
+
+
+def test_a_sample_nothing_reads_scales_by_its_row_mass(monkeypatch):
+    # z <- noise() with a 3-outcome row of mass 3/4 that nothing reads: the
+    # step keeps the state's monomials and scales them, and is never dropped
+    steps = _count_steps(monkeypatch)
+    coin = Generator("coin", (), ("X",))
+    noise = Generator("noise", (), ("X",))
+    sig = Signature(frozenset({"X"}), {"coin": coin, "noise": noise})
+    interp = Interpretation({"X": ("a", "b", "c")}, {
+        "coin": {(): Subdist({"a": Q(1, 2), "b": Q(1, 2)})},
+        "noise": {(): Subdist({"a": Q(1, 4), "b": Q(1, 4), "c": Q(1, 4)})}})
+    term = Sample(coin, (), ("x",), Sample(noise, (), ("z",), Return(("x",))))
+    tt = typecheck(sig, (), term)
+    result = interpret(tt, interp)
+    assert [(gen, before, after) for gen, before, after, _ in steps] == [
+        ("coin", 1, 2), ("noise", 2, 2)]
+    assert result == oracle_denote(tt, interp) == Subdist({"a": Q(3, 8), "b": Q(3, 8)})
+    # a row of mass 0 empties the state
+    empty = Interpretation(interp.carriers, {**interp.kernels, "noise": {(): Subdist({})}})
+    assert interpret(tt, empty).is_zero() and oracle_denote(tt, empty).is_zero()
+
+
+def test_only_the_live_output_of_a_sample_becomes_a_column(monkeypatch):
+    # x: X; a, b <- pair(x); OBSERVE(a = x); RETURN(a): b is summed out of
+    # the row, so the step adds one column
+    steps = _count_steps(monkeypatch)
+    pair = Generator("pair", ("X",), ("X", "X"))
+    sig = Signature(frozenset({"X"}), {"pair": pair})
+    rng = random.Random(11)
+    carriers = {"X": ("a", "b", "c")}
+    table = {(v,): Subdist({(p, q): Q(rng.randint(0, 2), 18) for p in carriers["X"]
+                            for q in carriers["X"]}) for v in carriers["X"]}
+    interp = Interpretation(carriers, {"pair": table})
+    term = Sample(pair, ("x",), ("a", "b"), Observe("a", "x", Return(("a",))))
+    tt = typecheck(sig, (("x", "X"),), term)
+    chan = denote_channel(tt, interp)
+    assert steps[0][0] == "pair" and steps[0][3] == ["x", "a"]
+    assert set(chan) == {("a",), ("b",), ("c",)}
+    for env, result in chan.items():
+        assert oracle_denote(*_closed_at(tt, interp, env)) == result
 
 
 # -- substitution respects the axioms (bounded search) ------------------------------
