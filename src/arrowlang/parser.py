@@ -27,15 +27,15 @@ a literal; ``_`` in a pattern is the wildcard.
 
 CASE patterns are literals, ``_`` wildcards, or variables; repeated
 variables force equality and ``IF`` inequalities constrain both pattern
-variables and extra ket variables, which are resolved by enumeration
-over the carrier.  Every row's ket is checked once, when its table is
+variables and extra ket variables (an extra named like a value of its
+type is an error), which are resolved by enumeration over the carrier.
+Every row's ket is read by one walk and checked once, when its table is
 declared, whether or not an input reaches it.  Each input combination
-takes the first row that matches it and whose conditions can be met;
-a literal row (values only, no ``IF``) is looked up by its values, and
-checked and built by one walk over its ket, with the same behaviour and
-messages, and the other rows are scanned in order.  A row whose ket
-names no extra variable takes the first assignment that meets its
-conditions; otherwise every such assignment must give the same row.
+takes the first row that matches it and whose conditions can be met; a
+literal row (values only, no ``IF``) skips only the pattern set-up and
+is looked up by its values, and the other rows are scanned in order.  A
+row whose ket names no extra variable takes the first assignment that
+meets its conditions; otherwise every such assignment must give the same row.
 """
 
 from __future__ import annotations
@@ -654,18 +654,19 @@ class _RowMatcher:
         if len(row.pattern) != len(input_types):
             raise ElaborationError(
                 f"pattern arity {len(row.pattern)} does not match {len(input_types)} inputs")
-        # the ket as integer numerators over the lcm of its weights' denominators
+        # the ket in one walk: integer numerators over the lcm of its weights'
+        # denominators, per outcome as written (names unresolved, zero sums
+        # kept), and the arities of its monomials
         self.den = den = lcm(*[den for (_, den), _ in row.ket])
+        self.nums, self.arities = nums, arities = {}, set()
+        for (num, d), values in row.ket:
+            arities.add(len(values))
+            x = values[0] if len(values) == 1 else values
+            nums[x] = nums.get(x, 0) + num * (den // d)
         self.key = None  # the pattern of a literal row (values only, no IF), looked up by it
         if not row.conditions and all(v != "_" and v in carriers[t]
                                       for v, t in zip(row.pattern, input_types)):
-            # one walk over its ket: the numerators per outcome, zero sums kept, and the arities
-            self.key, self.names, self.ket = row.pattern, {}, row.ket  # its ket read for values only
-            self.nums, self.arities = nums, arities = {}, set()
-            for (num, d), values in row.ket:
-                arities.add(len(values))
-                x = values[0] if len(values) == 1 else values
-                nums[x] = nums.get(x, 0) + num * (den // d)
+            self.key, self.names = row.pattern, {}  # it needs no pattern set-up
             return
         # classify pattern entries; names that denote carrier values are literals
         self.literals: list[tuple[int, Outcome]] = []
@@ -701,6 +702,8 @@ class _RowMatcher:
         for name in extras:
             if names[name] is None:
                 raise ElaborationError(f"cannot infer a type for variable {name}")
+            if name in carriers[names[name]]:  # IF compares variables, not a variable with a value
+                raise ElaborationError(f"{name} in IF is a value of {names[name]}, not a variable")
         # the extra variables in the order they are enumerated, and their carriers
         self.extra_names = sorted(set(extras))
         self.spaces = [carriers[names[name]] for name in self.extra_names]
@@ -710,9 +713,9 @@ class _RowMatcher:
         self.checks: list[list] = [[] for _ in range(len(self.extra_names) + 1)]
         for a, b in row.conditions:
             self.checks[max(depth.get(a, 0), depth.get(b, 0))].append((a, b))
-        self.ket = [(num * (den // d), values) for (num, d), values in row.ket]
         # a row whose ket names no extra variable takes the first assignment
-        self.ket_extras = bool(depth) and any(v in depth for _, values in self.ket for v in values)
+        self.ket_extras = bool(depth) and any(v in depth for x in self.nums
+                                              for v in (x if type(x) is tuple else (x,)))
 
     def bind(self, combo: tuple):
         """Match the pattern against concrete values; None when it fails."""
@@ -730,10 +733,13 @@ class _RowMatcher:
         reaches the row: its arity, that each name is a variable of the
         output's type or a value of it (in ``members``, by type), and a mass of
         at most 1.  A ket that names no variable is ``row``, built here once."""
-        names, named = self.names, False
-        one = self.key is not None and self.arities == {1} == {len(out_types)}  # literal, one output
-        # such a row is checked by one test of its values, any other monomial by monomial
-        for _, values in () if one and members[out_types[0]].issuperset(self.nums) else self.ket:
+        names, nums, named = self.names, self.nums, False
+        # a ket of single values that names no variable is checked by one test of
+        # its values, any other outcome by outcome
+        one = (self.arities == {1} == {len(out_types)} and names.keys().isdisjoint(nums)
+               and members[out_types[0]].issuperset(nums))
+        for x in () if one else nums:
+            values = x if type(x) is tuple else (x,)
             if len(values) != len(out_types):
                 raise ElaborationError(f"ket arity {len(values)} does not match outputs")
             for v, tname in zip(values, out_types):
@@ -744,17 +750,16 @@ class _RowMatcher:
                 elif v not in members[tname]:
                     raise ElaborationError(f"{v} is neither a variable nor a value of {tname}"
                                            if isinstance(v, str) else f"{_src_value(v)} not in {tname}")
-        nums = self.nums if self.key is not None else None if named else self._numerators({})
-        if (sum(n for n, _ in self.ket) if nums is None else sum(nums.values())) > self.den:
+        if sum(nums.values()) > self.den:
             raise ElaborationError("row mass exceeds 1")
-        self.row = None if nums is None else Subdist._of_numerators(
+        self.row = None if named else Subdist._of_numerators(
             [(x, n) for x, n in nums.items() if n], self.den)
 
     def _numerators(self, env: dict[str, Outcome]) -> dict:
         """The row's outcomes under ``env`` with their nonzero numerators over ``den``."""
         acc: dict = {}
-        for n, values in self.ket:
-            key = collapse_values(tuple([env.get(v, v) for v in values]))
+        for x, n in self.nums.items():
+            key = collapse_values(tuple([env.get(v, v) for v in (x if type(x) is tuple else (x,))]))
             acc[key] = acc.get(key, 0) + n
         return {x: n for x, n in acc.items() if n}
 
@@ -842,22 +847,17 @@ def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ..
 
 
 def _infer_case_output_type(matchers, carriers: dict) -> str:
-    votes, literal_values = set(), set()  # the types of the ket variables; the other values
+    votes, values = set(), set()  # the types of the ket variables; every value in the kets
     for matcher in matchers:
-        if matcher.key is not None and matcher.arities == {1}:  # a literal row: values only
-            literal_values.update(matcher.nums)
-            continue
-        for _, values in matcher.ket:
-            if len(values) != 1:
-                raise ElaborationError("CASE kets must have exactly one value")
-            v = values[0]
+        if matcher.arities != {1}:
+            raise ElaborationError("CASE kets must have exactly one value")
+        values.update(matcher.nums)  # variables too: read only when no ket names one
+        for v in matcher.nums if matcher.names else ():
             if v in matcher.names:
                 votes.add(matcher.names[v])
-            else:
-                literal_values.add(v)
     if len(votes) > 1:
         raise ElaborationError(f"CASE kets mix output types {' and '.join(sorted(votes))}")
-    return votes.pop() if votes else _unique_type_for(literal_values, carriers, "the CASE kets")
+    return votes.pop() if votes else _unique_type_for(values, carriers, "the CASE kets")
 
 
 def elaborate(sp: SourceProgram) -> Program:

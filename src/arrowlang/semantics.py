@@ -93,15 +93,9 @@ class Interpretation:
             if not self.carrier(t):
                 raise CarrierMismatch(f"empty carrier for type {t}")
         for gen in sig.generators.values():
-            if gen.name not in self.kernels:
-                raise CarrierMismatch(f"no kernel for generator {gen.name}")
-            table = self.kernels[gen.name]
             out_space = set(product(*(self.carrier(t) for t in gen.outputs)))
             for args in product(*(self.carrier(t) for t in gen.inputs)):
-                row = table.get(args)
-                if row is None:
-                    raise CarrierMismatch(f"kernel {gen.name} undefined on {args!r}")
-                for x, _ in row.numerators()[0]:
+                for x, _ in self.kernel_row(gen, args).numerators()[0]:
                     if outs_tuple(x, len(gen.outputs)) not in out_space:
                         raise CarrierMismatch(
                             f"kernel {gen.name} emits {x!r} outside its output carrier"

@@ -1068,6 +1068,150 @@ def test_extra_variables_are_assigned_in_product_order():
             assert walked == [env for env in every if all(env[a] != env[b] for a, b in conditions)]
 
 
+IF_VALUE = "TYPE Door = {L, M, R}\ncar <- UNIFORM {L, M, R}\n"
+
+
+@pytest.mark.parametrize("conditions", ["x != L", "x != y AND y != L"])
+def test_value_in_a_case_condition_is_rejected(conditions):
+    # read as a variable, L would let the first row take car = L as well
+    with pytest.raises(ElaborationError) as exc:
+        load_text(IF_VALUE + f"host <- CASE car OF\n  x -> 1|x> IF {conditions}\n  _ -> 1|M>\n"
+                  "RETURN(car, host)\n")
+    assert str(exc.value) == "line 3: L in IF is a value of Door, not a variable"
+    assert exc.value.line == 3
+
+
+def test_value_in_a_gen_condition_is_rejected():
+    with pytest.raises(ElaborationError) as exc:
+        load_text(IF_VALUE + "GEN g : Door -> Door =\n  x -> 1|y> IF x != y AND y != M\n"
+                  "host <- g(car)\nRETURN(host)\n")
+    assert str(exc.value) == "line 3: generator g: M in IF is a value of Door, not a variable"
+    assert exc.value.line == 3
+
+
+def test_extra_named_like_a_value_of_another_type_is_a_variable():
+    # A is a value of Port only; linked to x, it is a Door variable
+    prog = load_text("TYPE Door = {L, M}\nTYPE Port = {A, B}\ncar <- UNIFORM {L, M}\n"
+                     "host <- CASE car OF x -> 1|A> IF x != A\nRETURN(host)\n")
+    assert prog.interp.kernels["__case2"] == {("L",): dirac("M"), ("M",): dirac("L")}
+
+
+def test_ket_variable_named_like_an_output_value_is_a_variable():
+    # v is a pattern variable of D and a value of the output type U: the
+    # ket names a variable, so it is not checked as a ket of values
+    with pytest.raises(ElaborationError) as exc:
+        load_text("TYPE D = {a, b}\nTYPE U = {u, v}\nGEN g : D -> U = v -> 1|v>\nRETURN()\n")
+    assert str(exc.value) == "line 3: generator g: ket variable v is D, not U"
+
+
+PATTERN_VALUES = ("a", "b", "c")
+
+
+def _pattern_table(rng, inputs: int, outputs: int) -> tuple[list[str], list]:
+    """Rows over inputs and outputs of type D = {a, b, c}, as text and as
+    (pattern, ket, conditions) for `_reference_table`.  A pattern entry is
+    ``_``, a value or a variable, possibly repeated; an IF links each
+    extra variable to a typed name; a ket names values and the row's
+    variables, repeats monomials and has zero weights.  ``v`` and
+    ``u`` are values of U only, so they are variables here."""
+    texts, rows = [], []
+    for _ in range(rng.randint(1, 5)):
+        pattern = tuple(rng.choice(("_", *PATTERN_VALUES, "x", "y", "v")) for _ in range(inputs))
+        names = sorted({p for p in pattern if p in ("x", "y", "v")})
+        conditions = []
+        for _ in range(rng.randint(0, 3) if names else 0):
+            # a new extra variable or a typed name, linked to a typed name
+            pair = [rng.choice(("e", "f", "u") if rng.random() < 0.7 else names), rng.choice(names)]
+            rng.shuffle(pair)
+            conditions.append(tuple(pair))
+            names = sorted({*names, *pair})
+        ket, budget = [], Q(1)
+        for _ in range(rng.randint(1, 4)):
+            weight = rng.choice((Q(0), Q(1, 2), Q(1, 3), Q(1, 4), Q(1, 6), budget))
+            if weight > budget:
+                continue
+            budget -= weight
+            values = (ket[-1][1] if ket and rng.random() < 0.3 else
+                      tuple(rng.choice((*PATTERN_VALUES, *names)) for _ in range(outputs)))
+            ket.append((weight, values))
+        text = (pattern[0] if inputs == 1 else f"({', '.join(pattern)})") + " -> " + " + ".join(
+            f"{w}|{', '.join(values)}>" for w, values in ket)
+        if conditions:
+            text += " IF " + " AND ".join(f"{a} != {b}" for a, b in conditions)
+        texts.append(text)
+        rows.append((pattern, ket, conditions))
+    return texts, rows
+
+
+def _reference_table(rows, inputs: int, outputs: int):
+    """The kernel of ``rows``, expanded by brute force, or the message of
+    the first error: each input takes the first row that matches it and
+    whose conditions some assignment of its extra variables meets, and
+    every such assignment must give the same row."""
+    from itertools import product
+
+    kernel = {}
+    for combo in product(PATTERN_VALUES, repeat=inputs):
+        for pattern, ket, conditions in rows:
+            env = {}
+            if any(p != "_" and (c != p if p in PATTERN_VALUES else env.setdefault(p, c) != c)
+                   for p, c in zip(pattern, combo)):
+                continue
+            extras = sorted({n for pair in conditions for n in pair} - set(env))
+            found = []
+            for values in product(PATTERN_VALUES, repeat=len(extras)):
+                full = {**env, **dict(zip(extras, values))}
+                if all(full[a] != full[b] for a, b in conditions):
+                    weights = {}
+                    for w, names in ket:
+                        out = tuple(full.get(n, n) for n in names)
+                        x = out[0] if outputs == 1 else out
+                        weights[x] = weights.get(x, 0) + w
+                    found.append(Subdist({x: w for x, w in weights.items() if w}))
+            if found:
+                if any(row != found[0] for row in found):
+                    return f"conflicting assignments of {', '.join(extras)} give different rows"
+                kernel[combo] = found[0]
+                break
+        else:
+            return f"no row matches ({', '.join(combo)})"
+    return kernel
+
+
+def test_pattern_tables_match_an_independent_reference():
+    import random
+
+    rng = random.Random(25)
+    outcomes = {"kernel": 0, "no": 0, "conflicting": 0}
+    for trial in range(400):
+        inputs, case = rng.randint(1, 2), trial % 2 == 0
+        outputs = 1 if case else rng.randint(1, 2)
+        texts, rows = _pattern_table(rng, inputs, outputs)
+        if rng.random() < 0.5:  # a catch-all row
+            texts.append(("_" if inputs == 1 else "(_, _)") + " -> 1|" + ", ".join("a" * outputs) + ">")
+            rows.append((("_",) * inputs, [(Q(1), ("a",) * outputs)], []))
+        types = "TYPE D = {a, b, c}\nTYPE U = {u, v}\n"
+        if case:
+            scrutinee = "s" if inputs == 1 else "(s, t)"
+            text = (types + "s <- UNIFORM {a, b, c}\nt <- UNIFORM {a, b, c}\n"
+                    f"z <- CASE {scrutinee} OF " + "; ".join(texts) + "\nRETURN(z)\n")
+            name, prefix = "__case3", "line 5: "
+        else:
+            text = (types + f"GEN g : {', '.join(['D'] * inputs)} -> {', '.join(['D'] * outputs)} =\n  "
+                    + "\n  ".join(texts) + "\nRETURN()\n")
+            name, prefix = "g", "line 3: generator g: "
+        expected = _reference_table(rows, inputs, outputs)
+        if isinstance(expected, dict):
+            assert load_text(text).interp.kernels[name] == expected, text
+            outcomes["kernel"] += 1
+        else:
+            with pytest.raises(ElaborationError) as exc:
+                load_text(text)
+            assert str(exc.value) == prefix + expected, text
+            outcomes[expected.split()[0]] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 T2 = "TYPE T = {a, b, c}\nTYPE U = {u, v}\n"
 
 ELABORATION_ERRORS = [
