@@ -30,7 +30,6 @@ from .syntax import (
     Context,
     Generator,
     Observe,
-    ObservePred,
     Return,
     Sample,
     Signature,
@@ -84,7 +83,6 @@ __all__ = [
     "Context",
     "Generator",
     "Observe",
-    "ObservePred",
     "Return",
     "Sample",
     "Signature",

@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .errors import ArityMismatch, NonCoreTerm, TypeMismatch
+from .errors import ArityMismatch, TypeMismatch
 from .syntax import (
     Generator,
     Observe,
-    ObservePred,
     Return,
     Sample,
     Signature,
@@ -313,8 +312,6 @@ def encode(tt: TypedTerm) -> CombTerm:
     while not isinstance(node, Return):
         if isinstance(node, Observe):
             heads.append(CObs(ff([at(node.left), at(node.right)], len(types))))
-        elif isinstance(node, ObservePred):
-            raise NonCoreTerm("predicate observes have no combinator form")
         elif isinstance(node, Sample):
             heads.append(CGen(node.gen, ff([at(v) for v in node.args], len(types))))
             for v, tname in zip(node.outs, node.gen.outputs):

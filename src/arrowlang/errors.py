@@ -53,10 +53,6 @@ class NotApplicable(ArrowError):
     """An axiom rewrite does not apply at the requested position."""
 
 
-class NonCoreTerm(ArrowError):
-    """Operation defined only for equality-observe terms."""
-
-
 # -- combinators --------------------------------------------------------
 
 class ArityMismatch(ArrowError):

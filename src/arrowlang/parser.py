@@ -3,8 +3,10 @@
 A file declares enumerated types (and optionally named generators with
 kernel tables), then a statement list ending in RETURN.  UNIFORM and
 CASE are sugar: elaboration turns each into a fresh generator whose
-kernel is the inline table, so the core term uses exactly the three
-statement forms.
+kernel is the inline table.  So is an OBSERVE other than ``x = y``: it
+becomes a sample of a fresh generator with no outputs whose row is
+``1|()>`` where the predicate holds and zero where it fails.  The core
+term thus uses exactly the three statement forms.
 
 Grammar sketch (comments start with ``#``, newlines separate
 statements; a ket weight is ``p`` or ``p/q``, read reduced, with blanks
@@ -50,11 +52,8 @@ from .errors import ArrowError, ElaborationError, ParseError
 from .semantics import Interpretation
 from .subdist import Dollar, Outcome, Subdist, collapse_values, outcome_key, render_outcome
 from .syntax import (
-    Atom,
     Generator,
     Observe,
-    ObservePred,
-    PLit,
     Return,
     Sample,
     Signature,
@@ -810,6 +809,30 @@ class _RowMatcher:
         return None if first is None else Subdist._of_numerators(first.items(), self.den)
 
 
+# The two rows of a predicate observe's table: 1|()> and the zero row.
+_HOLDS, _FAILS = Subdist._of_numerators([((), 1)], 1), Subdist._of_numerators([], 1)
+
+
+class _PredicateTable(dict):
+    """The kernel table of a predicate observe, one row made per argument
+    tuple on its first read: `_HOLDS` where every atom ``(op, i, j)`` holds
+    of the arguments followed by ``literals``, `_FAILS` where one fails."""
+
+    def __init__(self, atoms: list, literals: tuple):
+        self.atoms, self.literals = atoms, literals
+
+    def __missing__(self, args: tuple) -> Subdist:
+        values = args + self.literals
+        row = _HOLDS
+        for op, i, j in self.atoms:
+            a, b = values[i], values[j]
+            if not (a == b if op == "=" else a != b if op == "!=" else a in b):
+                row = _FAILS
+                break
+        self[args] = row
+        return row
+
+
 def build_table(matchers, input_types: tuple[str, ...], out_types: tuple[str, ...],
                 carriers: dict) -> dict:
     """Expand classified pattern rows into a total kernel table over the carriers.
@@ -912,9 +935,8 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         try:
             check_statement(sig, scope, node)
         except ArrowError as exc:  # name ``stmt``, the statement as written, not its core form
-            message = str(exc)  # the rule names only the failing atom of a conjunction
-            cut = message.rfind(" in OBSERVE(" if isinstance(node, ObservePred)
-                                else f" in {render_statement(node)}")
+            message = str(exc)
+            cut = message.rfind(f" in {render_statement(node)}")
             if cut < 0:
                 raise
             raise type(exc)(message[:cut] + f" in {render_stmt(stmt)}") from exc
@@ -929,30 +951,54 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             name += "_"
         return name
 
-    def resolve_atom(atom: SAtom) -> Atom:
-        left, right = atom.left, atom.right
-        if atom.op == "IN":
-            if right not in scope:
-                raise ElaborationError("IN needs a bound set-valued variable")
-            sets = carriers[scope[right]]
-            if not all(isinstance(v, frozenset) for v in sets):
-                raise ElaborationError(f"{right} is not set-valued")
-            elements = set().union(*sets)  # typed as these when one declared type holds them all
-            holders = [t for t, carrier in carriers.items() if elements.issubset(carrier)]
-            element = PLit(left, holders[0] if len(holders) == 1
-                           else _unique_type_for([left], carriers, _src_value(left)))
-            if not any(left in v for v in sets):
-                raise ElaborationError(f"{_src_value(left)} is in no value of {scope[right]}")
-            return Atom("IN", element, right)
-        if left not in scope and right not in scope:
-            raise ElaborationError(f"neither side of the comparison "
-                                   f"({_src_value(left)} and {_src_value(right)}) is a bound variable")
-        # a side that is not a variable in scope is a value of the other side's type
-        tname = scope[left] if left in scope else scope[right]
-        for v in (left, right):
-            if v not in scope and v not in carriers[tname]:
-                raise ElaborationError(f"{_src_value(v)} is not a value of {tname}")
-        return Atom(atom.op, *[v if v in scope else PLit(v, tname) for v in (left, right)])
+    def predicate_sample(stmt: ObserveStmt, index: int) -> Sample:
+        # a sample of __obsN : T1..Tk -> (), its inputs the variables the
+        # conjunction reads, in order of first reading; each atom becomes
+        # (op, slot, slot), a slot indexing the arguments followed by the
+        # literals in reverse, so a literal's (negative) slot is fixed at once
+        args: dict[str, int] = {}
+        literals: list = []
+
+        def slot(v) -> int:
+            if v in scope:
+                return args.setdefault(v, len(args))
+            literals.append(v)
+            return -len(literals)
+
+        atoms, mismatch = [], None
+        for atom in stmt.atoms:
+            left, right = atom.left, atom.right
+            if atom.op == "IN":
+                if right not in scope:
+                    raise ElaborationError("IN needs a bound set-valued variable")
+                sets = carriers[scope[right]]
+                if not all(isinstance(v, frozenset) for v in sets):
+                    raise ElaborationError(f"{right} is not set-valued")
+                elements = set().union(*sets)  # typed as these when one declared type holds them all
+                if sum(elements.issubset(carrier) for carrier in carriers.values()) != 1:
+                    _unique_type_for([left], carriers, _src_value(left))
+                if not any(left in v for v in sets):
+                    raise ElaborationError(f"{_src_value(left)} is in no value of {scope[right]}")
+                literals.append(left)
+                atoms.append(("IN", -len(literals), slot(right)))
+                continue
+            if left not in scope and right not in scope:
+                raise ElaborationError(f"neither side of the comparison ({_src_value(left)} "
+                                       f"and {_src_value(right)}) is a bound variable")
+            # a side that is not a variable in scope is a value of the other side's type
+            tname = scope[left] if left in scope else scope[right]
+            for v in (left, right):
+                if v not in scope and v not in carriers[tname]:
+                    raise ElaborationError(f"{_src_value(v)} is not a value of {tname}")
+            if mismatch is None and right in scope and scope[right] != tname:
+                mismatch = f"comparison between {tname} and {scope[right]}"
+            atoms.append((atom.op, slot(left), slot(right)))
+        if mismatch is not None:  # found once every atom is read, as the first error
+            raise ElaborationError(f"{mismatch} in {render_stmt(stmt)}")
+        gen = Generator(fresh_gen_name("obs", index), tuple(scope[v] for v in args), ())
+        gens[gen.name] = gen
+        kernels[gen.name] = _PredicateTable(atoms, tuple(reversed(literals)))
+        return Sample(gen, tuple(args), (), None)
 
     for stmt_index, stmt in enumerate(sp.stmts, 1):
         at[0] = stmt.line
@@ -1013,7 +1059,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 add(Sample(gen, (), (out,), None), f"{out} <- {gen.name}()")
                 add(Observe(var, out, None), f"OBSERVE({var} = {out})")
                 continue
-            add(ObservePred(tuple(resolve_atom(a) for a in stmt.atoms), None), stmt)
+            add(predicate_sample(stmt, stmt_index), stmt)
         else:  # ReturnStmt, the last statement
             ret = Return(stmt.vars)
             check_statement(sig, scope, ret)

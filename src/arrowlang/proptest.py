@@ -22,9 +22,6 @@ from .syntax import (
     Context,
     Generator,
     Observe,
-    ObservePred,
-    PLit,
-    Pred,
     Return,
     Sample,
     Signature,
@@ -217,24 +214,6 @@ def gen_reindexing(rng: random.Random, src_types: tuple[str, ...]):
 # -- the world-enumeration oracle ----------------------------------------------------
 
 
-def _oracle_pred(p: Pred, env: dict) -> bool:
-    # deliberately re-implemented here; the oracle shares no evaluation
-    # path with the semantics module
-    def value(o):
-        return o.value if isinstance(o, PLit) else env[o]
-
-    for a in p:
-        if a.op == "=":
-            ok = value(a.left) == value(a.right)
-        elif a.op == "!=":
-            ok = value(a.left) != value(a.right)
-        else:  # IN
-            ok = value(a.left) in value(a.right)
-        if not ok:
-            return False
-    return True
-
-
 def oracle_denote(program: TypedTerm, interp: Interpretation) -> Subdist:
     """Brute-force denotation of a closed program.
 
@@ -271,10 +250,6 @@ def oracle_denote(program: TypedTerm, interp: Interpretation) -> Subdist:
                 env.update(zip(h.outs, out_vals))
             elif isinstance(h, Observe):
                 if env[h.left] != env[h.right]:
-                    alive = False
-                    break
-            elif isinstance(h, ObservePred):
-                if not _oracle_pred(h.pred, env):
                     alive = False
                     break
         if alive:

@@ -7,8 +7,9 @@ Kleisli step on the joint state over the variables in play, and the
 return projects onto the returned variables.  `trace` runs the
 statements as written and records the full joint state after every
 line, exactly as the worked puzzles compute it.  Every other caller
-records nothing, so it plans the term once first: each observe moves to
-just after the sample that binds its last variable, and after each step
+records nothing, so it plans the term once first: each observe, and
+each sample with no outputs (a predicate observe, say), moves to just
+after the sample that binds its last variable, and after each step
 every variable that no later statement and no return reads is summed
 out (variable elimination); a sample output that nothing reads is summed
 out of the kernel row and never becomes a column.  These moves leave the
@@ -40,13 +41,10 @@ from itertools import chain, product
 from typing import Callable, Mapping
 
 from .combinator import CombTerm, decode
-from .errors import CarrierMismatch, PredicateTypeError, ZeroMassState
+from .errors import CarrierMismatch, ZeroMassState
 from .subdist import FAILURE, Outcome, Subdist, collapse_values, outcome_key, rescale
 from .syntax import (
     Generator,
-    Observe,
-    PLit,
-    Pred,
     Return,
     Sample,
     Signature,
@@ -108,32 +106,6 @@ def outs_tuple(out_val: Outcome, arity: int) -> tuple:
     if arity == 0:
         return ()
     return out_val  # type: ignore[return-value]
-
-
-def pred_holds(p: Pred, env: Mapping[str, Outcome]) -> bool:
-    """Evaluate a predicate, a conjunction of atoms, in a variable environment."""
-
-    def value(operand) -> Outcome:
-        if isinstance(operand, PLit):
-            return operand.value
-        try:
-            return env[operand]
-        except KeyError:
-            raise PredicateTypeError(f"variable {operand} not in scope") from None
-
-    for a in p:
-        if a.op == "=":
-            holds = value(a.left) == value(a.right)
-        elif a.op == "!=":
-            holds = value(a.left) != value(a.right)
-        else:  # IN
-            container = value(a.right)
-            if not isinstance(container, frozenset):
-                raise PredicateTypeError(f"{a.right} is not set-valued")
-            holds = value(a.left) in container
-        if not holds:
-            return False
-    return True
 
 
 # -- the evaluation engine ----------------------------------------------------
@@ -209,11 +181,8 @@ def _step(state: dict, denom: int, layout: list[str], node: Term, kept: tuple | 
                     out[values + outs] = w * n
         layout.extend(node.outs if kept is None else [node.outs[i] for i in kept])
         return out, denom * scale
-    if isinstance(node, Observe):
-        i, j = layout.index(node.left), layout.index(node.right)
-        return {values: w for values, w in state.items() if values[i] == values[j]}, denom
-    return {values: w for values, w in state.items()
-            if pred_holds(node.pred, dict(zip(layout, values)))}, denom
+    i, j = layout.index(node.left), layout.index(node.right)
+    return {values: w for values, w in state.items() if values[i] == values[j]}, denom
 
 
 def _project(state: dict, picks: list[int]) -> dict:
@@ -243,27 +212,28 @@ def _plan(term: Term, inputs: list[str]) -> tuple[tuple[Schedule, Return], list[
     """Schedule a term for evaluation that records no intermediate state,
     and list the inputs that some statement or the return reads.
 
-    Each observe moves to just after the sample that binds the last
-    variable it reads; samples keep their order.  Each statement is paired
-    with the variables that it reads and that no later statement and no
-    return reads, and each sample with its outputs that some do; the
-    engine sums the first out after the step and the rest out of the
-    kernel row.  Inputs are never summed out: they index the channel the
-    run tabulates.  No move changes the result: an observe commutes with
-    a sample whose outputs it does not read (the interchange law of
-    `syntax`), and summing out a column or a row's outputs keeps mass.
+    Each observe, and each sample with no outputs, moves to just after
+    the sample that binds the last variable it reads; the other samples
+    keep their order.  Each statement is paired with the variables that
+    it reads and that no later statement and no return reads, and each
+    sample with its outputs that some do; the engine sums the first out
+    after the step and the rest out of the kernel row.  Inputs are never
+    summed out: they index the channel the run tabulates.  No move
+    changes the result: a statement commutes with a sample whose outputs
+    it does not read (the interchange law of `syntax`), and summing out a
+    column or a row's outputs keeps mass.
     """
     heads, ret = statements(term)
-    # slots[k], k >= 1: the k-th sample, then the observes placed after it
+    # slots[k], k >= 1: the k-th sample with outputs, then the statements placed after it
     slots: list[list[tuple[Term, set[str], tuple]]] = [[]]
     bound = dict.fromkeys(inputs, 0)
     for node in heads:
         read = reads(node)
-        if isinstance(node, Sample):
+        if isinstance(node, Sample) and node.outs:
             bound.update(dict.fromkeys(node.outs, len(slots)))
             slots.append([(node, read, node.outs)])
         else:
-            # a variable not bound yet is out of scope: the observe stays
+            # a variable not bound yet is out of scope: the statement stays
             # where it is and raises there
             slots[max((bound.get(x, len(slots) - 1) for x in read), default=0)].append(
                 (node, read, ()))

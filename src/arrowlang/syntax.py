@@ -2,14 +2,10 @@
 
 A term is a chain of sampling and observation statements ending in a
 return statement.  Sampling binds fresh output variables; observation
-constrains two variables of equal type (the core form) or a predicate
-over the scope (the evaluator-only form, which the algebraic operations
-reject).  A predicate is a flat conjunction: a tuple of atoms, the empty
-tuple being TRUE, so every pass over one is a loop over its atoms.  An
-atom is one shape, `Atom(op, left, right)`, with ``op`` one of `=`, `!=`
-and `IN`.  An operand is a variable, stored as its name (a `str`, as in
-`Observe`), or a `PLit`, a value with its type.  An `IN` atom has the
-literal on the left and the set-valued variable on the right.
+constrains two variables of equal type.  There is no other statement
+form: a predicate over the scope is a sample of a generator with no
+outputs, whose kernel row has mass 1 where the predicate holds and 0
+where it fails, so every pass here covers every term.
 
 The interchange law: two adjacent statements commute when neither reads
 a variable that the other binds (`reads`, `binds`), because the
@@ -25,12 +21,10 @@ from typing import Iterator, Mapping, Union
 from .errors import (
     NonFreshOutput,
     NotApplicable,
-    PredicateTypeError,
     TypeMismatch,
     UnboundVariable,
     UnknownGenerator,
 )
-from .subdist import Outcome, render_outcome
 
 TypeName = str
 Var = str
@@ -56,36 +50,6 @@ class Signature:
             for t in gen.inputs + gen.outputs:
                 if t not in self.types:
                     raise UnknownGenerator(f"generator {gen.name} uses undeclared type {t}")
-
-
-# -- predicates for evaluator-level observes ------------------------------
-
-@dataclass(frozen=True)
-class PLit:
-    """A literal operand; its type is kept, as a symbol is a `str` like a variable."""
-
-    value: Outcome
-    type: TypeName
-
-
-Operand = Union[Var, PLit]
-
-
-@dataclass(frozen=True)
-class Atom:
-    op: str  # "=", "!=" or "IN"
-    left: Operand
-    right: Operand
-
-
-Pred = tuple[Atom, ...]  # a conjunction of atoms; () is TRUE
-
-
-def render_pred(p: Pred) -> str:
-    def operand(o: Operand) -> str:
-        return render_outcome(o.value) if isinstance(o, PLit) else o
-
-    return " AND ".join(f"{operand(a.left)} {a.op} {operand(a.right)}" for a in p) or "TRUE"
 
 
 # -- term nodes ------------------------------------------------------------
@@ -125,20 +89,6 @@ class Observe(_Statement):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ObservePred(_Statement):
-    """Evaluator-only observe of a conjunction of atoms (non-core), each
-    checked here, once, to be an `Atom` of a known op."""
-
-    pred: Pred
-    cont: "Term"
-
-    def __post_init__(self):
-        for a in self.pred:
-            if not isinstance(a, Atom) or a.op not in ("=", "!=", "IN"):
-                raise PredicateTypeError(f"not a predicate atom: {a!r}")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Sample(_Statement):
     gen: Generator
     args: tuple[Var, ...]
@@ -146,7 +96,7 @@ class Sample(_Statement):
     cont: "Term"
 
 
-Term = Union[Return, Observe, ObservePred, Sample]
+Term = Union[Return, Observe, Sample]
 
 
 def statements(t: Term) -> tuple[list[Term], Return]:
@@ -170,11 +120,7 @@ def from_statements(heads: list[Term], ret: Return) -> Term:
 
 def reads(node: Term) -> set[Var]:
     """The variables a statement reads."""
-    if isinstance(node, Sample):
-        return set(node.args)
-    if isinstance(node, Observe):
-        return {node.left, node.right}
-    return {o for a in node.pred for o in (a.left, a.right) if not isinstance(o, PLit)}
+    return set(node.args) if isinstance(node, Sample) else {node.left, node.right}
 
 
 def binds(node: Term) -> tuple[Var, ...]:
@@ -188,9 +134,7 @@ def render_statement(node: Term) -> str:
         return f"RETURN({', '.join(node.vars)})"
     if isinstance(node, Observe):
         return f"OBSERVE({node.left} = {node.right})"
-    if isinstance(node, ObservePred):
-        return f"OBSERVE({render_pred(node.pred)})"
-    return f"{', '.join(node.outs)} <- {node.gen.name}({', '.join(node.args)})"
+    return f"{', '.join(node.outs) or '()'} <- {node.gen.name}({', '.join(node.args)})"
 
 
 # -- typechecking ------------------------------------------------------------
@@ -206,29 +150,13 @@ class TypedTerm:
     out_types: tuple[TypeName, ...]
 
 
-def _check_operand(o: Operand, scope: dict[Var, TypeName]) -> TypeName:
-    if isinstance(o, PLit):
-        return o.type
-    if o not in scope:
-        raise UnboundVariable(f"variable {o} not in scope")
-    return scope[o]
-
-
-def _check_pred(p: Pred, scope: dict[Var, TypeName]) -> None:
-    for a in p:
-        lt = _check_operand(a.left, scope)
-        rt = _check_operand(a.right, scope)
-        if lt != rt and a.op != "IN":  # IN compares an element with a set
-            raise TypeMismatch(f"comparison between {lt} and {rt} in OBSERVE({render_pred((a,))})")
-
-
 def check_statement(sig: Signature, scope: dict[Var, TypeName], node: Term) -> None:
     """The typing rule of one statement, the return included: check ``node``
     against ``scope``, each variable bound before it with its type, then add
     the variables it binds.  Raises as `typecheck` does."""
     if isinstance(node, Sample):
         declared = sig.generators.get(node.gen.name)
-        if declared is None or declared != node.gen:
+        if declared is not node.gen and (declared is None or declared != node.gen):
             raise UnknownGenerator(
                 f"generator {node.gen.name} not in signature in {render_statement(node)}")
         if len(node.args) != len(node.gen.inputs):
@@ -255,8 +183,6 @@ def check_statement(sig: Signature, scope: dict[Var, TypeName], node: Term) -> N
                 f"OBSERVE needs equal types, got {scope[node.left]} and "
                 f"{scope[node.right]} in {render_statement(node)}"
             )
-    elif isinstance(node, ObservePred):
-        _check_pred(node.pred, scope)
     elif isinstance(node, Return):
         for v in node.vars:
             if v not in scope:
@@ -301,10 +227,6 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
     def resolve(v: Var, bound: dict[Var, int]):
         return bound.get(v, v)
 
-    def pred_resolved(p: Pred, bound: dict[Var, int]):
-        conv = lambda o: o if isinstance(o, PLit) else resolve(o, bound)
-        return [(a.op, conv(a.left), conv(a.right)) for a in p]
-
     ba: dict[Var, int] = {}
     bb: dict[Var, int] = {}
     if ctx1 is not None and ctx2 is not None:
@@ -319,9 +241,6 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
             return [resolve(v, ba) for v in a.vars] == [resolve(v, bb) for v in b.vars]
         if isinstance(a, Observe):
             if resolve(a.left, ba) != resolve(b.left, bb) or resolve(a.right, ba) != resolve(b.right, bb):
-                return False
-        elif isinstance(a, ObservePred):
-            if pred_resolved(a.pred, ba) != pred_resolved(b.pred, bb):
                 return False
         elif isinstance(a, Sample):
             if a.gen != b.gen or len(a.outs) != len(b.outs):
@@ -360,16 +279,13 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
 def _substituted(heads: list[Term], ret: Return, x: Var, u: Var) -> tuple[list[Term], Return]:
     """`substitute` on a statement list: the new heads and return."""
 
-    def sub(v: Operand) -> Operand:  # a PLit is equal to no name
+    def sub(v: Var) -> Var:
         return u if v == x else v
 
     moved: list[Term] = []
     for node in heads:
         if isinstance(node, Observe):
             moved.append(Observe(sub(node.left), sub(node.right), None))
-        elif isinstance(node, ObservePred):
-            moved.append(ObservePred(tuple(Atom(a.op, sub(a.left), sub(a.right))
-                                           for a in node.pred), None))
         else:
             moved.append(Sample(node.gen, tuple(sub(v) for v in node.args), node.outs, None))
     return moved, Return(tuple(sub(v) for v in ret.vars))

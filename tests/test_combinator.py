@@ -29,8 +29,8 @@ from arrowlang.combinator import (
     ff_whisker_left,
     ff_whisker_right,
 )
-from arrowlang.errors import ArityMismatch, NonCoreTerm, TypeMismatch
-from arrowlang.parser import load_text
+from arrowlang.errors import ArityMismatch, TypeMismatch
+from arrowlang.parser import load_file, load_text
 from arrowlang.proptest import (
     GenBudget,
     gen_ff,
@@ -39,17 +39,16 @@ from arrowlang.proptest import (
     gen_term,
     gen_term_for_ctx,
 )
-from arrowlang.semantics import semantics_of_comb
+from arrowlang.semantics import interpret, semantics_of_comb
 from arrowlang.syntax import (
     Generator,
-    ObservePred,
     Return,
     Signature,
     TypedTerm,
     alpha_eq,
     typecheck,
 )
-from test_cli import _straight_line
+from test_cli import PUZZLES, _straight_line
 
 BUDGET = GenBudget(max_statements=4)
 
@@ -343,11 +342,13 @@ def test_decode_compare_map():
     assert decoded.term == Observe("v1", "v2", Return(("v1",)))
 
 
-def test_encode_rejects_predicate_observe():
-    sig = Signature(frozenset({"X"}))
-    tt = typecheck(sig, (("x1", "X"),), ObservePred((), Return(("x1",))))
-    with pytest.raises(NonCoreTerm):
-        encode(tt)
+@pytest.mark.parametrize("path", sorted(PUZZLES.glob("*.arrow")), ids=lambda p: p.stem)
+def test_every_puzzle_has_a_combinator_form(path):
+    # an observe of a literal is a sample with no outputs, so it encodes like any other
+    prog = load_file(path)
+    c = encode(prog.typed)
+    assert alpha_eq(decode(c, prog.typed.sig).term, prog.typed.term)
+    assert semantics_of_comb(c, prog.interp) == {(): interpret(prog.typed, prog.interp)}
 
 
 def test_round_trip_random_terms():

@@ -12,8 +12,8 @@ import puzzle_programs
 from arrowlang.errors import ElaborationError, ParseError
 from arrowlang.parser import load_file, load_text, parse, pretty
 from arrowlang.semantics import interpret, trace
-from arrowlang.subdist import Dollar, Subdist, dirac, ket, uniform
-from arrowlang.syntax import Observe, ObservePred, Sample, alpha_eq, statements
+from arrowlang.subdist import Dollar, Subdist, dirac, ket, uniform, zero
+from arrowlang.syntax import Generator, Observe, Sample, alpha_eq, statements
 
 PUZZLES = Path(__file__).resolve().parent.parent / "puzzles"
 
@@ -360,9 +360,15 @@ RETURN(x)
 
 
 def test_literal_observe_is_predicate():
+    # OBSERVE(host = L) is a sample of __obs3 : Door -> (), its row of mass 1 only at L
     prog = load_file(PUZZLES / "monty_hall.arrow")
     heads, _ = statements(prog.typed.term)
-    assert isinstance(heads[2], ObservePred)
+    observe = heads[2]
+    assert isinstance(observe, Sample) and observe.outs == () and observe.args == ("host",)
+    assert observe.gen == Generator("__obs3", ("Door",), ())
+    assert prog.typed.sig.generators["__obs3"] is observe.gen
+    rows = {door: prog.interp.kernel_row(observe.gen, (door,)) for door in ("L", "M", "R")}
+    assert rows == {"L": dirac(()), "M": zero(), "R": zero()}
 
 
 def test_conjunction_observe():
@@ -1212,6 +1218,106 @@ def test_pattern_tables_match_an_independent_reference():
     assert min(outcomes.values()) >= 20, outcomes
 
 
+# The variables an observe may read, with their types and carriers: two
+# symbols, an integer and two sets of symbols.
+OBSERVED = {"x": "C", "y": "C", "n": "K", "s": "S", "t": "S"}
+OBSERVED_CARRIERS = {"C": ("a", "b", "c"), "K": (1, 2, 3),
+                     "S": (frozenset("a"), frozenset("ab"), frozenset("bc"))}
+
+
+def _surface(v) -> str:
+    return "{" + ", ".join(sorted(v)) + "}" if isinstance(v, frozenset) else str(v)
+
+
+def _draw_atom(rng) -> tuple:
+    """One atom ``(op, left, right)`` over `OBSERVED`: a variable against a
+    value of its type on either side, two variables of one type (possibly
+    the same), or a symbol IN a set-valued variable; rarely two variables
+    of different types."""
+    var = rng.choice(sorted(OBSERVED))
+    kind = rng.random()
+    if kind < 0.2:
+        return "IN", rng.choice(OBSERVED_CARRIERS["C"]), rng.choice(("s", "t"))
+    op = rng.choice(("=", "!="))
+    if kind < 0.27:
+        return op, var, rng.choice(sorted(OBSERVED))  # of another type now and then
+    if kind < 0.45:
+        return op, var, rng.choice([v for v, t in OBSERVED.items() if t == OBSERVED[var]])
+    value = rng.choice(OBSERVED_CARRIERS[OBSERVED[var]])
+    return (op, var, value) if rng.random() < 0.5 else (op, value, var)
+
+
+def _reference_holds(atoms, env: dict) -> bool:
+    """The conjunction ``atoms`` at the variable values ``env``, read from the surface."""
+    def value(o):
+        return env[o] if o in OBSERVED else o
+
+    for op, left, right in atoms:
+        a, b = value(left), value(right)
+        if not (a == b if op == "=" else a != b if op == "!=" else a in b):
+            return False
+    return True
+
+
+def test_predicate_tables_match_an_independent_reference():
+    import random
+    from itertools import product
+
+    from arrowlang.proptest import oracle_denote
+
+    rng = random.Random(26)
+    names = sorted(OBSERVED)
+    declared = "".join(f"TYPE {t} = {{{', '.join(map(_surface, c))}}}\n"
+                       for t, c in OBSERVED_CARRIERS.items())
+    samples = "".join(f"{v} <- UNIFORM {{{', '.join(map(_surface, OBSERVED_CARRIERS[t]))}}}\n"
+                      for v, t in OBSERVED.items())
+    worlds = list(product(*(OBSERVED_CARRIERS[OBSERVED[v]] for v in names)))
+    outcomes = {"table": 0, "core": 0, "mismatch": 0}
+    for _ in range(300):
+        atoms = [_draw_atom(rng) for _ in range(rng.randint(1, 5))]
+        observe = "OBSERVE(" + " AND ".join(f"{_surface(a)} {op} {_surface(b)}"
+                                           for op, a, b in atoms) + ")"
+        ret = rng.sample(names, rng.randint(1, 3))
+        text = declared + samples + observe + f"\nRETURN({', '.join(ret)})\n"
+        core = len(atoms) == 1 and atoms[0][0] == "=" and {atoms[0][1], atoms[0][2]} <= set(OBSERVED)
+        mismatch = next(((OBSERVED[a], OBSERVED[b]) for op, a, b in atoms if op != "IN"
+                         and a in OBSERVED and b in OBSERVED and OBSERVED[a] != OBSERVED[b]), None)
+        if mismatch:
+            with pytest.raises(ElaborationError) as exc:
+                load_text(text)
+            assert str(exc.value) == ("line 9: " + ("OBSERVE needs equal types, got " if core
+                                                    else "comparison between ")
+                                      + " and ".join(mismatch) + f" in {observe}"), text
+            outcomes["mismatch"] += 1
+            continue
+        prog = load_text(text)
+        head = statements(prog.typed.term)[0][5]
+        if core:
+            assert head == Observe(atoms[0][1], atoms[0][2], head.cont), text
+            outcomes["core"] += 1
+        else:
+            read = [o for op, a, b in atoms for o in ((b,) if op == "IN" else (a, b))]
+            args = tuple(dict.fromkeys(o for o in read if o in OBSERVED))  # in order of first reading
+            assert (head.args, head.outs) == (args, ()), text
+            assert head.gen == Generator("__obs6", tuple(OBSERVED[v] for v in args), ()), text
+            for values in product(*(OBSERVED_CARRIERS[OBSERVED[v]] for v in args)):
+                holds = _reference_holds(atoms, dict(zip(args, values)))
+                row = prog.interp.kernel_row(head.gen, values)
+                assert row == (dirac(()) if holds else zero()), (text, values)
+            outcomes["table"] += 1
+        final: dict = {}
+        for world in worlds:
+            env = dict(zip(names, world))
+            if _reference_holds(atoms, env):
+                key = tuple(env[v] for v in ret)
+                key = key[0] if len(key) == 1 else key
+                final[key] = final.get(key, 0) + Q(1, len(worlds))
+        expected = Subdist(final)
+        assert interpret(prog.typed, prog.interp) == expected, text
+        assert oracle_denote(prog.typed, prog.interp) == expected, text
+    assert min(outcomes.values()) >= 5, outcomes
+
+
 T2 = "TYPE T = {a, b, c}\nTYPE U = {u, v}\n"
 
 ELABORATION_ERRORS = [
@@ -1337,6 +1443,11 @@ def test_fresh_generator_name_steps_past_a_user_generator():
     heads, _ = statements(prog.typed.term)
     assert [h.gen.name for h in heads] == ["__u1_", "__u1"]
     assert interpret(prog.typed, prog.interp) == Subdist({("a", "a"): Q(1, 2), ("b", "a"): Q(1, 2)})
+    prog = load_text("TYPE T = {a, b}\nGEN __obs2 : T -> T\nx <- UNIFORM {a, b}\nOBSERVE(x = a)\n"
+                     "RETURN(x)\n")
+    heads, _ = statements(prog.typed.term)
+    assert [h.gen.name for h in heads] == ["__u1", "__obs2_"]
+    assert interpret(prog.typed, prog.interp) == Subdist({"a": Q(1, 2)})
 
 
 def test_fresh_observe_variable_steps_past_a_user_variable():

@@ -7,27 +7,23 @@ from fractions import Fraction as Q
 
 import pytest
 
-import puzzle_programs
 from arrowlang import syntax
 from arrowlang.errors import (
+    ElaborationError,
     NonFreshOutput,
     NotApplicable,
-    PredicateTypeError,
     TypeMismatch,
     UnboundVariable,
     UnknownGenerator,
 )
-from arrowlang.parser import SAtom, load_text
+from arrowlang.parser import load_text
 from arrowlang.proptest import GenBudget, gen_term, oracle_denote
-from arrowlang.semantics import interpret
-from arrowlang.subdist import Subdist
+from arrowlang.semantics import Interpretation, interpret, trace
+from arrowlang.subdist import Subdist, dirac, ket, uniform, zero
 from arrowlang.syntax import (
     AXIOM_IDS,
-    Atom,
     Generator,
     Observe,
-    ObservePred,
-    PLit,
     Return,
     Sample,
     Signature,
@@ -41,12 +37,13 @@ from arrowlang.syntax import (
     typecheck,
 )
 from test_cli import _straight_line
-from test_parser import BUILDERS
+from test_parser import BUILDERS, PUZZLES
 
 COIN = Generator("flip", (), ("Coin",))
 STEP = Generator("step", ("Coin",), ("Coin",))
 PAIR = Generator("pair", ("Coin",), ("Coin", "Door"))
 SIG = Signature(frozenset({"Coin", "Door"}), {g.name: g for g in (COIN, STEP, PAIR)})
+SEEN = Generator("seen", ("Door",), ())  # a predicate on a door, as a predicate observe is
 
 
 def test_return_repeats_variables():
@@ -182,106 +179,97 @@ def test_long_terms_compare_hash_and_print_at_default_recursion_limit():
 
 
 def test_statement_repr_is_the_dataclass_text():
-    t = Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred((), Return(("e",)))))
+    seen = Sample(SEEN, ("e",), (), Return(("e",)))
+    t = Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", seen))
     assert repr(t) == (
         "Sample(gen=Generator(name='pair', inputs=('Coin',), outputs=('Coin', 'Door')), "
         "args=('c',), outs=('d', 'e'), cont=Observe(left='d', right='d', "
-        "cont=ObservePred(pred=(), cont=Return(vars=('e',)))))")
+        "cont=Sample(gen=Generator(name='seen', inputs=('Door',), outputs=()), args=('e',), "
+        "outs=(), cont=Return(vars=('e',)))))")
     assert repr(Observe("a", "b", None)) == "Observe(left='a', right='b', cont=None)"
-    assert t == Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", ObservePred((), Return(("e",)))))
+    assert t == Sample(PAIR, ("c",), ("d", "e"),
+                       Observe("d", "d", Sample(SEEN, ("e",), (), Return(("e",)))))
     assert t != Sample(PAIR, ("c",), ("d", "e"), Observe("d", "d", Return(("e",))))
-    assert Observe("a", "b", None) != ObservePred((), None) and t != "t"
+    assert Observe("a", "b", None) != Sample(SEEN, ("a",), (), None) and t != "t"
     assert len({t, Observe("a", "b", None), Observe("a", "b", None)}) == 2
 
+
+def test_a_sample_with_no_outputs_renders_an_empty_output_list():
+    # as `pretty` writes the generator's type, GEN seen : Door -> ()
+    t = Sample(SEEN, ("d",), (), Return(("d",)))
+    assert render_statement(t) == "() <- seen(d)"
+    with pytest.raises(UnknownGenerator) as caught:
+        typecheck(SIG, (("d", "Door"),), t)
+    assert str(caught.value) == "generator seen not in signature in () <- seen(d)"
+    door = Generator("door", (), ("Door",))
+    sig = Signature(SIG.types, {"door": door, "seen": SEEN})
+    interp = Interpretation({"Coin": ("H",), "Door": ("L", "R")},
+                            {"door": {(): uniform(("L", "R"))},
+                             "seen": {("L",): dirac(()), ("R",): zero()}})
+    lines, _ = trace(typecheck(sig, (), Sample(door, (), ("d",), t)), interp)
+    assert [line.text for line in lines] == ["d <- door()", "() <- seen(d)", "RETURN(d)"]
+    assert ket(lines[1].state) == "1/2|L>"
 
 
 # -- long predicates at the default recursion limit --------------------------------
 
 
-def _chain(n: int, guide: str = "guide") -> tuple:
-    """The conjunction of n atoms that cycles through ``A IN ports``,
-    ``guide != B``, ``coin = coin`` and ``A = guide``."""
-    a, b = PLit("A", "Port"), PLit("B", "Port")
-    cycle = (Atom("IN", a, "ports"), Atom("!=", guide, b),
-             Atom("=", "coin", "coin"), Atom("=", a, guide))
-    return tuple(cycle[i % 4] for i in range(n))
-
-
-def _sailor_observing(pred, guide: str = "guide"):
-    """The sailor's child term with its observe replaced by ``pred``."""
-    tt, _ = puzzle_programs.sailors_child()
-    (coin, book, ports, _), ret = statements(tt.term)
-    return from_statements([coin, replace(book, outs=(guide,)),
-                            replace(ports, args=("coin", guide)), ObservePred(pred, None)], ret)
-
-
-@pytest.mark.parametrize("entry, message", [
-    (Atom("<", "x", PLit("H", "Coin")),
-     "not a predicate atom: Atom(op='<', left='x', right=PLit(value='H', type='Coin'))"),
-    (Atom("==", "x", "x"), "not a predicate atom: Atom(op='==', left='x', right='x')"),
-    ("junk", "not a predicate atom: 'junk'"),
-    (("=", "x", "x"), "not a predicate atom: ('=', 'x', 'x')"),
-    (SAtom("=", "x", "H"), "not a predicate atom: SAtom(op='=', left='x', right='H')"),
-])
-def test_typing_rejects_a_predicate_entry_the_engine_cannot_evaluate(entry, message):
-    # the entry is rejected where the observe is built, so neither the
-    # typing rule nor the engine nor the oracle ever meets it
-    ok = Atom("=", "x", PLit("H", "Coin"))
-    for pred in ((entry,), (ok, entry)):
-        with pytest.raises(PredicateTypeError) as caught:
-            ObservePred(pred, Return(("x",)))
-        assert str(caught.value) == message
-    # typing knows no carriers: IN over a variable of a symbol type is the engine's to reject
-    term = Sample(COIN, (), ("x",), ObservePred((Atom("IN", PLit("H", "Coin"), "x"),),
-                                                Return(("x",))))
-    assert typecheck(SIG, (), term).out_types == ("Coin",)
+def _sailor_observing(atoms: list[str], guide: str = "guide") -> str:
+    """The sailor's child source with its observe the conjunction of ``atoms``."""
+    source = (PUZZLES / "sailors_child.arrow").read_text()
+    source = source.replace("OBSERVE(A IN ports)", f"OBSERVE({' AND '.join(atoms)})")
+    return source.replace("guide", guide)
 
 
 def test_ten_thousand_atom_observe_at_default_recursion_limit():
+    # the conjunction is one sample of __obs4 over the variables it reads,
+    # in order of first reading, and its 10,000 atoms live in the table
     assert sys.getrecursionlimit() == 1000
-    tt, interp = puzzle_programs.sailors_child()
-    pred = _chain(10_000)
-    term = _sailor_observing(pred)
-    typed = typecheck(tt.sig, (), term)
-    assert typed.out_types == ("Coin",)
-    last_wrong = pred[:-1] + (Atom("=", "coin", PLit("A", "Port")),)
-    with pytest.raises(TypeMismatch) as caught:
-        typecheck(tt.sig, (), _sailor_observing(last_wrong))
-    assert str(caught.value) == "comparison between Coin and Port in OBSERVE(coin = A)"
-    assert render_statement(statements(term)[0][3]) == (
-        "OBSERVE(" + " AND ".join(["A IN ports AND guide != B AND coin = coin AND A = guide"]
-                                  * 2_500) + ")")
+    cycle = ("A IN ports", "guide != B", "coin = coin", "A = guide")
+    atoms = [cycle[i % 4] for i in range(10_000)]
+    prog = load_text(_sailor_observing(atoms))
+    heads, _ = statements(prog.typed.term)
+    observe = heads[3]
+    assert observe.gen == Generator("__obs4", ("Ports", "Port", "Coin"), ())
+    assert render_statement(observe) == "() <- __obs4(ports, guide, coin)"
+    assert typecheck(prog.typed.sig, (), prog.typed.term).out_types == ("Coin",)
+    for ports in prog.interp.carrier("Ports"):
+        for guide in ("A", "B"):
+            for coin in ("H", "T"):
+                holds = "A" in ports and guide == "A"
+                assert prog.interp.kernel_row(observe.gen, (ports, guide, coin)) == (
+                    Subdist({(): Q(1)}) if holds else Subdist({})), (ports, guide, coin)
 
-    assert alpha_eq(_sailor_observing(_chain(10_000, "g"), "g"), term)
-    assert not alpha_eq(_sailor_observing(last_wrong), term)
-    assert not alpha_eq(_sailor_observing(pred[:-1]), term)
+    with pytest.raises(ElaborationError) as caught:
+        load_text(_sailor_observing(atoms[:-1] + ["coin = guide"]))
+    message = str(caught.value)
+    assert message.startswith("line 14: comparison between Coin and Port in OBSERVE(A IN ports AND")
+    assert message.endswith(" AND coin = coin AND coin = guide)")
 
-    copy = _sailor_observing(_chain(10_000))
-    assert copy == term and copy is not term and hash(copy) == hash(term)
-    assert _sailor_observing(pred[:-1]) != term
-    text = repr(term)
-    assert text.count("Atom(op='IN', left=PLit(value='A', type='Port'), right='ports')") == 2_500
-    assert text.endswith("Atom(op='=', left=PLit(value='A', type='Port'), right='guide')), "
-                         "cont=Return(vars=('coin',))))))")
+    renamed = load_text(_sailor_observing([a.replace("guide", "g") for a in atoms], "g"))
+    assert alpha_eq(renamed.typed.term, prog.typed.term)
+    assert renamed.typed.term != prog.typed.term
 
     expected = Subdist({"H": Q(1, 4), "T": Q(1, 4)})
-    assert oracle_denote(typed, interp) == expected
-    assert interpret(typed, interp) == expected
+    assert oracle_denote(prog.typed, prog.interp) == expected
+    assert interpret(prog.typed, prog.interp) == expected
 
 
-def test_substitute_through_ten_thousand_atoms_at_default_recursion_limit():
+def test_substitute_through_a_ten_thousand_input_sample_at_default_recursion_limit():
+    # a predicate observe reading 10,000 variables is a sample with 10,000 arguments
     assert sys.getrecursionlimit() == 1000
-    a, b = PLit("A", "Port"), PLit("B", "Port")
-
-    def chain(x: str) -> tuple:
-        return tuple(Atom("!=", x, b) if i % 2 else Atom("=", a, x) for i in range(10_000))
-
-    ctx = (("x", "Port"), ("u", "Port"))
-    t = ObservePred(chain("x"), Return(("x",)))
-    done = substitute(t, "x", "u", ctx=ctx)
-    assert done == ObservePred(chain("u"), Return(("u",)))
-    assert typecheck(Signature(frozenset({"Port"})), ctx, done).out_types == ("Port",)
-    assert alpha_eq(substitute(done, "u", "x"), t) and not alpha_eq(done, t)
+    ctx = tuple((f"x{i}", "Door") for i in range(10_000))
+    seen = Generator("seen", ("Door",) * 10_000, ())
+    sig = Signature(frozenset({"Door"}), {"seen": seen})
+    names = [name for name, _ in ctx]
+    t = Sample(seen, tuple(names), (), Return(("x0",)))
+    done = substitute(t, "x0", "x1", ctx=ctx)
+    assert done == Sample(seen, ("x1", "x1", *names[2:]), (), Return(("x1",)))
+    assert typecheck(sig, ctx, done).out_types == ("Door",)
+    assert alpha_eq(substitute(done, "x1", "x0"), Sample(seen, ("x0", "x0", *names[2:]), (),
+                                                         Return(("x0",))))
+    assert not alpha_eq(done, t)
+    assert render_statement(done) == f"() <- seen(x1, x1, {', '.join(names[2:])})"
 
 
 # -- axiom rewrites ---------------------------------------------------------------
@@ -391,20 +379,25 @@ def _step_outcome(t, which, pos, direction):
 def test_rewrites_are_pinned():
     # Every applicable_steps list, and every axiom_step outcome over all
     # axioms (and an unknown one), both directions (and an invalid one)
-    # and every position from -1 to one past the end.
-    terms = [gen_term(GenBudget(seed=seed))[2] for seed in range(500)]
-    terms += [build()[0].term for build in BUILDERS.values()]
-    digest = hashlib.sha256()
-    for t in terms:
-        digest.update(repr(list(applicable_steps(t))).encode() + b"\n")
-        n = len(statements(t)[0])
-        for which in AXIOM_IDS + ("5",):
-            for direction in ("fwd", "bwd", "sideways"):
-                for pos in range(-1, n + 2):
-                    outcome = _step_outcome(t, which, pos, direction)
-                    digest.update(repr(outcome).encode() + b"\n")
-    assert digest.hexdigest() == (
-        "f5d953af0568b03d8672854afe6661d1ebffc071899f1fef8f54ad080f4b2f18")
+    # and every position from -1 to one past the end; the generated terms
+    # and the hand-built puzzles, whose observes of a literal are samples
+    # with no outputs, are pinned apart.
+    def digest(terms) -> str:
+        found = hashlib.sha256()
+        for t in terms:
+            found.update(repr(list(applicable_steps(t))).encode() + b"\n")
+            n = len(statements(t)[0])
+            for which in AXIOM_IDS + ("5",):
+                for direction in ("fwd", "bwd", "sideways"):
+                    for pos in range(-1, n + 2):
+                        outcome = _step_outcome(t, which, pos, direction)
+                        found.update(repr(outcome).encode() + b"\n")
+        return found.hexdigest()
+
+    assert digest(gen_term(GenBudget(seed=seed))[2] for seed in range(500)) == (
+        "306bf305defa1ce44b9c058cb919f2b260bc5d3200b06e2362241dfc859f7c93")
+    assert digest(build()[0].term for build in BUILDERS.values()) == (
+        "6795d822df1d9002ad1da8661e88a9375dbf8ae32b03a382c94f6007e85fd839")
 
 
 def test_ten_thousand_statement_rewrites_at_default_recursion_limit(monkeypatch):
@@ -446,8 +439,9 @@ def test_ten_thousand_statement_rewrites_at_default_recursion_limit(monkeypatch)
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Signature(frozenset({"Coin"}), {"g": Generator("g", ("Coin",), ("Die",))}),
      UnknownGenerator, "generator g uses undeclared type Die"),
-    (lambda: typecheck(SIG, (), ObservePred((Atom("=", "y", PLit("H", "Coin")),), Return(()))),
-     UnboundVariable, "variable y not in scope"),
+    (lambda: typecheck(Signature(SIG.types, {"seen": SEEN}), (),
+                       Sample(SEEN, ("y",), (), Return(()))),
+     UnboundVariable, "variable y not in scope in () <- seen(y)"),
     (lambda: typecheck(SIG, (("x", "Coin"),), Observe("x", "y", Return(("x",)))),
      UnboundVariable, "variable y not in scope in OBSERVE(x = y)"),
     (lambda: typecheck(SIG, (), "junk"), TypeMismatch, "not a term node: 'junk'"),
