@@ -13,6 +13,7 @@ from arrowlang import (
     Return,
     Sample,
     Signature,
+    Term,
     axiom_step,
     encode,
     interpret,
@@ -22,21 +23,19 @@ from arrowlang import (
     typecheck,
     uniform,
 )
-from arrowlang.syntax import render_statement, statements
+from arrowlang.syntax import render_statement
 
 # Two independent draws, observed to agree, returning the first.
 flip = Generator("flip", (), ("Coin",))
 sig = Signature(frozenset({"Coin"}), {"flip": flip})
-term = Sample(flip, (), ("x",),
-              Sample(flip, (), ("y",),
-                     Observe("x", "y", Return(("x",)))))
+term = Term((Sample(flip, (), ("x",)), Sample(flip, (), ("y",)), Observe("x", "y")),
+            Return(("x",)))
 tt = typecheck(sig, (), term)
 interp = Interpretation({"Coin": ("h", "t")}, {"flip": {(): uniform(["h", "t"])}})
 
 def show(label, t):
     print(label)
-    heads, ret = statements(t)
-    for node in heads + [ret]:
+    for node in t.heads + (t.ret,):
         print("  " + render_statement(node))
     print("denotes:", ket(interpret(typecheck(sig, (), t), interp)))
 

@@ -1,10 +1,11 @@
 """Variable-free term encoding driven by finite functions.
 
 Finite functions are lists of 1-based integers with an explicit
-codomain; they reindex contexts.  A term in this form is a tuple of
-observe and generator statements followed by a return, and every
-variable reference is a finite function into the context its statement
-sees, making composition, whiskering, and tensoring purely mechanical.
+codomain; they reindex contexts.  A term in this form is, as a variable
+term is, a tuple of observe and generator statements followed by a
+return, but every variable reference is a finite function into the
+context its statement sees, making composition, whiskering, and
+tensoring purely mechanical.
 
 Composition note: ``ff_compose(alpha, beta)`` selects through beta
 first (``result[i] = alpha[beta[i]]``), matching the defining list
@@ -308,8 +309,7 @@ def encode(tt: TypedTerm) -> CombTerm:
             raise TypeMismatch(f"variable {v} not in context") from None
 
     heads = []
-    node = tt.term
-    while not isinstance(node, Return):
+    for node in tt.term.heads:
         if isinstance(node, Observe):
             heads.append(CObs(ff([at(node.left), at(node.right)], len(types))))
         elif isinstance(node, Sample):
@@ -319,8 +319,7 @@ def encode(tt: TypedTerm) -> CombTerm:
                 pos[v] = len(types)
         else:
             raise TypeMismatch(f"not a term node: {node!r}")
-        node = node.cont
-    return CombTerm(tuple(heads), ff([at(v) for v in node.vars], len(types)), tuple(types))
+    return CombTerm(tuple(heads), ff([at(v) for v in tt.term.ret.vars], len(types)), tuple(types))
 
 
 def decode(c: CombTerm, sig: Signature | None = None) -> TypedTerm:
@@ -330,15 +329,16 @@ def decode(c: CombTerm, sig: Signature | None = None) -> TypedTerm:
     is supplied.
     """
     names = [f"v{i}" for i in range(1, len(c.ctx) + 1)]
-    term: Term = Return(tuple(names[t - 1] for t in c.sel.targets))
-    n = len(c.ctx)  # the context length after the statement at hand
-    for h in reversed(c.heads):
+    heads = []
+    n = c.arity  # the context length before the statement at hand
+    for h in c.heads:
         if type(h) is CObs:
-            term = Observe(names[h.pair(1) - 1], names[h.pair(2) - 1], term)
+            heads.append(Observe(names[h.pair(1) - 1], names[h.pair(2) - 1]))
         else:
-            m = n - len(h.gen.outputs)
-            term = Sample(h.gen, tuple(names[t - 1] for t in h.sel.targets), tuple(names[m:n]), term)
+            m = n + len(h.gen.outputs)
+            heads.append(Sample(h.gen, tuple(names[t - 1] for t in h.sel.targets), tuple(names[n:m])))
             n = m
+    term = Term(tuple(heads), Return(tuple(names[t - 1] for t in c.sel.targets)))
     if sig is None:
         samples = [h.gen for h in c.heads if type(h) is CGen]
         types = set().union(*(g.inputs + g.outputs for g in samples)) | set(c.ctx)

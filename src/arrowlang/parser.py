@@ -57,9 +57,9 @@ from .syntax import (
     Return,
     Sample,
     Signature,
+    Term,
     TypedTerm,
     check_statement,
-    from_statements,
     render_statement,
 )
 
@@ -928,7 +928,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
 
     sig = Signature(frozenset(carriers), gens)  # the sugar's generators join ``gens`` below
     scope: dict[str, str] = {}  # each variable bound so far, and its type, kept by the rule
-    heads: list = []  # the core statements, cont left None
+    heads: list = []  # the core statements
     lines: list = []  # Program.lines
 
     def add(node, line):
@@ -998,7 +998,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
         gen = Generator(fresh_gen_name("obs", index), tuple(scope[v] for v in args), ())
         gens[gen.name] = gen
         kernels[gen.name] = _PredicateTable(atoms, tuple(reversed(literals)))
-        return Sample(gen, tuple(args), (), None)
+        return Sample(gen, tuple(args), ())
 
     for stmt_index, stmt in enumerate(sp.stmts, 1):
         at[0] = stmt.line
@@ -1013,7 +1013,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                                 (_unique_type_for(values, carriers, "UNIFORM"),))
                 gens[gen.name] = gen
                 kernels[gen.name] = {(): Subdist._of_numerators([(v, 1) for v in values], len(values))}
-                add(Sample(gen, (), stmt.vars, None), stmt)
+                add(Sample(gen, (), stmt.vars), stmt)
             elif stmt.kind == "case":
                 for v in stmt.scrutinee:
                     if v not in scope:
@@ -1026,12 +1026,12 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                                 (_infer_case_output_type(matchers, carriers),))
                 gens[gen.name] = gen
                 kernels[gen.name] = build_table(matchers, in_types, gen.outputs, carriers)
-                add(Sample(gen, stmt.scrutinee, stmt.vars, None), stmt)
+                add(Sample(gen, stmt.scrutinee, stmt.vars), stmt)
             else:  # call
                 gen = gens.get(stmt.callee)
                 if gen is None:
                     raise ElaborationError(f"unknown generator {stmt.callee}")
-                add(Sample(gen, stmt.args, stmt.vars, None), stmt)
+                add(Sample(gen, stmt.args, stmt.vars), stmt)
         elif isinstance(stmt, ObserveStmt):
             atom = stmt.atoms[0]
             both_vars = (
@@ -1041,7 +1041,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 and atom.right in scope
             )
             if both_vars:
-                add(Observe(atom.left, atom.right, None), stmt)
+                add(Observe(atom.left, atom.right), stmt)
                 continue
             nullary = None
             if len(stmt.atoms) == 1 and atom.op == "=":
@@ -1056,8 +1056,8 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 out = f"__o{stmt_index}"
                 while out in scope:
                     out += "_"
-                add(Sample(gen, (), (out,), None), f"{out} <- {gen.name}()")
-                add(Observe(var, out, None), f"OBSERVE({var} = {out})")
+                add(Sample(gen, (), (out,)), f"{out} <- {gen.name}()")
+                add(Observe(var, out), f"OBSERVE({var} = {out})")
                 continue
             add(predicate_sample(stmt, stmt_index), stmt)
         else:  # ReturnStmt, the last statement
@@ -1065,7 +1065,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             check_statement(sig, scope, ret)
             lines.append(stmt)
 
-    typed = TypedTerm(sig, (), from_statements(heads, ret), tuple(scope[v] for v in ret.vars))
+    typed = TypedTerm(sig, (), Term(tuple(heads), ret), tuple(scope[v] for v in ret.vars))
     return Program(sp, typed, Interpretation(carriers, kernels), tuple(lines))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 from .combinator import FiniteFunction, ff
 from .errors import InvalidSubdistribution
@@ -25,10 +25,9 @@ from .syntax import (
     Return,
     Sample,
     Signature,
+    Statement,
     Term,
     TypedTerm,
-    from_statements,
-    statements,
     typecheck,
 )
 
@@ -73,15 +72,13 @@ def gen_signature(budget: GenBudget, rng: random.Random) -> Signature:
     return Signature(frozenset(types), gens)
 
 
-def _gen_statements(sig: Signature, rng: random.Random, budget: GenBudget,
-                    scope: dict[str, str]) -> tuple[list[Term], Return]:
-    heads: list[Term] = []
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"w{counter[0]}"
-
+def gen_term_for_ctx(budget: GenBudget, rng: random.Random, sig: Signature,
+                     ctx_types: tuple[str, ...]) -> TypedTerm:
+    """Random well-typed term over a prescribed context type list."""
+    ctx = tuple((f"x{i}", t) for i, t in enumerate(ctx_types, 1))
+    scope = dict(ctx)
+    heads: list[Statement] = []
+    fresh = count(1)  # numbers the outputs: w1, w2, ...
     n = rng.randint(1, budget.max_statements)
     for _ in range(n):
         kind = rng.choice(("sample", "sample", "observe"))
@@ -92,7 +89,7 @@ def _gen_statements(sig: Signature, rng: random.Random, budget: GenBudget,
             candidates = [vs for vs in by_type.values() if vs]
             vs = rng.choice(candidates)
             left, right = rng.choice(vs), rng.choice(vs)
-            heads.append(Observe(left, right, None))  # cont set by from_statements
+            heads.append(Observe(left, right))
             continue
         usable = [  # never empty: `gen_signature` declares the nullary g1
             g for g in sig.generators.values()
@@ -102,15 +99,15 @@ def _gen_statements(sig: Signature, rng: random.Random, budget: GenBudget,
         args = []
         for t in g.inputs:
             args.append(rng.choice([v for v, tv in scope.items() if tv == t]))
-        outs = tuple(fresh() for _ in g.outputs)
-        heads.append(Sample(g, tuple(args), outs, None))
+        outs = tuple(f"w{next(fresh)}" for _ in g.outputs)
+        heads.append(Sample(g, tuple(args), outs))
         for v, t in zip(outs, g.outputs):
             scope[v] = t
 
     ret_len = rng.randint(0, 3)
     names = list(scope)
     ret = Return(tuple(rng.choice(names) for _ in range(ret_len)) if names else ())
-    return heads, ret
+    return typecheck(sig, ctx, Term(tuple(heads), ret))
 
 
 def gen_term(budget: GenBudget, rng: random.Random | None = None
@@ -128,16 +125,6 @@ def gen_closed_program(budget: GenBudget, rng: random.Random | None = None) -> T
     """Random well-typed program with an empty context."""
     rng = rng or budget.rng()
     return gen_term_for_ctx(budget, rng, gen_signature(budget, rng), ())
-
-
-def gen_term_for_ctx(budget: GenBudget, rng: random.Random, sig: Signature,
-                     ctx_types: tuple[str, ...]) -> TypedTerm:
-    """Random well-typed term over a prescribed context type list."""
-    ctx = tuple((f"x{i}", t) for i, t in enumerate(ctx_types, 1))
-    scope = dict(ctx)
-    heads, ret = _gen_statements(sig, rng, budget, scope)
-    term = from_statements(heads, ret)
-    return typecheck(sig, ctx, term)
 
 
 def gen_kernels(gens, carriers, rng: random.Random,
@@ -224,7 +211,7 @@ def oracle_denote(program: TypedTerm, interp: Interpretation) -> Subdist:
     """
     if program.ctx:
         raise InvalidSubdistribution("oracle needs a closed program")
-    heads, ret = statements(program.term)
+    heads, ret = program.term.heads, program.term.ret
     samples = [h for h in heads if isinstance(h, Sample)]
     spaces = [
         list(product(*(interp.carrier(t) for t in h.gen.outputs)))

@@ -48,12 +48,12 @@ from .syntax import (
     Return,
     Sample,
     Signature,
+    Statement,
     Term,
     TypedTerm,
     TypeName,
     reads,
     render_statement,
-    statements,
 )
 
 KernelTable = Mapping[tuple, Subdist]
@@ -91,21 +91,13 @@ class Interpretation:
             if not self.carrier(t):
                 raise CarrierMismatch(f"empty carrier for type {t}")
         for gen in sig.generators.values():
-            out_space = set(product(*(self.carrier(t) for t in gen.outputs)))
+            out_space = set(map(collapse_values, product(*(self.carrier(t) for t in gen.outputs))))
             for args in product(*(self.carrier(t) for t in gen.inputs)):
                 for x, _ in self.kernel_row(gen, args).numerators()[0]:
-                    if outs_tuple(x, len(gen.outputs)) not in out_space:
+                    if x not in out_space:
                         raise CarrierMismatch(
                             f"kernel {gen.name} emits {x!r} outside its output carrier"
                         )
-
-
-def outs_tuple(out_val: Outcome, arity: int) -> tuple:
-    if arity == 1:
-        return (out_val,)
-    if arity == 0:
-        return ()
-    return out_val  # type: ignore[return-value]
 
 
 # -- the evaluation engine ----------------------------------------------------
@@ -132,11 +124,10 @@ def _kernel_row(interp: Interpretation, gen: Generator,
                 args: tuple) -> tuple[int, list[tuple[tuple, int]]]:
     """One kernel row as integer numerators over its denominator."""
     row, denom = interp.kernel_row(gen, args).numerators()
-    arity = len(gen.outputs)
-    return denom, [(outs_tuple(x, arity), n) for x, n in row]
+    return denom, [((x,), n) for x, n in row] if len(gen.outputs) == 1 else list(row)
 
 
-def _step(state: dict, denom: int, layout: list[str], node: Term, kept: tuple | None,
+def _step(state: dict, denom: int, layout: list[str], node: Statement, kept: tuple | None,
           interp: Interpretation, rows: RowCache, margins: dict) -> tuple[dict, int]:
     """Apply one statement to a joint state over ``denom``.
 
@@ -205,7 +196,7 @@ def _reduce(state: dict, denom: int) -> tuple[dict, int]:
 # A schedule pairs each statement with the variables summed out after it,
 # and a sample with the positions of its outputs that some later statement
 # or the return reads (None: all of them); the others never become columns.
-Schedule = list[tuple[Term, set[str], tuple | None]]
+Schedule = list[tuple[Statement, set[str], tuple | None]]
 
 
 def _plan(term: Term, inputs: list[str]) -> tuple[tuple[Schedule, Return], list[str]]:
@@ -223,11 +214,10 @@ def _plan(term: Term, inputs: list[str]) -> tuple[tuple[Schedule, Return], list[
     it does not read (the interchange law of `syntax`), and summing out a
     column or a row's outputs keeps mass.
     """
-    heads, ret = statements(term)
     # slots[k], k >= 1: the k-th sample with outputs, then the statements placed after it
-    slots: list[list[tuple[Term, set[str], tuple]]] = [[]]
+    slots: list[list[tuple[Statement, set[str], tuple]]] = [[]]
     bound = dict.fromkeys(inputs, 0)
-    for node in heads:
+    for node in term.heads:
         read = reads(node)
         if isinstance(node, Sample) and node.outs:
             bound.update(dict.fromkeys(node.outs, len(slots)))
@@ -238,7 +228,7 @@ def _plan(term: Term, inputs: list[str]) -> tuple[tuple[Schedule, Return], list[
             slots[max((bound.get(x, len(slots) - 1) for x in read), default=0)].append(
                 (node, read, ()))
     # inputs stay out of `live`, so that it ends as the inputs read
-    live, ins = set(ret.vars), frozenset(inputs)
+    live, ins = set(term.ret.vars), frozenset(inputs)
     steps: Schedule = []
     for node, read, outs in reversed([entry for slot in slots for entry in slot]):
         kept = None if live.issuperset(outs) else tuple(i for i, x in enumerate(outs) if x in live)
@@ -246,12 +236,12 @@ def _plan(term: Term, inputs: list[str]) -> tuple[tuple[Schedule, Return], list[
         live.difference_update(outs)
         live |= read
     steps.reverse()
-    return (steps, ret), [x for x in inputs if x in live]
+    return (steps, term.ret), [x for x in inputs if x in live]
 
 
 # A record callback sees a statement and the state it produced, and
 # returns the state to continue from.
-Record = Callable[[Term, dict, int], tuple[dict, int]]
+Record = Callable[[Statement | Return, dict, int], tuple[dict, int]]
 
 
 def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
@@ -367,7 +357,7 @@ def trace(program: TypedTerm, interp: Interpretation,
         raise CarrierMismatch("trace needs a closed program (empty context)")
     lines: list[TraceLine] = []
 
-    def record(node: Term, state: dict, denom: int) -> tuple[dict, int]:
+    def record(node: Statement | Return, state: dict, denom: int) -> tuple[dict, int]:
         lineno = len(lines) + 1
         if normalize:
             if not state:
@@ -377,8 +367,8 @@ def trace(program: TypedTerm, interp: Interpretation,
         lines.append(TraceLine(lineno, text, _subdists(state, denom, [()], 0)[()]))
         return state, denom
 
-    heads, ret = statements(program.term)
-    _evaluate(([(node, set(), None) for node in heads], ret), [], {(): 1}, interp, record)
+    steps = [(node, set(), None) for node in program.term.heads]
+    _evaluate((steps, program.term.ret), [], {(): 1}, interp, record)
     return lines, EvalResult.of(lines[-1].state)
 
 

@@ -1,7 +1,7 @@
 """Typed variable-based terms: signatures, contexts, statements, rewrites.
 
-A term is a chain of sampling and observation statements ending in a
-return statement.  Sampling binds fresh output variables; observation
+A term is a tuple of sampling and observation statements followed by
+a return statement.  Sampling binds fresh output variables; observation
 constrains two variables of equal type.  There is no other statement
 form: a predicate over the scope is a sample of a generator with no
 outputs, whose kernel row has mass 1 where the predicate holds and 0
@@ -15,7 +15,7 @@ and the evaluation planner moves observes by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .errors import (
@@ -59,76 +59,58 @@ class Return:
     vars: tuple[Var, ...]
 
 
-class _Statement:
-    """A statement whose `==`, `hash` and `repr` loop along its `cont`
-    chain: the generated ones would nest one call per statement."""
-
-    def _key(self) -> tuple:
-        nodes, end = statements(self)
-        return tuple((n.__class__, *[getattr(n, f.name) for f in fields(n)[:-1]])
-                     for n in nodes), end
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        nodes, end = statements(self)
-        return "".join(f"{n.__class__.__qualname__}("
-                       + "".join(f"{f.name}={getattr(n, f.name)!r}, " for f in fields(n)[:-1])
-                       + "cont=" for n in nodes) + repr(end) + ")" * len(nodes)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Observe(_Statement):
+@dataclass(frozen=True)
+class Observe:
     left: Var
     right: Var
-    cont: "Term"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Sample(_Statement):
+@dataclass(frozen=True)
+class Sample:
     gen: Generator
     args: tuple[Var, ...]
     outs: tuple[Var, ...]
-    cont: "Term"
 
 
-Term = Union[Return, Observe, Sample]
+Statement = Union[Observe, Sample]
 
 
-def statements(t: Term) -> tuple[list[Term], Return]:
-    """Split a term into its statement heads and the final return."""
-    heads = []
-    while isinstance(t, _Statement):
-        heads.append(t)
-        t = t.cont
-    return heads, t
+@dataclass(frozen=True)
+class Term:
+    """The statements in order, then the return."""
+
+    heads: tuple[Statement, ...]
+    ret: Return
+
+    # A read-only chain view, kept only because perfbench/tracing.py counts
+    # statements by walking `cont` and `gen`; no module here reads it.  The
+    # next benchmark change should read `heads` there and delete the view.
+    @property
+    def cont(self) -> Term:
+        """The term after the first statement."""
+        if not self.heads:
+            raise AttributeError("a term with no statements has no cont")
+        return Term(self.heads[1:], self.ret)
+
+    @property
+    def gen(self) -> Generator:
+        """The generator of the first statement, when that is a sample."""
+        if not self.heads or not isinstance(self.heads[0], Sample):
+            raise AttributeError("a term that does not start with a sample has no gen")
+        return self.heads[0].gen
 
 
-def from_statements(heads: list[Term], ret: Return) -> Term:
-    """Chain the heads over the return: each is copied with the next as its ``cont``."""
-    t: Term = ret
-    for h in reversed(heads):
-        node = object.__new__(h.__class__)  # a copy, at a third of `dataclasses.replace`'s cost
-        node.__dict__.update(h.__dict__, cont=t)
-        t = node
-    return t
-
-
-def reads(node: Term) -> set[Var]:
+def reads(node: Statement) -> set[Var]:
     """The variables a statement reads."""
     return set(node.args) if isinstance(node, Sample) else {node.left, node.right}
 
 
-def binds(node: Term) -> tuple[Var, ...]:
+def binds(node: Statement) -> tuple[Var, ...]:
     """The variables a statement binds: a sample's outputs."""
     return node.outs if isinstance(node, Sample) else ()
 
 
-def render_statement(node: Term) -> str:
+def render_statement(node: Statement | Return) -> str:
     """Canonical one-line text of a single statement."""
     if isinstance(node, Return):
         return f"RETURN({', '.join(node.vars)})"
@@ -150,7 +132,7 @@ class TypedTerm:
     out_types: tuple[TypeName, ...]
 
 
-def check_statement(sig: Signature, scope: dict[Var, TypeName], node: Term) -> None:
+def check_statement(sig: Signature, scope: dict[Var, TypeName], node: Statement | Return) -> None:
     """The typing rule of one statement, the return included: check ``node``
     against ``scope``, each variable bound before it with its type, then add
     the variables it binds.  Raises as `typecheck` does."""
@@ -205,12 +187,14 @@ def typecheck(sig: Signature, ctx: Context, t: Term) -> TypedTerm:
         if tname not in sig.types:
             raise UnknownGenerator(f"context uses undeclared type {tname}")
         scope[name] = tname
-    node = t
-    while not isinstance(node, Return):
+    for node in t.heads:
+        if isinstance(node, Return):
+            raise TypeMismatch(f"not a statement: {node!r}")
         check_statement(sig, scope, node)
-        node = node.cont
-    check_statement(sig, scope, node)
-    return TypedTerm(sig, ctx, t, tuple(scope[v] for v in node.vars))
+    if not isinstance(t.ret, Return):
+        raise TypeMismatch(f"not a return: {t.ret!r}")
+    check_statement(sig, scope, t.ret)
+    return TypedTerm(sig, ctx, t, tuple(scope[v] for v in t.ret.vars))
 
 
 # -- alpha equivalence ---------------------------------------------------------
@@ -222,6 +206,12 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
     Without contexts, free variables must match literally.  When both
     contexts are given they are aligned positionally, so terms over
     differently named but equally typed contexts can be compared.
+
+    Like `==`, it compares terms over a signature, not interpretations: a
+    generator is its name and types, and its kernel table lives in the
+    interpretation.  So the loads of ``OBSERVE(x = a)`` and
+    ``OBSERVE(x = b)`` over one ``x`` give equal terms, whose ``__obsN``
+    tables, and so denotations, differ.
     """
 
     def resolve(v: Var, bound: dict[Var, int]):
@@ -235,10 +225,12 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
         for i, ((v1, _), (v2, _)) in enumerate(zip(ctx1, ctx2)):
             ba[v1] = -(i + 1)
             bb[v2] = -(i + 1)
-    a, b, depth = t1, t2, 0
-    while type(a) is type(b):
-        if isinstance(a, Return):
-            return [resolve(v, ba) for v in a.vars] == [resolve(v, bb) for v in b.vars]
+    if not (type(t1) is type(t2) is Term) or len(t1.heads) != len(t2.heads):
+        return False
+    depth = 0
+    for a, b in zip(t1.heads, t2.heads):
+        if type(a) is not type(b):
+            return False
         if isinstance(a, Observe):
             if resolve(a.left, ba) != resolve(b.left, bb) or resolve(a.right, ba) != resolve(b.right, bb):
                 return False
@@ -253,8 +245,7 @@ def alpha_eq(t1: Term, t2: Term, ctx1: Context | None = None, ctx2: Context | No
             depth += len(a.outs)
         else:
             return False
-        a, b = a.cont, b.cont
-    return False
+    return [resolve(v, ba) for v in t1.ret.vars] == [resolve(v, bb) for v in t2.ret.vars]
 
 
 # -- substitution -----------------------------------------------------------------
@@ -273,22 +264,23 @@ def substitute(t: Term, x: Var, u: Var, ctx: Context | None = None) -> Term:
             raise UnboundVariable(f"{x} or {u} not in the ambient context")
         if types[x] != types[u]:
             raise TypeMismatch(f"cannot substitute {types[x]} {x} by {types[u]} {u}")
-    return from_statements(*_substituted(*statements(t), x, u))
+    return Term(*_substituted(t.heads, t.ret, x, u))
 
 
-def _substituted(heads: list[Term], ret: Return, x: Var, u: Var) -> tuple[list[Term], Return]:
-    """`substitute` on a statement list: the new heads and return."""
+def _substituted(heads: tuple[Statement, ...], ret: Return, x: Var,
+                 u: Var) -> tuple[tuple[Statement, ...], Return]:
+    """`substitute` on statements and a return: the new ones."""
 
     def sub(v: Var) -> Var:
         return u if v == x else v
 
-    moved: list[Term] = []
+    moved: list[Statement] = []
     for node in heads:
         if isinstance(node, Observe):
-            moved.append(Observe(sub(node.left), sub(node.right), None))
+            moved.append(Observe(sub(node.left), sub(node.right)))
         else:
-            moved.append(Sample(node.gen, tuple(sub(v) for v in node.args), node.outs, None))
-    return moved, Return(tuple(sub(v) for v in ret.vars))
+            moved.append(Sample(node.gen, tuple(sub(v) for v in node.args), node.outs))
+    return tuple(moved), Return(tuple(sub(v) for v in ret.vars))
 
 
 # -- axiom rewrites ------------------------------------------------------------------
@@ -304,7 +296,8 @@ _STEPS = (("1a", "fwd"), ("1b", "fwd"), ("1b", "bwd"), ("1c", "fwd"),
           ("2", "fwd"), ("3", "fwd"), ("3", "bwd"), ("4", "fwd"))
 
 
-def _obstacle(heads: list[Term], which: str, position: int, direction: str) -> str | None:
+def _obstacle(heads: tuple[Statement, ...], which: str, position: int,
+              direction: str) -> str | None:
     """Why the axiom cannot rewrite the statement list at the position, or None."""
     if not 0 <= position < len(heads):
         return f"no statement at position {position}"
@@ -336,22 +329,22 @@ def axiom_step(t: Term, which: str, position: int, direction: str = "fwd") -> Te
         raise NotApplicable(f"unknown axiom {which!r}")
     if direction not in ("fwd", "bwd"):
         raise NotApplicable(f"unknown direction {direction!r}")
-    heads, ret = statements(t)
-    why = _obstacle(heads, which, position, direction)
+    why = _obstacle(t.heads, which, position, direction)
     if why is not None:
         raise NotApplicable(why)
+    heads, ret = list(t.heads), t.ret
     node = heads[position]
     if which in _INTERCHANGE:
         heads[position : position + 2] = heads[position + 1], node
     elif which == "2":
-        heads[position] = replace(node, left=node.right, right=node.left)
+        heads[position] = Observe(node.right, node.left)
     elif which == "3":
         # backward is the mirrored substitution; sound by composing with the symmetry axiom
         x, u = (node.left, node.right) if direction == "fwd" else (node.right, node.left)
-        heads[position + 1 :], ret = _substituted(heads[position + 1 :], ret, x, u)
+        heads[position + 1 :], ret = _substituted(t.heads[position + 1 :], ret, x, u)
     else:
         del heads[position]
-    return from_statements(heads, ret)
+    return Term(tuple(heads), ret)
 
 
 def applicable_steps(t: Term) -> Iterator[tuple[str, int, str]]:
@@ -359,8 +352,7 @@ def applicable_steps(t: Term) -> Iterator[tuple[str, int, str]]:
 
     Backward 1a, 1c and 2 are left out, being the same rewrites as forward,
     and so is backward 4, which would need a variable to observe equal to itself."""
-    heads, _ = statements(t)
-    for pos in range(len(heads)):
+    for pos in range(len(t.heads)):
         for which, direction in _STEPS:
-            if _obstacle(heads, which, pos, direction) is None:
+            if _obstacle(t.heads, which, pos, direction) is None:
                 yield which, pos, direction

@@ -17,6 +17,7 @@ from arrowlang.syntax import (
     Return,
     Sample,
     Signature,
+    Term,
     typecheck,
 )
 
@@ -29,9 +30,10 @@ def monty_hall():
     host = Generator("host", ("Door",), ("Door",))
     is_l = Generator("is_L", ("Door",), ())
     sig = Signature(frozenset({"Door"}), {"pick": pick, "host": host, "is_L": is_l})
-    term = Sample(pick, (), ("car",),
-                  Sample(host, ("car",), ("h",),
-                         Sample(is_l, ("h",), (), Return(("car",)))))
+    term = Term((Sample(pick, (), ("car",)),
+                 Sample(host, ("car",), ("h",)),
+                 Sample(is_l, ("h",), ())),
+                Return(("car",)))
     interp = Interpretation(
         {"Door": DOORS},
         {
@@ -51,7 +53,7 @@ def monty_fall():
     pick = Generator("pick", (), ("Door",))
     not_l = Generator("not_L", ("Door",), ())
     sig = Signature(frozenset({"Door"}), {"pick": pick, "not_L": not_l})
-    term = Sample(pick, (), ("car",), Sample(not_l, ("car",), (), Return(("car",))))
+    term = Term((Sample(pick, (), ("car",)), Sample(not_l, ("car",), ())), Return(("car",)))
     interp = Interpretation({"Door": DOORS}, {
         "pick": {(): uniform(DOORS)},
         "not_L": {("L",): FAILS, ("M",): HOLDS, ("R",): HOLDS},
@@ -65,9 +67,10 @@ def three_prisoners():
     is_b = Generator("is_B", ("Prisoner",), ())
     sig = Signature(frozenset({"Prisoner"}),
                     {"pardon_pick": pardon, "reply": reply, "is_B": is_b})
-    term = Sample(pardon, (), ("pardon",),
-                  Sample(reply, ("pardon",), ("reply_to_A",),
-                         Sample(is_b, ("reply_to_A",), (), Return(("pardon",)))))
+    term = Term((Sample(pardon, (), ("pardon",)),
+                 Sample(reply, ("pardon",), ("reply_to_A",)),
+                 Sample(is_b, ("reply_to_A",), ())),
+                Return(("pardon",)))
     interp = Interpretation(
         {"Prisoner": ("A", "B", "C")},
         {
@@ -93,12 +96,12 @@ def sailors_child(anthropic=True):
         frozenset({"Coin", "Port", "Ports"}),
         {"toss": coin, "open_guide": guide, "ports_of": ports, "has_A": has_a},
     )
-    tail = Return(("coin",))
+    heads = (Sample(coin, (), ("coin",)),
+             Sample(guide, (), ("guide",)),
+             Sample(ports, ("coin", "guide"), ("ports",)))
     if anthropic:
-        tail = Sample(has_a, ("ports",), (), tail)
-    term = Sample(coin, (), ("coin",),
-                  Sample(guide, (), ("guide",),
-                         Sample(ports, ("coin", "guide"), ("ports",), tail)))
+        heads += (Sample(has_a, ("ports",), ()),)
+    term = Term(heads, Return(("coin",)))
     interp = Interpretation(
         {"Coin": ("H", "T"), "Port": ("A", "B"), "Ports": (sA, sB, sAB)},
         {
@@ -141,11 +144,12 @@ def newcomb(branch):
         frozenset({"Choice", "Money"}),
         {"predict": pick, "choose": choose, "payout": outcome, "chose": chose},
     )
-    term = Sample(pick, (), ("prediction",),
-                  Sample(choose, (), ("choice",),
-                         Observe("prediction", "choice",
-                                 Sample(outcome, ("prediction", "choice"), ("outcome",),
-                                        Sample(chose, ("choice",), (), Return(("outcome",)))))))
+    term = Term((Sample(pick, (), ("prediction",)),
+                 Sample(choose, (), ("choice",)),
+                 Observe("prediction", "choice"),
+                 Sample(outcome, ("prediction", "choice"), ("outcome",)),
+                 Sample(chose, ("choice",), ())),
+                Return(("outcome",)))
     interp = Interpretation(
         {"Choice": ("a", "b"), "Money": (Dollar(0), Dollar(1), Dollar(10), Dollar(11))},
         {
@@ -173,13 +177,13 @@ def imperfect_newcomb(branch):
     )
     hit = Subdist({"T": Q(4, 5), "F": Q(1, 5)})
     miss = Subdist({"T": Q(1, 5), "F": Q(4, 5)})
-    term = Sample(pick, (), ("prediction",),
-                  Sample(choose, (), ("choice",),
-                         Sample(correct, ("prediction", "choice"), ("correctness",),
-                                Sample(is_t, ("correctness",), (),
-                                       Sample(outcome, ("prediction", "choice"), ("outcome",),
-                                              Sample(chose, ("choice",), (),
-                                                     Return(("outcome",))))))))
+    term = Term((Sample(pick, (), ("prediction",)),
+                 Sample(choose, (), ("choice",)),
+                 Sample(correct, ("prediction", "choice"), ("correctness",)),
+                 Sample(is_t, ("correctness",), ()),
+                 Sample(outcome, ("prediction", "choice"), ("outcome",)),
+                 Sample(chose, ("choice",), ())),
+                Return(("outcome",)))
     interp = Interpretation(
         {"Choice": ("a", "b"), "Truth": ("T", "F"),
          "Money": (Dollar(0), Dollar(1), Dollar(10), Dollar(11))},
@@ -216,11 +220,12 @@ def monty_hall_full():
         third = next(d for d in DOORS if d not in (car, player))
         return dirac(third)
 
-    term = Sample(pick, (), ("car",),
-                  Sample(choose, (), ("player",),
-                         Sample(host, ("car", "player"), ("h",),
-                                Sample(is_m, ("player",), (),
-                                       Sample(is_l, ("h",), (), Return(("car",)))))))
+    term = Term((Sample(pick, (), ("car",)),
+                 Sample(choose, (), ("player",)),
+                 Sample(host, ("car", "player"), ("h",)),
+                 Sample(is_m, ("player",), ()),
+                 Sample(is_l, ("h",), ())),
+                Return(("car",)))
     interp = Interpretation(
         {"Door": DOORS},
         {

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction as Q
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -310,6 +311,23 @@ def test_eq_after_frobenius_rewrite(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "eq", str(PUZZLES / "newcomb_a.arrow"), str(variant),
                            "--trials", "10", "--seed", "3")
     assert code == 0, out
+
+
+def test_terms_are_compared_over_a_signature_not_an_interpretation(tmp_path, capsys):
+    # the observed literal lives in the table of __obs2, not in the term:
+    # `==` and alpha_eq see the same generator, and `eq` sees the tables
+    paths = []
+    for value in ("a", "b"):
+        path = tmp_path / f"{value}.arrow"
+        path.write_text(f"TYPE T = {{a, b, c}}\nx <- UNIFORM {{a, b, c}}\nOBSERVE(x = {value})\n"
+                        "RETURN(x)\n")
+        paths.append(path)
+    left, right = (load_file(path).typed.term for path in paths)
+    assert left == right and hash(left) == hash(right)
+    assert alpha_eq(left, right)
+    code, out, _ = run_cli(capsys, "eq", *map(str, paths))
+    assert code == 3
+    assert "  left final:  1/3|a>\n  right final: 1/3|b>\n" in out
 
 
 def test_eq_monty_hall_vs_fall(capsys):
@@ -795,7 +813,14 @@ def test_observe_of_ten_thousand_atoms_at_default_recursion_limit(tmp_path, caps
     canonical = pretty(parse(long.read_text()))
     assert long_observe in canonical.splitlines()
     assert pretty(parse(canonical)) == canonical
-    assert alpha_eq(load_text(canonical).typed.term, load_file(long).typed.term)
+    back, ahead = load_text(canonical), load_file(long)
+    assert alpha_eq(back.typed.term, ahead.typed.term)
+    # alpha_eq compares the terms; the 10,000 atoms live in the rows of __obs4
+    assert interpret(back.typed, back.interp) == interpret(ahead.typed, ahead.interp)
+    obs = ahead.typed.sig.generators["__obs4"]
+    assert back.typed.sig.generators["__obs4"] == obs and obs.inputs
+    for args in product(*map(ahead.interp.carrier, obs.inputs)):
+        assert back.interp.kernel_row(obs, args) == ahead.interp.kernel_row(obs, args), args
 
 
 def _coprime_program(n: int) -> tuple[str, dict]:

@@ -44,6 +44,7 @@ from arrowlang.syntax import (
     Generator,
     Return,
     Signature,
+    Term,
     TypedTerm,
     alpha_eq,
     typecheck,
@@ -328,7 +329,7 @@ def test_tensor_preserves_semantics():
 
 
 def test_encode_identity_projection():
-    tt = typecheck(Signature(frozenset({"X"})), (("x1", "X"),), Return(("x1",)))
+    tt = typecheck(Signature(frozenset({"X"})), (("x1", "X"),), Term((), Return(("x1",))))
     assert encode(tt) == CombTerm((), ff([1], 1), ("X",))
 
 
@@ -339,7 +340,7 @@ def test_decode_compare_map():
     decoded = decode(compare)
     from arrowlang.syntax import Observe
 
-    assert decoded.term == Observe("v1", "v2", Return(("v1",)))
+    assert decoded.term == Term((Observe("v1", "v2"),), Return(("v1",)))
 
 
 @pytest.mark.parametrize("path", sorted(PUZZLES.glob("*.arrow")), ids=lambda p: p.stem)
@@ -598,10 +599,10 @@ def test_comb_term_rejects_ill_formed_terms(heads, sel, ctx, error, message):
     (lambda: act(ff([1], 1), comb_identity(("A",)), ("B",)), TypeMismatch,
      "position 1 is B, expected A"),
     # a TypedTerm built directly, past the typing rule
-    (lambda: encode(TypedTerm(Signature(frozenset({"A"})), (), Return(("x",)), ("A",))),
+    (lambda: encode(TypedTerm(Signature(frozenset({"A"})), (), Term((), Return(("x",))), ("A",))),
      TypeMismatch, "variable x not in context"),
-    (lambda: encode(TypedTerm(Signature(frozenset({"A"})), (), "junk", ())), TypeMismatch,
-     "not a term node: 'junk'"),
+    (lambda: encode(TypedTerm(Signature(frozenset({"A"})), (), Term(("junk",), Return(())), ())),
+     TypeMismatch, "not a term node: 'junk'"),
 ])
 def test_finite_functions_action_and_encode_reject_bad_arguments(call, error, message):
     with pytest.raises(error) as exc:

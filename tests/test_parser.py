@@ -13,7 +13,7 @@ from arrowlang.errors import ElaborationError, ParseError
 from arrowlang.parser import load_file, load_text, parse, pretty
 from arrowlang.semantics import interpret, trace
 from arrowlang.subdist import Dollar, Subdist, dirac, ket, uniform, zero
-from arrowlang.syntax import Generator, Observe, Sample, alpha_eq, statements
+from arrowlang.syntax import Generator, Observe, Sample, alpha_eq
 
 PUZZLES = Path(__file__).resolve().parent.parent / "puzzles"
 
@@ -353,7 +353,7 @@ OBSERVE(x = y)
 RETURN(x)
 """
     prog = load_text(src)
-    heads, _ = statements(prog.typed.term)
+    heads = prog.typed.term.heads
     assert isinstance(heads[2], Observe)
     _, result = trace(prog.typed, prog.interp, prog.texts)
     assert result.validity == Q(1, 2)
@@ -362,7 +362,7 @@ RETURN(x)
 def test_literal_observe_is_predicate():
     # OBSERVE(host = L) is a sample of __obs3 : Door -> (), its row of mass 1 only at L
     prog = load_file(PUZZLES / "monty_hall.arrow")
-    heads, _ = statements(prog.typed.term)
+    heads = prog.typed.term.heads
     observe = heads[2]
     assert isinstance(observe, Sample) and observe.outs == () and observe.args == ("host",)
     assert observe.gen == Generator("__obs3", ("Door",), ())
@@ -392,7 +392,7 @@ OBSERVE(x = flip)
 RETURN(x)
 """
     prog = load_text(src)
-    heads, _ = statements(prog.typed.term)
+    heads = prog.typed.term.heads
     # the sugar expands to a sampling statement plus a core observe
     assert isinstance(heads[1], Sample)
     assert isinstance(heads[2], Observe)
@@ -1291,9 +1291,9 @@ def test_predicate_tables_match_an_independent_reference():
             outcomes["mismatch"] += 1
             continue
         prog = load_text(text)
-        head = statements(prog.typed.term)[0][5]
+        head = prog.typed.term.heads[5]
         if core:
-            assert head == Observe(atoms[0][1], atoms[0][2], head.cont), text
+            assert head == Observe(atoms[0][1], atoms[0][2]), text
             outcomes["core"] += 1
         else:
             read = [o for op, a, b in atoms for o in ((b,) if op == "IN" else (a, b))]
@@ -1440,12 +1440,12 @@ def test_elaboration_errors_carry_their_line(src, line, message):
 def test_fresh_generator_name_steps_past_a_user_generator():
     prog = load_text("TYPE T = {a, b}\nGEN __u1 : () -> T = () -> 1|a>\n"
                      "x <- UNIFORM {a, b}\ny <- __u1()\nRETURN(x, y)\n")
-    heads, _ = statements(prog.typed.term)
+    heads = prog.typed.term.heads
     assert [h.gen.name for h in heads] == ["__u1_", "__u1"]
     assert interpret(prog.typed, prog.interp) == Subdist({("a", "a"): Q(1, 2), ("b", "a"): Q(1, 2)})
     prog = load_text("TYPE T = {a, b}\nGEN __obs2 : T -> T\nx <- UNIFORM {a, b}\nOBSERVE(x = a)\n"
                      "RETURN(x)\n")
-    heads, _ = statements(prog.typed.term)
+    heads = prog.typed.term.heads
     assert [h.gen.name for h in heads] == ["__u1", "__obs2_"]
     assert interpret(prog.typed, prog.interp) == Subdist({"a": Q(1, 2)})
 

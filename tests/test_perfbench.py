@@ -12,7 +12,7 @@ import pytest
 
 from arrowlang.parser import load_file
 from arrowlang.proptest import GenBudget, gen_closed_program, gen_interpretation
-from arrowlang.syntax import Sample, statements
+from arrowlang.syntax import Sample
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,9 +48,8 @@ def test_every_traced_function_resolves(module, function):
 
 def test_chain_length_and_worlds_count_statements_and_sampled_outputs():
     for label, tt, carriers in _programs():
-        heads, _ = statements(tt.term)
-        assert tracing.chain_length(tt.term) == len(heads) + 1, label
-        outputs = [t for h in heads if isinstance(h, Sample) for t in h.gen.outputs]
+        assert tracing.chain_length(tt.term) == len(tt.term.heads) + 1, label
+        outputs = [t for h in tt.term.heads if isinstance(h, Sample) for t in h.gen.outputs]
         assert tracing.worlds(tt.term, carriers) == math.prod(len(carriers[t]) for t in outputs), label
 
 
@@ -71,8 +70,7 @@ def test_traced_loads_count_every_token_and_table_row():
             prog = parser.load_text(text)
         carriers = prog.interp.carriers
         tables = [prog.typed.sig.generators[gd.name] for gd in prog.source.gens if gd.rows is not None]
-        heads, _ = statements(prog.typed.term)
-        tables += [head.gen for head, line in zip(heads, prog.lines)
+        tables += [head.gen for head, line in zip(prog.typed.term.heads, prog.lines)
                    if getattr(line, "kind", None) == "case"]
         rows = sum(math.prod(len(carriers[t]) for t in gen.inputs) for gen in tables)
         assert rec.counts["parser.tokens"] == len(parser.located_tokens(text)), label

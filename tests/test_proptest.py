@@ -30,13 +30,13 @@ from arrowlang.syntax import (
     Signature,
     alpha_eq,
     applicable_steps,
+    Term,
     axiom_step,
-    from_statements,
     reads,
-    statements,
     substitute,
     typecheck,
 )
+from test_syntax import serialized
 
 PUZZLES = Path(__file__).resolve().parent.parent / "puzzles"
 BUDGET = GenBudget(max_statements=5)
@@ -58,10 +58,9 @@ def test_generator_coverage():
     saw_repeated_return = False
     for _ in range(1000):
         _, _, term = gen_term(BUDGET, rng)
-        heads, ret = statements(term)
-        if any(isinstance(h, Observe) for h in heads):
+        if any(isinstance(h, Observe) for h in term.heads):
             saw_observe = True
-        if len(ret.vars) != len(set(ret.vars)):
+        if len(term.ret.vars) != len(set(term.ret.vars)):
             saw_repeated_return = True
         if saw_observe and saw_repeated_return:
             break
@@ -100,9 +99,10 @@ def test_generators_draw_as_pinned():
         ctx2 = tuple(rng.choice(sorted(sig.types)) for _ in range(rng.randint(0, 2)))
         tt2 = gen_term_for_ctx(budget, rng, sig, ctx2)
         for s, c, t in ((tt.sig, tt.ctx, tt.term), (sig, ctx, term), (tt2.sig, tt2.ctx, tt2.term)):
-            digest.update(repr((sorted(s.types), list(s.generators.values()), c, t)).encode())
+            digest.update(repr((sorted(s.types), list(s.generators.values()), c,
+                                serialized(t))).encode())
     assert digest.hexdigest() == (
-        "36986488070e11b0611ad6d04f4f52d7726341d442f97bdbe4cbf7fed0991d6c")
+        "ada1cb126c79bfb4050b339d06e6a22f1a3ca971d5ce5885cf1ebaa67c3d0fe4")
 
 
 def test_oracle_monty_hall():
@@ -152,9 +152,8 @@ def _closed_at(tt, interp, env):
     for (name, tname), value in zip(tt.ctx, env):
         gen = gens[f"in_{name}"] = Generator(f"in_{name}", (), (tname,))
         kernels[gen.name] = {(): Subdist({value: Q(1)})}
-        heads.append(Sample(gen, (), (name,), None))
-    rest, ret = statements(tt.term)
-    closed = typecheck(Signature(tt.sig.types, gens), (), from_statements(heads + rest, ret))
+        heads.append(Sample(gen, (), (name,)))
+    closed = typecheck(Signature(tt.sig.types, gens), (), Term((*heads, *tt.term.heads), tt.term.ret))
     return closed, Interpretation(interp.carriers, kernels)
 
 
@@ -176,10 +175,9 @@ def test_open_channels_match_the_oracle_at_every_environment():
         emptied += sum(result.is_zero() for result in chan.values()) if ctx else 0
         # the run enumerates only the inputs read, and never makes a column
         # of a sample output that nothing reads
-        heads, ret = statements(term)
-        read = set(ret.vars).union(*map(reads, heads))
+        read = set(term.ret.vars).union(*map(reads, term.heads))
         unread_inputs += any(name not in read for name, _ in ctx)
-        unread_outputs += any(x not in read for h in heads if isinstance(h, Sample)
+        unread_outputs += any(x not in read for h in term.heads if isinstance(h, Sample)
                               for x in h.outs)
     assert envs >= 1_000 and emptied >= 200
     assert unread_inputs >= 50 and unread_outputs >= 50
@@ -217,7 +215,7 @@ def test_unread_inputs_are_not_enumerated(monkeypatch):
     peaks = []
     for k in (6, 7):
         ctx = (("x", "X"),) + tuple((f"u{i}", "X") for i in range(k))
-        tt = typecheck(sig, ctx, Sample(noisy, ("x",), ("y",), Return(("y",))))
+        tt = typecheck(sig, ctx, Term((Sample(noisy, ("x",), ("y",)),), Return(("y",))))
         steps.clear()
         chan = denote_channel(tt, interp)
         peaks.append(max(after for _, _, after, _ in steps))
@@ -239,7 +237,7 @@ def test_a_sample_nothing_reads_scales_by_its_row_mass(monkeypatch):
     interp = Interpretation({"X": ("a", "b", "c")}, {
         "coin": {(): Subdist({"a": Q(1, 2), "b": Q(1, 2)})},
         "noise": {(): Subdist({"a": Q(1, 4), "b": Q(1, 4), "c": Q(1, 4)})}})
-    term = Sample(coin, (), ("x",), Sample(noise, (), ("z",), Return(("x",))))
+    term = Term((Sample(coin, (), ("x",)), Sample(noise, (), ("z",))), Return(("x",)))
     tt = typecheck(sig, (), term)
     result = interpret(tt, interp)
     assert [(gen, before, after) for gen, before, after, _ in steps] == [
@@ -261,7 +259,7 @@ def test_only_the_live_output_of_a_sample_becomes_a_column(monkeypatch):
     table = {(v,): Subdist({(p, q): Q(rng.randint(0, 2), 18) for p in carriers["X"]
                             for q in carriers["X"]}) for v in carriers["X"]}
     interp = Interpretation(carriers, {"pair": table})
-    term = Sample(pair, ("x",), ("a", "b"), Observe("a", "x", Return(("a",))))
+    term = Term((Sample(pair, ("x",), ("a", "b")), Observe("a", "x")), Return(("a",)))
     tt = typecheck(sig, (("x", "X"),), term)
     chan = denote_channel(tt, interp)
     assert steps[0][0] == "pair" and steps[0][3] == ["x", "a"]
@@ -327,6 +325,6 @@ def test_oracle_rejects_an_open_program():
     from arrowlang.errors import InvalidSubdistribution
     from arrowlang.syntax import Return, typecheck
 
-    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Return(("x",)))
+    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Term((), Return(("x",))))
     with pytest.raises(InvalidSubdistribution, match="^oracle needs a closed program$"):
         oracle_denote(tt, Interpretation({"X": ("u",)}, {}))

@@ -51,11 +51,10 @@ from arrowlang.syntax import (
     Return,
     Sample,
     Signature,
+    Term,
     TypedTerm,
     applicable_steps,
     axiom_step,
-    from_statements,
-    statements,
     typecheck,
 )
 
@@ -67,7 +66,7 @@ BUDGET = GenBudget(max_statements=5)
 
 def test_interpret_return_is_projection():
     sig = Signature(frozenset({"X"}))
-    tt = typecheck(sig, (("x", "X"),), Return(("x",)))
+    tt = typecheck(sig, (("x", "X"),), Term((), Return(("x",))))
     interp = Interpretation({"X": ("u", "v")}, {})
     assert interpret(tt, interp, ("u",)) == dirac("u")
 
@@ -88,9 +87,9 @@ def test_interpret_long_chain_is_iterative():
     flip = Generator("flip", ("Bit",), ("Bit",))
     sig = Signature(frozenset({"Bit"}), {"start": start, "flip": flip})
     n = 2000
-    heads = [Sample(start, (), ("x0",), None)]
-    heads += [Sample(flip, (f"x{j - 1}",), (f"x{j}",), None) for j in range(1, n)]
-    tt = TypedTerm(sig, (), from_statements(heads, Return((f"x{n - 1}",))), ("Bit",))
+    heads = [Sample(start, (), ("x0",))]
+    heads += [Sample(flip, (f"x{j - 1}",), (f"x{j}",)) for j in range(1, n)]
+    tt = TypedTerm(sig, (), Term(tuple(heads), Return((f"x{n - 1}",))), ("Bit",))
     interp = Interpretation(
         {"Bit": (0, 1)},
         {"start": {(): Subdist({0: Q(1, 3), 1: Q(2, 3)})},
@@ -102,7 +101,7 @@ def test_interpret_long_chain_is_iterative():
 
 def test_interpret_carrier_mismatch():
     sig = Signature(frozenset({"X"}))
-    tt = typecheck(sig, (("x", "X"),), Return(("x",)))
+    tt = typecheck(sig, (("x", "X"),), Term((), Return(("x",))))
     interp = Interpretation({"X": ("u",)}, {})
     with pytest.raises(CarrierMismatch) as exc:
         interpret(tt, interp, ("w",))
@@ -114,14 +113,14 @@ def test_interpret_carrier_mismatch():
     (("u", "u"), "input arity 2 != context length 1"),
 ])
 def test_interpret_rejects_an_input_of_the_wrong_arity(v, message):
-    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Return(("x",)))
+    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Term((), Return(("x",))))
     with pytest.raises(CarrierMismatch) as exc:
         interpret(tt, Interpretation({"X": ("u",)}, {}), v)
     assert str(exc.value) == message
 
 
 def test_trace_rejects_an_open_term():
-    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Return(("x",)))
+    tt = typecheck(Signature(frozenset({"X"})), (("x", "X"),), Term((), Return(("x",))))
     with pytest.raises(CarrierMismatch) as exc:
         trace(tt, Interpretation({"X": ("u",)}, {}))
     assert str(exc.value) == "trace needs a closed program (empty context)"
@@ -140,6 +139,19 @@ def test_validate_rejects_partial_interpretations(carriers, kernels, message):
     with pytest.raises(CarrierMismatch) as exc:
         Interpretation(carriers, kernels).validate(sig)
     assert str(exc.value) == message
+
+
+def test_validate_checks_rows_of_no_outputs_and_of_pairs():
+    # a generator with no outputs emits only (); one with two emits pairs
+    sig = Signature(frozenset({"X"}), {"seen": Generator("seen", ("X",), ()),
+                                       "pair": Generator("pair", (), ("X", "X"))})
+    good = {"seen": {("u",): dirac(()), ("v",): zero()}, "pair": {(): dirac(("u", "v"))}}
+    Interpretation({"X": ("u", "v")}, good).validate(sig)
+    for gen, args, x in (("seen", ("v",), "u"), ("pair", (), ("u", "w"))):
+        bad = Interpretation({"X": ("u", "v")}, {**good, gen: {**good[gen], args: dirac(x)}})
+        with pytest.raises(CarrierMismatch) as exc:
+            bad.validate(sig)
+        assert str(exc.value) == f"kernel {gen} emits {x!r} outside its output carrier"
 
 
 # -- traces against the figures ----------------------------------------------------
@@ -216,8 +228,10 @@ def test_trace_zero_mass_gives_failure_posterior():
     a = Generator("always_h", (), ("Coin",))
     b = Generator("always_t", (), ("Coin",))
     sig = Signature(frozenset({"Coin"}), {"always_h": a, "always_t": b})
-    term = Sample(a, (), ("x",),
-                  Sample(b, (), ("y",), Observe("x", "y", Return(("x",)))))
+    term = Term((Sample(a, (), ("x",)),
+                 Sample(b, (), ("y",)),
+                 Observe("x", "y")),
+                Return(("x",)))
     tt = typecheck(sig, (), term)
     interp = Interpretation(
         {"Coin": ("h", "t")},
@@ -294,9 +308,8 @@ def test_mass_monotone_along_traces():
 def test_stochastic_kernels_preserve_mass():
     tt, interp = monty_hall_full()  # every row of a generator with outputs is stochastic
     lines, _ = trace(tt, interp)
-    heads, _ = statements(tt.term)
     prev = Q(1)
-    for node, line in zip(heads, lines):
+    for node, line in zip(tt.term.heads, lines):
         if isinstance(node, Sample) and node.outs:
             assert line.mass == prev
         prev = line.mass
@@ -341,10 +354,11 @@ def _observe_pred(state, holds, layout, types):
     table = {args: dirac(()) if holds(*args) else zero()
              for args in product(*(carriers[t] for t in types))}
     interp = Interpretation(carriers, {"init": {(): state}, "seen": table})
-    body = Sample(seen, tuple(layout), (), Return(tuple(layout)))
-    tt = typecheck(sig, tuple(zip(layout, types)), body)
+    body = Sample(seen, tuple(layout), ())
+    tt = typecheck(sig, tuple(zip(layout, types)), Term((body,), Return(tuple(layout))))
     by_interpret = kleisli_extend(lambda x: interpret(tt, interp, flat(x)), state)
-    lines, _ = trace(typecheck(sig, (), Sample(init, (), tuple(layout), body)), interp)
+    closed = Term((Sample(init, (), tuple(layout)), body), Return(tuple(layout)))
+    lines, _ = trace(typecheck(sig, (), closed), interp)
     assert lines[1].state == lines[2].state == by_interpret
     return by_interpret
 
@@ -426,7 +440,7 @@ def _gate_program():
     the observe empties the environment x = w and keeps part of the others."""
     pick = Generator("pick", (), ("X",))
     sig = Signature(frozenset({"X"}), {"pick": pick})
-    term = Sample(pick, (), ("y",), Observe("x", "y", Return(("y",))))
+    term = Term((Sample(pick, (), ("y",)), Observe("x", "y")), Return(("y",)))
     interp = Interpretation({"X": ("u", "v", "w")},
                             {"pick": {(): Subdist({"u": Q(1, 2), "v": Q(1, 4)})}})
     return typecheck(sig, (("x", "X"),), term), interp
