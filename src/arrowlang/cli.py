@@ -118,7 +118,9 @@ def _emit_run(prog: Program, path: str, args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        return _emit_run(load_file(args.path), str(args.path), args)
+        prog = load_file(args.path)
+        prog.require_tables()
+        return _emit_run(prog, str(args.path), args)
     except (ArrowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -236,6 +238,7 @@ def cmd_corpus(args) -> int:
             source = read_source(path)
             expected = read_source(golden)
             prog = load_text(source)
+            prog.require_tables()
             normalize = any(line.strip() == NORMALIZE_PRAGMA for line in source.splitlines())
             lines, result = trace(prog.typed, prog.interp, prog.texts, normalize=normalize)
             actual = _trace_text(lines, result)

@@ -22,6 +22,14 @@ allowed around the ``/``, and a weight left out is 1):
     OBSERVE(A IN ports)
     RETURN(car)
 
+Each statement is read in one walk over the token list at a local index
+(`_Parser.read_statement`), into one record per form: `UniformStmt`,
+`CaseStmt`, `CallStmt`, `ObserveStmt` and `ReturnStmt`.  A name is read
+off the list; any other value goes through `parse_value`, and a CASE
+table through `parse_rows`.  At the first token the walk does not
+expect, the statement is read again from its start token by token, which
+places the error; a well-formed statement is never read twice.
+
 A surface value is stored as the value itself: a name is a ``str``,
 either a variable or a symbol, and elaboration tells which by the
 variables in scope; anything else (an integer, a ``$`` amount, a set) is
@@ -87,14 +95,17 @@ _PUNCT = frozenset(("<-", "->", "!=", *"{}(),;:|>+/="))
 
 
 def _kind(tok: str) -> str | None:
-    """IDENT, INT, DOLLAR, PUNCT, NEWLINE or EOF; None for a lexical error."""
-    if tok in _PUNCT:
-        return "PUNCT"
+    """IDENT, INT, DOLLAR, PUNCT, NEWLINE or EOF; None for a lexical error.
+
+    IDENT is tested first: most distinct texts of a long program are names.
+    """
     first = tok[:1]
-    if first.isdecimal():
-        return "INT"
     if first.isalpha() or first == "_":
         return "IDENT"
+    if tok in _PUNCT:
+        return "PUNCT"
+    if first.isdecimal():
+        return "INT"
     if first == "$":
         return "DOLLAR" if len(tok) > 1 else None
     return {"\n": "NEWLINE", "": "EOF"}.get(tok)
@@ -166,14 +177,25 @@ class GenDecl:
 
 
 @dataclass(frozen=True)
-class SampleStmt:
+class UniformStmt:
     vars: tuple[str, ...]
-    kind: str  # "uniform" | "case" | "call"
-    uniform_values: tuple = ()
-    scrutinee: tuple[str, ...] = ()
-    rows: tuple[CaseRow, ...] = ()
-    callee: str = ""
-    args: tuple[str, ...] = ()
+    values: tuple
+    line: int = 0
+
+
+@dataclass(frozen=True)
+class CaseStmt:
+    vars: tuple[str, ...]
+    scrutinee: tuple[str, ...]
+    rows: tuple[CaseRow, ...]
+    line: int = 0
+
+
+@dataclass(frozen=True)
+class CallStmt:
+    vars: tuple[str, ...]
+    callee: str
+    args: tuple[str, ...]
     line: int = 0
 
 
@@ -442,28 +464,6 @@ class _Parser:
             self.end_statement()
         return GenDecl(name, inputs, outputs, rows, line)
 
-    def parse_observe(self, line: int) -> ObserveStmt:
-        self.next()  # OBSERVE
-        self.expect("(")
-        atoms = []
-        while True:
-            left = self.parse_value()
-            tok = self.tok
-            if tok in ("=", "!="):
-                self.next()
-                atoms.append(SAtom(tok, left, self.parse_value()))
-            elif tok == "IN":
-                self.next()
-                atoms.append(SAtom("IN", left, self.expect_ident("a set-valued variable")))
-            else:
-                raise self.error("expected =, != or IN")
-            if self.tok != "AND":
-                break
-            self.next()
-        self.expect(")")
-        self.end_statement()
-        return ObserveStmt(tuple(atoms), line)
-
     def parse_args(self) -> tuple[str, ...]:
         """``( variable, ... )``, possibly empty."""
         self.expect("(")
@@ -471,64 +471,179 @@ class _Parser:
         self.expect(")")
         return names
 
-    def parse_return(self, line: int) -> ReturnStmt:
-        self.next()  # RETURN
-        names = self.parse_args()
-        self.end_statement()
-        return ReturnStmt(names, line)
-
-    def parse_sample(self, line: int) -> SampleStmt:
-        names = self.names("a variable")
-        self.expect("<-")
-        tok = self.tok
-        if tok == "UNIFORM":
-            self.next()
-            values = self.parse_value_set()
-            self.end_statement()
-            return SampleStmt(names, "uniform", uniform_values=values, line=line)
-        if tok == "CASE":
-            self.next()
-            if self.tok == "(":
-                self.next()
-                scrutinee = self.names("a variable")
-                self.expect(")")
-            else:
-                scrutinee = (self.expect_ident("a variable"),)
-            self.expect("OF")
-            rows = self.parse_rows()
-            return SampleStmt(names, "case", scrutinee=scrutinee, rows=rows, line=line)
-        callee = self.expect_ident("a generator name")
-        args = self.parse_args()
-        self.end_statement()
-        return SampleStmt(names, "call", callee=callee, args=args, line=line)
-
     def parse_program(self) -> SourceProgram:
         types: list[TypeDecl] = []
         gens: list[GenDecl] = []
         stmts: list = []
         self.skip_newlines()
         while self.tok:
-            tok, line = self.tok, self.line
+            tok = self.tok
             if tok == "TYPE":
-                types.append(self.parse_type_decl(line))
+                types.append(self.parse_type_decl(self.line))
             elif tok == "GEN":
-                gens.append(self.parse_gen_decl(line))
-            elif tok == "OBSERVE":
-                stmts.append(self.parse_observe(line))
-            elif tok == "RETURN":
-                stmts.append(self.parse_return(line))
-                self.skip_newlines()
-                if self.tok:
-                    raise self.error("statements after RETURN")
-                break
-            elif tok in self.idents:
-                stmts.append(self.parse_sample(line))
+                gens.append(self.parse_gen_decl(self.line))
+            elif tok in self.idents or tok == "OBSERVE" or tok == "RETURN":
+                stmts.append(self.read_statement())
+                if tok == "RETURN":
+                    if self.tok:
+                        raise self.error("statements after RETURN")
+                    break
             else:
                 raise self.error("expected a declaration or statement")
-            self.skip_newlines()
         if not stmts or not isinstance(stmts[-1], ReturnStmt):
             raise self.error_at("program must end with RETURN")
         return SourceProgram(tuple(types), tuple(gens), tuple(stmts))
+
+    # -- statements, read in one walk --------------------------------------------
+
+    def read_statement(self):
+        """The statement at the current token, read in one walk at a local
+        index (see the module docstring), up to the next declaration or
+        statement."""
+        toks, idents, start, line = self.toks, self.idents, self.pos, self.line
+        tok, stmt = toks[start], None
+        if tok == "OBSERVE":
+            atoms, end = self.read_atoms(start + 1)
+            if atoms:
+                stmt = ObserveStmt(atoms, line)
+        elif tok == "RETURN":
+            end = self.close_names(start + 1) + 1
+            if end:
+                stmt = ReturnStmt(tuple(toks[start + 2:end - 1:2]), line)
+        else:  # names <- ...
+            pos = start + 1
+            while toks[pos] == "," and toks[pos + 1] in idents:
+                pos += 2
+            outs = tuple(toks[start:pos:2])
+            head = toks[pos + 1] if toks[pos] == "<-" else None
+            pos += 2
+            if head in idents:
+                end = self.close_names(pos) + 1
+                if end:
+                    stmt = CallStmt(outs, head, tuple(toks[pos + 1:end - 1:2]), line)
+            elif head == "UNIFORM" and toks[pos] == "{":
+                values, end = [], pos
+                while not values or toks[end] == ",":
+                    value, end = self.read_value(end + 1)
+                    values.append(value)
+                if toks[end] == "}":
+                    stmt, end = UniformStmt(outs, tuple(values), line), end + 1
+            elif head == "CASE":
+                if toks[pos] in idents:
+                    scrutinee, end = (toks[pos],), pos + 1
+                else:
+                    end = self.close_names(pos) + 1
+                    scrutinee = tuple(toks[pos + 1:end - 1:2]) if end else ()
+                if scrutinee and toks[end] == "OF":
+                    self.pos, self.tok = end + 1, toks[end + 1]
+                    return CaseStmt(outs, scrutinee, self.parse_rows(), line)
+        if stmt is None or toks[end] not in ("\n", ""):
+            self.misread(start)
+        while toks[end] == "\n":
+            line += 1
+            end += 1
+        self.pos, self.tok, self.line = end, toks[end], line
+        return stmt
+
+    def close_names(self, pos: int) -> int:
+        """The index of the ``)`` that closes a list ``( variable, ... )``,
+        possibly empty, at ``pos``; -1 when there is no such list there."""
+        toks, idents = self.toks, self.idents
+        if toks[pos] != "(":
+            return -1
+        end = pos + 1
+        if toks[end] == ")":
+            return end
+        while toks[end] in idents:
+            if toks[end + 1] == ")":
+                return end + 1
+            if toks[end + 1] != ",":
+                return -1
+            end += 2
+        return -1
+
+    def read_value(self, pos: int) -> tuple:
+        """The surface value at ``pos`` and the index after it."""
+        tok = self.toks[pos]
+        if tok in self.idents:
+            return tok, pos + 1
+        self.pos, self.tok = pos, tok
+        return self.parse_value(), self.pos
+
+    def read_atoms(self, pos: int) -> tuple:
+        """The atoms of ``( atom AND ... )`` at ``pos`` and the index after
+        the ``)``; no atoms at the first token that does not fit."""
+        toks = self.toks
+        if toks[pos] != "(":
+            return (), pos
+        atoms = []
+        while True:
+            left, pos = self.read_value(pos + 1)
+            op = toks[pos]
+            if op == "=" or op == "!=":
+                right, pos = self.read_value(pos + 1)
+            elif op == "IN" and toks[pos + 1] in self.idents:
+                right, pos = toks[pos + 1], pos + 2
+            else:
+                return (), pos
+            atoms.append(SAtom(op, left, right))
+            if toks[pos] != "AND":
+                break
+        return (tuple(atoms), pos + 1) if toks[pos] == ")" else ((), pos)
+
+    # -- statements, read again token by token to place an error ----------------
+
+    def misread(self, start: int):
+        """Read the statement at token ``start`` again, token by token, which
+        raises at the first token that the grammar does not allow."""
+        self.pos, self.tok = start, self.toks[start]
+        {"OBSERVE": self.reread_observe, "RETURN": self.reread_return}.get(self.tok, self.reread_sample)()
+        raise AssertionError(f"the walk stopped in a well-formed statement at token {start}")
+
+    def reread_observe(self):
+        self.next()  # OBSERVE
+        self.expect("(")
+        while True:
+            self.parse_value()
+            if self.tok in ("=", "!="):
+                self.next()
+                self.parse_value()
+            elif self.tok == "IN":
+                self.next()
+                self.expect_ident("a set-valued variable")
+            else:
+                raise self.error("expected =, != or IN")
+            if self.tok != "AND":
+                break
+            self.next()
+        self.expect(")")
+        self.end_statement()
+
+    def reread_return(self):
+        self.next()  # RETURN
+        self.parse_args()
+        self.end_statement()
+
+    def reread_sample(self):
+        self.names("a variable")
+        self.expect("<-")
+        if self.tok == "UNIFORM":
+            self.next()
+            self.parse_value_set()
+        elif self.tok == "CASE":
+            self.next()
+            if self.tok == "(":
+                self.next()
+                self.names("a variable")
+                self.expect(")")
+            else:
+                self.expect_ident("a variable")
+            self.expect("OF")
+            return  # the walk reads the rows
+        else:
+            self.expect_ident("a generator name")
+            self.parse_args()
+        self.end_statement()
 
 
 def parse(text: str) -> SourceProgram:
@@ -575,11 +690,11 @@ def render_stmt(stmt, oneline: bool = True) -> str:
     if isinstance(stmt, ReturnStmt):
         return f"RETURN({', '.join(stmt.vars)})"
     lhs = ", ".join(stmt.vars)
-    if stmt.kind == "uniform":
-        values = ", ".join(_src_value(v) for v in stmt.uniform_values)
-        return f"{lhs} <- UNIFORM {{{values}}}"
-    if stmt.kind == "call":
+    if isinstance(stmt, CallStmt):
         return f"{lhs} <- {stmt.callee}({', '.join(stmt.args)})"
+    if isinstance(stmt, UniformStmt):
+        values = ", ".join(_src_value(v) for v in stmt.values)
+        return f"{lhs} <- UNIFORM {{{values}}}"
     scrutinee = stmt.scrutinee[0] if len(stmt.scrutinee) == 1 else "(" + ", ".join(stmt.scrutinee) + ")"
     head = f"{lhs} <- CASE {scrutinee} OF"
     rows = [render_row(r) for r in stmt.rows]
@@ -607,10 +722,7 @@ def pretty(sp: SourceProgram) -> str:
     if lines:
         lines.append("")
     for stmt in sp.stmts:
-        if isinstance(stmt, SampleStmt) and stmt.kind == "case":
-            lines.append(render_stmt(stmt, oneline=False))
-        else:
-            lines.append(render_stmt(stmt))
+        lines.append(render_stmt(stmt, oneline=not isinstance(stmt, CaseStmt)))
     return "\n".join(lines) + "\n"
 
 
@@ -625,12 +737,22 @@ class Program:
     the file's tables, and ``texts`` the display line for each core
     statement of the trace, rendered on first read from ``lines``: per
     core statement its source statement, or its text when it has none.
+    ``untabled`` is the first statement that samples a ``GEN`` with no
+    table, as (generator name, source line), or None.
     """
 
     source: SourceProgram
     typed: TypedTerm
     interp: Interpretation
     lines: tuple
+    untabled: tuple | None = None
+
+    def require_tables(self) -> None:
+        """Raise unless every generator the program samples has a table: a
+        ``GEN`` without one has a denotation only under `eq`'s random tables."""
+        if self.untabled is not None:
+            name, line = self.untabled
+            raise ElaborationError(f"generator {name} has no table; only eq reinterprets it", line)
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
@@ -930,6 +1052,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
     scope: dict[str, str] = {}  # each variable bound so far, and its type, kept by the rule
     heads: list = []  # the core statements
     lines: list = []  # Program.lines
+    untabled = None  # Program.untabled
 
     def add(node, line):
         try:
@@ -1002,37 +1125,39 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
 
     for stmt_index, stmt in enumerate(sp.stmts, 1):
         at[0] = stmt.line
-        if isinstance(stmt, SampleStmt):
-            if stmt.kind == "uniform":
-                if len(stmt.vars) != 1:
-                    raise ElaborationError("UNIFORM binds exactly one variable")
-                values = stmt.uniform_values
-                if len(set(values)) != len(values):
-                    raise ElaborationError("UNIFORM repeats a value")
-                gen = Generator(fresh_gen_name("u", stmt_index), (),
-                                (_unique_type_for(values, carriers, "UNIFORM"),))
-                gens[gen.name] = gen
-                kernels[gen.name] = {(): Subdist._of_numerators([(v, 1) for v in values], len(values))}
-                add(Sample(gen, (), stmt.vars), stmt)
-            elif stmt.kind == "case":
-                for v in stmt.scrutinee:
-                    if v not in scope:
-                        raise ElaborationError(f"unknown variable {v}")
-                if len(stmt.vars) != 1:
-                    raise ElaborationError("CASE binds exactly one variable")
-                in_types = tuple(scope[v] for v in stmt.scrutinee)
-                matchers = [_RowMatcher(row, in_types, carriers) for row in stmt.rows]
-                gen = Generator(fresh_gen_name("case", stmt_index), in_types,
-                                (_infer_case_output_type(matchers, carriers),))
-                gens[gen.name] = gen
-                kernels[gen.name] = build_table(matchers, in_types, gen.outputs, carriers)
-                add(Sample(gen, stmt.scrutinee, stmt.vars), stmt)
-            else:  # call
-                gen = gens.get(stmt.callee)
-                if gen is None:
-                    raise ElaborationError(f"unknown generator {stmt.callee}")
-                add(Sample(gen, stmt.args, stmt.vars), stmt)
-        elif isinstance(stmt, ObserveStmt):
+        kind = type(stmt)
+        if kind is CallStmt:
+            gen = gens.get(stmt.callee)
+            if gen is None:
+                raise ElaborationError(f"unknown generator {stmt.callee}")
+            add(Sample(gen, stmt.args, stmt.vars), stmt)
+            if untabled is None and gen.name not in kernels:
+                untabled = (gen.name, stmt.line)
+        elif kind is UniformStmt:
+            if len(stmt.vars) != 1:
+                raise ElaborationError("UNIFORM binds exactly one variable")
+            values = stmt.values
+            if len(set(values)) != len(values):
+                raise ElaborationError("UNIFORM repeats a value")
+            gen = Generator(fresh_gen_name("u", stmt_index), (),
+                            (_unique_type_for(values, carriers, "UNIFORM"),))
+            gens[gen.name] = gen
+            kernels[gen.name] = {(): Subdist._of_numerators([(v, 1) for v in values], len(values))}
+            add(Sample(gen, (), stmt.vars), stmt)
+        elif kind is CaseStmt:
+            for v in stmt.scrutinee:
+                if v not in scope:
+                    raise ElaborationError(f"unknown variable {v}")
+            if len(stmt.vars) != 1:
+                raise ElaborationError("CASE binds exactly one variable")
+            in_types = tuple(scope[v] for v in stmt.scrutinee)
+            matchers = [_RowMatcher(row, in_types, carriers) for row in stmt.rows]
+            gen = Generator(fresh_gen_name("case", stmt_index), in_types,
+                            (_infer_case_output_type(matchers, carriers),))
+            gens[gen.name] = gen
+            kernels[gen.name] = build_table(matchers, in_types, gen.outputs, carriers)
+            add(Sample(gen, stmt.scrutinee, stmt.vars), stmt)
+        elif kind is ObserveStmt:
             atom = stmt.atoms[0]
             both_vars = (
                 len(stmt.atoms) == 1
@@ -1058,6 +1183,8 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                     out += "_"
                 add(Sample(gen, (), (out,)), f"{out} <- {gen.name}()")
                 add(Observe(var, out), f"OBSERVE({var} = {out})")
+                if untabled is None and gen.name not in kernels:
+                    untabled = (gen.name, stmt.line)
                 continue
             add(predicate_sample(stmt, stmt_index), stmt)
         else:  # ReturnStmt, the last statement
@@ -1066,7 +1193,7 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             lines.append(stmt)
 
     typed = TypedTerm(sig, (), Term(tuple(heads), ret), tuple(scope[v] for v in ret.vars))
-    return Program(sp, typed, Interpretation(carriers, kernels), tuple(lines))
+    return Program(sp, typed, Interpretation(carriers, kernels), tuple(lines), untabled)
 
 
 def load_text(text: str) -> Program:

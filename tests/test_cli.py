@@ -142,6 +142,35 @@ def test_load_error_is_one_line_naming_its_line(tmp_path, capsys, command, text,
     assert run_cli(capsys, command, *paths) == (1, "", error)
 
 
+UNTABLED = """TYPE Coin = {H, T}
+GEN unused : Coin -> Coin
+GEN g : Coin -> Coin
+GEN f : () -> Coin
+x <- UNIFORM {H, T}
+{sample}
+y <- g(x)
+RETURN(x)
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+@pytest.mark.parametrize("sample, error", [
+    # a nullary observe samples f, on either side; g is sampled later
+    ("OBSERVE(x = f)", "error: line 6: generator f has no table; only eq reinterprets it\n"),
+    ("OBSERVE(f = x)", "error: line 6: generator f has no table; only eq reinterprets it\n"),
+    ("z <- f()", "error: line 6: generator f has no table; only eq reinterprets it\n"),
+    ("OBSERVE(x = H)", "error: line 7: generator g has no table; only eq reinterprets it\n"),
+])
+def test_sampling_a_generator_with_no_table_names_its_line(tmp_path, capsys, command, sample,
+                                                           error):
+    path = tmp_path / "untabled.arrow"
+    path.write_text(UNTABLED.replace("{sample}", sample))
+    assert run_cli(capsys, command, str(path)) == (1, "", error)
+    # the program loads, and eq draws a table for each GEN
+    code, out, err = run_cli(capsys, "eq", str(path), str(path))
+    assert (code, err) == (0, "") and "random interpretations" in out
+
+
 def test_arg_parser_is_built_once():
     assert cli.build_arg_parser() is cli.build_arg_parser()
 

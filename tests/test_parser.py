@@ -529,15 +529,19 @@ RETURN(car)
 
 
 def _random_source(rng):
-    """A random well-formed surface program over disjoint symbol carriers."""
+    """A random well-formed surface program over disjoint symbol carriers,
+    with tabled GEN declarations of 0-2 inputs and 1-2 outputs."""
     from arrowlang.parser import (
+        CallStmt,
         CaseRow,
+        CaseStmt,
+        GenDecl,
         ObserveStmt,
         ReturnStmt,
-        SampleStmt,
         SAtom,
         SourceProgram,
         TypeDecl,
+        UniformStmt,
     )
 
     n_types = rng.randint(1, 2)
@@ -549,11 +553,21 @@ def _random_source(rng):
         decls.append(TypeDecl(name, values, 0))
         carriers[name] = values
 
+    gens = []
+    for j in range(rng.randint(0, 2)):
+        ins = tuple(rng.choice(sorted(carriers)) for _ in range(rng.randint(0, 2)))
+        outs = tuple(rng.choice(sorted(carriers)) for _ in range(rng.randint(1, 2)))
+        picks = [tuple(rng.choice(carriers[t]) for t in outs) for _ in range(rng.randint(1, 2))]
+        weight = (1, len(picks))
+        row = CaseRow(("_",) * len(ins), tuple((weight, pick) for pick in picks), ())
+        gens.append(GenDecl(f"g{j}", ins, outs, (row,), 0))
+
     stmts = []
     scope = {}
     counter = 0
     for _ in range(rng.randint(1, 4)):
         choice = rng.random()
+        callable_ = [gd for gd in gens if all(t in scope.values() for t in gd.inputs)]
         if choice < 0.45 or not scope:
             tname = rng.choice(sorted(carriers))
             pool = list(carriers[tname])
@@ -561,9 +575,17 @@ def _random_source(rng):
             picked = tuple(sorted(pool[: rng.randint(1, len(pool))]))
             counter += 1
             var = f"v{counter}"
-            stmts.append(SampleStmt((var,), "uniform", uniform_values=picked))
+            stmts.append(UniformStmt((var,), picked))
             scope[var] = tname
-        elif choice < 0.75:
+        elif choice < 0.65 and callable_:
+            gd = rng.choice(callable_)
+            args = tuple(rng.choice(sorted(v for v, t in scope.items() if t == tname))
+                         for tname in gd.inputs)
+            outs = tuple(f"v{counter + k}" for k in range(1, len(gd.outputs) + 1))
+            counter += len(outs)
+            stmts.append(CallStmt(outs, gd.name, args))
+            scope.update(zip(outs, gd.outputs))
+        elif choice < 0.8:
             scrut = rng.choice(sorted(scope))
             stype = scope[scrut]
             out_type = rng.choice(sorted(carriers))
@@ -583,7 +605,7 @@ def _random_source(rng):
                 rows.append(CaseRow((value,), tuple(ket), ()))
             counter += 1
             var = f"v{counter}"
-            stmts.append(SampleStmt((var,), "case", scrutinee=(scrut,), rows=tuple(rows)))
+            stmts.append(CaseStmt((var,), (scrut,), tuple(rows)))
             scope[var] = out_type
         else:
             var = rng.choice(sorted(scope))
@@ -597,17 +619,19 @@ def _random_source(rng):
     names = sorted(scope)
     ret = tuple(rng.choice(names) for _ in range(rng.randint(0, 2))) if names else ()
     stmts.append(ReturnStmt(ret))
-    return SourceProgram(tuple(decls), (), tuple(stmts))
+    return SourceProgram(tuple(decls), tuple(gens), tuple(stmts))
 
 
 def test_pretty_parse_round_trip_on_random_programs():
     import random
 
-    from arrowlang.parser import elaborate
+    from arrowlang.parser import CallStmt, elaborate
 
     rng = random.Random(42)
+    outputs = set()  # the output counts of the calls drawn
     for _ in range(150):
         sp = _random_source(rng)
+        outputs.update(len(stmt.vars) for stmt in sp.stmts if isinstance(stmt, CallStmt))
         text = pretty(sp)
         reparsed = parse(text)
         assert pretty(reparsed) == text
@@ -616,6 +640,7 @@ def test_pretty_parse_round_trip_on_random_programs():
         t2 = elaborate(reparsed).typed
         assert alpha_eq(t1.term, t2.term)
         assert interpret(t1, elaborate(sp).interp) == interpret(t2, elaborate(reparsed).interp)
+    assert outputs == {1, 2}
 
 
 # -- weights read as integers ---------------------------------------------------

@@ -71,7 +71,7 @@ def test_traced_loads_count_every_token_and_table_row():
         carriers = prog.interp.carriers
         tables = [prog.typed.sig.generators[gd.name] for gd in prog.source.gens if gd.rows is not None]
         tables += [head.gen for head, line in zip(prog.typed.term.heads, prog.lines)
-                   if getattr(line, "kind", None) == "case"]
+                   if isinstance(line, parser.CaseStmt)]
         rows = sum(math.prod(len(carriers[t]) for t in gen.inputs) for gen in tables)
         assert rec.counts["parser.tokens"] == len(parser.located_tokens(text)), label
         assert rec.counts["parser.table_rows"] == rows, label

@@ -18,6 +18,11 @@ fact, so ``test_load_outcomes_are_pinned`` pins the outcome of loading
 Every success and ParseError in it is as it was before positions became
 lazy; the elaboration errors were re-pinned when each came to name its
 line, and three outcomes when ``$3`` stopped being equal to ``3``.
+No puzzle declares a ``GEN`` or has a call statement, so
+``test_call_form_load_outcomes_are_pinned`` pins the same for 5,000
+generated programs of ``GEN`` calls, each whole, mutated, and with one
+line mutated; its digest was taken before statements were read in one
+walk.
 """
 
 import hashlib
@@ -203,6 +208,123 @@ def test_load_outcomes_are_pinned():
         "f665b1c5649a503f704a7a369c87e70d6382aff1147d88fdbe75d8e7dde30cde")
 
 
+CALL_CARRIERS = {"S": ("a", "b", "c"), "B": ("t", "f")}
+
+
+def _ket(rng: random.Random, outs: tuple) -> str:
+    """One or two monomials over the output types, of mass at most 1."""
+    picks = [",".join(rng.choice(CALL_CARRIERS[t]) for t in outs) for _ in range(rng.randint(1, 2))]
+    return " + ".join(f"{'1' if len(picks) == 1 else '1/2'}|{p}>" for p in picks)
+
+
+def _pattern(entries: tuple) -> str:
+    return entries[0] if len(entries) == 1 else "(" + ", ".join(entries) + ")"
+
+
+def call_program(rng: random.Random) -> str:
+    """A straight-line program that samples declared generators.
+
+    Its generators have 0-3 inputs and 1-2 outputs, and most have a
+    table: at times a literal row, then a row of wildcards, on one line
+    or on one indented line each.  Its statements are calls, UNIFORMs,
+    one-name CASEs, ``OBSERVE(x = y)``, ``OBSERVE(x = a)`` and nullary
+    ``OBSERVE(x = g)``, and it ends with ``RETURN()`` or a RETURN of one
+    or two variables.
+    """
+    lines = ["TYPE S = {a, b, c}", "TYPE B = {t, f}"]
+    gens = []
+    for j in range(rng.randint(1, 4)):
+        ins = tuple(rng.choice("SB") for _ in range(rng.randint(0, 3)))
+        outs = tuple(rng.choice("SB") for _ in range(rng.randint(1, 2)))
+        head = f"GEN g{j} : {', '.join(ins) or '()'} -> {', '.join(outs)}"
+        gens.append((f"g{j}", ins, outs))
+        if rng.random() < 0.1:
+            lines.append(head)
+            continue
+        rows = []
+        if ins and rng.random() < 0.5:
+            literal = tuple(rng.choice(CALL_CARRIERS[t]) for t in ins)
+            rows.append(f"{_pattern(literal)} -> {_ket(rng, outs)}")
+        rows.append(f"{_pattern(('_',) * len(ins)) if ins else '()'} -> {_ket(rng, outs)}")
+        if rng.random() < 0.5:
+            lines.append(head + " = " + "; ".join(rows))
+        else:
+            lines.append(head + " =")
+            lines.extend("  " + row for row in rows)
+    scope: dict[str, str] = {}
+
+    def bind(tname: str) -> str:
+        var = f"v{len(scope)}"
+        scope[var] = tname
+        return var
+
+    def variable(tname: str) -> str:
+        """A variable of ``tname`` in scope, sampled by a UNIFORM if there is none."""
+        have = [v for v, t in scope.items() if t == tname]
+        if have and rng.random() < 0.8:
+            return rng.choice(have)
+        values = ", ".join(CALL_CARRIERS[tname])
+        var = bind(tname)
+        lines.append(f"{var} <- UNIFORM {{{values}}}")
+        return var
+
+    for _ in range(rng.randint(2, 10)):
+        choice = rng.random()
+        if choice < 0.55:
+            name, ins, outs = rng.choice(gens)
+            args = [variable(t) for t in ins]
+            bound = [bind(t) for t in outs]
+            lines.append(f"{', '.join(bound)} <- {name}({', '.join(args)})")
+        elif choice < 0.65:
+            tname = rng.choice("SB")
+            scrutinee = variable(tname)
+            lines.append(f"{bind(tname)} <- CASE {scrutinee} OF _ -> 1|{CALL_CARRIERS[tname][0]}>")
+        elif choice < 0.77:
+            left = variable(rng.choice("SB"))
+            lines.append(f"OBSERVE({left} = {variable(scope[left])})")
+        elif choice < 0.9:
+            left = variable(rng.choice("SB"))
+            lines.append(f"OBSERVE({left} = {rng.choice(CALL_CARRIERS[scope[left]])})")
+        else:
+            nullary = [(name, outs) for name, ins, outs in gens if not ins and len(outs) == 1]
+            if nullary:
+                name, outs = rng.choice(nullary)
+                lines.append(f"OBSERVE({variable(outs[0])} = {name})")
+    names = sorted(scope)
+    returned = rng.sample(names, min(len(names), rng.randint(0, 2)))
+    lines.append(f"RETURN({', '.join(returned)})")
+    return "\n".join(lines) + "\n"
+
+
+def call_texts():
+    """The same 5,000 call programs on every call, each whole, mutated, and
+    with one line mutated, so that the edits reach every line."""
+    rng = random.Random(20261020)
+    for _ in range(5_000):
+        text = call_program(rng)
+        lines = text.splitlines(keepends=True)
+        i = rng.randrange(len(lines))
+        yield text
+        yield mutate(text, rng)
+        yield "".join(lines[:i]) + mutate(lines[i], rng) + "".join(lines[i + 1:])
+
+
+def test_call_form_load_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    kinds = {}
+    for text in call_texts():
+        loaded = load_outcome(text)
+        kind = loaded[0] if isinstance(loaded, tuple) else "loaded"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        digest.update(repr(loaded).encode() + b"\n")
+    # every whole program loads, and the mutations reach both kinds of error
+    assert kinds.keys() == {"loaded", "ParseError", "ElaborationError"}
+    assert kinds["loaded"] > 5_000 and kinds["ParseError"] > 5_000
+    assert kinds["ElaborationError"] > 100
+    assert digest.hexdigest() == (
+        "f3b1d2f3c8551f8b44e065027c46bccaabce33540a4aee9690bacdba2db578f2")
+
+
 def test_every_failed_load_names_its_line():
     elaboration_errors = 0
     for text in mutated_texts():
@@ -214,6 +336,24 @@ def test_every_failed_load_names_its_line():
             assert exc.line is not None and str(exc).startswith(f"line {exc.line}: "), repr(text)
             elaboration_errors += 1
     assert elaboration_errors > 100
+
+
+def test_well_formed_statements_are_read_once(monkeypatch):
+    """The token-by-token reader only places errors: a program that parses
+    never has a statement read again, and a malformed one always does."""
+    misreads = []
+    misread = parser._Parser.misread
+    monkeypatch.setattr(parser._Parser, "misread",
+                        lambda self, start: misreads.append(start) or misread(self, start))
+    rng = random.Random(5)
+    for text in TEXTS + [call_program(rng) for _ in range(300)]:
+        parse(text)
+    assert misreads == []
+    for text in (COIN + "y <- g(x,)\nRETURN(y)\n", COIN + "OBSERVE(x IN)\nRETURN(x)\n",
+                 COIN + "RETURN(x) x\n", COIN + "y <- UNIFORM {H T}\nRETURN(y)\n"):
+        with pytest.raises(ParseError):
+            parse(text)
+    assert len(misreads) == 4
 
 
 def _cases(n: int) -> str:
