@@ -13,7 +13,11 @@ after the sample that binds its last variable, and after each step
 every variable that no later statement and no return reads is summed
 out (variable elimination); a sample output that nothing reads is summed
 out of the kernel row and never becomes a column.  These moves leave the
-result unchanged and keep the state small.
+result unchanged and keep the state small.  The plan also fixes every
+column's position: each compiled step holds the positions it reads and
+the positions that survive its sum-out, so a run looks up no variable
+by name.  `trace` compiles its statements the same way, with nothing
+moved and nothing summed out, and runs them through the same loop.
 
 An open term denotes a channel, one subdistribution per input
 environment, and one run tabulates it.  A channel is constant along an
@@ -38,13 +42,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Callable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .combinator import CombTerm, decode
 from .errors import CarrierMismatch, ZeroMassState
 from .subdist import FAILURE, Outcome, Subdist, collapse_values, outcome_key, rescale
 from .syntax import (
     Generator,
+    Observe,
     Return,
     Sample,
     Signature,
@@ -52,7 +58,6 @@ from .syntax import (
     Term,
     TypedTerm,
     TypeName,
-    reads,
     render_statement,
 )
 
@@ -127,60 +132,11 @@ def _kernel_row(interp: Interpretation, gen: Generator,
     return denom, [((x,), n) for x, n in row] if len(gen.outputs) == 1 else list(row)
 
 
-def _step(state: dict, denom: int, layout: list[str], node: Statement, kept: tuple | None,
-          interp: Interpretation, rows: RowCache, margins: dict) -> tuple[dict, int]:
-    """Apply one statement to a joint state over ``denom``.
-
-    Sampling tensors the kernel row onto every monomial, puts the state
-    over ``denom`` times the lcm of the rows it used, and appends the
-    outputs to ``layout``; an observe keeps the monomials satisfying it.
-    ``kept``, when not None, lists the sample's output positions to keep:
-    the row is first summed onto them, once per run in ``margins``.
-    """
-    if isinstance(node, Sample):
-        picks = [layout.index(a) for a in node.args]
-        groups: dict = {}
-        for item in state.items():
-            values = item[0]
-            args = tuple([values[i] for i in picks])
-            group = groups.get(args)
-            if group is None:
-                groups[args] = [item]
-            else:
-                group.append(item)
-        converted = rows.setdefault(node.gen.name, {})
-        summed = converted if kept is None else margins.setdefault((node.gen.name, kept), {})
-        used = []
-        for args, members in groups.items():
-            entry = summed.get(args)
-            if entry is None:
-                entry = converted.get(args)
-                if entry is None:
-                    entry = converted[args] = _kernel_row(interp, node.gen, args)
-                if kept is not None:
-                    entry = summed[args] = (entry[0], list(_project(dict(entry[1]), kept).items()))
-            used.append((entry, members))
-        scale = math.lcm(*[row_denom for (row_denom, _), _ in used])
-        out: dict = {}
-        for (row_denom, row), members in used:
-            if row_denom != scale:
-                factor = scale // row_denom
-                row = [(outs, n * factor) for outs, n in row]
-            # keys are distinct: the monomials are, and so are a row's outputs
-            for values, w in members:
-                for outs, n in row:
-                    out[values + outs] = w * n
-        layout.extend(node.outs if kept is None else [node.outs[i] for i in kept])
-        return out, denom * scale
-    i, j = layout.index(node.left), layout.index(node.right)
-    return {values: w for values, w in state.items() if values[i] == values[j]}, denom
-
-
-def _project(state: dict, picks: list[int]) -> dict:
-    """Marginalise a state onto the columns at ``picks``, in that order."""
+def _sum_out(items, key_of: Callable[[tuple], tuple]) -> dict:
+    """Add up the weights of (values, weight) ``items`` by ``key_of(values)``."""
     out: dict = {}
-    for values, w in state.items():
-        key = tuple([values[i] for i in picks])
+    for values, w in items:
+        key = key_of(values)
         out[key] = out.get(key, 0) + w
     return out
 
@@ -193,87 +149,203 @@ def _reduce(state: dict, denom: int) -> tuple[dict, int]:
     return {values: w // g for values, w in state.items()}, denom // g
 
 
-# A schedule pairs each statement with the variables summed out after it,
-# and a sample with the positions of its outputs that some later statement
-# or the return reads (None: all of them); the others never become columns.
-Schedule = list[tuple[Statement, set[str], tuple | None]]
+def _picker(picks: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The function from a value tuple to the tuple of its entries at ``picks``."""
+    if len(picks) > 1:
+        return itemgetter(*picks)
+    # one position or none: a slice, so the result is still a tuple
+    p = picks[0] if picks else 0
+    return itemgetter(slice(p, p + len(picks)))
 
 
-def _plan(term: Term, inputs: list[str]) -> tuple[tuple[Schedule, Return], list[str]]:
-    """Schedule a term for evaluation that records no intermediate state,
+# A compiled step.  Every position in it is fixed by the plan, so a run
+# looks up no variable by name:
+#   node     the statement, or the return;
+#   sides    the positions of an observe's two sides (None otherwise);
+#   kept     the positions of a sample's outputs that become columns (None:
+#            all of them); the others are summed out of its kernel row;
+#   layout   the names of the columns after the step;
+#   args_of  a sample's arguments as a function of a value tuple: the key
+#            of its kernel row;
+#   key_of   the columns that survive the step's sum-out, as a function of
+#            the values before it followed by a sample's kept outputs
+#            (None: all of them, nothing is summed out).
+Step = tuple[Statement | Return, tuple[int, int] | None, tuple[int, ...] | None,
+             list[str], Callable | None, Callable | None]
+
+
+def _compile(node: Statement, layout: list[str], last: dict[str, float] | None,
+             place: int) -> Step:
+    """Compile ``node`` against the columns ``layout`` before it.  Given
+    ``last``, the place of the last statement that reads each variable, a
+    sample's outputs that nothing reads never become columns, and the
+    variables whose last reader is this statement, at ``place``, are
+    summed out after it; given None, every output becomes a column and
+    nothing is summed out."""
+    if isinstance(node, Sample):
+        read = node.args
+        sides, args_of = None, _picker(tuple(map(layout.index, read)))
+        outs, kept = node.outs, None
+        if last is not None:
+            for x in outs:
+                if x not in last:
+                    kept = tuple([i for i, y in enumerate(outs) if y in last])
+                    outs = [outs[i] for i in kept]
+                    break
+    else:
+        read = node.left, node.right
+        sides, args_of = (layout.index(node.left), layout.index(node.right)), None
+        outs, kept = (), None
+    after = [*layout, *outs]
+    survive = None
+    for x in () if last is None else read:
+        if last[x] == place and x in after:  # a repeated argument is summed out once
+            if survive is None:
+                survive = [*range(len(after))]
+            i = after.index(x)
+            del after[i], survive[i]
+    return node, sides, kept, after, args_of, None if survive is None else _picker(tuple(survive))
+
+
+def _returning(ret: Return, layout: list[str], width: int) -> Step:
+    """The return's step: the columns ``layout`` summed onto their first
+    ``width``, which are never summed out, and then the returned variables."""
+    at = (*range(width), *map(layout.index, ret.vars))
+    if at == tuple(range(len(layout))):
+        return ret, None, None, layout, None, None
+    return ret, None, None, [layout[i] for i in at], None, _picker(at)
+
+
+def _plan(term: Term, inputs: list[str]) -> tuple[list[Step], list[str]]:
+    """Compile a term for evaluation that records no intermediate state,
     and list the inputs that some statement or the return reads.
 
     Each observe, and each sample with no outputs, moves to just after
     the sample that binds the last variable it reads; the other samples
-    keep their order.  Each statement is paired with the variables that
-    it reads and that no later statement and no return reads, and each
-    sample with its outputs that some do; the engine sums the first out
-    after the step and the rest out of the kernel row.  Inputs are never
-    summed out: they index the channel the run tabulates.  No move
-    changes the result: a statement commutes with a sample whose outputs
-    it does not read (the interchange law of `syntax`), and summing out a
-    column or a row's outputs keeps mass.
+    keep their order.  After each statement the variables that it reads
+    and that no later statement and no return reads are summed out, and a
+    sample's outputs that none of them reads are summed out of its kernel
+    row.  Inputs are never summed out: they index the channel the run
+    tabulates.  No move changes the result: a statement commutes with a
+    sample whose outputs it does not read (the interchange law of
+    `syntax`), and summing out a column or a row's outputs keeps mass.
+
+    The first pass places the statements and finds, for each variable,
+    the last statement that reads it; the second compiles them in order,
+    fixing every column's position.
     """
-    # slots[k], k >= 1: the k-th sample with outputs, then the statements placed after it
-    slots: list[list[tuple[Statement, set[str], tuple]]] = [[]]
+    # slots[k], k >= 1: the k-th sample with outputs, then the statements
+    # placed after it.  A statement's place is slot * width + its index
+    # there, and last[x] is the place of the last statement that reads x
+    # (inf for the returned variables, which are always read).
+    slots: list[list[tuple[Statement, int]]] = [[]]
+    width = len(term.heads) + 1
     bound = dict.fromkeys(inputs, 0)
+    last: dict[str, float] = {}
     for node in term.heads:
-        read = reads(node)
-        if isinstance(node, Sample) and node.outs:
-            bound.update(dict.fromkeys(node.outs, len(slots)))
-            slots.append([(node, read, node.outs)])
+        if isinstance(node, Sample):
+            read = node.args
+            if node.outs:
+                place = len(slots) * width
+                for x in node.outs:
+                    bound[x] = len(slots)
+                slots.append([(node, place)])
+                for x in read:  # no statement is placed later yet
+                    last[x] = place
+                continue
         else:
-            # a variable not bound yet is out of scope: the statement stays
-            # where it is and raises there
-            slots[max((bound.get(x, len(slots) - 1) for x in read), default=0)].append(
-                (node, read, ()))
-    # inputs stay out of `live`, so that it ends as the inputs read
-    live, ins = set(term.ret.vars), frozenset(inputs)
-    steps: Schedule = []
-    for node, read, outs in reversed([entry for slot in slots for entry in slot]):
-        kept = None if live.issuperset(outs) else tuple(i for i, x in enumerate(outs) if x in live)
-        steps.append((node, read.difference(live, ins), kept))
-        live.difference_update(outs)
-        live |= read
-    steps.reverse()
-    return (steps, term.ret), [x for x in inputs if x in live]
+            read = node.left, node.right
+        # a variable not bound yet is out of scope: the statement stays
+        # where it is and its compilation raises
+        k = 0
+        for x in read:
+            k = max(k, bound.get(x, len(slots) - 1))
+        place = k * width + len(slots[k])
+        slots[k].append((node, place))
+        for x in read:
+            if last.get(x, -1) < place:
+                last[x] = place
+    # the returned variables and the inputs read are never summed out
+    read_inputs = [x for x in inputs if x in last or x in term.ret.vars] if inputs else []
+    for x in (*term.ret.vars, *read_inputs):
+        last[x] = math.inf
+    steps: list[Step] = []
+    layout = read_inputs
+    for slot in slots:
+        for node, place in slot:
+            steps.append(_compile(node, layout, last, place))
+            layout = steps[-1][3]
+    steps.append(_returning(term.ret, layout, len(read_inputs)))
+    return steps, read_inputs
 
 
-# A record callback sees a statement and the state it produced, and
-# returns the state to continue from.
-Record = Callable[[Statement | Return, dict, int], tuple[dict, int]]
+# A record callback sees a step and the state it produced, and returns
+# the state to continue from.
+Record = Callable[[Step, dict, int], tuple[dict, int]]
 
 
-def _evaluate(schedule: tuple[Schedule, Return], layout: list[str], state: dict,
-              interp: Interpretation, record: Record | None = None) -> tuple[dict, int]:
-    """Run every scheduled statement from ``state``, numerators over 1 on
-    the columns ``layout``, summing out the variables paired with each;
-    then project onto those starting columns followed by the returned
-    variables.  The result is a state and its denominator.
+def _evaluate(steps: Iterable[Step], state: dict, interp: Interpretation,
+              record: Record | None = None) -> tuple[dict, int]:
+    """Run compiled steps from ``state``, numerators over 1; the result
+    is the state the return step leaves and its denominator.
 
-    ``record``, when given, sees each statement, the return included.
+    Sampling tensors the kernel row onto every monomial and puts the
+    state over its denominator times the lcm of the rows it used; when a
+    column is summed out after it, each monomial's surviving key is made
+    in the same pass.  ``record``, when given, sees each step, the return
+    included.
     """
-    steps, ret = schedule
-    # the starting columns are never summed out, so they stay in front
-    picks = list(range(len(layout)))
     denom, bound = 1, _REDUCE_ABOVE
     rows: RowCache = {}
     margins: dict = {}
-    for node, dead, kept in steps:
-        state, denom = _step(state, denom, layout, node, kept, interp, rows, margins)
-        if dead:
-            keep = [i for i, name in enumerate(layout) if name not in dead]
-            state = _project(state, keep)
-            layout[:] = [layout[i] for i in keep]
-        if denom > bound:
-            state, denom = _reduce(state, denom)
-            bound = denom * _REDUCE_ABOVE
+    for step in steps:
+        node, sides, kept, _, args_of, key_of = step
+        if isinstance(node, Sample):
+            gen = node.gen
+            converted = rows.setdefault(gen.name, {})
+            summed = converted if kept is None else margins.setdefault((gen.name, kept), {})
+            used, scale = [], 1
+            for item in state.items():
+                args = args_of(item[0])
+                entry = summed.get(args)
+                if entry is None:
+                    entry = converted.get(args)
+                    if entry is None:
+                        entry = converted[args] = _kernel_row(interp, gen, args)
+                    if kept is not None:
+                        entry = summed[args] = (entry[0], list(_sum_out(entry[1], _picker(kept)).items()))
+                if entry[0] != scale:
+                    scale = math.lcm(scale, entry[0])
+                used.append((item, entry))
+            out: dict = {}
+            for (values, w), (row_denom, row) in used:
+                if row_denom != scale:
+                    w *= scale // row_denom
+                if key_of is None:
+                    # keys are distinct: the monomials are, and so are a row's outputs
+                    for outs, n in row:
+                        out[values + outs] = w * n
+                else:
+                    for outs, n in row:
+                        key = key_of(values + outs)
+                        out[key] = out.get(key, 0) + w * n
+            state = out
+            denom *= scale
+            if denom > bound:
+                state, denom = _reduce(state, denom)
+                bound = denom * _REDUCE_ABOVE
+        elif isinstance(node, Observe):
+            i, j = sides
+            if key_of is None:
+                state = {values: w for values, w in state.items() if values[i] == values[j]}
+            else:
+                state = _sum_out([item for item in state.items() if item[0][i] == item[0][j]],
+                                 key_of)
+        elif key_of is not None:
+            state = _sum_out(state.items(), key_of)
         if record:
-            state, denom = record(node, state, denom)
-    picks += [layout.index(x) for x in ret.vars]
-    if picks != list(range(len(layout))):
-        state = _project(state, picks)
-    return record(ret, state, denom) if record else (state, denom)
+            state, denom = record(step, state, denom)
+    return state, denom
 
 
 def _subdists(state: dict, denom: int, keys: list[tuple], width: int) -> dict[tuple, Subdist]:
@@ -292,12 +364,13 @@ def denoter(tt: TypedTerm) -> Callable[[Interpretation, list[tuple]], dict[tuple
     that starts from the distinct projections of the environments onto
     the inputs read, each with weight 1 in those columns."""
     inputs = [name for name, _ in tt.ctx]
-    schedule, read = _plan(tt.term, inputs)
+    steps, read = _plan(tt.term, inputs)
     picks = [inputs.index(x) for x in read]
 
     def tabulate(interp: Interpretation, envs: list[tuple]) -> dict[tuple, Subdist]:
-        keys = [tuple([env[i] for i in picks]) for env in envs]
-        state, denom = _evaluate(schedule, list(read), dict.fromkeys(keys, 1), interp)
+        # each environment is its own projection when every input is read
+        keys = envs if len(read) == len(inputs) else [tuple([env[i] for i in picks]) for env in envs]
+        state, denom = _evaluate(steps, dict.fromkeys(keys, 1), interp)
         results = _subdists(state, denom, keys, len(read))
         return {env: results[key] for env, key in zip(envs, keys)}
     return tabulate
@@ -357,19 +430,30 @@ def trace(program: TypedTerm, interp: Interpretation,
         raise CarrierMismatch("trace needs a closed program (empty context)")
     lines: list[TraceLine] = []
 
-    def record(node: Statement | Return, state: dict, denom: int) -> tuple[dict, int]:
+    def record(step: Step, state: dict, denom: int) -> tuple[dict, int]:
         lineno = len(lines) + 1
         if normalize:
             if not state:
                 raise ZeroMassState(lineno)
             denom = sum(state.values())
-        text = texts[lineno - 1] if texts else render_statement(node)
+        text = texts[lineno - 1] if texts else render_statement(step[0])
         lines.append(TraceLine(lineno, text, _subdists(state, denom, [()], 0)[()]))
         return state, denom
 
-    steps = [(node, set(), None) for node in program.term.heads]
-    _evaluate((steps, program.term.ret), [], {(): 1}, interp, record)
+    _evaluate(_traced(program.term), {(): 1}, interp, record)
     return lines, EvalResult.of(lines[-1].state)
+
+
+def _traced(term: Term) -> Iterator[Step]:
+    """The statements as written, compiled one at a time as the run
+    reaches them, with every column kept: a trace's columns grow with its
+    length, so no step holds its columns after the run has passed it."""
+    layout: list[str] = []
+    for node in term.heads:
+        step = _compile(node, layout, None, 0)
+        layout = step[3]
+        yield step
+    yield _returning(term.ret, layout, 0)
 
 
 # -- channels -------------------------------------------------------------------

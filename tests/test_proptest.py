@@ -188,17 +188,26 @@ def test_open_channels_match_the_oracle_at_every_environment():
 
 def _count_steps(monkeypatch):
     """Record each engine step: the sampled generator (None for an observe),
-    the monomials before and after it, and the columns after it."""
+    the monomials before and after it, and the columns after it.  Each run
+    records through the engine's per-step callback."""
     steps = []
-    step = semantics._step
+    evaluate = semantics._evaluate
 
-    def counting_step(state, denom, layout, node, *rest):
-        out = step(state, denom, layout, node, *rest)
-        gen = node.gen.name if isinstance(node, Sample) else None
-        steps.append((gen, len(state), len(out[0]), list(layout)))
-        return out
+    def counting_evaluate(plan, state, interp, record=None):
+        before = len(state)
 
-    monkeypatch.setattr(semantics, "_step", counting_step)
+        def counting(step, state, denom):
+            nonlocal before
+            node = step[0]
+            if not isinstance(node, Return):
+                gen = node.gen.name if isinstance(node, Sample) else None
+                steps.append((gen, before, len(state), list(step[3])))
+                before = len(state)
+            return record(step, state, denom) if record else (state, denom)
+
+        return evaluate(plan, state, interp, counting)
+
+    monkeypatch.setattr(semantics, "_evaluate", counting_evaluate)
     return steps
 
 
@@ -266,6 +275,154 @@ def test_only_the_live_output_of_a_sample_becomes_a_column(monkeypatch):
     assert set(chan) == {("a",), ("b",), ("c",)}
     for env, result in chan.items():
         assert oracle_denote(*_closed_at(tt, interp, env)) == result
+
+
+def test_a_predicate_sample_keeps_what_its_row_holds_and_a_partial_row_scales():
+    # () <- seen(x) whose rows are 1|()> or the zero row keeps a monomial
+    # exactly where its row holds (); a row of mass strictly between 0 and
+    # 1 scales it, and 1|()> held over a denominator of 2 keeps it whole.
+    # Each runs with x live and with x summed out right after the predicate.
+    coin = Generator("coin", (), ("X",))
+    seen = Generator("seen", ("X",), ())
+    sig = Signature(frozenset({"X"}), {"coin": coin, "seen": seen})
+    holds, fails = Subdist({(): Q(1)}), Subdist({})
+    tables = [{("a",): holds, ("b",): fails, ("c",): holds},
+              {("a",): fails, ("b",): fails, ("c",): fails},
+              {("a",): Subdist({(): Q(1, 2)}), ("b",): holds, ("c",): fails},
+              {("a",): Subdist._of_numerators([((), 2)], 2), ("b",): fails, ("c",): holds}]
+    draw = Sample(coin, (), ("x",))
+    terms = [Term((draw, Sample(seen, ("x",), ())), Return(("x",))),
+             Term((draw, Sample(seen, ("x",), ()), Sample(coin, (), ("y",))), Return(("y",)))]
+    for table in tables:
+        interp = Interpretation({"X": ("a", "b", "c")}, {
+            "coin": {(): Subdist({"a": Q(1, 2), "b": Q(1, 3), "c": Q(1, 6)})}, "seen": table})
+        for term in terms:
+            tt = typecheck(sig, (), term)
+            result = interpret(tt, interp)
+            assert result == oracle_denote(tt, interp) == trace(tt, interp)[1].final
+    # the last table keeps x = a and x = c, of mass 1/2 + 1/6
+    assert result == Subdist({"a": Q(1, 3), "b": Q(2, 9), "c": Q(1, 9)})
+
+
+def test_tabulating_at_repeated_and_reordered_environments():
+    # the tabulator keys each environment by the inputs read: all of them
+    # (each environment is its own key), none, or some
+    rng = random.Random(17)
+    kinds = {"all": 0, "none": 0, "some": 0}
+    while min(kinds.values()) < 25:
+        sig, ctx, term = gen_term(BUDGET, rng)
+        if not ctx:
+            continue
+        tt = typecheck(sig, ctx, term)
+        interp = gen_interpretation(BUDGET, sig, rng)
+        chan = denote_channel(tt, interp)
+        envs = list(product(*(interp.carrier(t) for _, t in ctx)))
+        assert list(chan) == envs
+        asked = envs[::-1] + envs[1::2] + rng.choices(envs, k=3)
+        table = semantics.denoter(tt)(interp, asked)
+        assert list(table) == list(dict.fromkeys(asked))
+        for env in asked:
+            assert table[env] == chan[env]
+        read = set(term.ret.vars).union(*map(reads, term.heads))
+        n = sum(name in read for name, _ in ctx)
+        kinds["all" if n == len(ctx) else "some" if n else "none"] += 1
+
+
+def _replayed(steps, inputs, planned):
+    """A reference replay of the statements of compiled ``steps``, in
+    their order: a layout simulated as a list and searched with
+    `list.index`.  A planned run starts from the inputs read and keeps
+    them to the end, keeps any other variable until the last statement
+    that reads it, and a sample's output only if a later statement or the
+    return reads it; a traced run keeps every column.  The result is the
+    starting columns and each step as (node, at, kept, survive, layout):
+    the positions it reads (for the return, the starting columns and then
+    the returned variables), the kept outputs, and the positions of the
+    columns after it among those before it and the kept outputs (None
+    when nothing is summed out)."""
+    *nodes, ret = [step[0] for step in steps]
+
+    def read(node):
+        return node.args if isinstance(node, Sample) else (node.left, node.right)
+
+    live_after, live = [], set(ret.vars)
+    for node in reversed(nodes):
+        live_after.append(set(live))
+        live |= set(read(node))
+    live_after.reverse()
+    start = [x for x in inputs if x in live] if planned else []
+    layout, replayed = list(start), []
+    for node, later in zip(nodes, live_after):
+        at = tuple(layout.index(x) for x in read(node))
+        outs = list(node.outs) if isinstance(node, Sample) else []
+        kept = None
+        if planned and not later.issuperset(outs):
+            kept = tuple(i for i, x in enumerate(outs) if x in later)
+            outs = [outs[i] for i in kept]
+        after = layout + outs
+        dead = {x for x in read(node) if x not in later and x not in inputs} if planned else ()
+        survive = tuple(i for i, x in enumerate(after) if x not in dead) if dead else None
+        layout = [x for x in after if x not in dead]
+        replayed.append((node, at, kept, survive, layout))
+    at = tuple(range(len(start))) + tuple(layout.index(x) for x in ret.vars)
+    survive = None if at == tuple(range(len(layout))) else at
+    replayed.append((ret, at, None, survive, start + list(ret.vars)))
+    return start, replayed
+
+
+def _check_positions(steps, start, inputs, planned, seen):
+    """Check every position that compiled ``steps`` from the columns
+    ``start`` hold, directly or through their functions, against
+    `_replayed`."""
+    replay_start, replayed = _replayed(steps, inputs, planned)
+    assert start == replay_start and len(steps) == len(replayed)
+    width = len(start)
+    for step, (node, at, kept, survive, layout) in zip(steps, replayed):
+        assert step[0] is node and step[2:4] == (kept, layout)
+        _, sides, _, _, args_of, key_of = step
+        # a function of positions applied to the positions gives them back
+        positions = tuple(range(width))
+        if isinstance(node, Sample):
+            assert sides is None and args_of(positions) == at
+            positions += tuple(range(width, width + len(node.outs if kept is None else kept)))
+            seen["kept"] += kept is not None
+        else:
+            assert args_of is None and sides == (at if isinstance(node, Observe) else None)
+        assert (key_of and key_of(positions)) == survive
+        seen[type(node).__name__] += key_of is not None
+        width = len(layout)
+
+
+def test_plan_positions_match_a_replay(monkeypatch):
+    # every position a compiled step holds, planned or traced, is the one
+    # a replay over a simulated layout finds
+    seen = {"kept": 0, "Sample": 0, "Observe": 0, "Return": 0}
+
+    def planned(tt):
+        inputs = [name for name, _ in tt.ctx]
+        steps, start = semantics._plan(tt.term, inputs)
+        _check_positions(steps, start, inputs, True, seen)
+
+    def traced(tt, interp):
+        runs, evaluate = [], semantics._evaluate
+        with monkeypatch.context() as m:
+            m.setattr(semantics, "_evaluate", lambda steps, *rest: runs.append(list(steps)) or
+                      evaluate(runs[-1], *rest))
+            trace(tt, interp)
+        _check_positions(runs[0], [], [], False, seen)
+
+    for seed in range(1000):
+        rng = random.Random(seed)
+        sig, ctx, term = gen_term(BUDGET, rng)
+        planned(typecheck(sig, ctx, term))
+        tt = gen_closed_program(BUDGET, rng)
+        planned(tt)
+        traced(tt, gen_interpretation(BUDGET, tt.sig, rng))
+    for path in sorted(PUZZLES.glob("*.arrow")):
+        prog = load_file(path)
+        planned(prog.typed)
+        traced(prog.typed, prog.interp)
+    assert min(seen.values()) >= 100, seen
 
 
 # -- substitution respects the axioms (bounded search) ------------------------------
