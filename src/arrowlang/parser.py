@@ -26,9 +26,9 @@ Each statement is read in one walk over the token list at a local index
 (`_Parser.read_statement`), into one record per form: `UniformStmt`,
 `CaseStmt`, `CallStmt`, `ObserveStmt` and `ReturnStmt`.  A name is read
 off the list; any other value goes through `parse_value`, and a CASE
-table through `parse_rows`.  At the first token the walk does not
-expect, the statement is read again from its start token by token, which
-places the error; a well-formed statement is never read twice.
+table through `parse_rows`.  The walk is the one statement grammar: it
+raises at the first token it does not expect, naming what it expected
+there.
 
 A surface value is stored as the value itself: a name is a ``str``,
 either a variable or a symbol, and elaboration tells which by the
@@ -245,9 +245,10 @@ class _Parser:
         _, _, line, col = located_tokens(self.text)[self.pos if index is None else index]
         return ParseError(message, line, col)
 
-    def error(self, message: str) -> ParseError:
-        tok = self.tok
-        return self.error_at(message + (f", got {tok!r}" if tok else ", got end of file"))
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """`error_at`, with the token found there."""
+        tok = self.tok if index is None else self.toks[index]
+        return self.error_at(message + (f", got {tok!r}" if tok else ", got end of file"), index)
 
     def expect(self, text: str):
         if self.tok != text:
@@ -255,7 +256,7 @@ class _Parser:
         self.pos += 1  # as next() does, inline: this and expect_ident pass most tokens
         self.tok = self.toks[self.pos]
 
-    def expect_ident(self, what: str = "identifier") -> str:
+    def expect_ident(self, what: str) -> str:
         tok = self.tok
         if tok not in self.idents:
             raise self.error(f"expected {what}")
@@ -464,13 +465,6 @@ class _Parser:
             self.end_statement()
         return GenDecl(name, inputs, outputs, rows, line)
 
-    def parse_args(self) -> tuple[str, ...]:
-        """``( variable, ... )``, possibly empty."""
-        self.expect("(")
-        names = self.names("a variable") if self.tok != ")" else ()
-        self.expect(")")
-        return names
-
     def parse_program(self) -> SourceProgram:
         types: list[TypeDecl] = []
         gens: list[GenDecl] = []
@@ -501,44 +495,52 @@ class _Parser:
         index (see the module docstring), up to the next declaration or
         statement."""
         toks, idents, start, line = self.toks, self.idents, self.pos, self.line
-        tok, stmt = toks[start], None
+        tok = toks[start]
         if tok == "OBSERVE":
             atoms, end = self.read_atoms(start + 1)
-            if atoms:
-                stmt = ObserveStmt(atoms, line)
+            stmt = ObserveStmt(atoms, line)
         elif tok == "RETURN":
             end = self.close_names(start + 1) + 1
-            if end:
-                stmt = ReturnStmt(tuple(toks[start + 2:end - 1:2]), line)
+            stmt = ReturnStmt(tuple(toks[start + 2:end - 1:2]), line)
         else:  # names <- ...
             pos = start + 1
-            while toks[pos] == "," and toks[pos + 1] in idents:
+            while toks[pos] == ",":
+                if toks[pos + 1] not in idents:
+                    raise self.error("expected a variable", pos + 1)
                 pos += 2
-            outs = tuple(toks[start:pos:2])
-            head = toks[pos + 1] if toks[pos] == "<-" else None
+            if toks[pos] != "<-":
+                raise self.error("expected '<-'", pos)
+            outs, head = tuple(toks[start:pos:2]), toks[pos + 1]
             pos += 2
             if head in idents:
                 end = self.close_names(pos) + 1
-                if end:
-                    stmt = CallStmt(outs, head, tuple(toks[pos + 1:end - 1:2]), line)
-            elif head == "UNIFORM" and toks[pos] == "{":
+                stmt = CallStmt(outs, head, tuple(toks[pos + 1:end - 1:2]), line)
+            elif head == "UNIFORM":
+                if toks[pos] != "{":
+                    raise self.error("expected '{'", pos)
                 values, end = [], pos
                 while not values or toks[end] == ",":
                     value, end = self.read_value(end + 1)
                     values.append(value)
-                if toks[end] == "}":
-                    stmt, end = UniformStmt(outs, tuple(values), line), end + 1
+                if toks[end] != "}":
+                    raise self.error("expected '}'", end)
+                stmt, end = UniformStmt(outs, tuple(values), line), end + 1
             elif head == "CASE":
                 if toks[pos] in idents:
                     scrutinee, end = (toks[pos],), pos + 1
+                elif toks[pos] != "(" or toks[pos + 1] == ")":
+                    raise self.error("expected a variable", pos + (toks[pos] == "("))
                 else:
                     end = self.close_names(pos) + 1
-                    scrutinee = tuple(toks[pos + 1:end - 1:2]) if end else ()
-                if scrutinee and toks[end] == "OF":
-                    self.pos, self.tok = end + 1, toks[end + 1]
-                    return CaseStmt(outs, scrutinee, self.parse_rows(), line)
-        if stmt is None or toks[end] not in ("\n", ""):
-            self.misread(start)
+                    scrutinee = tuple(toks[pos + 1:end - 1:2])
+                if toks[end] != "OF":
+                    raise self.error("expected 'OF'", end)
+                self.pos, self.tok = end + 1, toks[end + 1]
+                return CaseStmt(outs, scrutinee, self.parse_rows(), line)
+            else:
+                raise self.error("expected a generator name", pos - 1)
+        if toks[end] not in ("\n", ""):
+            raise self.error("expected end of line", end)
         while toks[end] == "\n":
             line += 1
             end += 1
@@ -547,10 +549,10 @@ class _Parser:
 
     def close_names(self, pos: int) -> int:
         """The index of the ``)`` that closes a list ``( variable, ... )``,
-        possibly empty, at ``pos``; -1 when there is no such list there."""
+        possibly empty, at ``pos``."""
         toks, idents = self.toks, self.idents
         if toks[pos] != "(":
-            return -1
+            raise self.error("expected '('", pos)
         end = pos + 1
         if toks[end] == ")":
             return end
@@ -558,9 +560,9 @@ class _Parser:
             if toks[end + 1] == ")":
                 return end + 1
             if toks[end + 1] != ",":
-                return -1
+                raise self.error("expected ')'", end + 1)
             end += 2
-        return -1
+        raise self.error("expected a variable", end)
 
     def read_value(self, pos: int) -> tuple:
         """The surface value at ``pos`` and the index after it."""
@@ -572,78 +574,28 @@ class _Parser:
 
     def read_atoms(self, pos: int) -> tuple:
         """The atoms of ``( atom AND ... )`` at ``pos`` and the index after
-        the ``)``; no atoms at the first token that does not fit."""
+        the ``)``."""
         toks = self.toks
         if toks[pos] != "(":
-            return (), pos
+            raise self.error("expected '('", pos)
         atoms = []
         while True:
             left, pos = self.read_value(pos + 1)
             op = toks[pos]
             if op == "=" or op == "!=":
                 right, pos = self.read_value(pos + 1)
-            elif op == "IN" and toks[pos + 1] in self.idents:
+            elif op == "IN":
                 right, pos = toks[pos + 1], pos + 2
+                if right not in self.idents:
+                    raise self.error("expected a set-valued variable", pos - 1)
             else:
-                return (), pos
+                raise self.error("expected =, != or IN", pos)
             atoms.append(SAtom(op, left, right))
             if toks[pos] != "AND":
                 break
-        return (tuple(atoms), pos + 1) if toks[pos] == ")" else ((), pos)
-
-    # -- statements, read again token by token to place an error ----------------
-
-    def misread(self, start: int):
-        """Read the statement at token ``start`` again, token by token, which
-        raises at the first token that the grammar does not allow."""
-        self.pos, self.tok = start, self.toks[start]
-        {"OBSERVE": self.reread_observe, "RETURN": self.reread_return}.get(self.tok, self.reread_sample)()
-        raise AssertionError(f"the walk stopped in a well-formed statement at token {start}")
-
-    def reread_observe(self):
-        self.next()  # OBSERVE
-        self.expect("(")
-        while True:
-            self.parse_value()
-            if self.tok in ("=", "!="):
-                self.next()
-                self.parse_value()
-            elif self.tok == "IN":
-                self.next()
-                self.expect_ident("a set-valued variable")
-            else:
-                raise self.error("expected =, != or IN")
-            if self.tok != "AND":
-                break
-            self.next()
-        self.expect(")")
-        self.end_statement()
-
-    def reread_return(self):
-        self.next()  # RETURN
-        self.parse_args()
-        self.end_statement()
-
-    def reread_sample(self):
-        self.names("a variable")
-        self.expect("<-")
-        if self.tok == "UNIFORM":
-            self.next()
-            self.parse_value_set()
-        elif self.tok == "CASE":
-            self.next()
-            if self.tok == "(":
-                self.next()
-                self.names("a variable")
-                self.expect(")")
-            else:
-                self.expect_ident("a variable")
-            self.expect("OF")
-            return  # the walk reads the rows
-        else:
-            self.expect_ident("a generator name")
-            self.parse_args()
-        self.end_statement()
+        if toks[pos] != ")":
+            raise self.error("expected ')'", pos)
+        return tuple(atoms), pos + 1
 
 
 def parse(text: str) -> SourceProgram:

@@ -22,7 +22,10 @@ No puzzle declares a ``GEN`` or has a call statement, so
 ``test_call_form_load_outcomes_are_pinned`` pins the same for 5,000
 generated programs of ``GEN`` calls, each whole, mutated, and with one
 line mutated; its digest was taken before statements were read in one
-walk.
+walk.  Neither reaches every statement error, so
+``test_statement_errors_are_pinned`` pins the parse outcome of 20,000
+statements, almost all malformed; its digest was taken while a second,
+token-by-token reader still placed those errors.
 """
 
 import hashlib
@@ -338,22 +341,50 @@ def test_every_failed_load_names_its_line():
     assert elaboration_errors > 100
 
 
-def test_well_formed_statements_are_read_once(monkeypatch):
-    """The token-by-token reader only places errors: a program that parses
-    never has a statement read again, and a malformed one always does."""
-    misreads = []
-    misread = parser._Parser.misread
-    monkeypatch.setattr(parser._Parser, "misread",
-                        lambda self, start: misreads.append(start) or misread(self, start))
+def test_statements_parse_or_raise_at_the_first_unexpected_token():
     rng = random.Random(5)
     for text in TEXTS + [call_program(rng) for _ in range(300)]:
         parse(text)
-    assert misreads == []
-    for text in (COIN + "y <- g(x,)\nRETURN(y)\n", COIN + "OBSERVE(x IN)\nRETURN(x)\n",
-                 COIN + "RETURN(x) x\n", COIN + "y <- UNIFORM {H T}\nRETURN(y)\n"):
-        with pytest.raises(ParseError):
-            parse(text)
-    assert len(misreads) == 4
+    for statement, error in (
+            ("y <- g(x,)", "3:10: expected a variable, got ')'"),
+            ("OBSERVE(x IN)", "3:13: expected a set-valued variable, got ')'"),
+            ("RETURN(x) x", "3:11: expected end of line, got 'x'"),
+            ("y <- UNIFORM {H T}", "3:17: expected '}', got 'T'"),
+            ("y <- CASE () OF", "3:12: expected a variable, got ')'"),
+            ("y, 3 <- g(x)", "3:4: expected a variable, got '3'"),
+            ("y <- 3", "3:6: expected a generator name, got '3'")):
+        with pytest.raises(ParseError) as exc:
+            parse(COIN + statement + "\nRETURN(y)\n")
+        assert str(exc.value) == error
+
+
+STATEMENT_HEADS = ("x <-", "y, z <-", "OBSERVE(", "RETURN(", "y <- CASE", "y <- UNIFORM", "y <- g(")
+STATEMENT_TOKENS = ("x", "y", "g", "H", "T", "3", "$2", "1/2", "_", ",", "(", ")", "{", "}", "<-",
+                    "->", "=", "!=", "IN", "AND", "OF", "|", ">", ";", "UNIFORM", "CASE", "\n")
+
+
+def test_statement_errors_are_pinned():
+    """20,000 statements, each a head and 0-8 tokens: every message that
+    the statement walk raises is reached, and each outcome is pinned."""
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    messages = set()
+    for _ in range(20_000):
+        head = rng.choice(STATEMENT_HEADS)
+        tokens = rng.choices(STATEMENT_TOKENS, k=rng.randint(0, 8))
+        text = COIN + " ".join([head, *tokens]) + "\nRETURN(x)\n"
+        try:
+            parsed = pretty(parse(text))
+        except ParseError as exc:
+            parsed = (exc.line, exc.col, str(exc))
+            messages.add(str(exc).split(": ", 1)[1].split(", got ")[0])
+        digest.update(repr(parsed).encode() + b"\n")
+    assert messages >= {
+        "expected a variable", "expected '<-'", "expected a generator name", "expected '('",
+        "expected ')'", "expected '{'", "expected '}'", "expected 'OF'",
+        "expected =, != or IN", "expected a set-valued variable", "expected end of line"}
+    assert digest.hexdigest() == (
+        "7982e0145bcca469fca329f47e8011fabd719dab95d35b34db22c1946e85d71b")
 
 
 def _cases(n: int) -> str:
