@@ -153,7 +153,7 @@ def _final(prog: Program, denote, kernels=None) -> Subdist:
     if kernels is not None:
         merged = dict(interp.kernels)
         merged.update({gd.name: kernels[gd.name] for gd in prog.source.gens})
-        interp = Interpretation(interp.carriers, merged)
+        interp = Interpretation._of_tables(interp.carriers, merged)
     return denote(interp, [()])[()]
 
 

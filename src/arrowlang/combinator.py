@@ -16,6 +16,15 @@ Every statement's context is a prefix of the return's context, so a
 term stores that one context and each statement's context is the part
 bound before it.  Every pass over a term is one loop over its
 statements.
+
+Terms and finite functions are checked where they enter: the public
+`FiniteFunction` and `CombTerm` constructors check every field, and
+`act` its arguments.  The passes (`act`'s result, composition, the
+whiskers, tensoring, `FiniteFunction.then`) and `encode`'s selectors
+build from values checked there through `FiniteFunction._of_targets`
+and `CombTerm._of_parts`, which check nothing.  The term that `encode`
+returns is checked, since a `TypedTerm` built by hand is only
+type-checked there.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ from .syntax import (
     TypedTerm,
 )
 
+_set = object.__setattr__  # sets a field of a frozen dataclass
+
 
 @dataclass(frozen=True)
 class FiniteFunction:
@@ -44,11 +55,27 @@ class FiniteFunction:
     cod: int
 
     def __post_init__(self):
+        if type(self.targets) is not tuple:
+            raise TypeMismatch(f"targets {self.targets!r} are not a tuple")
+        if type(self.cod) is not int:
+            raise TypeMismatch(f"codomain {self.cod!r} is not an integer")
         if self.cod < 0:
             raise ArityMismatch(f"negative codomain {self.cod}")
         for t in self.targets:
+            if type(t) is not int:
+                raise TypeMismatch(f"target {t!r} is not an integer")
             if not 1 <= t <= self.cod:
                 raise ArityMismatch(f"target {t} outside 1..{self.cod}")
+
+    @classmethod
+    def _of_targets(cls, targets: tuple[int, ...], cod: int) -> "FiniteFunction":
+        """Build from a tuple of integers in 1..cod.  Nothing is checked:
+        each caller builds from finite functions checked where they entered,
+        or from context positions it has counted itself."""
+        self = cls.__new__(cls)
+        _set(self, "targets", targets)
+        _set(self, "cod", cod)
+        return self
 
     @property
     def dom(self) -> int:
@@ -63,7 +90,7 @@ class FiniteFunction:
         """Diagrammatic composite: apply self, then other."""
         if self.cod != other.dom:
             raise ArityMismatch(f"cannot chain cod {self.cod} into dom {other.dom}")
-        return FiniteFunction(tuple(other(t) for t in self.targets), other.cod)
+        return FiniteFunction._of_targets(tuple([other.targets[t - 1] for t in self.targets]), other.cod)
 
     def __repr__(self) -> str:
         return f"[{', '.join(map(str, self.targets))}] -> {self.cod}"
@@ -151,14 +178,23 @@ class CombTerm:
 
     def __post_init__(self):
         ctx = self.ctx
+        if type(self.heads) is not tuple:
+            raise TypeMismatch(f"statements {self.heads!r} are not a tuple")
+        if type(ctx) is not tuple:
+            raise TypeMismatch(f"context {ctx!r} is not a tuple")
+        if type(self.sel) is not FiniteFunction:
+            raise TypeMismatch(f"selector {self.sel!r} is not a finite function")
         if self.sel.cod != len(ctx):
             raise ArityMismatch(f"selector codomain {self.sel.cod} != context length {len(ctx)}")
-        n = len(ctx) - sum(len(h.gen.outputs) for h in self.heads if type(h) is CGen)
+        n = len(ctx)
+        for h in self.heads:
+            if type(h) is CGen and type(h.gen) is Generator and type(h.sel) is FiniteFunction:
+                n -= len(h.gen.outputs)
+            elif type(h) is not CObs or type(h.pair) is not FiniteFunction:
+                raise TypeMismatch(f"not a statement: {h!r}")
         if n < 0:
             raise TypeMismatch("context is shorter than the generators' outputs")
-        object.__setattr__(self, "arity", n)
-        object.__setattr__(self, "in_types", ctx[:n])
-        object.__setattr__(self, "out_types", tuple(ctx[t - 1] for t in self.sel.targets))
+        self._set_types(n)
         for h in self.heads:
             if type(h) is CObs:
                 if h.pair.dom != 2:
@@ -167,7 +203,7 @@ class CombTerm:
                     raise ArityMismatch("observe selector does not match the context")
                 if ctx[h.pair(1) - 1] != ctx[h.pair(2) - 1]:
                     raise TypeMismatch("observe compares positions of different types")
-            elif type(h) is CGen:
+            else:
                 gen = h.gen
                 if h.sel.cod != n:
                     raise ArityMismatch("argument selector does not match the context")
@@ -179,8 +215,25 @@ class CombTerm:
                 if ctx[n:n + len(gen.outputs)] != gen.outputs:
                     raise TypeMismatch(f"context does not continue with {gen.name}'s outputs")
                 n += len(gen.outputs)
-            else:
-                raise TypeMismatch(f"not a statement: {h!r}")
+
+    @classmethod
+    def _of_parts(cls, heads: tuple, sel: FiniteFunction, ctx: TypeList, arity: int) -> "CombTerm":
+        """Build from statements, a return selector and a context (all
+        tuples) that fit together, the first ``arity`` positions of ``ctx``
+        being the input.  Nothing is checked: each caller builds from
+        terms checked where they entered."""
+        self = cls.__new__(cls)
+        _set(self, "heads", heads)
+        _set(self, "sel", sel)
+        _set(self, "ctx", ctx)
+        self._set_types(arity)
+        return self
+
+    def _set_types(self, arity: int) -> None:
+        ctx = self.ctx
+        _set(self, "arity", arity)
+        _set(self, "in_types", ctx[:arity])
+        _set(self, "out_types", tuple([ctx[t - 1] for t in self.sel.targets]))
 
 
 def comb_identity(x: TypeList) -> CombTerm:
@@ -198,15 +251,16 @@ def _reindexed(t: CombTerm, pos: tuple[int, ...], ctx: TypeList, ret: tuple[int,
     every statement.  Every statement's context grows by as much as the
     whole context does.
     """
-    n = t.arity + len(ctx) - len(t.ctx)
+    arity = n = t.arity + len(ctx) - len(t.ctx)
+    of = FiniteFunction._of_targets
     heads = []
     for h in t.heads:
         if type(h) is CObs:
-            heads.append(CObs(FiniteFunction(_through(pos, h.pair), n)))
+            heads.append(CObs(of(_through(pos, h.pair), n)))
         else:
-            heads.append(CGen(h.gen, FiniteFunction(_through(pos, h.sel), n)))
+            heads.append(CGen(h.gen, of(_through(pos, h.sel), n)))
             n += len(h.gen.outputs)
-    return CombTerm(tuple(heads), FiniteFunction(ret, len(ctx)), ctx)
+    return CombTerm._of_parts(tuple(heads), of(ret, len(ctx)), ctx, arity)
 
 
 # -- the module action -----------------------------------------------------------
@@ -239,8 +293,11 @@ def comb_compose(s: CombTerm, t: CombTerm) -> CombTerm:
     """Sequential composition; the output list of s must equal t's context."""
     if s.out_types != t.in_types:
         raise TypeMismatch(f"cannot compose {s.out_types} into {t.in_types}")
-    tail = act(s.sel, t, s.ctx)
-    return CombTerm(s.heads + tail.heads, tail.sel, tail.ctx)
+    # `act(s.sel, t, s.ctx)`, whose argument checks the equation above implies
+    k = len(s.ctx)
+    pos = (0, *s.sel.targets, *range(k + 1, k + len(t.ctx) - t.arity + 1))
+    tail = _reindexed(t, pos, s.ctx + t.ctx[t.arity:], _through(pos, t.sel))
+    return CombTerm._of_parts(s.heads + tail.heads, tail.sel, tail.ctx, s.arity)
 
 
 def comb_whisker_left(z: TypeList, t: CombTerm) -> CombTerm:
@@ -308,18 +365,19 @@ def encode(tt: TypedTerm) -> CombTerm:
         except KeyError:
             raise TypeMismatch(f"variable {v} not in context") from None
 
+    of = FiniteFunction._of_targets  # every position `at` returns is in range
     heads = []
     for node in tt.term.heads:
         if isinstance(node, Observe):
-            heads.append(CObs(ff([at(node.left), at(node.right)], len(types))))
+            heads.append(CObs(of((at(node.left), at(node.right)), len(types))))
         elif isinstance(node, Sample):
-            heads.append(CGen(node.gen, ff([at(v) for v in node.args], len(types))))
+            heads.append(CGen(node.gen, of(tuple([at(v) for v in node.args]), len(types))))
             for v, tname in zip(node.outs, node.gen.outputs):
                 types.append(tname)
                 pos[v] = len(types)
         else:
             raise TypeMismatch(f"not a term node: {node!r}")
-    return CombTerm(tuple(heads), ff([at(v) for v in tt.term.ret.vars], len(types)), tuple(types))
+    return CombTerm(tuple(heads), of(tuple([at(v) for v in tt.term.ret.vars]), len(types)), tuple(types))
 
 
 def decode(c: CombTerm, sig: Signature | None = None) -> TypedTerm:

@@ -162,10 +162,9 @@ def gen_interpretation(budget: GenBudget, sig: Signature,
         t: tuple(f"{t.lower()}{i}" for i in range(1, rng.randint(1, budget.max_carrier) + 1))
         for t in sorted(sig.types)
     }
-    kernels = gen_kernels(sig.generators.values(), carriers, rng, budget.max_denominator)
-    interp = Interpretation(carriers, kernels)
-    interp.validate(sig)
-    return interp
+    # the carriers are symbols and each row is built over their product
+    return Interpretation._of_tables(
+        carriers, gen_kernels(sig.generators.values(), carriers, rng, budget.max_denominator))
 
 
 def gen_ff(budget: GenBudget, rng: random.Random | None = None) -> FiniteFunction:

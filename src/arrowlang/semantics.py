@@ -75,6 +75,16 @@ class Interpretation:
         for v in chain.from_iterable(self.carriers.values()):
             outcome_key(v)  # carrier values enter runs here; the engine checks none
 
+    @classmethod
+    def _of_tables(cls, carriers: Mapping[TypeName, tuple[Outcome, ...]],
+                   kernels: Mapping[str, KernelTable]) -> "Interpretation":
+        """Build from carriers checked where they entered and kernel rows
+        over them.  Nothing is checked."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "carriers", carriers)
+        object.__setattr__(self, "kernels", kernels)
+        return self
+
     def carrier(self, t: TypeName) -> tuple[Outcome, ...]:
         try:
             return self.carriers[t]

@@ -475,19 +475,24 @@ def _reference_out_types(term):
     return _reference_out_types(_rest(term))
 
 
-def test_stored_types_match_the_recursive_definition():
+def _pass_draws():
+    """60 seeded draws: two encoded terms, then every pass over them."""
     from arrowlang.combinator import structure_maps
 
     rng = random.Random(17)
-    checked = 0
     for _ in range(60):
         s, t, interp = comb_pair(rng)
         types = sorted(interp.carriers)
         z = tuple(rng.choice(types) for _ in range(rng.randint(0, 3)))
         phi, new_ctx = gen_reindexing(rng, s.in_types)
-        terms = [s, t, act(phi, s, new_ctx), comb_compose(s, t),
-                 comb_whisker_left(z, s), comb_whisker_right(s, z), comb_tensor(s, t),
-                 *structure_maps(z)]
+        yield [s, t, act(phi, s, new_ctx), comb_compose(s, t),
+               comb_whisker_left(z, s), comb_whisker_right(s, z), comb_tensor(s, t),
+               *structure_maps(z)]
+
+
+def test_stored_types_match_the_recursive_definition():
+    checked = 0
+    for terms in _pass_draws():
         for term in terms:
             # every suffix: the statements from the i-th on, then the return
             for i in range(len(term.heads) + 1):
@@ -534,17 +539,23 @@ def test_ten_thousand_statements_through_every_combinator_pass():
 
 
 def _selector_entries(n, monkeypatch):
-    """Selector entries built by `_every_pass` on an n-statement program."""
+    """Selector entries built by `_every_pass` on an n-statement program,
+    through the public constructor or the private one."""
     tt = load_text(_straight_line(n)[0]).typed
     built = [0]
-    check = FiniteFunction.__post_init__
+    check, of_targets = FiniteFunction.__post_init__, FiniteFunction._of_targets
 
     def counting(self):
         built[0] += len(self.targets)
         check(self)
 
+    def counting_of_targets(targets, cod):
+        built[0] += len(targets)
+        return of_targets(targets, cod)
+
     with monkeypatch.context() as m:
         m.setattr(FiniteFunction, "__post_init__", counting)
+        m.setattr(FiniteFunction, "_of_targets", staticmethod(counting_of_targets))
         _every_pass(tt)
     return built[0]
 
@@ -554,6 +565,40 @@ def test_combinator_passes_build_linearly_many_selector_entries(monkeypatch):
     large = _selector_entries(4_000, monkeypatch)
     assert small > 1_000
     assert large <= 4.5 * small
+
+
+def _rebuilt(f):
+    """``f`` built again through the public constructors, which check it."""
+    if type(f) is FiniteFunction:
+        return FiniteFunction(f.targets, f.cod)
+    heads = tuple(CObs(_rebuilt(h.pair)) if type(h) is CObs else CGen(h.gen, _rebuilt(h.sel))
+                  for h in f.heads)
+    return CombTerm(heads, _rebuilt(f.sel), f.ctx)
+
+
+def _assert_rebuilds(f):
+    again = _rebuilt(f)
+    assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
+    if type(f) is CombTerm:
+        assert (again.arity, again.in_types, again.out_types) == (f.arity, f.in_types, f.out_types)
+
+
+def test_pass_built_terms_and_selectors_pass_the_public_checks():
+    # the passes build through the unchecked constructors; each result must
+    # be what the checked ones build from the same fields
+    rng = random.Random(18)
+    checked = 0
+    for terms in _pass_draws():
+        for term in terms:
+            _assert_rebuilds(term)
+            checked += 1
+        psi, ctx_q = gen_reindexing(rng, terms[0].in_types)
+        phi, _ = gen_reindexing(rng, ctx_q)
+        _assert_rebuilds(psi.then(phi))
+    assert checked == 60 * 10
+    tt = load_text(_straight_line(10_000)[0]).typed
+    for term in _every_pass(tt)[:-1]:
+        _assert_rebuilds(term)
 
 
 def _g(inputs, outputs):
@@ -579,6 +624,16 @@ def _g(inputs, outputs):
     ((CGen(_g(("A",), ("A",)), ff([1], 1)),), ff([], 2), ("A", "B"), TypeMismatch,
      "context does not continue with g's outputs"),
     (("x",), ff([], 1), ("A",), TypeMismatch, "not a statement: 'x'"),
+    # fields of the wrong kind would fail with an AttributeError
+    ((CObs((1, 2)),), ff([], 2), ("A", "A"), TypeMismatch, "not a statement: CObs(pair=(1, 2))"),
+    ((CGen("g", ff([], 0)),), ff([], 0), (), TypeMismatch,
+     "not a statement: CGen(gen='g', sel=[] -> 0)"),
+    ((CGen(_g((), ()), (1,)),), ff([], 1), ("A",), TypeMismatch,
+     "not a statement: CGen(gen=Generator(name='g', inputs=(), outputs=()), sel=(1,))"),
+    ((), (1,), ("A",), TypeMismatch, "selector (1,) is not a finite function"),
+    # lists would build, then fail to hash or to compare with tuples
+    ((), ff([1], 1), ["A"], TypeMismatch, "context ['A'] is not a tuple"),
+    ([], ff([], 0), (), TypeMismatch, "statements [] are not a tuple"),
 ])
 def test_comb_term_rejects_ill_formed_terms(heads, sel, ctx, error, message):
     with pytest.raises(error) as exc:
@@ -589,6 +644,9 @@ def test_comb_term_rejects_ill_formed_terms(heads, sel, ctx, error, message):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: FiniteFunction((), -1), ArityMismatch, "negative codomain -1"),
     (lambda: ff([3], 2), ArityMismatch, "target 3 outside 1..2"),
+    (lambda: FiniteFunction([1], 1), TypeMismatch, "targets [1] are not a tuple"),
+    (lambda: FiniteFunction((1,), 1.5), TypeMismatch, "codomain 1.5 is not an integer"),
+    (lambda: ff([True], 1), TypeMismatch, "target True is not an integer"),
     (lambda: ff([1], 1)(2), ArityMismatch, "index 2 outside 1..1"),
     (lambda: ff([1], 2).then(ff([1], 1)), ArityMismatch, "cannot chain cod 2 into dom 1"),
     (lambda: ff_collapse(ff([1], 1)), ArityMismatch, "collapse needs a function with domain 2"),

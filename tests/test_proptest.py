@@ -82,6 +82,22 @@ def test_random_interpretations_hit_both_mass_regimes():
     assert saw_stochastic and saw_losing
 
 
+def test_random_interpretations_pass_the_public_checks():
+    # `gen_interpretation` builds through the unchecked constructors, so the
+    # checks of `Interpretation`, `validate` and `Subdist` run here instead
+    for budget in (BUDGET, GenBudget(max_arity=3, max_carrier=4, max_denominator=12)):
+        for seed in range(200):
+            rng = random.Random(seed)
+            sig, _, _ = gen_term(budget, rng)
+            interp = gen_interpretation(budget, sig, rng)
+            checked = Interpretation(interp.carriers, interp.kernels)
+            checked.validate(sig)
+            assert checked == interp
+            for table in interp.kernels.values():
+                for row in table.values():
+                    assert Subdist(dict(row.items())) == row
+
+
 # -- oracle ----------------------------------------------------------------------
 
 
