@@ -22,6 +22,10 @@ allowed around the ``/``, and a weight left out is 1):
     OBSERVE(A IN ports)
     RETURN(car)
 
+Tokens come from a few ``str`` passes (`tokenize`), or from the regex
+scan that defines them, ``_TOKEN_RE``, for a text those passes decline and
+for the position of a lexical error.
+
 Each statement is read in one walk over the token list at a local index
 (`_Parser.read_statement`), into one record per form: `UniformStmt`,
 `CaseStmt`, `CallStmt`, `ObserveStmt` and `ReturnStmt`.  A name is read
@@ -88,10 +92,17 @@ KEYWORDS = {"TYPE", "GEN", "UNIFORM", "CASE", "OF", "OBSERVE", "RETURN", "IF", "
 # (or a ``²`` or ``½``, a lexical error), DOLLAR, NEWLINE, one unexpected
 # character, and the empty EOF at the end of the text.  A comment runs to
 # the end of its line and gives its column to the NEWLINE (or EOF) after it.
-_SKIP = r"[ \t\r]*(?:#[^\n]*)?"
+_COMMENT = r"#[^\n]*"
+_SKIP = rf"[ \t\r]*(?:{_COMMENT})?"
 _TOKEN_RE = re.compile(r"(<-|->|!=|[{}(),;:|>+/=]|[A-Za-z_]\w*|\d+|\w+|\$\d*|\n|.|\Z)" + _SKIP)
 _LEAD_RE = re.compile(_SKIP)  # what comes before the first token
+_COMMENT_RE = re.compile(_COMMENT)
 _PUNCT = frozenset(("<-", "->", "!=", *"{}(),;:|>+/="))
+
+# Punctuation padded with blanks, in an order that keeps the scan's reading:
+# ``<-`` first (``<`` ends no token), each ``->``/``!=`` mended once split.
+_PADDING = (("<-", " <- "), (">", " > "), ("- > ", " -> "), ("=", " = "), ("! = ", " != "),
+            *((c, f" {c} ") for c in "{}(),;:|+/"))
 
 
 def _kind(tok: str) -> str | None:
@@ -114,9 +125,28 @@ def _kind(tok: str) -> str | None:
 def tokenize(text: str) -> list[str]:
     """The token texts of ``text``, ending with the empty EOF token.
 
-    The texts are not classified here: the parser gives each distinct
-    text its kind, and places a lexical error with `located_tokens`.
+    An ASCII text without its comments, padded around its punctuation,
+    is split into lines and words, taken when each word is one whole token
+    (a name, digits, ``$`` and digits, or punctuation).  The scan reads any
+    other text: ``3abc``, ``<``, a non-ASCII name, a blank such as ``\\x0c``
+    that ``str.split`` knows and the scan does not.  The texts are not
+    classified here: the parser gives each distinct text its kind, and
+    places a lexical error with `located_tokens`.
     """
+    if text.isascii() and not any(map(text.__contains__, "\x0b\x0c\x1c\x1d\x1e\x1f")):
+        padded = _COMMENT_RE.sub("", text) if "#" in text else text
+        for old, new in _PADDING:
+            padded = padded.replace(old, new)
+        tokens = []
+        for line in padded.split("\n"):
+            tokens += line.split()
+            tokens.append("\n")
+        for tok in set(tokens).difference(_PUNCT, ("\n",)):
+            if not (tok.isidentifier() or tok.isdigit() or tok[0] == "$" and tok[1:].isdigit()):
+                break
+        else:
+            tokens[-1] = ""
+            return tokens
     return _TOKEN_RE.findall(text, _LEAD_RE.match(text).end())
 
 

@@ -39,6 +39,14 @@ class Generator:
     inputs: tuple[TypeName, ...]
     outputs: tuple[TypeName, ...]
 
+    def __post_init__(self):
+        if type(self.name) is not str or type(self.inputs) is not tuple or type(self.outputs) is not tuple:
+            raise TypeMismatch(f"generator {self.name!r} : {self.inputs!r} -> {self.outputs!r}"
+                               " needs a str name and tuples of type names")
+        for t in self.inputs + self.outputs:
+            if type(t) is not str:
+                raise TypeMismatch(f"type name {t!r} of generator {self.name} is not a str")
+
 
 @dataclass(frozen=True)
 class Signature:

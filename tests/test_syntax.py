@@ -461,6 +461,14 @@ def test_ten_thousand_statement_rewrites_at_default_recursion_limit(monkeypatch)
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Signature(frozenset({"Coin"}), {"g": Generator("g", ("Coin",), ("Die",))}),
      UnknownGenerator, "generator g uses undeclared type Die"),
+    # fields of the wrong kind would build, then fail to hash or to add up
+    (lambda: Generator("g", ["A"], ()), TypeMismatch,
+     "generator 'g' : ['A'] -> () needs a str name and tuples of type names"),
+    (lambda: Generator("g", (), "A"), TypeMismatch,
+     "generator 'g' : () -> 'A' needs a str name and tuples of type names"),
+    (lambda: Generator(("g",), (), ()), TypeMismatch,
+     "generator ('g',) : () -> () needs a str name and tuples of type names"),
+    (lambda: Generator("g", ("A", 1), ()), TypeMismatch, "type name 1 of generator g is not a str"),
     (lambda: typecheck(Signature(SIG.types, {"seen": SEEN}), (),
                        Term((Sample(SEEN, ("y",), ()),), Return(()))),
      UnboundVariable, "variable y not in scope in () <- seen(y)"),

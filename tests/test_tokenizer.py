@@ -10,7 +10,11 @@ left out of the comparison: characters such as ``²`` that ``str.isdigit``
 accepts but ``int`` rejects, which the loop turned into INT tokens that
 crashed the parser (see ``test_parser.py``).  ``tokenize`` must give the
 located walk's texts, and the parser, which classifies them, must raise
-the same ParseError.
+the same ParseError.  ``tokenize`` reads most texts by splitting padded
+text instead of scanning it: ``test_the_split_reads_every_text_as_the_scan``
+compares the two on random texts, and
+``test_the_split_is_taken_for_the_puzzles_and_the_benchmark_programs``
+checks that the split is not quietly declined.
 
 Every ParseError position is computed by the located walk after the
 fact, so ``test_load_outcomes_are_pinned`` pins the outcome of loading
@@ -29,6 +33,7 @@ token-by-token reader still placed those errors.
 """
 
 import hashlib
+import importlib
 import random
 from pathlib import Path
 
@@ -149,6 +154,11 @@ def mutate(text: str, rng: random.Random) -> str:
         else:
             text = text[:i] + rng.choice(FRAGMENTS) + text[i + 1:]
     return text
+
+
+def scan(text: str) -> list[str]:
+    """The token texts as the regex scan reads them, which `tokenize` must give."""
+    return parser._TOKEN_RE.findall(text, parser._LEAD_RE.match(text).end())
 
 
 def scanned(text: str):
@@ -437,11 +447,38 @@ COIN_SOURCE = "TYPE Coin = {H, T}\n\nx <- UNIFORM {H, T}\n"
     (COIN + "y <- CASE x OF # no rows",
      [("IDENT", "x", 3, 11), ("IDENT", "OF", 3, 13), ("EOF", "", 3, 16)],
      ("ParseError", 3, 16, "3:16: expected at least one table row, got end of file")),
+    # punctuation that the split pads and mends, and chunks it declines
+    ("<->", [("PUNCT", "<-", 1, 1), ("PUNCT", ">", 1, 3), ("EOF", "", 1, 4)],
+     ("ParseError", 1, 1, "1:1: expected a declaration or statement, got '<-'")),
+    ("<-->", [("PUNCT", "<-", 1, 1), ("PUNCT", "->", 1, 3), ("EOF", "", 1, 5)],
+     ("ParseError", 1, 1, "1:1: expected a declaration or statement, got '<-'")),
+    ("!==", [("PUNCT", "!=", 1, 1), ("PUNCT", "=", 1, 3), ("EOF", "", 1, 4)],
+     ("ParseError", 1, 1, "1:1: expected a declaration or statement, got '!='")),
+    ("- >", ("error", 1, 1, "1:1: unexpected character '-'"),
+     ("ParseError", 1, 1, "1:1: unexpected character '-'")),
+    ("! =", ("error", 1, 1, "1:1: unexpected character '!'"),
+     ("ParseError", 1, 1, "1:1: unexpected character '!'")),
+    ("3abc", [("INT", "3", 1, 1), ("IDENT", "abc", 1, 2), ("EOF", "", 1, 5)],
+     ("ParseError", 1, 1, "1:1: expected a declaration or statement, got '3'")),
+    ("$3x", [("DOLLAR", "$3", 1, 1), ("IDENT", "x", 1, 3), ("EOF", "", 1, 4)],
+     ("ParseError", 1, 1, "1:1: expected a declaration or statement, got '$3'")),
+    ("a$3", [("IDENT", "a", 1, 1), ("DOLLAR", "$3", 1, 2), ("EOF", "", 1, 4)],
+     ("ParseError", 1, 2, "1:2: expected '<-', got '$3'")),
+    ("a#b", [("IDENT", "a", 1, 1), ("EOF", "", 1, 2)],
+     ("ParseError", 1, 2, "1:2: expected '<-', got end of file")),
+    # a \r alone is a blank, not a line end
+    (COIN + "RETURN(x)\rRETURN(x)\r",
+     [("IDENT", "x", 3, 18), ("PUNCT", ")", 3, 19), ("EOF", "", 3, 21)],
+     ("ParseError", 3, 11, "3:11: expected end of line, got 'RETURN'")),
+    ("", [("EOF", "", 1, 1)], ("ParseError", 1, 1, "1:1: program must end with RETURN")),
+    ("# only a comment", [("EOF", "", 1, 1)],
+     ("ParseError", 1, 1, "1:1: program must end with RETURN")),
 ])
 def test_hand_cases_scan_and_load_as_before(text, last_tokens, loaded):
-    located = located_tokens(text)
-    assert located[-3:] == last_tokens
-    assert tokenize(text) == [tok[1] for tok in located]
+    located = outcome(located_tokens, text)
+    assert (located if located[0] == "error" else located[-3:]) == last_tokens
+    assert tokenize(text) == scan(text)
+    assert_scans_as_located(text, located)
     assert load_outcome(text) == loaded
 
 
@@ -484,3 +521,59 @@ def test_every_text_loads_or_raises_an_arrow_error(text, edits):
         load_text(_apply(text, edits))
     except ArrowError:
         pass
+
+
+# Fragments of ASCII texts that the split in `tokenize` pads, mends and
+# takes: every punctuation character, ``$`` amounts, digits, names,
+# blanks, line ends and comments.  Inserted into half of them: a lone
+# ``<``, ``-``, ``!`` or ``$``, which may join its neighbours into a token
+# or be declined, and characters that make the split decline a whole text.
+SPLIT_FRAGMENTS = ("<-", "->", "!=", ">", "=", "$5", "0", "12", "x", "ab", "_", "IF",
+                   " ", "\t", "\r", "\n", "#", *"{}(),;:|+/")
+INSERTED = ("<", "-", "!", "$", "é", "²", "٣", "\x0b", "\x0c", "\x1c", "\x00", "@")
+
+
+@settings(derandomize=True, deadline=None, max_examples=1_000)
+@given(st.lists(st.sampled_from(SPLIT_FRAGMENTS), max_size=16),
+       st.just([]) | st.lists(st.tuples(st.integers(0, 40), st.sampled_from(INSERTED)),
+                              min_size=1, max_size=2))
+def test_the_split_reads_every_text_as_the_scan(fragments, inserted):
+    text = _apply("".join(fragments), inserted)
+    assert tokenize(text) == scan(text)
+
+
+class _CountedFindall:
+    """`parser._TOKEN_RE`, counting the calls of its ``findall``."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def findall(self, *args):
+        self.calls += 1
+        return self.pattern.findall(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+def test_the_split_is_taken_for_the_puzzles_and_the_benchmark_programs(monkeypatch):
+    """Every puzzle and every program the benchmark loads is tokenized
+    without the scan, and so are texts whose punctuation the split must
+    pad and mend in order; a non-ASCII program goes through it once."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(1)
+    texts = list(TEXTS)
+    texts += [getattr(workloads.programs, family)(size, rng)[0]
+              for family, size in workloads.FAMILIES]
+    texts += [workloads.programs.straight_line(size, rng)[0] for size in workloads.LONG_SIZES]
+    padded = {text: scan(text) for text in ("<->", "<-->", "!==", "x<-y->z!=w", "a#b", "x\ry")}
+    counted = _CountedFindall(parser._TOKEN_RE)
+    monkeypatch.setattr(parser, "_TOKEN_RE", counted)
+    for text in texts:
+        load_text(text)
+    for text, tokens in padded.items():
+        assert tokenize(text) == tokens
+    assert counted.calls == 0
+    load_text("TYPE Pièce = {Pile, Face}\nété <- UNIFORM {Pile, Face}\nRETURN(été)\n")
+    assert counted.calls == 1
