@@ -26,13 +26,14 @@ Tokens come from a few ``str`` passes (`tokenize`), or from the regex
 scan that defines them, ``_TOKEN_RE``, for a text those passes decline and
 for the position of a lexical error.
 
-Each statement is read in one walk over the token list at a local index
-(`_Parser.read_statement`), into one record per form: `UniformStmt`,
-`CaseStmt`, `CallStmt`, `ObserveStmt` and `ReturnStmt`.  A name is read
-off the list; any other value goes through `parse_value`, and a CASE
-table through `parse_rows`.  The walk is the one statement grammar: it
-raises at the first token it does not expect, naming what it expected
-there.
+A program is read in one walk over the token list
+(`_Parser.parse_program`), into one record per declaration and statement
+form: `TypeDecl`, `GenDecl`, `UniformStmt`, `CaseStmt`, `CallStmt`,
+`ObserveStmt` and `ReturnStmt`.  Each production has one reader, which
+takes the token index where it starts and returns what it read with the
+index after it: a name list, a value, a list of values, a table, its
+rows, patterns and kets.  The walk is the one grammar: it raises at the
+first token it does not expect, naming what it expected there.
 
 A surface value is stored as the value itself: a name is a ``str``,
 either a variable or a symbol, and elaboration tells which by the
@@ -122,7 +123,7 @@ def _kind(tok: str) -> str | None:
     return {"\n": "NEWLINE", "": "EOF"}.get(tok)
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str, texts: set[str] | None = None) -> list[str]:
     """The token texts of ``text``, ending with the empty EOF token.
 
     An ASCII text without its comments, padded around its punctuation,
@@ -131,8 +132,11 @@ def tokenize(text: str) -> list[str]:
     other text: ``3abc``, ``<``, a non-ASCII name, a blank such as ``\\x0c``
     that ``str.split`` knows and the scan does not.  The texts are not
     classified here: the parser gives each distinct text its kind, and
-    places a lexical error with `located_tokens`.
+    places a lexical error with `located_tokens`.  ``texts``, if given, is
+    filled with the distinct texts, the set that the split's check builds,
+    for the parser.
     """
+    texts = set() if texts is None else texts
     if text.isascii() and not any(map(text.__contains__, "\x0b\x0c\x1c\x1d\x1e\x1f")):
         padded = _COMMENT_RE.sub("", text) if "#" in text else text
         for old, new in _PADDING:
@@ -141,13 +145,20 @@ def tokenize(text: str) -> list[str]:
         for line in padded.split("\n"):
             tokens += line.split()
             tokens.append("\n")
-        for tok in set(tokens).difference(_PUNCT, ("\n",)):
+        texts.update(tokens)
+        for tok in texts.difference(_PUNCT, ("\n",)):
             if not (tok.isidentifier() or tok.isdigit() or tok[0] == "$" and tok[1:].isdigit()):
+                texts.clear()
                 break
         else:
             tokens[-1] = ""
+            texts.add("")
+            if "\n" not in text:  # the one "\n" became EOF
+                texts.remove("\n")
             return tokens
-    return _TOKEN_RE.findall(text, _LEAD_RE.match(text).end())
+    tokens = _TOKEN_RE.findall(text, _LEAD_RE.match(text).end())
+    texts.update(tokens)
+    return tokens
 
 
 def located_tokens(text: str) -> list[tuple]:
@@ -249,15 +260,19 @@ class SourceProgram:
 
 
 class _Parser:
-    """Recursive descent over token texts; positions are computed only for an error."""
+    """Recursive descent over token texts, at a token index.
 
-    def __init__(self, text: str, tokens: list[str]):
+    Each reader takes the index where its production starts and returns
+    what it read with the index after it.  A declaration's reader also
+    takes its line, and a table's reader, which passes line breaks, returns
+    the line after it too.  Positions are computed only for an error.
+    """
+
+    def __init__(self, text: str, tokens: list[str], texts: set[str] | None = None):
         self.text = text
-        self.toks = tokens
-        self.pos = 0
-        self.tok = tokens[0]  # the current token; the list ends with EOF, ""
-        self.line = 1  # the current token's line: one more than the "\n" tokens passed
-        self.kind = kind = {tok: _kind(tok) for tok in set(tokens)}
+        self.toks = tokens  # ends with EOF, ""
+        # each distinct text, of the set that tokenize filled if it is given
+        self.kind = kind = {tok: _kind(tok) for tok in (set(tokens) if texts is None else texts)}
         if None in kind.values():
             located_tokens(text)  # raises at the first lexical error
         self.idents = {tok for tok, k in kind.items() if k == "IDENT"} - KEYWORDS
@@ -265,346 +280,128 @@ class _Parser:
         # parse, as the int-conversion digit limit may change between parses
         self.weights: dict[tuple, tuple[int, int]] = {}
 
-    def next(self):
-        """Move past the current token, which is not EOF."""
-        self.pos += 1
-        self.tok = self.toks[self.pos]
-
-    def error_at(self, message: str, index: int | None = None) -> ParseError:
-        """A ParseError at token ``index``, by default the current one."""
-        _, _, line, col = located_tokens(self.text)[self.pos if index is None else index]
+    def error(self, message: str, index: int, got: bool = True) -> ParseError:
+        """A ParseError at token ``index``, naming the token found there if ``got``."""
+        if got:
+            tok = self.toks[index]
+            message += f", got {tok!r}" if tok else ", got end of file"
+        _, _, line, col = located_tokens(self.text)[index]
         return ParseError(message, line, col)
 
-    def error(self, message: str, index: int | None = None) -> ParseError:
-        """`error_at`, with the token found there."""
-        tok = self.tok if index is None else self.toks[index]
-        return self.error_at(message + (f", got {tok!r}" if tok else ", got end of file"), index)
-
-    def expect(self, text: str):
-        if self.tok != text:
-            raise self.error(f"expected {text!r}")
-        self.pos += 1  # as next() does, inline: this and expect_ident pass most tokens
-        self.tok = self.toks[self.pos]
-
-    def expect_ident(self, what: str) -> str:
-        tok = self.tok
-        if tok not in self.idents:
-            raise self.error(f"expected {what}")
-        self.pos += 1
-        self.tok = self.toks[self.pos]
-        return tok
-
-    def comma_list(self, item) -> list:
-        """``item (, item)*``: one or more items separated by commas."""
-        items = [item()]
-        while self.tok == ",":
-            self.next()
-            items.append(item())
-        return items
-
-    def names(self, what: str) -> tuple[str, ...]:
-        return tuple(self.comma_list(lambda: self.expect_ident(what)))
-
-    def skip_newlines(self, also: str = "\n"):
-        """Pass "\n" tokens, and ``also`` tokens, counting lines."""
-        while self.tok in ("\n", also):
-            self.line += self.tok == "\n"
-            self.next()
-
-    def end_statement(self):
-        if self.tok not in ("\n", ""):
-            raise self.error("expected end of line")
-        self.skip_newlines()
-
-    # -- values ------------------------------------------------------
-
-    def int_literal(self, digits: str) -> int:
-        """The number of the current INT or DOLLAR token, ``digits`` its digits; moves past it."""
-        try:
-            value = int(digits)
-        except ValueError:  # longer than the interpreter's int-conversion digit limit
-            raise self.error_at(f"integer literal of {len(digits)} digits is too long") from None
-        self.next()
-        return value
-
-    def parse_value(self, depth: int = 0) -> Outcome:
-        """A surface value inside ``depth`` enclosing set braces; a name is its text."""
-        tok = self.tok
-        if tok in self.idents:
-            self.next()
-            return tok
-        kind = self.kind[tok]
-        if kind == "INT":
-            return self.int_literal(tok)
-        if kind == "DOLLAR":
-            return Dollar(self.int_literal(tok[1:]))
-        if tok == "{":
-            if depth == MAX_SET_DEPTH:
-                raise self.error_at(f"set values nested more than {MAX_SET_DEPTH} deep")
-            self.next()
-            elems = (self.comma_list(lambda: self.parse_value(depth + 1))
-                     if self.tok != "}" else [])
-            self.expect("}")
-            return frozenset(elems)
-        raise self.error("expected a value")
-
-    def parse_value_set(self) -> tuple:
-        self.expect("{")
-        values = self.comma_list(self.parse_value)
-        self.expect("}")
-        return tuple(values)
-
-    # -- kets and rows ---------------------------------------------------
-
-    def parse_rational(self) -> tuple[int, int]:
-        """``p`` or ``p/q``, at an INT token, as a reduced (numerator, denominator) pair."""
-        num = self.int_literal(self.tok)
-        if self.tok != "/":
-            return num, 1
-        self.next()
-        if self.kind[self.tok] != "INT":
-            raise self.error("expected a denominator")
-        at = self.pos
-        den = self.int_literal(self.tok)
-        if den == 0:
-            raise self.error_at("zero denominator", at)
-        g = gcd(num, den)
-        return num // g, den // g
-
-    def parse_ket(self) -> tuple:
-        """``weight? |values>`` terms joined by ``+``, read at a local index.
-
-        A weight seen before in this parse is looked up and a one-name
-        monomial is read off the list; the rest goes through
-        `parse_rational` and `parse_value`, which place any error.
-        """
-        toks, kind, idents, weights = self.toks, self.kind, self.idents, self.weights
-        monomials = []
-        pos = self.pos
-        while True:
-            tok = toks[pos]
-            weight = (1, 1)
-            if kind[tok] == "INT":
-                text = (tok, toks[pos + 2]) if toks[pos + 1] == "/" else (tok,)
-                weight = weights.get(text)
-                if weight is None:
-                    self.pos, self.tok = pos, tok
-                    weight = weights[text] = self.parse_rational()
-                pos += 2 * len(text) - 1
-            if toks[pos] == "|" and toks[pos + 1] in idents and toks[pos + 2] == ">":
-                monomials.append((weight, (toks[pos + 1],)))
-                pos += 3
-            else:
-                self.pos, self.tok = pos, toks[pos]
-                self.expect("|")
-                values = self.comma_list(self.parse_value)
-                self.expect(">")
-                monomials.append((weight, tuple(values)))
-                pos = self.pos
-            if toks[pos] != "+":
-                self.pos, self.tok = pos, toks[pos]
-                return tuple(monomials)
-            pos += 1
-
-    def parse_pattern(self) -> tuple:
-        if self.tok != "(":
-            return (self.parse_value(),)
-        self.next()
-        entries = self.comma_list(self.parse_value) if self.tok != ")" else []
-        self.expect(")")
-        return tuple(entries)
-
-    def parse_row(self) -> CaseRow:
-        toks, idents, pos = self.toks, self.idents, self.pos  # a pattern of names is read here
-        paren = toks[pos] == "("
-        end = pos + paren  # the pattern's last name, if it is one
-        while paren and toks[end] in idents and toks[end + 1] == ",":
-            end += 2
-        if toks[end] in idents and (not paren or toks[end + 1] == ")"):
-            pattern = tuple(toks[pos + paren:end + 1:2])
-            self.pos, self.tok = end + 1 + paren, toks[end + 1 + paren]
-        else:  # parse_pattern reads any other pattern and places its errors
-            pattern = self.parse_pattern()
-        self.expect("->")
-        ket = self.parse_ket()
-        conditions = []
-        if self.tok == "IF":
-            self.next()
-            while True:
-                left = self.expect_ident("a pattern variable")
-                self.expect("!=")
-                conditions.append((left, self.expect_ident("a pattern variable")))
-                if self.tok != "AND":
-                    break
-                self.next()
-        return CaseRow(pattern, ket, tuple(conditions))
-
-    def at_new_statement(self) -> bool:
-        tok = self.tok
-        if tok in ("", "TYPE", "GEN", "OBSERVE", "RETURN"):
-            return True
-        if tok in self.idents:
-            # scan an identifier list for a following arrow; it stops at
-            # a token that is not a comma, at the latest at EOF
-            toks, kind, k = self.toks, self.kind, self.pos + 1
-            while toks[k] == "," and kind[toks[k + 1]] == "IDENT":
-                k += 2
-            return toks[k] == "<-"
-        return False
-
-    def parse_rows(self) -> tuple[CaseRow, ...]:
-        rows = []
-        while True:
-            self.skip_newlines(also=";")
-            if self.at_new_statement():
-                break
-            rows.append(self.parse_row())
-        if not rows:
-            raise self.error("expected at least one table row")
-        return tuple(rows)
-
-    # -- declarations and statements -----------------------------------------
-
-    def parse_type_decl(self, line: int) -> TypeDecl:
-        self.next()  # TYPE
-        name = self.expect_ident("a type name")
-        self.expect("=")
-        values = self.parse_value_set()
-        self.end_statement()
-        return TypeDecl(name, values, line)
-
-    def parse_type_list(self) -> tuple[str, ...]:
-        if self.tok == "(":
-            self.next()
-            self.expect(")")
-            return ()
-        return self.names("a type name")
-
-    def parse_gen_decl(self, line: int) -> GenDecl:
-        self.next()  # GEN
-        name = self.expect_ident("a generator name")
-        self.expect(":")
-        inputs = self.parse_type_list()
-        self.expect("->")
-        outputs = self.parse_type_list()
-        rows = None
-        if self.tok == "=":
-            self.next()
-            rows = self.parse_rows()
-        else:
-            self.end_statement()
-        return GenDecl(name, inputs, outputs, rows, line)
+    # -- declarations and statements -------------------------------------------
 
     def parse_program(self) -> SourceProgram:
+        """Every declaration and statement, read in one walk over the tokens
+        (see the module docstring).  Each ends at a line end, line breaks or
+        EOF, or with its table; the program ends with its RETURN."""
+        toks, idents = self.toks, self.idents
         types: list[TypeDecl] = []
         gens: list[GenDecl] = []
         stmts: list = []
-        self.skip_newlines()
-        while self.tok:
-            tok = self.tok
+        pos, line, returned = 0, 1, False
+        while True:
+            while toks[pos] == "\n":
+                pos += 1
+                line += 1
+            tok = toks[pos]
+            if not tok or returned:
+                break
             if tok == "TYPE":
-                types.append(self.parse_type_decl(self.line))
+                decl, pos = self.read_type_decl(pos, line)
+                types.append(decl)
             elif tok == "GEN":
-                gens.append(self.parse_gen_decl(self.line))
-            elif tok in self.idents or tok == "OBSERVE" or tok == "RETURN":
-                stmts.append(self.read_statement())
-                if tok == "RETURN":
-                    if self.tok:
-                        raise self.error("statements after RETURN")
-                    break
+                decl, pos, line = self.read_gen_decl(pos, line)
+                gens.append(decl)
+                if decl.rows is not None:
+                    continue
+            elif tok == "OBSERVE":
+                atoms, pos = self.read_atoms(pos + 1)
+                stmts.append(ObserveStmt(atoms, line))
+            elif tok == "RETURN":
+                if toks[pos + 1] != "(":
+                    raise self.error("expected '('", pos + 1)
+                names, pos = self.read_names(pos + 1, "a variable")
+                stmts.append(ReturnStmt(names, line))
+                returned = True
+            elif tok in idents:  # names <- ...
+                outs, pos = self.read_names(pos, "a variable")
+                if toks[pos] != "<-":
+                    raise self.error("expected '<-'", pos)
+                head = toks[pos + 1]
+                pos += 2
+                if head in idents:
+                    if toks[pos] != "(":
+                        raise self.error("expected '('", pos)
+                    args, pos = self.read_names(pos, "a variable")
+                    stmts.append(CallStmt(outs, head, args, line))
+                elif head == "UNIFORM":
+                    values, pos = self.read_set(pos)
+                    stmts.append(UniformStmt(outs, values, line))
+                elif head == "CASE":
+                    if toks[pos] in idents:
+                        scrutinee, pos = (toks[pos],), pos + 1
+                    elif toks[pos] == "(" and toks[pos + 1] != ")":
+                        scrutinee, pos = self.read_names(pos, "a variable")
+                    else:
+                        raise self.error("expected a variable", pos + (toks[pos] == "("))
+                    if toks[pos] != "OF":
+                        raise self.error("expected 'OF'", pos)
+                    rows, pos, next_line = self.read_rows(pos + 1, line)
+                    stmts.append(CaseStmt(outs, scrutinee, rows, line))
+                    line = next_line
+                    continue
+                else:
+                    raise self.error("expected a generator name", pos - 1)
             else:
-                raise self.error("expected a declaration or statement")
-        if not stmts or not isinstance(stmts[-1], ReturnStmt):
-            raise self.error_at("program must end with RETURN")
+                raise self.error("expected a declaration or statement", pos)
+            if toks[pos] and toks[pos] != "\n":
+                raise self.error("expected end of line", pos)
+        if not returned:
+            raise self.error("program must end with RETURN", pos, got=False)
+        if tok:
+            raise self.error("statements after RETURN", pos)
         return SourceProgram(tuple(types), tuple(gens), tuple(stmts))
 
-    # -- statements, read in one walk --------------------------------------------
+    def read_type_decl(self, pos: int, line: int) -> tuple:
+        """``TYPE name = {value, ...}`` at ``pos``."""
+        toks = self.toks
+        name = toks[pos + 1]
+        if name not in self.idents:
+            raise self.error("expected a type name", pos + 1)
+        if toks[pos + 2] != "=":
+            raise self.error("expected '='", pos + 2)
+        values, pos = self.read_set(pos + 3)
+        return TypeDecl(name, values, line), pos
 
-    def read_statement(self):
-        """The statement at the current token, read in one walk at a local
-        index (see the module docstring), up to the next declaration or
-        statement."""
-        toks, idents, start, line = self.toks, self.idents, self.pos, self.line
-        tok = toks[start]
-        if tok == "OBSERVE":
-            atoms, end = self.read_atoms(start + 1)
-            stmt = ObserveStmt(atoms, line)
-        elif tok == "RETURN":
-            end = self.close_names(start + 1) + 1
-            stmt = ReturnStmt(tuple(toks[start + 2:end - 1:2]), line)
-        else:  # names <- ...
-            pos = start + 1
-            while toks[pos] == ",":
-                if toks[pos + 1] not in idents:
-                    raise self.error("expected a variable", pos + 1)
-                pos += 2
-            if toks[pos] != "<-":
-                raise self.error("expected '<-'", pos)
-            outs, head = tuple(toks[start:pos:2]), toks[pos + 1]
-            pos += 2
-            if head in idents:
-                end = self.close_names(pos) + 1
-                stmt = CallStmt(outs, head, tuple(toks[pos + 1:end - 1:2]), line)
-            elif head == "UNIFORM":
-                if toks[pos] != "{":
-                    raise self.error("expected '{'", pos)
-                values, end = [], pos
-                while not values or toks[end] == ",":
-                    value, end = self.read_value(end + 1)
-                    values.append(value)
-                if toks[end] != "}":
-                    raise self.error("expected '}'", end)
-                stmt, end = UniformStmt(outs, tuple(values), line), end + 1
-            elif head == "CASE":
-                if toks[pos] in idents:
-                    scrutinee, end = (toks[pos],), pos + 1
-                elif toks[pos] != "(" or toks[pos + 1] == ")":
-                    raise self.error("expected a variable", pos + (toks[pos] == "("))
-                else:
-                    end = self.close_names(pos) + 1
-                    scrutinee = tuple(toks[pos + 1:end - 1:2])
-                if toks[end] != "OF":
-                    raise self.error("expected 'OF'", end)
-                self.pos, self.tok = end + 1, toks[end + 1]
-                return CaseStmt(outs, scrutinee, self.parse_rows(), line)
-            else:
-                raise self.error("expected a generator name", pos - 1)
-        if toks[end] not in ("\n", ""):
-            raise self.error("expected end of line", end)
-        while toks[end] == "\n":
-            line += 1
-            end += 1
-        self.pos, self.tok, self.line = end, toks[end], line
-        return stmt
+    def read_gen_decl(self, pos: int, line: int) -> tuple:
+        """``GEN name : types -> types``, then ``=`` and its table, at ``pos``;
+        with a table, the index and line of what follows it."""
+        toks = self.toks
+        name = toks[pos + 1]
+        if name not in self.idents:
+            raise self.error("expected a generator name", pos + 1)
+        if toks[pos + 2] != ":":
+            raise self.error("expected ':'", pos + 2)
+        inputs, pos = self.read_types(pos + 3)
+        if toks[pos] != "->":
+            raise self.error("expected '->'", pos)
+        outputs, pos = self.read_types(pos + 1)
+        if toks[pos] != "=":
+            return GenDecl(name, inputs, outputs, None, line), pos, line
+        rows, pos, next_line = self.read_rows(pos + 1, line)
+        return GenDecl(name, inputs, outputs, rows, line), pos, next_line
 
-    def close_names(self, pos: int) -> int:
-        """The index of the ``)`` that closes a list ``( variable, ... )``,
-        possibly empty, at ``pos``."""
-        toks, idents = self.toks, self.idents
+    def read_types(self, pos: int) -> tuple:
+        """A generator's types at ``pos``: ``()`` or ``name, ...``."""
+        toks = self.toks
         if toks[pos] != "(":
-            raise self.error("expected '('", pos)
-        end = pos + 1
-        if toks[end] == ")":
-            return end
-        while toks[end] in idents:
-            if toks[end + 1] == ")":
-                return end + 1
-            if toks[end + 1] != ",":
-                raise self.error("expected ')'", end + 1)
-            end += 2
-        raise self.error("expected a variable", end)
-
-    def read_value(self, pos: int) -> tuple:
-        """The surface value at ``pos`` and the index after it."""
-        tok = self.toks[pos]
-        if tok in self.idents:
-            return tok, pos + 1
-        self.pos, self.tok = pos, tok
-        return self.parse_value(), self.pos
+            return self.read_names(pos, "a type name")
+        if toks[pos + 1] != ")":
+            raise self.error("expected ')'", pos + 1)
+        return (), pos + 2
 
     def read_atoms(self, pos: int) -> tuple:
-        """The atoms of ``( atom AND ... )`` at ``pos`` and the index after
-        the ``)``."""
+        """The atoms of ``( atom AND ... )`` at ``pos``."""
         toks = self.toks
         if toks[pos] != "(":
             raise self.error("expected '('", pos)
@@ -627,10 +424,184 @@ class _Parser:
             raise self.error("expected ')'", pos)
         return tuple(atoms), pos + 1
 
+    # -- names and values ----------------------------------------------------------
+
+    def read_names(self, pos: int, what: str) -> tuple:
+        """The names at ``pos``, each ``what``: ``name, ...``, one or more, or
+        ``( name, ... )``, possibly none."""
+        toks, idents = self.toks, self.idents
+        paren = toks[pos] == "("
+        if paren and toks[pos + 1] == ")":
+            return (), pos + 2
+        start = pos = pos + paren
+        while toks[pos] in idents:
+            pos += 1
+            if toks[pos] != ",":
+                names = tuple(toks[start:pos:2])
+                if not paren:
+                    return names, pos
+                if toks[pos] != ")":
+                    raise self.error("expected ')'", pos)
+                return names, pos + 1
+            pos += 1
+        raise self.error(f"expected {what}", pos)
+
+    def read_int(self, digits: str, pos: int) -> int:
+        """The number of the INT or DOLLAR token at ``pos``, ``digits`` its digits."""
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter's int-conversion digit limit
+            raise self.error(f"integer literal of {len(digits)} digits is too long",
+                             pos, got=False) from None
+
+    def read_value(self, pos: int, depth: int = 0) -> tuple:
+        """The surface value at ``pos``, inside ``depth`` enclosing set braces;
+        a name is its text."""
+        tok = self.toks[pos]
+        if tok in self.idents:
+            return tok, pos + 1
+        kind = self.kind[tok]
+        if kind == "INT":
+            return self.read_int(tok, pos), pos + 1
+        if kind == "DOLLAR":
+            return Dollar(self.read_int(tok[1:], pos)), pos + 1
+        if tok == "{":
+            if depth == MAX_SET_DEPTH:
+                raise self.error(f"set values nested more than {MAX_SET_DEPTH} deep", pos, got=False)
+            values, pos = self.read_set(pos, depth + 1)
+            return frozenset(values), pos
+        raise self.error("expected a value", pos)
+
+    def read_set(self, pos: int, depth: int = 0) -> tuple:
+        """The values of ``{ value, ... }`` at ``pos``, inside ``depth`` enclosing
+        set braces: a set value (``depth`` above 0) may be empty, the list of
+        a ``TYPE`` or a ``UNIFORM`` may not."""
+        toks = self.toks
+        if toks[pos] != "{":
+            raise self.error("expected '{'", pos)
+        if depth and toks[pos + 1] == "}":
+            return (), pos + 2
+        return self.read_values(pos + 1, "}", depth)
+
+    def read_values(self, pos: int, close: str, depth: int = 0) -> tuple:
+        """``value, ...`` at ``pos``, one value or more, then ``close``."""
+        toks, values = self.toks, []
+        while True:
+            value, pos = self.read_value(pos, depth)
+            values.append(value)
+            if toks[pos] != ",":
+                break
+            pos += 1
+        if toks[pos] != close:
+            raise self.error(f"expected {close!r}", pos)
+        return tuple(values), pos + 1
+
+    # -- tables ----------------------------------------------------------------------
+
+    def read_rows(self, pos: int, line: int) -> tuple:
+        """The rows of a table at ``pos``, up to the next declaration or
+        statement; ``;`` and line breaks may come before each."""
+        toks, rows = self.toks, []
+        while True:
+            while toks[pos] == "\n" or toks[pos] == ";":
+                line += toks[pos] == "\n"
+                pos += 1
+            if self.at_new_statement(pos):
+                break
+            row, pos = self.read_row(pos)
+            rows.append(row)
+        if not rows:
+            raise self.error("expected at least one table row", pos)
+        return tuple(rows), pos, line
+
+    def at_new_statement(self, pos: int) -> bool:
+        tok = self.toks[pos]
+        if tok in ("", "TYPE", "GEN", "OBSERVE", "RETURN"):
+            return True
+        if tok in self.idents:
+            # scan an identifier list for a following arrow; it stops at
+            # a token that is not a comma, at the latest at EOF
+            toks, kind = self.toks, self.kind
+            pos += 1
+            while toks[pos] == "," and kind[toks[pos + 1]] == "IDENT":
+                pos += 2
+            return toks[pos] == "<-"
+        return False
+
+    def read_row(self, pos: int) -> tuple:
+        """``pattern -> ket``, then its ``IF`` conditions, at ``pos``."""
+        toks, idents = self.toks, self.idents
+        pattern, pos = self.read_pattern(pos)
+        if toks[pos] != "->":
+            raise self.error("expected '->'", pos)
+        ket, pos = self.read_ket(pos + 1)
+        conditions = []
+        while toks[pos] == ("AND" if conditions else "IF"):
+            if toks[pos + 1] not in idents:
+                raise self.error("expected a pattern variable", pos + 1)
+            if toks[pos + 2] != "!=":
+                raise self.error("expected '!='", pos + 2)
+            if toks[pos + 3] not in idents:
+                raise self.error("expected a pattern variable", pos + 3)
+            conditions.append((toks[pos + 1], toks[pos + 3]))
+            pos += 4
+        return CaseRow(pattern, ket, tuple(conditions)), pos
+
+    def read_pattern(self, pos: int) -> tuple:
+        """A row's pattern at ``pos``: a value, or ``( value, ... )``, possibly empty."""
+        toks = self.toks
+        if toks[pos] != "(":
+            value, pos = self.read_value(pos)
+            return (value,), pos
+        if toks[pos + 1] == ")":
+            return (), pos + 2
+        return self.read_values(pos + 1, ")")
+
+    def read_ket(self, pos: int) -> tuple:
+        """``weight? |values>`` monomials joined by ``+``, at ``pos``."""
+        toks, kind, idents = self.toks, self.kind, self.idents
+        monomials = []
+        while True:
+            weight = (1, 1)
+            if kind[toks[pos]] == "INT":
+                weight, pos = self.read_weight(pos)
+            if toks[pos] != "|":
+                raise self.error("expected '|'", pos)
+            if toks[pos + 1] in idents and toks[pos + 2] == ">":  # |name>, the commonest
+                values, pos = (toks[pos + 1],), pos + 3
+            else:
+                values, pos = self.read_values(pos + 1, ">")
+            monomials.append((weight, values))
+            if toks[pos] != "+":
+                return tuple(monomials), pos
+            pos += 1
+
+    def read_weight(self, pos: int) -> tuple:
+        """The weight ``p`` or ``p/q`` at ``pos``, an INT, as a reduced
+        (numerator, denominator) pair; each weight text is read once a parse."""
+        toks = self.toks
+        text = (toks[pos], toks[pos + 2]) if toks[pos + 1] == "/" else (toks[pos],)
+        weight = self.weights.get(text)
+        if weight is None:
+            num = self.read_int(text[0], pos)
+            if len(text) == 1:
+                weight = (num, 1)
+            else:
+                if self.kind[text[1]] != "INT":
+                    raise self.error("expected a denominator", pos + 2)
+                den = self.read_int(text[1], pos + 2)
+                if den == 0:
+                    raise self.error("zero denominator", pos + 2, got=False)
+                g = gcd(num, den)
+                weight = (num // g, den // g)
+            self.weights[text] = weight
+        return weight, pos + 2 * len(text) - 1
+
 
 def parse(text: str) -> SourceProgram:
     """Parse .arrow source text; raises ParseError with line and column."""
-    return _Parser(text, tokenize(text)).parse_program()
+    texts: set[str] = set()
+    return _Parser(text, tokenize(text, texts), texts).parse_program()
 
 
 # -- canonical rendering ---------------------------------------------------------

@@ -30,6 +30,9 @@ walk.  Neither reaches every statement error, so
 ``test_statement_errors_are_pinned`` pins the parse outcome of 20,000
 statements, almost all malformed; its digest was taken while a second,
 token-by-token reader still placed those errors.
+``test_declaration_and_table_errors_are_pinned`` does the same for 20,000
+``TYPE`` and ``GEN`` declarations and ``CASE`` tables; its digest was
+taken while they were still read through a token cursor.
 """
 
 import hashlib
@@ -397,6 +400,40 @@ def test_statement_errors_are_pinned():
         "7982e0145bcca469fca329f47e8011fabd719dab95d35b34db22c1946e85d71b")
 
 
+DECLARATION_HEADS = ("TYPE", "TYPE T =", "GEN", "GEN g :", "GEN g : S ->", "GEN g : S -> S =",
+                     "y <- CASE x OF", "y <- CASE (x, x) OF", "y <- CASE x OF H ->",
+                     "y <- CASE x OF H -> 1|H> IF")
+DECLARATION_TOKENS = ("x", "y", "S", "H", "T", "_", "3", "$2", "0", "1/2", "2/0", "/", ",", "(", ")",
+                      "{", "}", "=", ":", "->", "!=", "|", ">", "+", ";", "IF", "AND", "OF", "TYPE",
+                      "\n")
+
+
+def test_declaration_and_table_errors_are_pinned():
+    """20,000 declarations and tables, each a head and 0-8 tokens: every
+    message that the declaration, row and ket readers raise is reached,
+    and each outcome is pinned."""
+    rng = random.Random(20261021)
+    digest = hashlib.sha256()
+    messages = set()
+    for _ in range(20_000):
+        head = rng.choice(DECLARATION_HEADS)
+        tokens = rng.choices(DECLARATION_TOKENS, k=rng.randint(0, 8))
+        text = COIN + "TYPE S = {H, T}\n" + " ".join([head, *tokens]) + "\nRETURN(x)\n"
+        try:
+            parsed = pretty(parse(text))
+        except ParseError as exc:
+            parsed = (exc.line, exc.col, str(exc))
+            messages.add(str(exc).split(": ", 1)[1].split(", got ")[0])
+        digest.update(repr(parsed).encode() + b"\n")
+    assert messages >= {
+        "expected a type name", "expected '='", "expected '{'", "expected '}'", "expected a value",
+        "expected a generator name", "expected ':'", "expected ')'", "expected '->'",
+        "expected at least one table row", "expected '|'", "expected '>'", "expected a denominator",
+        "zero denominator", "expected a pattern variable", "expected '!='", "expected end of line"}
+    assert digest.hexdigest() == (
+        "cef03bad100337491b607262504d108a33678cd65aab1c7adb341253924cfc37")
+
+
 def _cases(n: int) -> str:
     """A program of n CASE statements, each reading the one before."""
     lines = ["TYPE S = {a, b, c}", "x0 <- UNIFORM {a, b, c}"]
@@ -540,6 +577,19 @@ INSERTED = ("<", "-", "!", "$", "é", "²", "٣", "\x0b", "\x0c", "\x1c", "\x00"
 def test_the_split_reads_every_text_as_the_scan(fragments, inserted):
     text = _apply("".join(fragments), inserted)
     assert tokenize(text) == scan(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.lists(st.sampled_from(SPLIT_FRAGMENTS), max_size=16),
+       st.just([]) | st.lists(st.tuples(st.integers(0, 40), st.sampled_from(INSERTED)),
+                              min_size=1, max_size=2))
+def test_tokenize_fills_the_set_of_its_texts(fragments, inserted):
+    """The set that `tokenize` fills for the parser, split or scanned, on one
+    line or more: the distinct texts of the list it returns."""
+    text = _apply("".join(fragments), inserted)
+    texts = set()
+    tokens = tokenize(text, texts)
+    assert texts == set(tokens), repr(text)
 
 
 class _CountedFindall:
