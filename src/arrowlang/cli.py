@@ -31,6 +31,7 @@ from .subdist import (
     Subdist,
     expected_value,
     ket,
+    outcome_key,
     render_outcome,
     render_weight,
     rescale,
@@ -167,9 +168,9 @@ def _describe_counterexample(which: str, fa: Subdist, fb: Subdist, kernels=None)
             text = "Failure" if res is FAILURE else ket(res[1])
             lines.append(f"  {side} posterior: {text}")
         for name, table in sorted((kernels or {}).items()):
-            for inputs, row in sorted(table.items(), key=str):
+            for inputs in sorted(table, key=outcome_key):
                 shown = ", ".join(render_outcome(v) for v in inputs)
-                lines.append(f"    {name}({shown}) = {ket(row)}")
+                lines.append(f"    {name}({shown}) = {ket(table[inputs])}")
     except WeightTooLong as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,17 +7,18 @@ Kleisli step on the joint state over the variables in play, and the
 return projects onto the returned variables.  `trace` runs the
 statements as written and records the full joint state after every
 line, exactly as the worked puzzles compute it.  Every other caller
-records nothing, so it plans the term once first: each observe, and
-each sample with no outputs (a predicate observe, say), moves to just
-after the sample that binds its last variable, and after each step
-every variable that no later statement and no return reads is summed
-out (variable elimination); a sample output that nothing reads is summed
-out of the kernel row and never becomes a column.  These moves leave the
-result unchanged and keep the state small.  The plan also fixes every
-column's position: each compiled step holds the positions it reads and
-the positions that survive its sum-out, so a run looks up no variable
-by name.  `trace` compiles its statements the same way, with nothing
-moved and nothing summed out, and runs them through the same loop.
+records nothing, so it plans the term once first, in three passes.
+The first places the statements: each observe, and each sample with no
+outputs (a predicate observe, say), moves to just after the sample that
+binds its last variable.  The second finds each variable's last reader,
+after which the variable is summed out (variable elimination); a sample
+output that nothing reads is summed out of the kernel row and never
+becomes a column.  These moves leave the result unchanged and keep the
+state small.  The third compiles the steps and fixes every column's
+position: each step holds the positions it reads and the positions that
+survive its sum-out, so a run looks up no variable by name.  `trace`
+compiles its statements the same way, with nothing moved and nothing
+summed out, and runs them through the same loop.
 
 An open term denotes a channel, one subdistribution per input
 environment, and one run tabulates it.  A channel is constant along an
@@ -187,10 +188,10 @@ Step = tuple[Statement | Return, tuple[int, int] | None, tuple[int, ...] | None,
 def _compile(node: Statement, layout: list[str], last: dict[str, float] | None,
              place: int) -> Step:
     """Compile ``node`` against the columns ``layout`` before it.  Given
-    ``last``, the place of the last statement that reads each variable, a
-    sample's outputs that nothing reads never become columns, and the
-    variables whose last reader is this statement, at ``place``, are
-    summed out after it; given None, every output becomes a column and
+    ``last``, the index in the plan of the last statement that reads each
+    variable, a sample's outputs that nothing reads never become columns,
+    and the variables whose last reader is this statement, at ``place``,
+    are summed out after it; given None, every output becomes a column and
     nothing is summed out."""
     if isinstance(node, Sample):
         read = node.args
@@ -240,28 +241,21 @@ def _plan(term: Term, inputs: list[str]) -> tuple[list[Step], list[str]]:
     sample whose outputs it does not read (the interchange law of
     `syntax`), and summing out a column or a row's outputs keeps mass.
 
-    The first pass places the statements and finds, for each variable,
-    the last statement that reads it; the second compiles them in order,
-    fixing every column's position.
+    Three passes: the first places the statements, the second finds, for
+    each variable, the index of the last placed statement that reads it,
+    and the third compiles them in order, fixing every column's position.
     """
-    # slots[k], k >= 1: the k-th sample with outputs, then the statements
-    # placed after it.  A statement's place is slot * width + its index
-    # there, and last[x] is the place of the last statement that reads x
-    # (inf for the returned variables, which are always read).
-    slots: list[list[tuple[Statement, int]]] = [[]]
-    width = len(term.heads) + 1
+    # groups[k], k >= 1: the k-th sample with outputs, then the statements
+    # placed after it; groups[0] holds those that read only inputs
+    groups: list[list[Statement]] = [[]]
     bound = dict.fromkeys(inputs, 0)
-    last: dict[str, float] = {}
     for node in term.heads:
         if isinstance(node, Sample):
             read = node.args
             if node.outs:
-                place = len(slots) * width
                 for x in node.outs:
-                    bound[x] = len(slots)
-                slots.append([(node, place)])
-                for x in read:  # no statement is placed later yet
-                    last[x] = place
+                    bound[x] = len(groups)
+                groups.append([node])
                 continue
         else:
             read = node.left, node.right
@@ -269,22 +263,23 @@ def _plan(term: Term, inputs: list[str]) -> tuple[list[Step], list[str]]:
         # where it is and its compilation raises
         k = 0
         for x in read:
-            k = max(k, bound.get(x, len(slots) - 1))
-        place = k * width + len(slots[k])
-        slots[k].append((node, place))
-        for x in read:
-            if last.get(x, -1) < place:
-                last[x] = place
-    # the returned variables and the inputs read are never summed out
+            k = max(k, bound.get(x, len(groups) - 1))
+        groups[k].append(node)
+    placed = [node for group in groups for node in group]
+    # last[x]: the index of the last placed statement that reads x (inf for
+    # the returned variables and the inputs read, which are never summed out)
+    last: dict[str, float] = {}
+    for i, node in enumerate(placed):
+        for x in node.args if isinstance(node, Sample) else (node.left, node.right):
+            last[x] = i
     read_inputs = [x for x in inputs if x in last or x in term.ret.vars] if inputs else []
     for x in (*term.ret.vars, *read_inputs):
         last[x] = math.inf
     steps: list[Step] = []
     layout = read_inputs
-    for slot in slots:
-        for node, place in slot:
-            steps.append(_compile(node, layout, last, place))
-            layout = steps[-1][3]
+    for i, node in enumerate(placed):
+        steps.append(_compile(node, layout, last, i))
+        layout = steps[-1][3]
     steps.append(_returning(term.ret, layout, len(read_inputs)))
     return steps, read_inputs
 

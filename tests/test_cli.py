@@ -389,6 +389,25 @@ def test_eq_clash_message_independent_of_hash_seed(tmp_path):
     assert errs == {"error: generator alpha declared with different types\n"}
 
 
+@pytest.mark.parametrize("carrier, observed, first, second", [
+    ("9, 10", "9", "g(9)", "g(10)"),
+    ("{a}, {a, b}", "{a}", "g({a})", "g({a,b})"),
+])
+def test_eq_counterexample_rows_are_in_canonical_order(tmp_path, capsys, carrier, observed,
+                                                       first, second):
+    # the random kernel's rows print in the canonical order of their inputs,
+    # not in the order of their text (10 before 9) or of a set's hash
+    body = f"TYPE N = {{{carrier}}}\nGEN g : N -> N\nn <- UNIFORM {{{carrier}}}\nm <- g(n)\n"
+    paths = []
+    for side, observe in (("left", ""), ("right", f"OBSERVE(n = {observed})\n")):
+        (tmp_path / f"{side}.arrow").write_text(f"{body}{observe}RETURN(m)\n")
+        paths.append(str(tmp_path / f"{side}.arrow"))
+    code, out, _ = run_cli(capsys, "eq", *paths)
+    assert code == 3
+    rows = [line.split(" = ")[0].strip() for line in out.splitlines() if line.startswith("    g(")]
+    assert rows == [first, second]
+
+
 # `eq` exit codes over every ordered pair of puzzles, in sorted file order:
 # a puzzle equals itself, and any two puzzles differ under their declared tables
 EQ_EXITS = """
@@ -608,6 +627,20 @@ def test_eq_reproducible_with_seed(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_the_readme_command_lines_run_as_documented(capsys, monkeypatch):
+    # every `arrowlang ...` line of the README's "Command line" block, run
+    # from the repo root; the two Monty Hall variants differ, so `eq` exits 3
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("arrowlang ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (3 if argv[0] == "eq" else 0, ""), argv
+        assert out
 
 
 def test_corpus_all_pass(capsys):

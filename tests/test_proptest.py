@@ -11,7 +11,7 @@ import pytest
 
 from arrowlang import semantics
 from arrowlang.errors import NotApplicable
-from arrowlang.parser import load_file
+from arrowlang.parser import load_file, load_text
 from arrowlang.proptest import (
     GenBudget,
     gen_closed_program,
@@ -318,6 +318,57 @@ def test_a_predicate_sample_keeps_what_its_row_holds_and_a_partial_row_scales():
             assert result == oracle_denote(tt, interp) == trace(tt, interp)[1].final
     # the last table keeps x = a and x = c, of mass 1/2 + 1/6
     assert result == Subdist({"a": Q(1, 3), "b": Q(2, 9), "c": Q(1, 9)})
+
+
+def test_observes_written_last_run_right_after_their_readings(monkeypatch):
+    # one hidden state of 4 values, 8 noisy readings of it with 3 outcomes
+    # each, then the 8 observes: planned, each observe runs right after its
+    # reading, which is then summed out, so the state never holds more than
+    # 4 * 3 monomials; run as written it reaches 4 * 3**8
+    k = 8
+    lines = ["TYPE H = {h0, h1, h2, h3}", "TYPE R = {r0, r1, r2}", "h <- UNIFORM {h0, h1, h2, h3}"]
+    for i in range(1, k + 1):
+        # reading r_j of h_m has weight 1/2, 1/3 or 1/6 as (j - m - i) % 3 is 0, 1 or 2
+        rows = "; ".join(f"h{m} -> " + " + ".join(f"{w}|r{(m + i + d) % 3}>"
+                                                   for d, w in enumerate(("1/2", "1/3", "1/6")))
+                         for m in range(4))
+        lines.append(f"e{i} <- CASE h OF {rows}")
+    lines += [f"OBSERVE(e{i} = r{i % 3})" for i in range(1, k + 1)]
+    prog = load_text("\n".join(lines) + "\nRETURN(h)\n")
+    steps = _count_steps(monkeypatch)
+    final = interpret(prog.typed, prog.interp)
+    assert max(after for _, _, after, _ in steps) == 12
+    steps.clear()
+    _, result = trace(prog.typed, prog.interp)
+    assert max(after for _, _, after, _ in steps) == 4 * 3 ** k == 26_244
+    assert final == result.final and not final.is_zero()
+
+
+def test_plan_places_each_statement_after_its_last_binder():
+    # the reference: a stable sort of the statements by the index of the
+    # last sample with outputs that binds a variable the statement reads
+    # (a sample with outputs by its own index; -1 for reading only inputs)
+    def placed(term):
+        binder, keys = {}, []
+        for i, node in enumerate(term.heads):
+            if isinstance(node, Sample) and node.outs:
+                keys.append(i)
+                binder.update(dict.fromkeys(node.outs, i))
+            else:
+                keys.append(max((binder[x] for x in reads(node) if x in binder), default=-1))
+        order = sorted(range(len(term.heads)), key=keys.__getitem__)
+        return [term.heads[i] for i in order]
+
+    moved = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        sig, ctx, term = gen_term(BUDGET, rng)
+        tt = gen_closed_program(BUDGET, rng)
+        for term, inputs in ((term, [name for name, _ in ctx]), (tt.term, [])):
+            nodes = [step[0] for step in semantics._plan(term, inputs)[0][:-1]]
+            assert nodes == placed(term)
+            moved += nodes != list(term.heads)
+    assert moved >= 100, moved
 
 
 def test_tabulating_at_repeated_and_reordered_environments():
