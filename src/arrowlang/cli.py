@@ -56,23 +56,17 @@ def _subdist_json(s: Subdist) -> list:
     return out
 
 
-def _trace_text(lines, result) -> str:
-    body = [f"({ln.line}) {ln.text} | {ket(ln.state)}" for ln in lines]
-    body.append(f"Validity: {render_weight(result.validity)}")
-    if result.posterior is FAILURE:
-        body.append("Failure")
-    else:
-        body.append(f"Posterior: {ket(result.posterior)}")
-    return "\n".join(body) + "\n"
+def _run_output(prog: Program, path: str, *, trace_mode: bool, normalize: bool,
+                expected: bool = False, structured: bool = False) -> tuple[str, int]:
+    """What ``run`` and ``trace`` print on stdout, and their exit code.
 
-
-def _emit_run(prog: Program, path: str, args) -> int:
-    structured = args.format == "structured"
+    The output is rendered whole before anything is written: a weight too
+    long to print raises WeightTooLong and leaves no partial output.
+    """
     doc = {"program": path, "lines": [], "failure": False}
     try:
-        if structured or args.trace_mode or args.normalize_each_line:
-            lines, result = trace(prog.typed, prog.interp, prog.texts,
-                                  normalize=args.normalize_each_line)
+        if structured or trace_mode or normalize:
+            lines, result = trace(prog.typed, prog.interp, prog.texts, normalize=normalize)
         else:
             # only the final state is printed: no line is recorded
             lines, result = [], EvalResult.of(interpret(prog.typed, prog.interp))
@@ -80,15 +74,12 @@ def _emit_run(prog: Program, path: str, args) -> int:
         if structured:
             doc.update(failure=True, failure_line=exc.line,
                        validity=_fraction_json(Fraction(0)), posterior=[])
-            print(json.dumps(doc, sort_keys=True))
-        else:
-            print(f"Failure: state mass is zero at line {exc.line}")
-        return 2
+            return json.dumps(doc, sort_keys=True) + "\n", 2
+        return f"Failure: state mass is zero at line {exc.line}\n", 2
 
     failed = result.posterior is FAILURE
-    ev = None
-    if args.expected_value and not failed:
-        ev = expected_value(result.posterior)
+    ev = expected_value(result.posterior) if expected and not failed else None
+    code = 2 if failed else 0
 
     if structured:
         doc["lines"] = [
@@ -101,27 +92,30 @@ def _emit_run(prog: Program, path: str, args) -> int:
         doc["failure"] = failed
         if ev is not None:
             doc["expected_value"] = _fraction_json(ev)
-        print(json.dumps(doc, sort_keys=True))
-        return 2 if failed else 0
+        return json.dumps(doc, sort_keys=True) + "\n", code
 
-    # rendered whole before writing: a weight too long to print leaves no partial output
-    if args.trace_mode:
-        text = _trace_text(lines, result)
+    validity = f"Validity: {render_weight(result.validity)}"
+    if trace_mode:
+        body = [f"({ln.line}) {ln.text} | {ket(ln.state)}" for ln in lines]
+        body += [validity, "Failure" if failed else f"Posterior: {ket(result.posterior)}"]
     else:
-        posterior = "Failure" if failed else ket(result.posterior)
-        text = (f"Final: {ket(result.final)}\nValidity: {render_weight(result.validity)}\n"
-                f"Posterior: {posterior}\n")
+        body = [f"Final: {ket(result.final)}", validity,
+                f"Posterior: {'Failure' if failed else ket(result.posterior)}"]
     if ev is not None:
-        text += f"Expected value: {render_weight(ev)}\n"
-    sys.stdout.write(text)
-    return 2 if failed else 0
+        body.append(f"Expected value: {render_weight(ev)}")
+    return "\n".join(body) + "\n", code
 
 
 def cmd_run(args) -> int:
     try:
         prog = load_file(args.path)
         prog.require_tables()
-        return _emit_run(prog, str(args.path), args)
+        text, code = _run_output(prog, str(args.path), trace_mode=args.trace_mode,
+                                 normalize=args.normalize_each_line,
+                                 expected=args.expected_value,
+                                 structured=args.format == "structured")
+        sys.stdout.write(text)
+        return code
     except (ArrowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -241,10 +235,7 @@ def cmd_corpus(args) -> int:
             prog = load_text(source)
             prog.require_tables()
             normalize = any(line.strip() == NORMALIZE_PRAGMA for line in source.splitlines())
-            lines, result = trace(prog.typed, prog.interp, prog.texts, normalize=normalize)
-            actual = _trace_text(lines, result)
-        except ZeroMassState as exc:
-            actual = f"Failure: state mass is zero at line {exc.line}\n"
+            actual, _ = _run_output(prog, str(path), trace_mode=True, normalize=normalize)
         except (ArrowError, OSError) as exc:
             failures.append((name, f"error: {exc}", None, None))
             print(f"FAIL {name} (error: {exc})")

@@ -686,12 +686,15 @@ def pretty(sp: SourceProgram) -> str:
 class Program:
     """A parsed, elaborated, and typechecked program.
 
-    ``typed`` is the core term, ``interp`` the interpretation declared by
-    the file's tables, and ``texts`` the display line for each core
-    statement of the trace, rendered on first read from ``lines``: per
-    core statement its source statement, or its text when it has none.
-    ``untabled`` is the first statement that samples a ``GEN`` with no
-    table, as (generator name, source line), or None.
+    ``typed`` is the core term and ``interp`` the interpretation declared
+    by the file's tables.  ``lines`` holds a statement record per core
+    statement, then the return's: the source statement it elaborates, or
+    for the two that a nullary ``OBSERVE(x = f)`` gives, the `CallStmt` and
+    the `ObserveStmt` it abbreviates, at its line.  So ``lines[i].line`` is
+    the source line of core statement ``i``; ``texts`` renders each record
+    on first read, as the trace shows it.  ``untabled`` is the first
+    statement that samples a ``GEN`` with no table, as (generator name,
+    source line), or None.
     """
 
     source: SourceProgram
@@ -709,7 +712,7 @@ class Program:
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
-        return tuple(line if isinstance(line, str) else render_stmt(line) for line in self.lines)
+        return tuple(map(render_stmt, self.lines))
 
 
 def _unique_type_for(values, carriers: dict, what: str) -> str:
@@ -1006,26 +1009,30 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
     heads: list = []  # the core statements
     lines: list = []  # Program.lines
     untabled = None  # Program.untabled
+    binds = None  # every variable the program binds or returns, made when first needed
 
-    def add(node, line):
+    def add(node, record):
         try:
             check_statement(sig, scope, node)
         except ArrowError as exc:  # name ``stmt``, the statement as written, not its core form
             message = str(exc)
             cut = message.rfind(f" in {render_statement(node)}")
-            if cut < 0:
-                raise
             raise type(exc)(message[:cut] + f" in {render_stmt(stmt)}") from exc
         heads.append(node)
-        lines.append(line)
+        lines.append(record)
 
-    def fresh_gen_name(base: str, index: int) -> str:
+    def fresh(base: str, index: int, taken) -> str:
         # keyed by statement index, not source line, so reformatting a
-        # file never changes the synthesised signature
+        # file never changes the synthesised names
         name = f"__{base}{index}"
-        while name in gens:
+        while name in taken:
             name += "_"
         return name
+
+    def fresh_gen(base: str, index: int, inputs: tuple, outputs: tuple, table) -> Generator:
+        name = fresh(base, index, gens)
+        gens[name], kernels[name] = Generator(name, inputs, outputs), table
+        return gens[name]
 
     def predicate_sample(stmt: ObserveStmt, index: int) -> Sample:
         # a sample of __obsN : T1..Tk -> (), its inputs the variables the
@@ -1071,9 +1078,8 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             atoms.append((atom.op, slot(left), slot(right)))
         if mismatch is not None:  # found once every atom is read, as the first error
             raise ElaborationError(f"{mismatch} in {render_stmt(stmt)}")
-        gen = Generator(fresh_gen_name("obs", index), tuple(scope[v] for v in args), ())
-        gens[gen.name] = gen
-        kernels[gen.name] = _PredicateTable(atoms, tuple(reversed(literals)))
+        gen = fresh_gen("obs", index, tuple(scope[v] for v in args), (),
+                        _PredicateTable(atoms, tuple(reversed(literals))))
         return Sample(gen, tuple(args), ())
 
     for stmt_index, stmt in enumerate(sp.stmts, 1):
@@ -1092,10 +1098,8 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
             values = stmt.values
             if len(set(values)) != len(values):
                 raise ElaborationError("UNIFORM repeats a value")
-            gen = Generator(fresh_gen_name("u", stmt_index), (),
-                            (_unique_type_for(values, carriers, "UNIFORM"),))
-            gens[gen.name] = gen
-            kernels[gen.name] = {(): Subdist._of_numerators([(v, 1) for v in values], len(values))}
+            gen = fresh_gen("u", stmt_index, (), (_unique_type_for(values, carriers, "UNIFORM"),),
+                            {(): Subdist._of_numerators([(v, 1) for v in values], len(values))})
             add(Sample(gen, (), stmt.vars), stmt)
         elif kind is CaseStmt:
             for v in stmt.scrutinee:
@@ -1105,10 +1109,9 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                 raise ElaborationError("CASE binds exactly one variable")
             in_types = tuple(scope[v] for v in stmt.scrutinee)
             matchers = [_RowMatcher(row, in_types, carriers) for row in stmt.rows]
-            gen = Generator(fresh_gen_name("case", stmt_index), in_types,
-                            (_infer_case_output_type(matchers, carriers),))
-            gens[gen.name] = gen
-            kernels[gen.name] = build_table(matchers, in_types, gen.outputs, carriers)
+            outs = (_infer_case_output_type(matchers, carriers),)
+            gen = fresh_gen("case", stmt_index, in_types, outs,
+                            build_table(matchers, in_types, outs, carriers))
             add(Sample(gen, stmt.scrutinee, stmt.vars), stmt)
         elif kind is ObserveStmt:
             atom = stmt.atoms[0]
@@ -1131,11 +1134,11 @@ def _elaborate(sp: SourceProgram, at: list) -> Program:
                         break
             if nullary is not None:
                 var, gen = nullary
-                out = f"__o{stmt_index}"
-                while out in scope:
-                    out += "_"
-                add(Sample(gen, (), (out,)), f"{out} <- {gen.name}()")
-                add(Observe(var, out), f"OBSERVE({var} = {out})")
+                if binds is None:  # the variable sampled steps past all of them
+                    binds = {v for s in sp.stmts if type(s) is not ObserveStmt for v in s.vars}
+                out = fresh("o", stmt_index, binds)
+                add(Sample(gen, (), (out,)), CallStmt((out,), gen.name, (), stmt.line))
+                add(Observe(var, out), ObserveStmt((SAtom("=", var, out),), stmt.line))
                 if untabled is None and gen.name not in kernels:
                     untabled = (gen.name, stmt.line)
                 continue

@@ -284,9 +284,8 @@ def _plan(term: Term, inputs: list[str]) -> tuple[list[Step], list[str]]:
     return steps, read_inputs
 
 
-# A record callback sees a step and the state it produced, and returns
-# the state to continue from.
-Record = Callable[[Step, dict, int], tuple[dict, int]]
+# A record callback sees a step and the state it produced; it only observes.
+Record = Callable[[Step, dict, int], None]
 
 
 def _evaluate(steps: Iterable[Step], state: dict, interp: Interpretation,
@@ -298,7 +297,7 @@ def _evaluate(steps: Iterable[Step], state: dict, interp: Interpretation,
     state over its denominator times the lcm of the rows it used; when a
     column is summed out after it, each monomial's surviving key is made
     in the same pass.  ``record``, when given, sees each step, the return
-    included.
+    included, and the state it left; the run takes nothing back from it.
     """
     denom, bound = 1, _REDUCE_ABOVE
     rows: RowCache = {}
@@ -349,7 +348,7 @@ def _evaluate(steps: Iterable[Step], state: dict, interp: Interpretation,
         elif key_of is not None:
             state = _sum_out(state.items(), key_of)
         if record:
-            state, denom = record(step, state, denom)
+            record(step, state, denom)
     return state, denom
 
 
@@ -428,14 +427,15 @@ def trace(program: TypedTerm, interp: Interpretation,
 
     Each line records the joint state over all variables introduced so
     far; observe lines cross out violating monomials and the final
-    return projects.  With ``normalize`` the state is rescaled to mass 1
-    after every line, raising ZeroMassState if the mass hits zero.
+    return projects.  With ``normalize`` each line records its state over
+    its own mass, as if rescaled to mass 1 after every line (every step is
+    linear), and ZeroMassState is raised at the first line of mass zero.
     """
     if program.ctx:
         raise CarrierMismatch("trace needs a closed program (empty context)")
     lines: list[TraceLine] = []
 
-    def record(step: Step, state: dict, denom: int) -> tuple[dict, int]:
+    def record(step: Step, state: dict, denom: int) -> None:
         lineno = len(lines) + 1
         if normalize:
             if not state:
@@ -443,7 +443,6 @@ def trace(program: TypedTerm, interp: Interpretation,
             denom = sum(state.values())
         text = texts[lineno - 1] if texts else render_statement(step[0])
         lines.append(TraceLine(lineno, text, _subdists(state, denom, [()], 0)[()]))
-        return state, denom
 
     _evaluate(_traced(program.term), {(): 1}, interp, record)
     return lines, EvalResult.of(lines[-1].state)

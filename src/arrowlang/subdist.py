@@ -391,7 +391,7 @@ def expected_value(d: Subdist) -> Fraction:
     total = ZERO
     for x, w in d.items():
         if isinstance(x, bool) or not isinstance(x, int):
-            raise NonNumericOutcome(f"outcome {x!r} is not an integer")
+            raise NonNumericOutcome(f"outcome {render_outcome(x)} is not an integer")
         total += w * x
     return total
 

@@ -190,6 +190,19 @@ RETURN(x)
 """
 
 
+def test_nullary_observe_steps_past_a_variable_bound_later(tmp_path, capsys):
+    # the variable that OBSERVE(x = flip) samples is not the __o2 of line 5
+    path = tmp_path / "p.arrow"
+    path.write_text("TYPE C = {H, T}\nGEN flip : () -> C = () -> 1/2|H> + 1/2|T>\n"
+                    "x <- UNIFORM {H, T}\nOBSERVE(x = flip)\n__o2 <- UNIFORM {H, T}\nRETURN(x)\n")
+    code, out, err = run_cli(capsys, "trace", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:3] == [
+        "(2) __o2_ <- flip() | 1/4|H,H> + 1/4|H,T> + 1/4|T,H> + 1/4|T,T>",
+        "(3) OBSERVE(x = __o2_) | 1/4|H,H> + 1/4|T,T>"]
+    assert out.endswith("Posterior: 1/2|H> + 1/2|T>\n")
+
+
 def test_zero_mass_run_exits_two(tmp_path, capsys):
     f = tmp_path / "fail.arrow"
     f.write_text(FAILING)
@@ -228,6 +241,18 @@ def test_run_prints_what_the_trace_gives(path, capsys):
             assert (code, out) == (1, "") and err.startswith("error:")
             continue
         assert (code, out) == (2 if result.posterior is FAILURE else 0, expected)
+
+
+@pytest.mark.parametrize("source, error", [
+    ("TYPE P = {{A}, {A, B}}\nTYPE E = {A, B}\np <- UNIFORM {{A}, {A, B}}\n"
+     "OBSERVE(B IN p)\nRETURN(p)\n", "error: outcome {A,B} is not an integer\n"),
+    ("TYPE C = {H, T}\nx <- UNIFORM {H, T}\ny <- UNIFORM {H, T}\nRETURN(x, y)\n",
+     "error: outcome H,H is not an integer\n"),
+], ids=["set", "pair"])
+def test_expected_value_names_an_outcome_as_a_ket_prints_it(tmp_path, capsys, source, error):
+    path = tmp_path / "p.arrow"
+    path.write_text(source)
+    assert run_cli(capsys, "run", "--expected-value", str(path)) == (1, "", error)
 
 
 def test_zero_mass_normalized_exits_two(tmp_path, capsys):
@@ -435,11 +460,13 @@ def _swapped_sources(path):
     1b or 1c) that `applicable_steps` finds between two source statements."""
     prog = load_file(path)
     stmts = list(prog.source.stmts)
+    # by identity: the records made for a nullary observe's two core statements are not here
+    index = {id(stmt): i for i, stmt in enumerate(stmts)}
     for which, pos, _ in applicable_steps(prog.typed.term):
         first, second = prog.lines[pos], prog.lines[pos + 1]
-        if which[0] != "1" or isinstance(first, str) or isinstance(second, str):
+        if which[0] != "1" or id(first) not in index or id(second) not in index:
             continue
-        i = stmts.index(first)
+        i = index[id(first)]
         assert stmts[i + 1] is second
         swapped = stmts[:i] + [second, first] + stmts[i + 2:]
         yield pretty(dataclasses.replace(prog.source, stmts=tuple(swapped)))
@@ -662,6 +689,21 @@ def test_corpus_compares_a_normalized_zero_mass_run(tmp_path, capsys):
     (tmp_path / "fail.arrow").write_text(cli.NORMALIZE_PRAGMA + "\n" + FAILING)
     (tmp_path / "fail.golden").write_text("Failure: state mass is zero at line 3\n")
     assert run_cli(capsys, "corpus", str(tmp_path)) == (0, "PASS fail\n", "")
+
+
+def test_corpus_compares_what_trace_prints(tmp_path, capsys):
+    programs = {path.stem: path.read_text() for path in PUZZLES.glob("*.arrow")}
+    programs["validity_zero"] = FAILING
+    programs["zero_mass"] = cli.NORMALIZE_PRAGMA + "\n" + FAILING
+    for name, source in programs.items():
+        path = tmp_path / f"{name}.arrow"
+        path.write_text(source)
+        pragma = any(line.strip() == cli.NORMALIZE_PRAGMA for line in source.splitlines())
+        flags = ["--normalize-each-line"] if pragma else []
+        _, out, _ = run_cli(capsys, "trace", *flags, str(path))
+        (tmp_path / f"{name}.golden").write_text(out)
+    assert run_cli(capsys, "corpus", str(tmp_path)) == (
+        0, "".join(f"PASS {name}\n" for name in sorted(programs)), "")
 
 
 def test_corpus_detects_corruption(tmp_path, capsys):

@@ -42,6 +42,7 @@ from arrowlang.subdist import (
     expected_value,
     ket,
     kleisli_extend,
+    rescale,
     uniform,
     zero,
 )
@@ -282,6 +283,28 @@ def test_normalized_posterior_matches_on_random_programs():
         _, normal = trace(tt, interp, normalize=True)
         assert normal.posterior == plain.posterior
         checked += 1
+
+
+def test_normalized_trace_lines_are_the_plain_lines_over_their_mass():
+    # every step is linear, so the run need not be rescaled as it goes
+    zero_mass = 0
+    for seed in range(3000):
+        budget = GenBudget(max_statements=6, seed=seed)
+        rng = budget.rng()
+        tt = gen_closed_program(budget, rng)
+        interp = gen_interpretation(budget, tt.sig, rng)
+        plain, _ = trace(tt, interp)
+        first_zero = next((ln.line for ln in plain if ln.state.is_zero()), None)
+        if first_zero is not None:
+            with pytest.raises(ZeroMassState) as exc:
+                trace(tt, interp, normalize=True)
+            assert exc.value.line == first_zero
+            zero_mass += 1
+            continue
+        normal, _ = trace(tt, interp, normalize=True)
+        assert [(ln.line, ln.text, ket(ln.state)) for ln in normal] == [
+            (ln.line, ln.text, ket(rescale(ln.state)[1])) for ln in plain]
+    assert zero_mass > 200
 
 
 def test_trace_agrees_with_interpret():

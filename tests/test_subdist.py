@@ -512,6 +512,7 @@ def test_expected_value_rejects_symbols():
 def test_ket_canonical_order():
     s = Subdist({("R", "L"): Q(1, 3), ("M", "L"): Q(1, 6)})
     assert ket(s) == "1/6|M,L> + 1/3|R,L>"
+    assert repr(s) == ket(s)
 
 
 def test_ket_integer_weight():

@@ -354,6 +354,25 @@ def test_every_failed_load_names_its_line():
     assert elaboration_errors > 100
 
 
+def test_every_core_statement_keeps_a_source_statement():
+    # a nullary OBSERVE(x = g) gives two core statements, each with a record at its line
+    rng = random.Random(6)
+    nullary = 0
+    for text in TEXTS + [call_program(rng) for _ in range(300)]:
+        prog = load_text(text)
+        lines, stmts = prog.lines, prog.source.stmts
+        assert len(lines) == len(prog.typed.term.heads) + 1
+        assert prog.texts == tuple(map(parser.render_stmt, lines))
+        for record in lines:
+            assert isinstance(record, (parser.CallStmt, parser.UniformStmt, parser.CaseStmt,
+                                       parser.ObserveStmt, parser.ReturnStmt))
+            if not any(record is stmt for stmt in stmts):
+                assert any(isinstance(stmt, parser.ObserveStmt) and stmt.line == record.line
+                           for stmt in stmts)
+                nullary += 1
+    assert nullary > 50
+
+
 def test_statements_parse_or_raise_at_the_first_unexpected_token():
     rng = random.Random(5)
     for text in TEXTS + [call_program(rng) for _ in range(300)]:
